@@ -61,11 +61,10 @@ void BM_EdrOpSequence(benchmark::State& state) {
 }
 BENCHMARK(BM_EdrOpSequence)->Range(32, 256);
 
-// The three EDR kernels head-to-head on the same pair: classic two-row
-// scalar DP, the Hyyrö bit-parallel formulation, and the Ukkonen band (full
-// width, so all three produce the exact distance). Divergence between the
-// per-iteration times here is what the dispatch heuristic in EdrOps trades
-// on.
+// The two EDR kernels head-to-head on the same pair: classic two-row
+// scalar DP and the Hyyrö bit-parallel formulation (both produce the exact
+// distance). Divergence between the per-iteration times here is what the
+// dispatch heuristic in EdrOps trades on.
 void BM_EdrScalarKernel(benchmark::State& state) {
   const size_t points = static_cast<size_t>(state.range(0));
   const Dataset d = SmallDataset(2, points);
@@ -89,21 +88,6 @@ void BM_EdrBitParallelKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_EdrBitParallelKernel)->Range(32, 512)
     ->Complexity(benchmark::oNSquared);
-
-// Banded kernel at a fixed narrow band (16): the shape the refine stage
-// sees once the top-k threshold has tightened the cutoff. Cost is
-// O(n * band) instead of O(n * m), and the kernel may abandon with a
-// certified bound — both outcomes are representative.
-void BM_EdrBandedKernel(benchmark::State& state) {
-  const size_t points = static_cast<size_t>(state.range(0));
-  const Dataset d = SmallDataset(2, points);
-  const EdrTolerance tol = EdrTolerance::FromDeltaMax(250.0, 6.36);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EdrOpsBanded(d[0], d[1], tol, 16));
-  }
-  state.SetComplexityN(static_cast<int64_t>(points));
-}
-BENCHMARK(BM_EdrBandedKernel)->Range(32, 512)->Complexity(benchmark::oN);
 
 // Per-pair cost of each cascade rung, for comparison against the kernels
 // they shortcut. Profiles are built once (the cache amortizes them the

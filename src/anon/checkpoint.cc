@@ -143,6 +143,13 @@ class TokenReader {
     return true;
   }
 
+  /// An element count: every element takes at least one payload byte, so a
+  /// count larger than the bytes still unread is corrupt. Rejecting it here
+  /// keeps a torn or hostile count away from vector::reserve.
+  bool Count(size_t* out) {
+    return SizeT(out) && *out <= data_.size() - pos_;
+  }
+
   bool Int(int* out) {
     int64_t v = 0;
     if (!I64(&v)) return false;
@@ -243,7 +250,7 @@ bool ReadTrajectory(TokenReader* in, Trajectory* out) {
   size_t npoints = 0;
   if (!in->Literal("traj") || !in->I64(&id) || !in->I64(&object_id) ||
       !in->I64(&parent_id) || !in->Int(&k) || !in->Double(&delta) ||
-      !in->SizeT(&npoints)) {
+      !in->Count(&npoints)) {
     return false;
   }
   std::vector<Point> points;
@@ -278,7 +285,7 @@ void AppendCounters(
 bool ReadCounters(TokenReader* in,
                   std::vector<std::pair<std::string, uint64_t>>* out) {
   size_t n = 0;
-  if (!in->Literal("ncounters") || !in->SizeT(&n)) {
+  if (!in->Literal("ncounters") || !in->Count(&n)) {
     return false;
   }
   out->reserve(n);
@@ -366,7 +373,7 @@ void AppendAnonymizationResult(std::string* out,
 
 bool ReadAnonymizationResult(TokenReader* in, AnonymizationResult* result) {
   size_t ntraj = 0;
-  if (!in->Literal("ntraj") || !in->SizeT(&ntraj)) {
+  if (!in->Literal("ntraj") || !in->Count(&ntraj)) {
     return false;
   }
   std::vector<Trajectory> sanitized;
@@ -380,7 +387,7 @@ bool ReadAnonymizationResult(TokenReader* in, AnonymizationResult* result) {
   }
   result->sanitized = Dataset(std::move(sanitized));
   size_t ntrashed = 0;
-  if (!in->Literal("ntrashed") || !in->SizeT(&ntrashed)) {
+  if (!in->Literal("ntrashed") || !in->Count(&ntrashed)) {
     return false;
   }
   result->trashed_ids.reserve(ntrashed);
@@ -392,7 +399,7 @@ bool ReadAnonymizationResult(TokenReader* in, AnonymizationResult* result) {
     result->trashed_ids.push_back(id);
   }
   size_t nclusters = 0;
-  if (!in->Literal("nclusters") || !in->SizeT(&nclusters)) {
+  if (!in->Literal("nclusters") || !in->Count(&nclusters)) {
     return false;
   }
   result->clusters.reserve(nclusters);
@@ -400,7 +407,7 @@ bool ReadAnonymizationResult(TokenReader* in, AnonymizationResult* result) {
     AnonymityCluster c;
     size_t nmembers = 0;
     if (!in->Literal("cluster") || !in->SizeT(&c.pivot) || !in->Int(&c.k) ||
-        !in->Double(&c.delta) || !in->SizeT(&nmembers)) {
+        !in->Double(&c.delta) || !in->Count(&nmembers)) {
       return false;
     }
     c.members.reserve(nmembers);
@@ -443,16 +450,6 @@ uint64_t WcopOptionsFingerprint(const WcopOptions& options) {
   return h;
 }
 
-uint64_t StreamingConfigFingerprint(const Dataset& dataset,
-                                    const StreamingOptions& options) {
-  uint64_t h = DatasetFingerprint(dataset);
-  HashU64(&h, 0x5354524dULL);  // "STRM" domain separator
-  HashDouble(&h, options.window_seconds);
-  HashU64(&h, options.min_fragment_points);
-  HashWcopOptions(&h, options.wcop);
-  return h;
-}
-
 uint64_t WcopBConfigFingerprint(const Dataset& dataset,
                                 const WcopOptions& options,
                                 const WcopBOptions& b_options) {
@@ -467,107 +464,6 @@ uint64_t WcopBConfigFingerprint(const Dataset& dataset,
   HashU64(&h, static_cast<uint64_t>(b_options.edit_policy));
   HashDouble(&h, b_options.proportional_strength);
   return h;
-}
-
-std::string EncodeStreamingCheckpoint(const StreamingCheckpoint& checkpoint) {
-  std::string out;
-  AppendWord(&out, "wcop-streaming-checkpoint");
-  AppendU64(&out, kStreamingCheckpointVersion);
-  EndLine(&out);
-  AppendWord(&out, "fingerprint");
-  AppendU64(&out, checkpoint.fingerprint);
-  EndLine(&out);
-  AppendWord(&out, "state");
-  AppendU64(&out, checkpoint.windows_done);
-  AppendI64(&out, checkpoint.next_fragment_id);
-  AppendU64(&out, checkpoint.suppressed_fragments);
-  AppendU64(&out, checkpoint.total_clusters);
-  AppendDouble(&out, checkpoint.total_ttd);
-  AppendU64(&out, checkpoint.degraded ? 1 : 0);
-  AppendBlob(&out, checkpoint.degraded_reason);
-  EndLine(&out);
-  AppendWord(&out, "nwindows");
-  AppendU64(&out, checkpoint.windows.size());
-  EndLine(&out);
-  for (const StreamingWindowSummary& w : checkpoint.windows) {
-    AppendWord(&out, "window");
-    AppendDouble(&out, w.window_start);
-    AppendU64(&out, w.input_fragments);
-    AppendU64(&out, w.published_fragments);
-    AppendU64(&out, w.clusters);
-    AppendDouble(&out, w.ttd);
-    AppendU64(&out, w.skipped ? 1 : 0);
-    EndLine(&out);
-  }
-  AppendWord(&out, "ntraj");
-  AppendU64(&out, checkpoint.published.size());
-  EndLine(&out);
-  for (const Trajectory& t : checkpoint.published) {
-    AppendTrajectory(&out, t);
-  }
-  AppendCounters(&out, checkpoint.counters);
-  AppendEndMarker(&out);
-  return out;
-}
-
-Result<StreamingCheckpoint> DecodeStreamingCheckpoint(
-    std::string_view payload) {
-  TokenReader in(payload);
-  uint64_t version = 0;
-  if (!in.Literal("wcop-streaming-checkpoint") || !in.U64(&version)) {
-    return Corrupt("missing streaming preamble");
-  }
-  if (version != kStreamingCheckpointVersion) {
-    return Status::FailedPrecondition(
-        "streaming checkpoint version " + std::to_string(version) +
-        " unsupported (expected " +
-        std::to_string(kStreamingCheckpointVersion) + ")");
-  }
-  StreamingCheckpoint checkpoint;
-  if (!in.Literal("fingerprint") || !in.U64(&checkpoint.fingerprint)) {
-    return Corrupt("missing fingerprint");
-  }
-  if (!in.Literal("state") || !in.SizeT(&checkpoint.windows_done) ||
-      !in.I64(&checkpoint.next_fragment_id) ||
-      !in.SizeT(&checkpoint.suppressed_fragments) ||
-      !in.SizeT(&checkpoint.total_clusters) ||
-      !in.Double(&checkpoint.total_ttd) || !in.Bool(&checkpoint.degraded) ||
-      !in.Blob(&checkpoint.degraded_reason)) {
-    return Corrupt("bad streaming state line");
-  }
-  size_t nwindows = 0;
-  if (!in.Literal("nwindows") || !in.SizeT(&nwindows)) {
-    return Corrupt("bad window count");
-  }
-  checkpoint.windows.reserve(nwindows);
-  for (size_t i = 0; i < nwindows; ++i) {
-    StreamingWindowSummary w;
-    if (!in.Literal("window") || !in.Double(&w.window_start) ||
-        !in.SizeT(&w.input_fragments) || !in.SizeT(&w.published_fragments) ||
-        !in.SizeT(&w.clusters) || !in.Double(&w.ttd) || !in.Bool(&w.skipped)) {
-      return Corrupt("bad window summary");
-    }
-    checkpoint.windows.push_back(w);
-  }
-  size_t ntraj = 0;
-  if (!in.Literal("ntraj") || !in.SizeT(&ntraj)) {
-    return Corrupt("bad trajectory count");
-  }
-  checkpoint.published.reserve(ntraj);
-  for (size_t i = 0; i < ntraj; ++i) {
-    Trajectory t;
-    if (!ReadTrajectory(&in, &t)) {
-      return Corrupt("bad published trajectory");
-    }
-    checkpoint.published.push_back(std::move(t));
-  }
-  if (!ReadCounters(&in, &checkpoint.counters)) {
-    return Corrupt("bad counters");
-  }
-  if (!CheckEndMarker(&in, payload.size())) {
-    return Corrupt("bad end marker (truncated or trailing bytes)");
-  }
-  return checkpoint;
 }
 
 std::string EncodeWcopBCheckpoint(const WcopBCheckpoint& checkpoint) {
@@ -625,7 +521,7 @@ Result<WcopBCheckpoint> DecodeWcopBCheckpoint(std::string_view payload) {
     return Corrupt("bad wcop-b state line");
   }
   size_t nrounds = 0;
-  if (!in.Literal("nrounds") || !in.SizeT(&nrounds)) {
+  if (!in.Literal("nrounds") || !in.Count(&nrounds)) {
     return Corrupt("bad round count");
   }
   checkpoint.rounds.reserve(nrounds);

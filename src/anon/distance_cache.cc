@@ -34,7 +34,6 @@ ShardedPairDistanceCache::ShardedPairDistanceCache(
         telemetry->metrics().GetCounter("distance.lb.separation_pruned");
     lb_envelope_ =
         telemetry->metrics().GetCounter("distance.lb.envelope_pruned");
-    lb_band_ = telemetry->metrics().GetCounter("distance.lb.band_pruned");
   }
   cascade_ = config.cascade && config.kind == DistanceConfig::Kind::kEdr &&
              config.edr_scale > 0.0;
@@ -48,28 +47,6 @@ ShardedPairDistanceCache::ShardedPairDistanceCache(
   for (Shard& shard : shards_) {
     shard.map.reserve(per_shard);
   }
-}
-
-uint32_t ShardedPairDistanceCache::BandFor(double cutoff,
-                                           uint32_t maxlen) const {
-  if (!(cutoff < config_.edr_scale)) {
-    return maxlen;  // the cutoff admits any distance: full-width evaluation
-  }
-  // Floor estimate, then fix up with the exact ToScaled comparisons the
-  // verdicts use so float rounding can never under-size the band.
-  const double estimate =
-      cutoff * static_cast<double>(maxlen) / config_.edr_scale;
-  uint32_t band = estimate > 0.0
-                      ? static_cast<uint32_t>(std::min(
-                            estimate, static_cast<double>(maxlen)))
-                      : 0u;
-  while (band > 0 && ToScaled(band, maxlen) > cutoff) {
-    --band;
-  }
-  while (band < maxlen && ToScaled(band + 1, maxlen) <= cutoff) {
-    ++band;
-  }
-  return band;
 }
 
 double ShardedPairDistanceCache::StoreExact(Shard& shard, uint64_t key,
@@ -269,14 +246,10 @@ double ShardedPairDistanceCache::GetWithCutoff(size_t i, size_t j,
       return StoreBound(shard, key, envelope_bound, lb_envelope_);
     }
   }
-  // Refine: DP kernel, banded to the width the cutoff still permits.
-  const uint32_t band = BandFor(cutoff, maxlen);
-  const EdrKernelResult r =
-      EdrOps(dataset_[i], dataset_[j], config_.tolerance, band);
-  if (r.exact) {
-    return StoreExact(shard, key, ToScaled(r.ops, maxlen));
-  }
-  return StoreBound(shard, key, ToScaled(r.ops, maxlen), lb_band_);
+  // Refine: exact DP kernel.
+  return StoreExact(
+      shard, key,
+      ToScaled(EdrOps(dataset_[i], dataset_[j], config_.tolerance), maxlen));
 }
 
 ShardedPairDistanceCache::ProbeResult ShardedPairDistanceCache::CheapProbe(

@@ -29,12 +29,11 @@ namespace wcop {
 /// separation certificate (O(1), and when it fires the distance is *known*
 /// — max length, stored as an analytic exact), and the envelope bound
 /// (O(n+m); zero matchable points again yields an analytic exact). Only
-/// survivors reach the DP kernel, banded to the width the cutoff still
-/// permits — a banded abandon stores `band+1` as a certified bound. Every
-/// returned value is either the exact distance or a lower bound > cutoff,
-/// so decisions made by comparing against the cutoff are identical to full
-/// computation. `CheapProbe` exposes the bound cascade alone (never runs
-/// the DP) for callers that order candidates cheapest-first.
+/// survivors reach the exact DP kernel. Every returned value is either the
+/// exact distance or a lower bound > cutoff, so decisions made by comparing
+/// against the cutoff are identical to full computation. `CheapProbe`
+/// exposes the bound cascade alone (never runs the DP) for callers that
+/// order candidates cheapest-first.
 ///
 /// Accounting is *exact* and thread-schedule-independent: every stored
 /// DP-computed distance charges RunContext::ChargeDistance and the per-kind
@@ -156,11 +155,6 @@ class ShardedPairDistanceCache {
            config_.edr_scale;
   }
 
-  /// Smallest band width such that ToScaled(band + 1) > cutoff (capped at
-  /// maxlen): exact results <= cutoff always fit inside the band, and a
-  /// banded abandon is certified to exceed the cutoff.
-  uint32_t BandFor(double cutoff, uint32_t maxlen) const;
-
   /// Stores an exact value computed by the DP, charging accounting only
   /// when this call wins the insertion/upgrade race. Returns the value to
   /// report (the already stored exact value when the race was lost).
@@ -185,7 +179,6 @@ class ShardedPairDistanceCache {
   telemetry::Counter* lb_length_ = nullptr;
   telemetry::Counter* lb_separation_ = nullptr;
   telemetry::Counter* lb_envelope_ = nullptr;
-  telemetry::Counter* lb_band_ = nullptr;
   uint64_t n_;
   bool cascade_ = false;
   std::vector<EdrBoundsProfile> profiles_;  ///< cascade only; indexed as dataset

@@ -176,8 +176,8 @@ struct AnonymizationReport {
   /// Metrics snapshot taken when the run finished, when a telemetry sink
   /// was attached (empty otherwise). Serialized by ReportToJson under
   /// "metrics". Counters are cumulative over the sink's lifetime, so a
-  /// driver that runs the pipeline repeatedly (WCOP-B rounds, streaming
-  /// windows) reports the totals of the whole run.
+  /// driver that runs the pipeline repeatedly (WCOP-B rounds) reports the
+  /// totals of the whole run.
   telemetry::MetricsSnapshot metrics;
 };
 

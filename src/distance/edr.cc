@@ -24,12 +24,9 @@ bool EdrTolerance::Matches(const Point& a, const Point& b) const {
 
 double EdrDistance(const Trajectory& a, const Trajectory& b,
                    const EdrTolerance& tolerance) {
-  // Full-width evaluation through the kernel dispatch (scalar DP for small
-  // shapes, bit-parallel for long ones); every kernel is bit-identical to
-  // the classic two-row DP.
-  const uint32_t full =
-      static_cast<uint32_t>(std::max(a.size(), b.size()));
-  return static_cast<double>(EdrOps(a, b, tolerance, full).ops);
+  // Kernel dispatch (scalar DP for small shapes, bit-parallel for long
+  // ones); every kernel is bit-identical to the classic two-row DP.
+  return static_cast<double>(EdrOps(a, b, tolerance));
 }
 
 double EdrDistance(const Trajectory& a, const Trajectory& b,

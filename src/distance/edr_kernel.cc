@@ -133,90 +133,19 @@ uint32_t EdrOpsBitParallel(const Trajectory& a, const Trajectory& b,
   return static_cast<uint32_t>(score);
 }
 
-EdrKernelResult EdrOpsBanded(const Trajectory& a, const Trajectory& b,
-                             const EdrTolerance& tolerance, uint32_t band) {
+uint32_t EdrOps(const Trajectory& a, const Trajectory& b,
+                const EdrTolerance& tolerance) {
   const size_t n = a.size();
   const size_t m = b.size();
-  const uint32_t maxlen = static_cast<uint32_t>(std::max(n, m));
   if (n == 0 || m == 0) {
-    return EdrKernelResult{maxlen, true};
+    return static_cast<uint32_t>(std::max(n, m));
   }
-  const size_t diff = n > m ? n - m : m - n;
-  if (diff > band) {
-    // Outside the band before we start: the length bound is the certificate.
-    return EdrKernelResult{band + 1, false};
-  }
-  if (band > maxlen) {
-    band = maxlen;
-  }
-  // Ukkonen band: only cells with |i - j| <= band are evaluated; values are
-  // clamped at band + 1 (any cell outside the band is >= |i - j| > band, so
-  // the clamp never distorts a value that could end <= band).
-  const uint32_t inf = band + 1;
-  thread_local std::vector<uint32_t> prev_s;
-  thread_local std::vector<uint32_t> curr_s;
-  prev_s.assign(m + 2, inf);
-  curr_s.assign(m + 2, inf);
-  uint32_t* prev = prev_s.data();
-  uint32_t* curr = curr_s.data();
-  const size_t row0_hi = std::min(m, static_cast<size_t>(band));
-  for (size_t j = 0; j <= row0_hi; ++j) {
-    prev[j] = static_cast<uint32_t>(j);
-  }
-  for (size_t i = 1; i <= n; ++i) {
-    const size_t lo = i > band ? i - band : 0;
-    const size_t hi = std::min(m, i + band);
-    const Point& pa = a[i - 1];
-    if (lo == 0) {
-      curr[0] = std::min(static_cast<uint32_t>(i), inf);
-    } else {
-      curr[lo - 1] = inf;  // left neighbour of the first in-band cell
-    }
-    for (size_t j = std::max<size_t>(lo, 1); j <= hi; ++j) {
-      const uint32_t subcost = tolerance.Matches(pa, b[j - 1]) ? 0u : 1u;
-      const uint32_t v =
-          std::min({prev[j - 1] + subcost, prev[j] + 1u, curr[j - 1] + 1u});
-      curr[j] = std::min(v, inf);
-    }
-    curr[hi + 1] = inf;  // up neighbour of next row's last in-band cell
-    std::swap(prev, curr);
-  }
-  const uint32_t result = prev[m];
-  if (result >= inf) {
-    return EdrKernelResult{inf, false};  // certified: true distance > band
-  }
-  return EdrKernelResult{result, true};
-}
-
-EdrKernelResult EdrOps(const Trajectory& a, const Trajectory& b,
-                       const EdrTolerance& tolerance, uint32_t band) {
-  const size_t n = a.size();
-  const size_t m = b.size();
-  const uint32_t maxlen = static_cast<uint32_t>(std::max(n, m));
-  if (n == 0 || m == 0) {
-    return EdrKernelResult{maxlen, true};
-  }
-  const size_t diff = n > m ? n - m : m - n;
-  if (diff > band) {
-    return EdrKernelResult{band + 1, false};
-  }
-  if (band > maxlen) {
-    band = maxlen;
-  }
-  // Rough per-row costs: banded touches min(2*band+1, m) cells, the
-  // bit-parallel kernel ~8 word ops per 64 columns, the scalar DP m cells.
-  // The banded kernel additionally certifies abandons, so prefer it
-  // whenever it is the cheapest full evaluation.
-  const uint64_t banded_cost = 2ull * band + 1ull;
-  const uint64_t bitparallel_cost = 8ull * ((m + 63) / 64);
-  if (band < maxlen && banded_cost < bitparallel_cost &&
-      banded_cost < static_cast<uint64_t>(m)) {
-    return EdrOpsBanded(a, b, tolerance, band);
-  }
+  // Rough per-row costs: the bit-parallel kernel ~8 word ops per 64
+  // columns, the scalar DP m cells; on small shapes the scalar DP wins.
   if (m < 32 || static_cast<uint64_t>(n) * m < 2048) {
-    return EdrKernelResult{EdrOpsScalar(a, b, tolerance), true};
+    return EdrOpsScalar(a, b, tolerance);
   }
-  return EdrKernelResult{EdrOpsBitParallel(a, b, tolerance), true};
+  return EdrOpsBitParallel(a, b, tolerance);
 }
 
 }  // namespace wcop

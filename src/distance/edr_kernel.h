@@ -8,14 +8,6 @@
 
 namespace wcop {
 
-/// Outcome of one EDR kernel evaluation. When `exact` is true, `ops` is the
-/// EDR op count; otherwise `ops` is a certified lower bound on it (the
-/// banded kernel proved the distance exceeds its band).
-struct EdrKernelResult {
-  uint32_t ops = 0;
-  bool exact = true;
-};
-
 /// Reference kernel: the classic two-row scalar DP. O(n*m) time, O(m)
 /// scratch (thread-local, reused across calls). Always exact.
 uint32_t EdrOpsScalar(const Trajectory& a, const Trajectory& b,
@@ -31,21 +23,11 @@ uint32_t EdrOpsScalar(const Trajectory& a, const Trajectory& b,
 uint32_t EdrOpsBitParallel(const Trajectory& a, const Trajectory& b,
                            const EdrTolerance& tolerance);
 
-/// Banded (Ukkonen) kernel: evaluates only cells with |i - j| <= band,
-/// clamping values above band + 1. If the true distance is <= band the
-/// optimal path never leaves the band and the result is exact; otherwise
-/// the clamp certifies EDR >= band + 1 and {band + 1, false} is returned.
-/// O(n * min(2*band + 1, m)) time.
-EdrKernelResult EdrOpsBanded(const Trajectory& a, const Trajectory& b,
-                             const EdrTolerance& tolerance, uint32_t band);
-
-/// Dispatch: picks the cheapest kernel for the shapes involved. `band`
-/// caps the useful distance — pass max(|a|,|b|) (or anything >= it) for an
-/// unconditionally exact answer; a smaller band permits the banded kernel
-/// to abandon with a certified lower bound when the distance exceeds it.
-/// All kernels agree bit-for-bit on exact results.
-EdrKernelResult EdrOps(const Trajectory& a, const Trajectory& b,
-                       const EdrTolerance& tolerance, uint32_t band);
+/// Dispatch: picks the cheaper kernel for the shapes involved (scalar DP
+/// for small shapes, bit-parallel for long ones). Both kernels agree
+/// bit-for-bit, so the result is always the exact EDR op count.
+uint32_t EdrOps(const Trajectory& a, const Trajectory& b,
+                const EdrTolerance& tolerance);
 
 }  // namespace wcop
 

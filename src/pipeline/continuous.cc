@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "anon/checkpoint.h"
-#include "anon/streaming.h"
 #include "common/failpoint.h"
 #include "common/log.h"
 #include "common/telemetry.h"
@@ -106,7 +105,7 @@ Status WriteEmptyStore(const std::string& path) {
 
 /// True when `status` means "this window cannot be anonymized as given"
 /// rather than "the run is broken": the window publishes empty with
-/// skipped=1, mirroring the streaming driver's per-window skip semantics.
+/// skipped=1, and all of its input fragments count as suppressed.
 bool IsWindowSkip(const Status& status) {
   return status.code() == StatusCode::kUnsatisfiable ||
          status.code() == StatusCode::kInvalidArgument;
@@ -219,8 +218,9 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
     t_min = std::min(t_min, entry.t_min);
     t_max = std::max(t_max, entry.t_max);
   }
-  WCOP_ASSIGN_OR_RETURN(const WindowPlan plan,
-                        PlanWindows(t_min, t_max, options.window_seconds));
+  WCOP_ASSIGN_OR_RETURN(
+      const store::WindowPlan plan,
+      store::PlanWindows(t_min, t_max, options.window_seconds));
   size_t windows_total = plan.num_windows;
   if (options.max_windows > 0) {
     windows_total = std::min(windows_total, options.max_windows);

@@ -74,8 +74,8 @@ struct ContinuousPipelineOptions {
   double window_seconds = 3600.0;
 
   /// Fragments shorter than this are spilled to the next window when their
-  /// source trajectory continues, else suppressed (paper §6 semantics,
-  /// same default as StreamingOptions).
+  /// source trajectory continues, else suppressed (paper §6 semantics).
+  /// Values below 1 are treated as 1.
   size_t min_fragment_points = 2;
 
   /// Publish at most this many windows (0 = the full grid). The manifest

@@ -1,11 +1,11 @@
 #include "store/window_io.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <utility>
 #include <vector>
 
-#include "anon/streaming.h"
 #include "common/failpoint.h"
 
 namespace wcop {
@@ -40,6 +40,52 @@ Result<CarryMap> LoadCarryIn(const std::string& path) {
 }
 
 }  // namespace
+
+Result<WindowPlan> PlanWindows(double t_min, double t_max,
+                               double window_seconds) {
+  if (!(window_seconds > 0.0) || !std::isfinite(window_seconds)) {
+    return Status::InvalidArgument("window_seconds must be positive");
+  }
+  if (!std::isfinite(t_min) || !std::isfinite(t_max) || t_min > t_max) {
+    return Status::InvalidArgument("window plan over an empty time range");
+  }
+  WindowPlan plan;
+  plan.t_min = t_min;
+  plan.window_seconds = window_seconds;
+  // Count windows with the same arithmetic the iteration uses so the grid
+  // is bit-identical to the historical `t_min + i*W <= t_max` loop.
+  size_t n = 0;
+  while (plan.WindowStart(n) <= t_max) {
+    if (plan.WindowStart(n + 1) <= plan.WindowStart(n)) {
+      return Status::InvalidArgument(
+          "window_seconds too small for the stream's time magnitude "
+          "(the window grid cannot advance in double precision)");
+    }
+    ++n;
+  }
+  plan.num_windows = n;
+  return plan;
+}
+
+std::vector<Point> SlicePointsInWindow(const Trajectory& t,
+                                       double window_start,
+                                       double window_end) {
+  std::vector<Point> points;
+  for (const Point& p : t.points()) {
+    if (p.t >= window_start && p.t < window_end) {
+      points.push_back(p);
+    }
+  }
+  return points;
+}
+
+Trajectory MakeWindowFragment(int64_t fragment_id, const Trajectory& parent,
+                              std::vector<Point> points) {
+  Trajectory fragment(fragment_id, std::move(points), parent.requirement());
+  fragment.set_object_id(parent.object_id());
+  fragment.set_parent_id(parent.id());
+  return fragment;
+}
 
 Result<WindowExtraction> ExtractWindow(const TrajectoryStoreReader& source,
                                        const WindowExtractOptions& options) {

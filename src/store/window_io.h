@@ -7,15 +7,14 @@
 ///
 /// ExtractWindow() walks the source store's index, reads only the blocks
 /// whose lifetime overlaps the window (one trajectory in memory at a time),
-/// slices each into the window's sub-trajectory with the shared
-/// window-iterator core (anon/streaming.h), and writes the resulting
-/// fragments to a window input store. Fragments too short to publish are
-/// not silently dropped at window boundaries the way the in-memory
-/// streaming driver drops them: when the source trajectory continues past
-/// the window, the short fragment is spilled to a carry-over store and
-/// merged (prepended) into the same user's fragment in the next window,
-/// still carrying that user's (k_i, δ_i). Only a short fragment with no
-/// continuation is suppressed for good.
+/// slices each into the window's sub-trajectory with the window-iterator
+/// core below, and writes the resulting fragments to a window input store.
+/// Fragments too short to publish are not dropped at window boundaries:
+/// when the source trajectory continues past the window, the short
+/// fragment is spilled to a carry-over store and merged (prepended) into
+/// the same user's fragment in the next window, still carrying that user's
+/// (k_i, δ_i). Only a short fragment with no continuation is suppressed for
+/// good.
 ///
 /// Carry-over records are tiny by construction — a record is spilled only
 /// while its accumulated points stay below `min_fragment_points` — so the
@@ -29,12 +28,55 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "store/store_file.h"
+#include "traj/trajectory.h"
 
 namespace wcop {
 namespace store {
+
+// ---------------------------------------------------------------------------
+// Window-iterator core: the deterministic window grid and the per-window
+// slicing every window of the continuous pipeline goes through.
+// ---------------------------------------------------------------------------
+
+/// The deterministic window grid over a time range: window `i` spans
+/// [t_min + i*window_seconds, t_min + (i+1)*window_seconds), and a window
+/// exists for every i with WindowStart(i) <= t_max.
+struct WindowPlan {
+  double t_min = 0.0;
+  double window_seconds = 0.0;
+  size_t num_windows = 0;
+
+  double WindowStart(size_t i) const {
+    return t_min + static_cast<double>(i) * window_seconds;
+  }
+  double WindowEnd(size_t i) const { return WindowStart(i) + window_seconds; }
+};
+
+/// Computes the window grid covering [t_min, t_max]. kInvalidArgument when
+/// window_seconds is not positive, the range is inverted/non-finite, or
+/// window_seconds is so small relative to the time magnitude that the grid
+/// cannot advance (t + window_seconds == t in double arithmetic).
+Result<WindowPlan> PlanWindows(double t_min, double t_max,
+                               double window_seconds);
+
+/// Copies the points of `t` with window_start <= p.t < window_end, in order.
+std::vector<Point> SlicePointsInWindow(const Trajectory& t,
+                                       double window_start, double window_end);
+
+/// Builds a publishable window fragment: fresh id `fragment_id`, the
+/// parent's object id, the parent's requirement (each user's (k_i, δ_i)
+/// rides with every fragment), and parent_id = parent.id() linking back to
+/// the source trajectory.
+Trajectory MakeWindowFragment(int64_t fragment_id, const Trajectory& parent,
+                              std::vector<Point> points);
+
+// ---------------------------------------------------------------------------
+// Out-of-core window extraction.
+// ---------------------------------------------------------------------------
 
 struct WindowExtractOptions {
   double window_start = 0.0;

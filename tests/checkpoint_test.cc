@@ -2,11 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "anon/streaming.h"
 #include "anon/wcop_b.h"
 #include "common/failpoint.h"
 #include "common/snapshot.h"
@@ -17,25 +18,6 @@ namespace {
 
 using testing_util::MakeLineWithReq;
 using testing_util::SmallSynthetic;
-
-// Compact deterministic dataset: three groups of three co-travelling lines,
-// all inside [0, 290] s, so a 100 s window yields exactly three windows and
-// every fragment is clusterable under k=2, delta=300.
-Dataset CompactDataset() {
-  std::vector<Trajectory> trajectories;
-  int64_t id = 0;
-  for (int g = 0; g < 3; ++g) {
-    for (int i = 0; i < 3; ++i) {
-      Trajectory t = MakeLineWithReq(id, 2000.0 * g, 30.0 * i, 5.0, 0.0,
-                                     /*n=*/30, /*k=*/2, /*delta=*/300.0,
-                                     /*dt=*/10.0);
-      t.set_object_id(id);
-      trajectories.push_back(std::move(t));
-      ++id;
-    }
-  }
-  return Dataset(std::move(trajectories));
-}
 
 void ExpectTrajectoriesIdentical(const Trajectory& a, const Trajectory& b) {
   EXPECT_EQ(a.id(), b.id());
@@ -59,14 +41,33 @@ void ExpectDatasetsIdentical(const Dataset& a, const Dataset& b) {
   }
 }
 
-uint64_t CounterValue(const telemetry::MetricsSnapshot& metrics,
-                      const std::string& name) {
-  for (const auto& [counter_name, value] : metrics.counters) {
-    if (counter_name == name) {
-      return value;
+// Replaces the token `offset` places after the first `keyword` token of a
+// checkpoint payload with `value`.
+std::string ReplaceTokenAfter(const std::string& payload,
+                              const std::string& keyword, size_t offset,
+                              const std::string& value) {
+  std::vector<std::pair<size_t, size_t>> tokens;  // (start, length)
+  for (size_t i = 0; i < payload.size();) {
+    if (std::isspace(static_cast<unsigned char>(payload[i]))) {
+      ++i;
+      continue;
+    }
+    const size_t start = i;
+    while (i < payload.size() &&
+           !std::isspace(static_cast<unsigned char>(payload[i]))) {
+      ++i;
+    }
+    tokens.emplace_back(start, i - start);
+  }
+  for (size_t t = 0; t + offset < tokens.size(); ++t) {
+    if (payload.compare(tokens[t].first, tokens[t].second, keyword) == 0) {
+      std::string out = payload;
+      out.replace(tokens[t + offset].first, tokens[t + offset].second, value);
+      return out;
     }
   }
-  return 0;
+  ADD_FAILURE() << "no '" << keyword << "' token in the payload";
+  return payload;
 }
 
 class CheckpointTest : public ::testing::Test {
@@ -92,53 +93,6 @@ class CheckpointTest : public ::testing::Test {
 // Codec round-trips.
 // ---------------------------------------------------------------------------
 
-TEST_F(CheckpointTest, StreamingCheckpointRoundTrips) {
-  StreamingCheckpoint original;
-  original.fingerprint = 0xdeadbeefcafef00dULL;
-  original.windows_done = 7;
-  original.next_fragment_id = 42;
-  original.suppressed_fragments = 3;
-  original.total_clusters = 11;
-  original.total_ttd = 0.1 + 0.2;  // not exactly 0.3 — must survive verbatim
-  original.degraded = true;
-  original.degraded_reason = "deadline exceeded: newline \n and spaces ok";
-  StreamingWindowSummary w;
-  w.window_start = 1.0 / 3.0;
-  w.input_fragments = 5;
-  w.published_fragments = 4;
-  w.clusters = 2;
-  w.ttd = 123.456789012345678;
-  w.skipped = false;
-  original.windows.push_back(w);
-  w.skipped = true;
-  original.windows.push_back(w);
-  Trajectory t = MakeLineWithReq(9, 0.125, -3.5, 0.1, 0.2, 4, 3, 250.0);
-  t.set_object_id(2);
-  t.set_parent_id(77);
-  original.published.push_back(t);
-  original.counters = {{"streaming.windows", 7}, {"odd name with spaces", 1}};
-
-  Result<StreamingCheckpoint> decoded =
-      DecodeStreamingCheckpoint(EncodeStreamingCheckpoint(original));
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->fingerprint, original.fingerprint);
-  EXPECT_EQ(decoded->windows_done, original.windows_done);
-  EXPECT_EQ(decoded->next_fragment_id, original.next_fragment_id);
-  EXPECT_EQ(decoded->suppressed_fragments, original.suppressed_fragments);
-  EXPECT_EQ(decoded->total_clusters, original.total_clusters);
-  EXPECT_EQ(decoded->total_ttd, original.total_ttd);
-  EXPECT_EQ(decoded->degraded, original.degraded);
-  EXPECT_EQ(decoded->degraded_reason, original.degraded_reason);
-  ASSERT_EQ(decoded->windows.size(), 2u);
-  EXPECT_EQ(decoded->windows[0].window_start, original.windows[0].window_start);
-  EXPECT_EQ(decoded->windows[0].ttd, original.windows[0].ttd);
-  EXPECT_FALSE(decoded->windows[0].skipped);
-  EXPECT_TRUE(decoded->windows[1].skipped);
-  ASSERT_EQ(decoded->published.size(), 1u);
-  ExpectTrajectoriesIdentical(decoded->published[0], t);
-  EXPECT_EQ(decoded->counters, original.counters);
-}
-
 TEST_F(CheckpointTest, WcopBCheckpointRoundTrips) {
   WcopBCheckpoint original;
   original.fingerprint = 123456789;
@@ -148,7 +102,7 @@ TEST_F(CheckpointTest, WcopBCheckpointRoundTrips) {
   original.final_edit_size = 5;
   WcopBRound round;
   round.edit_size = 5;
-  round.ttd = 17.25;
+  round.ttd = 0.1 + 0.2;  // not exactly 0.3 — must survive verbatim
   round.editing_distortion = 0.7;
   round.total_distortion = 17.95;
   round.num_clusters = 4;
@@ -166,8 +120,9 @@ TEST_F(CheckpointTest, WcopBCheckpointRoundTrips) {
   original.anonymization.report.ttd = 17.25;
   original.anonymization.report.omega = 3.5;
   original.anonymization.report.degraded = true;
-  original.anonymization.report.degraded_reason = "budget";
-  original.counters = {{"wcop_b.rounds", 5}};
+  original.anonymization.report.degraded_reason =
+      "deadline exceeded: newline \n and spaces ok";
+  original.counters = {{"wcop_b.rounds", 5}, {"odd name with spaces", 1}};
 
   Result<WcopBCheckpoint> decoded =
       DecodeWcopBCheckpoint(EncodeWcopBCheckpoint(original));
@@ -188,40 +143,66 @@ TEST_F(CheckpointTest, WcopBCheckpointRoundTrips) {
   ASSERT_EQ(decoded->anonymization.clusters.size(), 1u);
   EXPECT_EQ(decoded->anonymization.clusters[0].members, cluster.members);
   EXPECT_EQ(decoded->anonymization.report.ttd, 17.25);
-  EXPECT_EQ(decoded->anonymization.report.degraded_reason, "budget");
+  EXPECT_EQ(decoded->anonymization.report.degraded_reason,
+            original.anonymization.report.degraded_reason);
   EXPECT_EQ(decoded->counters, original.counters);
 }
 
 TEST_F(CheckpointTest, DecodeRejectsGarbageAsDataLoss) {
-  Result<StreamingCheckpoint> streaming =
-      DecodeStreamingCheckpoint("not a checkpoint at all");
-  ASSERT_FALSE(streaming.ok());
-  EXPECT_EQ(streaming.status().code(), StatusCode::kDataLoss);
-
-  Result<WcopBCheckpoint> wcop_b = DecodeWcopBCheckpoint("");
-  ASSERT_FALSE(wcop_b.ok());
-  EXPECT_EQ(wcop_b.status().code(), StatusCode::kDataLoss);
+  for (const char* garbage : {"not a checkpoint at all", ""}) {
+    Result<WcopBCheckpoint> wcop_b = DecodeWcopBCheckpoint(garbage);
+    ASSERT_FALSE(wcop_b.ok()) << "'" << garbage << "'";
+    EXPECT_EQ(wcop_b.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 TEST_F(CheckpointTest, DecodeRejectsTruncationAsDataLoss) {
-  StreamingCheckpoint checkpoint;
-  checkpoint.windows.push_back(StreamingWindowSummary{});
+  WcopBCheckpoint checkpoint;
+  checkpoint.rounds.push_back(WcopBRound{});
+  checkpoint.anonymization.sanitized =
+      Dataset({MakeLineWithReq(1, 0.0, 0.0, 1.0, 0.0, 3, 2, 100.0)});
   checkpoint.counters = {{"a", 1}};
-  const std::string payload = EncodeStreamingCheckpoint(checkpoint);
+  const std::string payload = EncodeWcopBCheckpoint(checkpoint);
   for (size_t cut : {payload.size() - 1, payload.size() / 2, size_t{5}}) {
-    Result<StreamingCheckpoint> decoded =
-        DecodeStreamingCheckpoint(payload.substr(0, cut));
+    Result<WcopBCheckpoint> decoded =
+        DecodeWcopBCheckpoint(payload.substr(0, cut));
     ASSERT_FALSE(decoded.ok()) << "cut=" << cut;
     EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss) << "cut=" << cut;
   }
 }
 
-TEST_F(CheckpointTest, DecodeRejectsUnknownVersionAsFailedPrecondition) {
-  Result<StreamingCheckpoint> streaming =
-      DecodeStreamingCheckpoint("wcop-streaming-checkpoint 999\n");
-  ASSERT_FALSE(streaming.ok());
-  EXPECT_EQ(streaming.status().code(), StatusCode::kFailedPrecondition);
+// Every element count in the payload feeds a vector::reserve: a count no
+// payload could hold must come back as kDataLoss, not end the process.
+TEST_F(CheckpointTest, DecodeRejectsImplausibleCountsAsDataLoss) {
+  WcopBCheckpoint checkpoint;
+  checkpoint.rounds.push_back(WcopBRound{});
+  checkpoint.anonymization.sanitized =
+      Dataset({MakeLineWithReq(1, 0.0, 0.0, 1.0, 0.0, 3, 2, 100.0)});
+  checkpoint.anonymization.trashed_ids = {4};
+  AnonymityCluster cluster;
+  cluster.members = {0};
+  checkpoint.anonymization.clusters.push_back(cluster);
+  checkpoint.counters = {{"a", 1}};
+  const std::string payload = EncodeWcopBCheckpoint(checkpoint);
 
+  // Each count as (line keyword, token offset on that line).
+  const std::pair<const char*, size_t> kCounts[] = {
+      {"nrounds", 1},   {"ntraj", 1},     {"traj", 6} /* npoints */,
+      {"ntrashed", 1},  {"nclusters", 1}, {"cluster", 4} /* nmembers */,
+      {"ncounters", 1},
+  };
+  for (const auto& [keyword, offset] : kCounts) {
+    for (const char* huge : {"18446744073709551615", "2305843009213693951"}) {
+      Result<WcopBCheckpoint> decoded = DecodeWcopBCheckpoint(
+          ReplaceTokenAfter(payload, keyword, offset, huge));
+      ASSERT_FALSE(decoded.ok()) << keyword << " count " << huge;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss)
+          << keyword << " count " << huge;
+    }
+  }
+}
+
+TEST_F(CheckpointTest, DecodeRejectsUnknownVersionAsFailedPrecondition) {
   Result<WcopBCheckpoint> wcop_b =
       DecodeWcopBCheckpoint("wcop-b-checkpoint 999\n");
   ASSERT_FALSE(wcop_b.ok());
@@ -234,21 +215,11 @@ TEST_F(CheckpointTest, DecodeRejectsUnknownVersionAsFailedPrecondition) {
 // ---------------------------------------------------------------------------
 
 TEST_F(CheckpointTest, FingerprintsAreSensitive) {
-  const Dataset d = CompactDataset();
+  const Dataset d = SmallSynthetic(15, 20);
   Dataset moved = d;
   moved[0].mutable_points()[0].x += 1e-9;
 
   EXPECT_NE(DatasetFingerprint(d), DatasetFingerprint(moved));
-
-  StreamingOptions streaming;
-  StreamingOptions wider = streaming;
-  wider.window_seconds *= 2.0;
-  EXPECT_EQ(StreamingConfigFingerprint(d, streaming),
-            StreamingConfigFingerprint(d, streaming));
-  EXPECT_NE(StreamingConfigFingerprint(d, streaming),
-            StreamingConfigFingerprint(d, wider));
-  EXPECT_NE(StreamingConfigFingerprint(d, streaming),
-            StreamingConfigFingerprint(moved, streaming));
 
   WcopOptions wcop;
   WcopBOptions b;
@@ -258,182 +229,8 @@ TEST_F(CheckpointTest, FingerprintsAreSensitive) {
             WcopBConfigFingerprint(d, wcop, b));
   EXPECT_NE(WcopBConfigFingerprint(d, wcop, b),
             WcopBConfigFingerprint(d, wcop, bigger_step));
-  // Streaming and WCOP-B fingerprints live in different domains.
-  EXPECT_NE(StreamingConfigFingerprint(d, streaming),
-            WcopBConfigFingerprint(d, wcop, b));
-}
-
-// ---------------------------------------------------------------------------
-// Streaming interrupt/resume: a run killed right after its first checkpoint
-// resumes to output identical to an uninterrupted run.
-// ---------------------------------------------------------------------------
-
-TEST_F(CheckpointTest, StreamingResumeMatchesUninterruptedRun) {
-  const Dataset d = CompactDataset();
-  StreamingOptions options;
-  options.window_seconds = 100.0;
-
-  Result<StreamingResult> baseline = RunStreamingWcop(d, options);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-  ASSERT_GT(baseline->windows.size(), 1u);
-
-  options.checkpoint_path = Path("stream.ckpt");
-  {
-    // Fail the run right after the first checkpoint lands on disk — the
-    // in-process analogue of a crash between windows.
-    ScopedFailpoint fp("streaming.checkpoint_saved",
-                       Status::Internal("simulated crash"), /*max_fires=*/1);
-    Result<StreamingResult> interrupted = RunStreamingWcop(d, options);
-    ASSERT_FALSE(interrupted.ok());
-    EXPECT_EQ(interrupted.status().code(), StatusCode::kInternal);
-  }
-  ASSERT_TRUE(std::filesystem::exists(options.checkpoint_path));
-
-  Result<StreamingResult> resumed = RunStreamingWcop(d, options);
-  ASSERT_TRUE(resumed.ok()) << resumed.status();
-  EXPECT_TRUE(resumed->resumed);
-  EXPECT_EQ(resumed->resumed_windows, 1u);
-  ExpectDatasetsIdentical(resumed->sanitized, baseline->sanitized);
-  ASSERT_EQ(resumed->windows.size(), baseline->windows.size());
-  for (size_t i = 0; i < baseline->windows.size(); ++i) {
-    EXPECT_EQ(resumed->windows[i].window_start,
-              baseline->windows[i].window_start) << i;
-    EXPECT_EQ(resumed->windows[i].published_fragments,
-              baseline->windows[i].published_fragments) << i;
-    EXPECT_EQ(resumed->windows[i].ttd, baseline->windows[i].ttd) << i;
-  }
-  EXPECT_EQ(resumed->total_clusters, baseline->total_clusters);
-  EXPECT_EQ(resumed->total_ttd, baseline->total_ttd);
-  EXPECT_EQ(resumed->suppressed_fragments, baseline->suppressed_fragments);
-  EXPECT_FALSE(resumed->degraded);
-}
-
-TEST_F(CheckpointTest, StreamingRerunFromCompleteCheckpointSplicesEverything) {
-  const Dataset d = CompactDataset();
-  StreamingOptions options;
-  options.window_seconds = 100.0;
-  options.checkpoint_path = Path("stream.ckpt");
-
-  Result<StreamingResult> first = RunStreamingWcop(d, options);
-  ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_FALSE(first->resumed);
-
-  Result<StreamingResult> rerun = RunStreamingWcop(d, options);
-  ASSERT_TRUE(rerun.ok()) << rerun.status();
-  EXPECT_TRUE(rerun->resumed);
-  EXPECT_EQ(rerun->resumed_windows, first->windows.size());
-  ExpectDatasetsIdentical(rerun->sanitized, first->sanitized);
-  EXPECT_EQ(rerun->total_ttd, first->total_ttd);
-}
-
-TEST_F(CheckpointTest, StreamingRejectsForeignCheckpoint) {
-  const Dataset d = CompactDataset();
-  StreamingOptions options;
-  options.window_seconds = 100.0;
-  options.checkpoint_path = Path("stream.ckpt");
-  ASSERT_TRUE(RunStreamingWcop(d, options).ok());
-
-  // Same checkpoint, different window partition: refuse, loudly.
-  StreamingOptions different = options;
-  different.window_seconds = 50.0;
-  Result<StreamingResult> r = RunStreamingWcop(d, different);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition) << r.status();
-
-  // Different dataset, same options: also refused.
-  Result<StreamingResult> r2 = RunStreamingWcop(SmallSynthetic(10, 30),
-                                                options);
-  ASSERT_FALSE(r2.ok());
-  EXPECT_EQ(r2.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST_F(CheckpointTest, StreamingDiscardsCorruptCheckpointPayload) {
-  const Dataset d = CompactDataset();
-  StreamingOptions options;
-  options.window_seconds = 100.0;
-  options.checkpoint_path = Path("stream.ckpt");
-
-  Result<StreamingResult> baseline = RunStreamingWcop(d, options);
-  ASSERT_TRUE(baseline.ok());
-  std::filesystem::remove(options.checkpoint_path);
-  std::filesystem::remove(options.checkpoint_path + ".prev");
-
-  // Valid snapshot envelopes whose payloads are not checkpoints (both depth
-  // levels, so the fallback cannot save us): the driver must recompute from
-  // scratch instead of trusting them.
-  ASSERT_TRUE(WriteSnapshotRotating(options.checkpoint_path, "garbage",
-                                    kStreamingCheckpointVersion).ok());
-  ASSERT_TRUE(WriteSnapshotRotating(options.checkpoint_path, "more garbage",
-                                    kStreamingCheckpointVersion).ok());
-
-  Result<StreamingResult> fresh = RunStreamingWcop(d, options);
-  ASSERT_TRUE(fresh.ok()) << fresh.status();
-  EXPECT_FALSE(fresh->resumed);
-  ExpectDatasetsIdentical(fresh->sanitized, baseline->sanitized);
-}
-
-TEST_F(CheckpointTest, StreamingResumeSplicesTelemetryCounters) {
-  const Dataset d = CompactDataset();
-  StreamingOptions options;
-  options.window_seconds = 100.0;
-
-  telemetry::Telemetry baseline_tel;
-  options.wcop.telemetry = &baseline_tel;
-  Result<StreamingResult> baseline = RunStreamingWcop(d, options);
-  ASSERT_TRUE(baseline.ok());
-  const uint64_t baseline_windows =
-      CounterValue(baseline->metrics, "streaming.windows");
-  ASSERT_GT(baseline_windows, 1u);
-
-  options.checkpoint_path = Path("stream.ckpt");
-  telemetry::Telemetry crashed_tel;
-  options.wcop.telemetry = &crashed_tel;
-  {
-    ScopedFailpoint fp("streaming.checkpoint_saved",
-                       Status::Internal("simulated crash"), /*max_fires=*/1);
-    ASSERT_FALSE(RunStreamingWcop(d, options).ok());
-  }
-
-  // The resumed process gets a fresh sink (as a real restart would); the
-  // spliced counters must cover the whole logical stream, not this process.
-  telemetry::Telemetry resumed_tel;
-  options.wcop.telemetry = &resumed_tel;
-  Result<StreamingResult> resumed = RunStreamingWcop(d, options);
-  ASSERT_TRUE(resumed.ok()) << resumed.status();
-  EXPECT_EQ(CounterValue(resumed->metrics, "streaming.windows"),
-            baseline_windows);
-  EXPECT_EQ(CounterValue(resumed->metrics, "checkpoint.resumes"), 1u);
-}
-
-// A stream-level context trip is process-local: the checkpoint written on
-// the way out must NOT be marked degraded, so the restarted run (fresh
-// context) finishes clean and identical to an uninterrupted one.
-TEST_F(CheckpointTest, StreamingDegradedTripIsNotPersisted) {
-  const Dataset d = CompactDataset();
-  StreamingOptions options;
-  options.window_seconds = 100.0;
-
-  Result<StreamingResult> baseline = RunStreamingWcop(d, options);
-  ASSERT_TRUE(baseline.ok());
-
-  options.checkpoint_path = Path("stream.ckpt");
-  options.wcop.allow_partial_results = true;
-  CancellationToken token;
-  token.RequestCancellation();
-  RunContext cancelled;
-  cancelled.set_cancellation_token(token);
-  options.wcop.run_context = &cancelled;
-
-  Result<StreamingResult> tripped = RunStreamingWcop(d, options);
-  ASSERT_TRUE(tripped.ok()) << tripped.status();
-  EXPECT_TRUE(tripped->degraded);
-
-  options.wcop.run_context = nullptr;
-  Result<StreamingResult> resumed = RunStreamingWcop(d, options);
-  ASSERT_TRUE(resumed.ok()) << resumed.status();
-  EXPECT_TRUE(resumed->resumed);
-  EXPECT_FALSE(resumed->degraded) << resumed->degraded_reason;
-  ExpectDatasetsIdentical(resumed->sanitized, baseline->sanitized);
+  EXPECT_NE(WcopBConfigFingerprint(d, wcop, b),
+            WcopBConfigFingerprint(moved, wcop, b));
 }
 
 // ---------------------------------------------------------------------------
@@ -532,6 +329,80 @@ TEST_F(CheckpointTest, WcopBRejectsForeignCheckpoint) {
   Result<WcopBResult> r = RunWcopB(d, options, different);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition) << r.status();
+
+  // Different dataset, same options: also refused.
+  Result<WcopBResult> r2 = RunWcopB(SmallSynthetic(10, 20), options, b);
+  ASSERT_FALSE(r2.ok());
+  EXPECT_EQ(r2.status().code(), StatusCode::kFailedPrecondition)
+      << r2.status();
+}
+
+TEST_F(CheckpointTest, WcopBDiscardsCorruptCheckpointPayload) {
+  const Dataset d = SmallSynthetic(15, 20);
+  WcopOptions options;
+  WcopBOptions b;
+  b.step = 1;
+  b.max_edit_size = 2;
+  b.distort_max = 0.0;
+  Result<WcopBResult> baseline = RunWcopB(d, options, b);
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+
+  // Valid snapshot envelopes whose payloads are not checkpoints (both
+  // rotation depths, so the fallback cannot save us): the driver must
+  // recompute from scratch instead of trusting them.
+  b.checkpoint_path = Path("wcopb.ckpt");
+  ASSERT_TRUE(WriteSnapshotRotating(b.checkpoint_path, "garbage",
+                                    kWcopBCheckpointVersion).ok());
+  ASSERT_TRUE(WriteSnapshotRotating(b.checkpoint_path, "more garbage",
+                                    kWcopBCheckpointVersion).ok());
+
+  telemetry::Telemetry tel;
+  options.telemetry = &tel;
+  Result<WcopBResult> fresh = RunWcopB(d, options, b);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_FALSE(fresh->resumed);
+  EXPECT_EQ(fresh->anonymization.report.metrics.CounterValue(
+                "checkpoint.corrupt_discarded"),
+            1u);
+  ExpectWcopBResultsIdentical(*fresh, *baseline);
+}
+
+TEST_F(CheckpointTest, WcopBResumeSplicesTelemetryCounters) {
+  const Dataset d = SmallSynthetic(15, 20);
+  WcopOptions options;
+  WcopBOptions b;
+  b.step = 1;
+  b.max_edit_size = 3;
+  b.distort_max = 0.0;  // unreachable -> three rounds
+
+  telemetry::Telemetry baseline_tel;
+  options.telemetry = &baseline_tel;
+  Result<WcopBResult> baseline = RunWcopB(d, options, b);
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+  const uint64_t baseline_rounds =
+      baseline->anonymization.report.metrics.CounterValue("wcop_b.rounds");
+  ASSERT_EQ(baseline_rounds, 3u);
+
+  b.checkpoint_path = Path("wcopb.ckpt");
+  telemetry::Telemetry crashed_tel;
+  options.telemetry = &crashed_tel;
+  {
+    ScopedFailpoint fp("wcop_b.checkpoint_saved",
+                       Status::Internal("simulated crash"), /*max_fires=*/1);
+    ASSERT_FALSE(RunWcopB(d, options, b).ok());
+  }
+
+  // The resumed process gets a fresh sink (as a real restart would); the
+  // spliced counters must cover the whole logical sweep, not this process.
+  telemetry::Telemetry resumed_tel;
+  options.telemetry = &resumed_tel;
+  Result<WcopBResult> resumed = RunWcopB(d, options, b);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->resumed_rounds, 1u);
+  const telemetry::MetricsSnapshot& metrics =
+      resumed->anonymization.report.metrics;
+  EXPECT_EQ(metrics.CounterValue("wcop_b.rounds"), baseline_rounds);
+  EXPECT_EQ(metrics.CounterValue("checkpoint.resumes"), 1u);
 }
 
 // Degraded rounds are never checkpointed: a run whose context trips mid-

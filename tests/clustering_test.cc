@@ -217,8 +217,7 @@ TEST(GreedyClusteringTest, CascadePrunesAndAbandonsOnStockConfig) {
   const uint64_t lb_pruned =
       snap_on.CounterValue("distance.lb.length_pruned") +
       snap_on.CounterValue("distance.lb.separation_pruned") +
-      snap_on.CounterValue("distance.lb.envelope_pruned") +
-      snap_on.CounterValue("distance.lb.band_pruned");
+      snap_on.CounterValue("distance.lb.envelope_pruned");
   EXPECT_GT(lb_pruned, 0u);
   EXPECT_LT(snap_on.CounterValue("distance.calls.edr"),
             snap_off.CounterValue("distance.calls.edr"));

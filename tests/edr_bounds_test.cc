@@ -152,7 +152,7 @@ TEST(EdrBoundsTest, CornersBehave) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel agreement: bit-parallel and banded are bit-identical to scalar.
+// Kernel agreement: bit-parallel and the dispatch are bit-identical to scalar.
 // ---------------------------------------------------------------------------
 
 TEST(EdrKernelTest, BitParallelMatchesScalarAcrossWordBoundaries) {
@@ -191,61 +191,13 @@ TEST(EdrKernelTest, BitParallelMatchesScalarOnRandomPairs) {
   }
 }
 
-TEST(EdrKernelTest, BandedIsExactOrCertifiesTheBand) {
-  Rng rng(31);
-  for (int round = 0; round < 300; ++round) {
-    const Trajectory a = RandomTrajectory(&rng, 1, 50, 40.0);
-    const Trajectory b = RandomTrajectory(&rng, 2, 50, 40.0);
-    const EdrTolerance tol = RandomTolerance(&rng);
-    const uint32_t exact = EdrOpsScalar(a, b, tol);
-    const uint32_t band = static_cast<uint32_t>(rng.UniformIndex(60));
-    const EdrKernelResult r = EdrOpsBanded(a, b, tol, band);
-    if (r.exact) {
-      EXPECT_EQ(r.ops, exact) << "round " << round << " band " << band;
-    } else {
-      // Abandoning is only legal when the true distance exceeds the band,
-      // and the returned value must still be a valid lower bound.
-      EXPECT_GT(exact, band) << "round " << round << " band " << band;
-      EXPECT_LE(r.ops, exact) << "round " << round << " band " << band;
-    }
-    // A band at or above max(|a|,|b|) can never abandon.
-    const uint32_t full =
-        static_cast<uint32_t>(std::max(a.size(), b.size()));
-    const EdrKernelResult wide = EdrOpsBanded(a, b, tol, full);
-    EXPECT_TRUE(wide.exact);
-    EXPECT_EQ(wide.ops, exact);
-  }
-}
-
-TEST(EdrKernelTest, DispatchAgreesWithScalarAtFullBand) {
+TEST(EdrKernelTest, DispatchAgreesWithScalar) {
   Rng rng(55);
   for (int round = 0; round < 300; ++round) {
     const Trajectory a = RandomTrajectory(&rng, 1, 120, 50.0);
     const Trajectory b = RandomTrajectory(&rng, 2, 120, 50.0);
     const EdrTolerance tol = RandomTolerance(&rng);
-    const uint32_t full =
-        static_cast<uint32_t>(std::max(a.size(), b.size()));
-    const EdrKernelResult r = EdrOps(a, b, tol, full);
-    EXPECT_TRUE(r.exact) << "round " << round;
-    EXPECT_EQ(r.ops, EdrOpsScalar(a, b, tol)) << "round " << round;
-  }
-}
-
-TEST(EdrKernelTest, DispatchWithNarrowBandNeverUnderestimates) {
-  Rng rng(77);
-  for (int round = 0; round < 200; ++round) {
-    const Trajectory a = RandomTrajectory(&rng, 1, 80, 50.0);
-    const Trajectory b = RandomTrajectory(&rng, 2, 80, 50.0);
-    const EdrTolerance tol = RandomTolerance(&rng);
-    const uint32_t exact = EdrOpsScalar(a, b, tol);
-    const uint32_t band = static_cast<uint32_t>(rng.UniformIndex(30));
-    const EdrKernelResult r = EdrOps(a, b, tol, band);
-    if (r.exact) {
-      EXPECT_EQ(r.ops, exact) << "round " << round;
-    } else {
-      EXPECT_LE(r.ops, exact) << "round " << round;
-      EXPECT_GT(exact, band) << "round " << round;
-    }
+    EXPECT_EQ(EdrOps(a, b, tol), EdrOpsScalar(a, b, tol)) << "round " << round;
   }
 }
 

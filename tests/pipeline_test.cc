@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "anon/streaming.h"
 #include "common/failpoint.h"
 #include "common/retry.h"
 #include "pipeline/continuous.h"
@@ -25,33 +24,11 @@
 namespace wcop {
 namespace {
 
+using testing_util::GroupedDataset;
 using testing_util::MakeLineWithReq;
+using testing_util::PublishedWindowBytes;
 
 namespace fs = std::filesystem;
-
-// Three groups of three co-travelling lines in [0, 290] s: window 100 s
-// gives exactly three windows with every group clusterable at k=2.
-Dataset GroupedDataset() {
-  std::vector<Trajectory> trajectories;
-  int64_t id = 0;
-  for (int g = 0; g < 3; ++g) {
-    for (int i = 0; i < 3; ++i) {
-      Trajectory t = MakeLineWithReq(id, 2000.0 * g, 30.0 * i, 5.0, 0.0,
-                                     /*n=*/30, /*k=*/2, /*delta=*/300.0,
-                                     /*dt=*/10.0);
-      t.set_object_id(id);
-      trajectories.push_back(std::move(t));
-      ++id;
-    }
-  }
-  return Dataset(std::move(trajectories));
-}
-
-std::string ReadBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
 
 class PipelineTest : public ::testing::Test {
  protected:
@@ -87,30 +64,16 @@ class PipelineTest : public ::testing::Test {
     return options;
   }
 
-  /// Byte map of every published artifact (stores + manifests) in `out`.
-  std::map<std::string, std::string> PublishedBytes(const std::string& out) {
-    std::map<std::string, std::string> bytes;
-    for (const auto& entry : fs::directory_iterator(Path(out))) {
-      if (!entry.is_regular_file()) {
-        continue;
-      }
-      const std::string name = entry.path().filename().string();
-      if (name.rfind("window_", 0) == 0) {
-        bytes[name] = ReadBytes(entry.path().string());
-      }
-    }
-    return bytes;
-  }
-
   fs::path dir_;
 };
 
 // ---------------------------------------------------------------------------
-// Window-iterator core (anon/streaming.h).
+// Window-iterator core (store/window_io.h).
 // ---------------------------------------------------------------------------
 
 TEST_F(PipelineTest, PlanWindowsCoversTheWholeLifetime) {
-  const Result<WindowPlan> plan = PlanWindows(0.0, 290.0, 100.0);
+  const Result<store::WindowPlan> plan =
+      store::PlanWindows(0.0, 290.0, 100.0);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->num_windows, 3u);
   EXPECT_EQ(plan->WindowStart(0), 0.0);
@@ -121,18 +84,19 @@ TEST_F(PipelineTest, PlanWindowsCoversTheWholeLifetime) {
 }
 
 TEST_F(PipelineTest, PlanWindowsRejectsBadWidths) {
-  EXPECT_FALSE(PlanWindows(0.0, 10.0, 0.0).ok());
-  EXPECT_FALSE(PlanWindows(0.0, 10.0, -1.0).ok());
+  EXPECT_FALSE(store::PlanWindows(0.0, 10.0, 0.0).ok());
+  EXPECT_FALSE(store::PlanWindows(0.0, 10.0, -1.0).ok());
   // A width below 1 ulp of t_min cannot advance the grid.
-  EXPECT_FALSE(PlanWindows(1e18, 1e18 + 10.0, 1e-6).ok());
+  EXPECT_FALSE(store::PlanWindows(1e18, 1e18 + 10.0, 1e-6).ok());
 }
 
 TEST_F(PipelineTest, SliceIsHalfOpen) {
   const Trajectory t = MakeLineWithReq(1, 0, 0, 1, 0, /*n=*/5, 2, 100.0,
                                        /*dt=*/10.0);  // t = 0..40
-  EXPECT_EQ(SlicePointsInWindow(t, 0.0, 20.0).size(), 2u);   // 0, 10
-  EXPECT_EQ(SlicePointsInWindow(t, 20.0, 50.0).size(), 3u);  // 20, 30, 40
-  EXPECT_TRUE(SlicePointsInWindow(t, 100.0, 200.0).empty());
+  EXPECT_EQ(store::SlicePointsInWindow(t, 0.0, 20.0).size(), 2u);  // 0, 10
+  // 20, 30, 40
+  EXPECT_EQ(store::SlicePointsInWindow(t, 20.0, 50.0).size(), 3u);
+  EXPECT_TRUE(store::SlicePointsInWindow(t, 100.0, 200.0).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -320,7 +284,7 @@ TEST_F(PipelineTest, ResumeAdoptsAllPublishedWindowsWithoutRecompute) {
   Result<pipeline::ContinuousPipelineResult> first =
       pipeline::RunContinuousPipeline(options);
   ASSERT_TRUE(first.ok());
-  const std::map<std::string, std::string> published = PublishedBytes("out");
+  const std::map<std::string, std::string> published = PublishedWindowBytes(Path("out"));
 
   options.resume = true;
   Result<pipeline::ContinuousPipelineResult> second =
@@ -329,14 +293,14 @@ TEST_F(PipelineTest, ResumeAdoptsAllPublishedWindowsWithoutRecompute) {
   EXPECT_EQ(second->resumed_windows, 3u);
   EXPECT_EQ(second->published_fragments, first->published_fragments);
   EXPECT_EQ(second->total_ttd, first->total_ttd);
-  EXPECT_EQ(PublishedBytes("out"), published);
+  EXPECT_EQ(PublishedWindowBytes(Path("out")), published);
 }
 
 TEST_F(PipelineTest, ResumeRecomputesTornLastWindowByteIdentically) {
   const std::string source = WriteSource(GroupedDataset());
   pipeline::ContinuousPipelineOptions options = BaseOptions(source, "out");
   ASSERT_TRUE(pipeline::RunContinuousPipeline(options).ok());
-  const std::map<std::string, std::string> published = PublishedBytes("out");
+  const std::map<std::string, std::string> published = PublishedWindowBytes(Path("out"));
 
   // Tear the final window's output store (truncate) — the CRC check must
   // reject it, adopt windows 0-1 (their carry chain is inside the
@@ -351,14 +315,14 @@ TEST_F(PipelineTest, ResumeRecomputesTornLastWindowByteIdentically) {
       pipeline::RunContinuousPipeline(options);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_EQ(resumed->resumed_windows, 2u);
-  EXPECT_EQ(PublishedBytes("out"), published);
+  EXPECT_EQ(PublishedWindowBytes(Path("out")), published);
 }
 
 TEST_F(PipelineTest, ResumeRecomputesTornMiddleWindowByteIdentically) {
   const std::string source = WriteSource(GroupedDataset());
   pipeline::ContinuousPipelineOptions options = BaseOptions(source, "out");
   ASSERT_TRUE(pipeline::RunContinuousPipeline(options).ok());
-  const std::map<std::string, std::string> published = PublishedBytes("out");
+  const std::map<std::string, std::string> published = PublishedWindowBytes(Path("out"));
 
   // Tear a middle window. Its carry-in store is already past the two-window
   // retention horizon (GC'd when the later windows committed), so resume
@@ -374,7 +338,7 @@ TEST_F(PipelineTest, ResumeRecomputesTornMiddleWindowByteIdentically) {
       pipeline::RunContinuousPipeline(options);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_EQ(resumed->resumed_windows, 0u);
-  EXPECT_EQ(PublishedBytes("out"), published);
+  EXPECT_EQ(PublishedWindowBytes(Path("out")), published);
 }
 
 TEST_F(PipelineTest, ResumeSurvivesDeletedWorkDir) {
@@ -384,14 +348,14 @@ TEST_F(PipelineTest, ResumeSurvivesDeletedWorkDir) {
   const std::string source = WriteSource(GroupedDataset());
   pipeline::ContinuousPipelineOptions options = BaseOptions(source, "out");
   ASSERT_TRUE(pipeline::RunContinuousPipeline(options).ok());
-  const std::map<std::string, std::string> published = PublishedBytes("out");
+  const std::map<std::string, std::string> published = PublishedWindowBytes(Path("out"));
 
   fs::remove_all(Path("out/.work"));
   options.resume = true;
   Result<pipeline::ContinuousPipelineResult> resumed =
       pipeline::RunContinuousPipeline(options);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
-  EXPECT_EQ(PublishedBytes("out"), published);
+  EXPECT_EQ(PublishedWindowBytes(Path("out")), published);
 }
 
 TEST_F(PipelineTest, ResumeRejectsConfigMismatch) {
@@ -440,7 +404,7 @@ TEST_F(PipelineTest, RetryPolicyAbsorbsInjectedEnospc) {
   // re-run the failed window and still produce byte-identical output.
   pipeline::ContinuousPipelineOptions options = BaseOptions(source, "ref");
   ASSERT_TRUE(pipeline::RunContinuousPipeline(options).ok());
-  const std::map<std::string, std::string> expected = PublishedBytes("ref");
+  const std::map<std::string, std::string> expected = PublishedWindowBytes(Path("ref"));
 
   pipeline::ContinuousPipelineOptions faulted = BaseOptions(source, "out");
   RetryPolicy retry;
@@ -451,7 +415,7 @@ TEST_F(PipelineTest, RetryPolicyAbsorbsInjectedEnospc) {
   Result<pipeline::ContinuousPipelineResult> result =
       pipeline::RunContinuousPipeline(faulted);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(PublishedBytes("out"), expected);
+  EXPECT_EQ(PublishedWindowBytes(Path("out")), expected);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Cooperative signal shutdown: SIGINT/SIGTERM flip the process-wide
 // cancellation flag (common/signals.h); drivers threading that token
-// through a RunContext trip with kCancelled at the next poll, flush their
-// final checkpoint, and a later run resumes to byte-identical output.
+// through a RunContext trip with kCancelled at the next poll, keep every
+// unit they already committed, and a later run resumes to byte-identical
+// output.
 //
 // Signals are delivered at exact pipeline boundaries with
 // FailpointRegistry::ArmSignal, so the interruption point is deterministic
@@ -15,14 +16,15 @@
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
-#include "anon/streaming.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/signals.h"
 #include "data/synthetic.h"
+#include "pipeline/continuous.h"
 #include "store/shard_runner.h"
 #include "store/store_file.h"
 #include "test_util.h"
@@ -30,7 +32,8 @@
 namespace wcop {
 namespace {
 
-using testing_util::MakeLineWithReq;
+using testing_util::GroupedDataset;
+using testing_util::PublishedWindowBytes;
 
 // Two far-apart synthetic cities: an input shape the partitioner actually
 // splits (one dense city collapses to a single shard by design).
@@ -50,24 +53,6 @@ Dataset TiledDataset() {
   Rng rng(22);
   AssignUniformRequirements(&dataset, 2, 4, 10.0, 200.0, &rng);
   return dataset;
-}
-
-// Three groups of three co-travelling lines inside [0, 290] s: a 100 s
-// window yields exactly three windows (the crash-recovery workload).
-Dataset StreamingDataset() {
-  std::vector<Trajectory> trajectories;
-  int64_t id = 0;
-  for (int g = 0; g < 3; ++g) {
-    for (int i = 0; i < 3; ++i) {
-      Trajectory t = MakeLineWithReq(id, 2000.0 * g, 30.0 * i, 5.0, 0.0,
-                                     /*n=*/30, /*k=*/2, /*delta=*/300.0,
-                                     /*dt=*/10.0);
-      t.set_object_id(id);
-      trajectories.push_back(std::move(t));
-      ++id;
-    }
-  }
-  return Dataset(std::move(trajectories));
 }
 
 // Exact %.17g dump: equal strings iff the datasets are bitwise equal.
@@ -112,46 +97,51 @@ class SignalShutdownTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(SignalShutdownTest, SigtermCancelsStreamingAndResumeIsByteIdentical) {
-  const Dataset data = StreamingDataset();
-  StreamingOptions options;
+TEST_F(SignalShutdownTest, SigtermCancelsPipelineAndResumeIsByteIdentical) {
+  const std::string source = Path("source.wst");
+  ASSERT_TRUE(store::WriteDatasetStore(GroupedDataset(), source).ok());
+  pipeline::ContinuousPipelineOptions options;
+  options.source_store = source;
+  options.output_dir = Path("ref");
   options.window_seconds = 100.0;
 
-  // Uninterrupted reference run (no checkpointing needed).
-  Result<StreamingResult> baseline = RunStreamingWcop(data, options);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-  const std::string expected = DumpDataset(baseline->sanitized);
+  // Uninterrupted reference run.
+  ASSERT_TRUE(pipeline::RunContinuousPipeline(options).ok());
+  const std::map<std::string, std::string> expected =
+      PublishedWindowBytes(Path("ref"));
   ASSERT_FALSE(expected.empty());
 
-  // SIGTERM lands at the start of window 2: the handler flips the shared
-  // flag, the run trips kCancelled at its next poll, and the window-1
-  // checkpoint is already durable.
+  // SIGTERM lands at the start of window 1: the handler flips the shared
+  // flag, the run trips kCancelled at its next poll, and window 0's
+  // manifest is already committed.
   const CancellationToken token = InstallShutdownSignalHandlers();
   RunContext ctx;
   ctx.set_cancellation_token(token);
-  options.checkpoint_path = Path("stream.ckpt");
+  options.output_dir = Path("out");
   options.wcop.run_context = &ctx;
-  FailpointRegistry::Instance().ArmSignal("streaming.window", SIGTERM,
+  FailpointRegistry::Instance().ArmSignal("pipeline.window_start", SIGTERM,
                                           /*on_hit=*/2);
-  Result<StreamingResult> interrupted = RunStreamingWcop(data, options);
+  Result<pipeline::ContinuousPipelineResult> interrupted =
+      pipeline::RunContinuousPipeline(options);
   ASSERT_FALSE(interrupted.ok()) << "run should have been cancelled";
   EXPECT_EQ(interrupted.status().code(), StatusCode::kCancelled)
       << interrupted.status();
   EXPECT_TRUE(ShutdownSignalReceived());
   EXPECT_EQ(LastShutdownSignal(), SIGTERM);
-  EXPECT_TRUE(std::filesystem::exists(options.checkpoint_path))
-      << "cancellation must flush the final checkpoint";
+  EXPECT_TRUE(std::filesystem::exists(Path("out/window_00000.mfr")))
+      << "windows finished before the signal must stay committed";
 
-  // New life: no signal, no token. The run resumes past the completed
-  // windows and converges to the uninterrupted output, byte for byte.
+  // New life: no signal, no token. The run resumes past the committed
+  // window and converges to the uninterrupted output, byte for byte.
   FailpointRegistry::Instance().DisarmAll();
   ResetShutdownSignalStateForTesting();
   options.wcop.run_context = nullptr;
-  Result<StreamingResult> resumed = RunStreamingWcop(data, options);
+  options.resume = true;
+  Result<pipeline::ContinuousPipelineResult> resumed =
+      pipeline::RunContinuousPipeline(options);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
-  EXPECT_TRUE(resumed->resumed);
-  EXPECT_GE(resumed->resumed_windows, 1u);
-  EXPECT_EQ(DumpDataset(resumed->sanitized), expected);
+  EXPECT_EQ(resumed->resumed_windows, 1u);
+  EXPECT_EQ(PublishedWindowBytes(Path("out")), expected);
 }
 
 TEST_F(SignalShutdownTest, SigintCancelsShardRunnerAndResumeIsByteIdentical) {

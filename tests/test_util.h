@@ -1,6 +1,11 @@
 #ifndef WCOP_TESTS_TEST_UTIL_H_
 #define WCOP_TESTS_TEST_UTIL_H_
 
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -54,6 +59,41 @@ inline Dataset SmallSynthetic(size_t n = 40, size_t points = 60,
   Rng rng(seed + 1);
   AssignUniformRequirements(&dataset, 2, k_max, 10.0, delta_max, &rng);
   return dataset;
+}
+
+/// Three groups of three co-travelling lines in [0, 290] s, 2 km apart: a
+/// 100 s window grid gives exactly three windows with every group
+/// clusterable at k=2, delta=300.
+inline Dataset GroupedDataset() {
+  std::vector<Trajectory> trajectories;
+  int64_t id = 0;
+  for (int g = 0; g < 3; ++g) {
+    for (int i = 0; i < 3; ++i) {
+      Trajectory t = MakeLineWithReq(id, 2000.0 * g, 30.0 * i, 5.0, 0.0,
+                                     /*n=*/30, /*k=*/2, /*delta=*/300.0,
+                                     /*dt=*/10.0);
+      t.set_object_id(id);
+      trajectories.push_back(std::move(t));
+      ++id;
+    }
+  }
+  return Dataset(std::move(trajectories));
+}
+
+/// Bytes of every published continuous-pipeline artifact in `dir` (the
+/// `window_NNNNN.wst` stores and `.mfr` manifests), keyed by file name.
+inline std::map<std::string, std::string> PublishedWindowBytes(
+    const std::string& dir) {
+  std::map<std::string, std::string> bytes;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.is_regular_file() && name.rfind("window_", 0) == 0) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      bytes[name].assign(std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>());
+    }
+  }
+  return bytes;
 }
 
 }  // namespace testing_util
