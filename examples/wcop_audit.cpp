@@ -36,6 +36,16 @@ using namespace wcop;
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: wcop_audit (--store=FILE.wst | --windows-dir=DIR)\n"
+    "         [--original=FILE.wst] [--adversary=weak|moderate|strong]\n"
+    "         [--observations=N] [--noise=M] [--pmc-delta=M]\n"
+    "         [--tau=SEC] [--epsilon=M] [--seed=N] [--victims=N]\n"
+    "         [--samples=N] [--max-gap=SEC] [--gate-radius=M]\n"
+    "         [--threads=N] [--json-out=FILE] [--metrics-out=FILE]\n"
+    "         [--deadline-ms=N] [--max-distance=N] [--max-pairs=N]\n"
+    "         [--progress]";
+
 int Fail(const Status& status) {
   std::cerr << "wcop_audit: " << status << "\n";
   return 1;
@@ -98,16 +108,19 @@ int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   if (args.Has("help") ||
       (!args.Has("store") && !args.Has("windows-dir"))) {
-    std::puts(
-        "usage: wcop_audit (--store=FILE.wst | --windows-dir=DIR)\n"
-        "         [--original=FILE.wst] [--adversary=weak|moderate|strong]\n"
-        "         [--observations=N] [--noise=M] [--pmc-delta=M]\n"
-        "         [--tau=SEC] [--epsilon=M] [--seed=N] [--victims=N]\n"
-        "         [--samples=N] [--max-gap=SEC] [--gate-radius=M]\n"
-        "         [--threads=N] [--json-out=FILE] [--metrics-out=FILE]\n"
-        "         [--deadline-ms=N] [--max-distance=N] [--max-pairs=N]\n"
-        "         [--progress]");
+    std::puts(kUsage);
     return args.Has("help") ? 0 : 2;
+  }
+  // Counts and limits are never negative: the counts are cast to unsigned
+  // below, where -1 would wrap to 2^64 - 1 (an unbounded limit, or a
+  // failed allocation), and a negative deadline would silently mean none.
+  for (const char* flag : {"observations", "victims", "samples",
+                           "deadline-ms", "max-distance", "max-pairs"}) {
+    if (args.GetInt(flag, 0) < 0) {
+      std::cerr << "wcop_audit: --" << flag << " must not be negative\n"
+                << kUsage << "\n";
+      return 2;
+    }
   }
 
   Result<attack::AdversaryModel> preset =

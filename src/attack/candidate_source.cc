@@ -1,6 +1,5 @@
 #include "attack/candidate_source.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "geo/bounding_box.h"
@@ -84,12 +83,6 @@ Result<StoreCandidateSource> StoreCandidateSource::Open(
     }
   }
   return source;
-}
-
-double PointToEntryDistance(const store::StoreEntry& e, const Point& p) {
-  const double dx = std::max({e.min_x - p.x, 0.0, p.x - e.max_x});
-  const double dy = std::max({e.min_y - p.y, 0.0, p.y - e.max_y});
-  return std::sqrt(dx * dx + dy * dy);
 }
 
 }  // namespace attack

@@ -15,24 +15,29 @@ namespace attack {
 
 namespace {
 
-struct UserOutcome {
+/// A measured user, set up once per user block: the known τ-interval
+/// and the positions sampled inside it.
+struct UserSetup {
   Status status;
+  size_t user = 0;       ///< index in the published source
   bool skipped = false;  ///< degenerate lifetime, nothing to measure
-  EffectiveKSamples::Sample sample;
+  double start = 0.0;
+  double end = 0.0;
+  std::vector<Point> known;
 };
 
-UserOutcome MeasureUser(const CandidateSource& published, size_t user,
-                        const EffectiveKOptions& options) {
-  UserOutcome out;
-  const store::StoreEntry& self = published.entry(user);
+UserSetup SetUpUser(const CandidateSource& published, size_t user,
+                    const EffectiveKOptions& options) {
+  UserSetup setup;
+  setup.user = user;
   Result<Trajectory> traj = published.Read(user);
   if (!traj.ok()) {
-    out.status = traj.status();
-    return out;
+    setup.status = traj.status();
+    return setup;
   }
   if (traj->empty()) {
-    out.skipped = true;
-    return out;
+    setup.skipped = true;
+    return setup;
   }
   const double duration = traj->Duration();
   const double tau = std::min(options.adversary.tau_seconds, duration);
@@ -43,71 +48,21 @@ UserOutcome MeasureUser(const CandidateSource& published, size_t user,
   Rng rng(MixSeed(options.adversary.seed, static_cast<uint64_t>(
                                               published.KeyOf(user))));
   const double slack = duration - tau;
-  const double start =
+  setup.start =
       traj->StartTime() + (slack > 0.0 ? rng.UniformReal(0.0, slack) : 0.0);
-  const double end = start + tau;
+  setup.end = setup.start + tau;
 
   const size_t samples = std::max<size_t>(options.samples, 1);
-  std::vector<Point> known;
-  known.reserve(samples);
+  setup.known.reserve(samples);
   for (size_t s = 0; s < samples; ++s) {
     const double frac =
         samples == 1 ? 0.0
                      : static_cast<double>(s) /
                            static_cast<double>(samples - 1);
-    const double t = start + frac * (end - start);
-    known.push_back(traj->PositionAt(t));
+    const double t = setup.start + frac * (setup.end - setup.start);
+    setup.known.push_back(traj->PositionAt(t));
   }
-
-  const double epsilon = options.adversary.epsilon;
-  uint64_t effective = 0;
-  for (size_t j = 0; j < published.size(); ++j) {
-    const store::StoreEntry& e = published.entry(j);
-    // A record that does not overlap the known interval in time is
-    // distinguishable from the victim outright.
-    if (e.t_max < start || e.t_min > end) {
-      continue;
-    }
-    // Certified prefilter: PositionAt never leaves the spatial MBR, so a
-    // candidate whose ε-dilated MBR excludes any known position cannot be
-    // within ε of it — skip without reading the block.
-    bool possible = true;
-    for (const Point& p : known) {
-      if (PointToEntryDistance(e, p) > epsilon) {
-        possible = false;
-        break;
-      }
-    }
-    if (!possible) {
-      continue;
-    }
-    if (j == user) {
-      ++effective;
-      continue;
-    }
-    Result<Trajectory> candidate = published.Read(j);
-    if (!candidate.ok()) {
-      out.status = candidate.status();
-      return out;
-    }
-    if (options.run_context != nullptr) {
-      options.run_context->ChargeDistance();
-    }
-    bool consistent = true;
-    for (const Point& p : known) {
-      if (SpatialDistance(candidate->PositionAt(p.t), p) > epsilon) {
-        consistent = false;
-        break;
-      }
-    }
-    if (consistent) {
-      ++effective;
-    }
-  }
-  out.sample.k = static_cast<int>(self.k);
-  out.sample.delta = self.delta;
-  out.sample.effective_k = effective;
-  return out;
+  return setup;
 }
 
 double NearestRankPercentile(const std::vector<uint64_t>& sorted, double p) {
@@ -141,37 +96,80 @@ Result<EffectiveKSamples> MeasureEffectiveKSamples(
 
   EffectiveKSamples result;
   result.samples.reserve(users.size());
+  // User blocks of kBlock, each set up once, then walked by one
+  // candidate-major join (see JoinCandidates) that reads a block at most
+  // once per user block.
   constexpr size_t kBlock = 256;
   parallel::ParallelOptions popts;
   popts.threads = options.threads;
   popts.grain = 1;
   popts.context = options.run_context;
   popts.telemetry = options.telemetry;
+  const double epsilon = options.adversary.epsilon;
+  std::vector<UserSetup> setups;
+  const auto test = [&](size_t u, size_t j, const store::StoreEntry& row,
+                        JoinTally* tally) {
+    const UserSetup& s = setups[u];
+    // A record that does not overlap the known interval in time is
+    // distinguishable from the victim outright.
+    if (s.skipped || row.t_max < s.start || row.t_min > s.end) {
+      return false;
+    }
+    // Certified prefilter: PositionAt never leaves the spatial MBR, so a
+    // candidate whose ε-dilated MBR excludes any known position cannot be
+    // within ε of it — skip without reading the block.
+    for (const Point& p : s.known) {
+      if (PointToEntryDistance(row, p) > epsilon) {
+        return false;
+      }
+    }
+    if (j == s.user) {
+      ++tally->effective;  // the user itself, unread
+      return false;
+    }
+    return true;
+  };
+  const auto score = [&](size_t u, const Trajectory& candidate,
+                         JoinTally* tally) {
+    for (const Point& p : setups[u].known) {
+      if (SpatialDistance(candidate.PositionAt(p.t), p) > epsilon) {
+        return;
+      }
+    }
+    ++tally->effective;
+  };
+
   for (size_t begin = 0; begin < users.size(); begin += kBlock) {
     const size_t count = std::min(kBlock, users.size() - begin);
     if (options.run_context != nullptr) {
       options.run_context->ChargeCandidatePairs(count * published.size());
     }
-    Result<std::vector<UserOutcome>> outcomes =
-        parallel::ParallelMap<UserOutcome>(
-            count,
-            [&](size_t i) {
-              return MeasureUser(published, users[begin + i], options);
-            },
-            popts);
-    if (!outcomes.ok()) {
-      return outcomes.status();
+    WCOP_ASSIGN_OR_RETURN(
+        setups, parallel::ParallelMap<UserSetup>(
+                    count,
+                    [&](size_t i) {
+                      return SetUpUser(published, users[begin + i], options);
+                    },
+                    popts));
+    for (const UserSetup& s : setups) {
+      WCOP_RETURN_IF_ERROR(s.status);
     }
-    for (UserOutcome& out : *outcomes) {
-      if (!out.status.ok()) {
-        return out.status;
+    WCOP_ASSIGN_OR_RETURN(std::vector<JoinTally> tallies,
+                          JoinCandidates(published, count, test, score,
+                                         popts));
+    for (size_t i = 0; i < count; ++i) {
+      if (setups[i].skipped) {
+        continue;
       }
-      if (!out.skipped) {
-        result.samples.push_back(out.sample);
-      }
+      const store::StoreEntry& self = published.entry(setups[i].user);
+      EffectiveKSamples::Sample sample;
+      sample.k = static_cast<int>(self.k);
+      sample.delta = self.delta;
+      sample.effective_k = tallies[i].effective;
+      result.samples.push_back(sample);
     }
     if (options.progress) {
-      options.progress(std::min(begin + count, users.size()), users.size());
+      options.progress(begin + count, users.size());
     }
     WCOP_RETURN_IF_ERROR(CheckRunContext(options.run_context));
   }

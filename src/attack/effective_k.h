@@ -71,6 +71,9 @@ struct EffectiveKOptions {
 /// and is compared against the user's requested k_i. Candidates whose
 /// index MBR, dilated by ε, excludes any sampled position are skipped
 /// without reading their block (certified, see PointToEntryDistance).
+/// Users are measured in blocks of 256 through one candidate-major join
+/// (JoinCandidates): each candidate block is read at most once per user
+/// block, and the counts are identical at every thread count.
 Result<EffectiveKResult> MeasureEffectiveK(const CandidateSource& published,
                                            const EffectiveKOptions& options);
 
@@ -88,9 +91,9 @@ struct EffectiveKSamples {
   std::vector<Sample> samples;
 };
 
-/// Raw-sample variant powering cross-window merges: identical measurement,
-/// but returns every per-user sample so callers can pool windows before
-/// summarizing.
+/// Raw-sample variant powering cross-window merges: identical measurement
+/// (same blocks, same join), but returns every per-user sample, in
+/// measured-user order, so callers can pool windows before summarizing.
 Result<EffectiveKSamples> MeasureEffectiveKSamples(
     const CandidateSource& published, const EffectiveKOptions& options);
 

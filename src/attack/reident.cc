@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
@@ -14,109 +15,38 @@ namespace attack {
 
 namespace {
 
-/// Per-victim outcome, reduced in victim-index order on the coordinator so
-/// the aggregate doubles are summed in one deterministic order regardless
-/// of scheduling.
-struct VictimOutcome {
+/// A present victim, set up once per victim block: the adversary's
+/// observations and the exact score of the true published candidate,
+/// against which every other candidate's certified bound is compared.
+struct VictimSetup {
   Status status;
-  bool suppressed = false;
-  double top1 = 0.0;
-  double top5 = 0.0;
-  double rank = 0.0;
-  double reciprocal = 0.0;
-  uint64_t scored = 0;
-  uint64_t pruned = 0;
+  size_t truth_index = 0;
+  std::vector<Point> observations;
+  double s_true = 0.0;
 };
 
-VictimOutcome AttackVictim(const CandidateSource& original,
-                           const CandidateSource& published, size_t victim,
-                           const ReidentOptions& options) {
-  VictimOutcome out;
-  const int64_t key = original.KeyOf(victim);
-  Result<size_t> truth_index = published.FindByKey(key);
-  if (!truth_index.ok()) {
-    out.suppressed = true;
-    return out;
-  }
+VictimSetup SetUpVictim(const CandidateSource& original,
+                        const CandidateSource& published, size_t victim,
+                        size_t truth_index, const AdversaryModel& adversary) {
+  VictimSetup setup;
+  setup.truth_index = truth_index;
   Result<Trajectory> truth = original.Read(victim);
   if (!truth.ok()) {
-    out.status = truth.status();
-    return out;
+    setup.status = truth.status();
+    return setup;
   }
-  const std::vector<Point> observations = SampleObservations(
-      *truth, options.adversary, static_cast<uint64_t>(key));
-
-  // Exact score of the true candidate first: the certified lower bound of
-  // every other candidate is compared against it.
-  Result<Trajectory> truth_published = published.Read(*truth_index);
+  setup.observations = SampleObservations(
+      *truth, adversary, static_cast<uint64_t>(original.KeyOf(victim)));
+  Result<Trajectory> truth_published = published.Read(truth_index);
   if (!truth_published.ok()) {
-    out.status = truth_published.status();
-    return out;
+    setup.status = truth_published.status();
+    return setup;
   }
-  double s_true = 0.0;
-  for (const Point& obs : observations) {
-    s_true += SpatialDistance(truth_published->PositionAt(obs.t), obs);
+  for (const Point& obs : setup.observations) {
+    setup.s_true +=
+        SpatialDistance(truth_published->PositionAt(obs.t), obs);
   }
-  out.scored = 1;
-
-  // Walk the index: a candidate whose lower bound (sum of observation-to-
-  // MBR distances) strictly exceeds s_true scores strictly worse than the
-  // truth — it can neither outrank nor tie it, so it is counted as "worse"
-  // without reading its block. Everything else is read and scored exactly,
-  // preserving the legacy tie semantics (exact == on the score sum).
-  size_t better = 0;
-  size_t tied = 1;  // the truth itself
-  const size_t n = published.size();
-  if (options.run_context != nullptr) {
-    options.run_context->ChargeCandidatePairs(n);
-  }
-  for (size_t j = 0; j < n; ++j) {
-    if (j == *truth_index) {
-      continue;
-    }
-    const store::StoreEntry& e = published.entry(j);
-    double bound = 0.0;
-    for (const Point& obs : observations) {
-      bound += PointToEntryDistance(e, obs);
-      if (bound > s_true) {
-        break;
-      }
-    }
-    if (bound > s_true) {
-      ++out.pruned;
-      continue;
-    }
-    Result<Trajectory> candidate = published.Read(j);
-    if (!candidate.ok()) {
-      out.status = candidate.status();
-      return out;
-    }
-    if (options.run_context != nullptr) {
-      options.run_context->ChargeDistance();
-    }
-    double score = 0.0;
-    for (const Point& obs : observations) {
-      score += SpatialDistance(candidate->PositionAt(obs.t), obs);
-    }
-    ++out.scored;
-    if (score < s_true) {
-      ++better;
-    } else if (score == s_true) {
-      ++tied;
-    }
-  }
-
-  // Uniform tie-breaking over the tied block: expected rank is the block
-  // midpoint; the truth lands in the top-m when it draws one of the first
-  // m - better slots of the block.
-  const double block = static_cast<double>(tied);
-  out.rank = static_cast<double>(better) + (block + 1.0) / 2.0;
-  out.top1 = better == 0 ? 1.0 / block : 0.0;
-  if (better < 5) {
-    out.top5 = std::min(block, 5.0 - static_cast<double>(better)) / block;
-  }
-  out.reciprocal = 1.0 / out.rank;
-  return out;
+  return setup;
 }
 
 }  // namespace
@@ -165,55 +95,119 @@ Result<ReidentResult> RunReidentAttack(const CandidateSource& original,
   double rank_sum = 0.0;
   double reciprocal_sum = 0.0;
 
-  // Victims are processed in bounded blocks: each block fans out over the
-  // pool, then the coordinator reduces the outcomes in victim order and
-  // reports progress — memory stays O(block), aggregation order stays
-  // fixed, and a tripped RunContext surfaces between blocks.
+  // Presence first, from the key map alone: victims with nothing to link
+  // to are suppressed, and only present ones fill the victim blocks — a
+  // window holding a few sampled victims is then walked once, not once
+  // per block of the whole sample.
+  std::vector<std::pair<size_t, size_t>> present;  // (victim, truth index)
+  for (size_t victim : victims) {
+    Result<size_t> truth_index =
+        published.FindByKey(original.KeyOf(victim));
+    if (truth_index.ok()) {
+      present.emplace_back(victim, *truth_index);
+    } else {
+      ++result.victims_suppressed;
+    }
+  }
+
+  // Victim blocks of kBlock: set each victim up once (in parallel), then
+  // one candidate-major join reads each surviving block once for the
+  // whole block and keeps integer tallies per victim. The coordinator
+  // folds the outcomes in victim order, so the doubles are summed in one
+  // fixed order; memory stays O(index + block).
   constexpr size_t kBlock = 256;
   parallel::ParallelOptions popts;
   popts.threads = options.threads;
   popts.grain = 1;
   popts.context = options.run_context;
   popts.telemetry = options.telemetry;
-  for (size_t begin = 0; begin < victims.size(); begin += kBlock) {
-    const size_t count = std::min(kBlock, victims.size() - begin);
-    Result<std::vector<VictimOutcome>> outcomes =
-        parallel::ParallelMap<VictimOutcome>(
-            count,
-            [&](size_t i) {
-              return AttackVictim(original, published, victims[begin + i],
-                                  options);
-            },
-            popts);
-    if (!outcomes.ok()) {
-      return outcomes.status();
+  const size_t candidates = published.size();
+  std::vector<VictimSetup> setups;
+  const auto test = [&setups](size_t v, size_t j,
+                              const store::StoreEntry& row,
+                              JoinTally* tally) {
+    // A candidate whose lower bound (sum of observation-to-MBR distances)
+    // strictly exceeds s_true scores strictly worse than the truth: it can
+    // neither outrank nor tie it, so it counts as "worse" unread.
+    const VictimSetup& s = setups[v];
+    if (j == s.truth_index) {
+      return false;
     }
-    for (const VictimOutcome& out : *outcomes) {
-      if (!out.status.ok()) {
-        return out.status;
+    double bound = 0.0;
+    for (const Point& obs : s.observations) {
+      bound += PointToEntryDistance(row, obs);
+      if (bound > s.s_true) {
+        ++tally->pruned;
+        return false;
       }
-      if (out.suppressed) {
-        ++result.victims_suppressed;
-        continue;
-      }
+    }
+    return true;
+  };
+  // Exact scoring keeps the tie semantics: == on the score sum.
+  const auto score = [&setups](size_t v, const Trajectory& candidate,
+                               JoinTally* tally) {
+    const VictimSetup& s = setups[v];
+    double sum = 0.0;
+    for (const Point& obs : s.observations) {
+      sum += SpatialDistance(candidate.PositionAt(obs.t), obs);
+    }
+    if (sum < s.s_true) {
+      ++tally->better;
+    } else if (sum == s.s_true) {
+      ++tally->tied;
+    }
+  };
+
+  for (size_t begin = 0; begin < present.size(); begin += kBlock) {
+    const size_t count = std::min(kBlock, present.size() - begin);
+    if (options.run_context != nullptr) {
+      options.run_context->ChargeCandidatePairs(count * candidates);
+    }
+    WCOP_ASSIGN_OR_RETURN(
+        setups, parallel::ParallelMap<VictimSetup>(
+                    count,
+                    [&](size_t i) {
+                      return SetUpVictim(original, published,
+                                         present[begin + i].first,
+                                         present[begin + i].second,
+                                         options.adversary);
+                    },
+                    popts));
+    for (const VictimSetup& s : setups) {
+      WCOP_RETURN_IF_ERROR(s.status);
+    }
+    WCOP_ASSIGN_OR_RETURN(std::vector<JoinTally> tallies,
+                          JoinCandidates(published, count, test, score,
+                                         popts));
+    for (const JoinTally& t : tallies) {
+      // Uniform tie-breaking over the tied block (the truth plus its exact
+      // ties): expected rank is the block midpoint; the truth lands in the
+      // top-m when it draws one of the first m - better slots.
+      const double block = static_cast<double>(t.tied + 1);
+      const double rank = static_cast<double>(t.better) + (block + 1.0) / 2.0;
       ++result.victims_attacked;
-      top1_sum += out.top1;
-      top5_sum += out.top5;
-      rank_sum += out.rank;
-      reciprocal_sum += out.reciprocal;
-      result.candidates_total += published.size();
-      result.candidates_scored += out.scored;
-      result.candidates_pruned += out.pruned;
+      top1_sum += t.better == 0 ? 1.0 / block : 0.0;
+      if (t.better < 5) {
+        top5_sum +=
+            std::min(block, 5.0 - static_cast<double>(t.better)) / block;
+      }
+      rank_sum += rank;
+      reciprocal_sum += 1.0 / rank;
+      result.candidates_total += candidates;
+      result.candidates_scored += t.scored + 1;  // + the truth itself
+      result.candidates_pruned += t.pruned;
       if (rank_histogram != nullptr) {
-        rank_histogram->Record(
-            static_cast<uint64_t>(std::llround(out.rank)));
+        rank_histogram->Record(static_cast<uint64_t>(std::llround(rank)));
       }
     }
     if (options.progress) {
-      options.progress(std::min(begin + count, victims.size()),
+      options.progress(result.victims_suppressed + begin + count,
                        victims.size());
     }
     WCOP_RETURN_IF_ERROR(CheckRunContext(options.run_context));
+  }
+  if (present.empty() && options.progress) {
+    options.progress(victims.size(), victims.size());
   }
 
   if (result.victims_attacked > 0) {

@@ -30,8 +30,8 @@ struct ReidentOptions {
   /// path). Results are byte-identical across thread counts.
   int threads = 1;
 
-  /// Optional deadline / cancellation / budget; checked per victim and at
-  /// every parallel chunk boundary. Candidate index walks charge
+  /// Optional deadline / cancellation / budget; checked per victim block
+  /// and at every parallel chunk boundary. Candidate index walks charge
   /// candidate pairs; exact scorings charge distance computations.
   const RunContext* run_context = nullptr;
 
@@ -41,7 +41,8 @@ struct ReidentOptions {
   telemetry::Telemetry* telemetry = nullptr;
 
   /// Optional progress callback, invoked on the coordinating thread after
-  /// each victim block: (victims done, victims total).
+  /// each victim block: (victims done, victims total). Suppressed victims
+  /// count as done from the start.
   std::function<void(size_t, size_t)> progress;
 };
 
@@ -60,16 +61,21 @@ struct ReidentResult {
   uint64_t candidates_pruned = 0;  ///< skipped via the MBR lower bound
 };
 
-/// Runs the attack. The scan is out-of-core: for each victim the true
-/// candidate's exact score s_true is computed first, then every other
-/// candidate is tested against the certified index-walk lower bound
-/// (mean observation-to-MBR distance, see PointToEntryDistance) and only
-/// candidates whose bound does not exceed s_true are read and scored —
-/// a pruned candidate's exact score is provably > s_true, so its relative
-/// rank is known without touching its block and the result is identical
-/// to the exhaustive scan. Victims whose truth key is absent from
-/// `published` count as suppressed. Fails on empty sources or a
-/// zero-observation adversary.
+/// Runs the attack. Victims whose truth key is absent from `published`
+/// count as suppressed; the present ones are attacked in blocks of 256.
+/// Each victim of a block is set up once: its observations are sampled
+/// and its true candidate's exact score s_true is computed. Then one
+/// candidate-major join (JoinCandidates) walks the published index: every
+/// candidate is tested against each victim's certified lower bound (mean
+/// observation-to-MBR distance, see PointToEntryDistance), and its block
+/// is read once for the whole victim block and scored exactly only for
+/// the victims whose bound does not exceed s_true — a pruned candidate's
+/// exact score is provably > s_true, so its relative rank is known
+/// without touching its block and the result is identical to the
+/// exhaustive scan. Out-of-core: memory is O(index + victim block), and
+/// each published block is read at most once per victim block. Counts
+/// and rates are identical at every thread count. Fails on empty sources
+/// or a zero-observation adversary.
 Result<ReidentResult> RunReidentAttack(const CandidateSource& original,
                                        const CandidateSource& published,
                                        const ReidentOptions& options);

@@ -1,15 +1,21 @@
 // The red-team subsystem audits publications; these tests audit the red
 // team: the out-of-core store path must agree with the in-memory dataset
-// path, the audit JSON must be byte-identical across thread counts, the
-// effective-k quantifier must flag a deliberately weakened publication
-// (and must not cry wolf on a genuinely collapsed one), and the linkage
-// attack must recover hand-built ground truth.
+// path, the block-join scans must agree exactly with the victim-major
+// scans kept here as their oracle and read each block at most once per
+// victim block, the audit JSON must be byte-identical across thread
+// counts, the effective-k quantifier must flag a deliberately weakened
+// publication (and must not cry wolf on a genuinely collapsed one), and
+// the linkage attack must recover hand-built ground truth.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "anon/attack.h"
@@ -19,6 +25,8 @@
 #include "attack/effective_k.h"
 #include "attack/linkage.h"
 #include "attack/reident.h"
+#include "common/failpoint.h"
+#include "common/rng.h"
 #include "store/store_file.h"
 #include "test_util.h"
 
@@ -87,6 +95,509 @@ TEST(ReidentEquivalence, StoreMatchesDatasetExactly) {
   // *scores* to agree; assert the strong property anyway to pin the
   // adapter's MBR synthesis.
   EXPECT_EQ(mem->candidates_pruned, disk->candidates_pruned);
+}
+
+// ---------------------------------------------------------------------------
+// Oracle: the victim-major scans the candidate-major block join replaced.
+// Each victim walks every index row itself and reads every candidate that
+// survives the bound; the join must reproduce every count and every score
+// comparison exactly.
+// ---------------------------------------------------------------------------
+
+struct OracleVictim {
+  bool suppressed = false;
+  double top1 = 0.0;
+  double top5 = 0.0;
+  double rank = 0.0;
+  double reciprocal = 0.0;
+  uint64_t scored = 0;
+  uint64_t pruned = 0;
+};
+
+OracleVictim OracleAttackVictim(const CandidateSource& original,
+                                const CandidateSource& published,
+                                size_t victim, const AdversaryModel& model) {
+  OracleVictim out;
+  const int64_t key = original.KeyOf(victim);
+  Result<size_t> truth_index = published.FindByKey(key);
+  if (!truth_index.ok()) {
+    out.suppressed = true;
+    return out;
+  }
+  Result<Trajectory> truth = original.Read(victim);
+  EXPECT_TRUE(truth.ok()) << truth.status();
+  const std::vector<Point> observations =
+      SampleObservations(*truth, model, static_cast<uint64_t>(key));
+  Result<Trajectory> truth_published = published.Read(*truth_index);
+  EXPECT_TRUE(truth_published.ok()) << truth_published.status();
+  double s_true = 0.0;
+  for (const Point& obs : observations) {
+    s_true += SpatialDistance(truth_published->PositionAt(obs.t), obs);
+  }
+  out.scored = 1;
+  size_t better = 0;
+  size_t tied = 1;
+  for (size_t j = 0; j < published.size(); ++j) {
+    if (j == *truth_index) {
+      continue;
+    }
+    double bound = 0.0;
+    for (const Point& obs : observations) {
+      bound += PointToEntryDistance(published.entry(j), obs);
+      if (bound > s_true) {
+        break;
+      }
+    }
+    if (bound > s_true) {
+      ++out.pruned;
+      continue;
+    }
+    Result<Trajectory> candidate = published.Read(j);
+    EXPECT_TRUE(candidate.ok()) << candidate.status();
+    double score = 0.0;
+    for (const Point& obs : observations) {
+      score += SpatialDistance(candidate->PositionAt(obs.t), obs);
+    }
+    ++out.scored;
+    if (score < s_true) {
+      ++better;
+    } else if (score == s_true) {
+      ++tied;
+    }
+  }
+  const double block = static_cast<double>(tied);
+  out.rank = static_cast<double>(better) + (block + 1.0) / 2.0;
+  out.top1 = better == 0 ? 1.0 / block : 0.0;
+  if (better < 5) {
+    out.top5 = std::min(block, 5.0 - static_cast<double>(better)) / block;
+  }
+  out.reciprocal = 1.0 / out.rank;
+  return out;
+}
+
+// The same seeded shuffle RunReidentAttack and MeasureEffectiveKSamples
+// use to pick a capped subset.
+std::vector<size_t> OracleSubset(size_t universe, size_t cap,
+                                 uint64_t seed) {
+  std::vector<size_t> picked(universe);
+  std::iota(picked.begin(), picked.end(), 0);
+  if (cap > 0 && cap < picked.size()) {
+    Rng rng(seed);
+    std::shuffle(picked.begin(), picked.end(), rng.engine());
+    picked.resize(cap);
+    std::sort(picked.begin(), picked.end());
+  }
+  return picked;
+}
+
+ReidentResult OracleReident(const CandidateSource& original,
+                            const CandidateSource& published,
+                            const ReidentOptions& options) {
+  ReidentResult result;
+  double top1_sum = 0.0;
+  double top5_sum = 0.0;
+  double rank_sum = 0.0;
+  double reciprocal_sum = 0.0;
+  for (size_t victim : OracleSubset(original.size(), options.num_victims,
+                                    options.adversary.seed)) {
+    const OracleVictim out =
+        OracleAttackVictim(original, published, victim, options.adversary);
+    if (out.suppressed) {
+      ++result.victims_suppressed;
+      continue;
+    }
+    ++result.victims_attacked;
+    top1_sum += out.top1;
+    top5_sum += out.top5;
+    rank_sum += out.rank;
+    reciprocal_sum += out.reciprocal;
+    result.candidates_total += published.size();
+    result.candidates_scored += out.scored;
+    result.candidates_pruned += out.pruned;
+  }
+  if (result.victims_attacked > 0) {
+    const double n = static_cast<double>(result.victims_attacked);
+    result.top1_success = top1_sum / n;
+    result.top5_success = top5_sum / n;
+    result.mean_true_rank = rank_sum / n;
+    result.mean_reciprocal_rank = reciprocal_sum / n;
+  }
+  return result;
+}
+
+EffectiveKSamples OracleEffectiveKSamples(const CandidateSource& published,
+                                          const EffectiveKOptions& options) {
+  EffectiveKSamples result;
+  const double epsilon = options.adversary.epsilon;
+  for (size_t user : OracleSubset(published.size(), options.num_users,
+                                  options.adversary.seed)) {
+    Result<Trajectory> traj = published.Read(user);
+    EXPECT_TRUE(traj.ok()) << traj.status();
+    if (traj->empty()) {
+      continue;
+    }
+    const double duration = traj->Duration();
+    const double tau = std::min(options.adversary.tau_seconds, duration);
+    Rng rng(MixSeed(options.adversary.seed,
+                    static_cast<uint64_t>(published.KeyOf(user))));
+    const double slack = duration - tau;
+    const double start = traj->StartTime() +
+                         (slack > 0.0 ? rng.UniformReal(0.0, slack) : 0.0);
+    const double end = start + tau;
+    const size_t samples = std::max<size_t>(options.samples, 1);
+    std::vector<Point> known;
+    for (size_t s = 0; s < samples; ++s) {
+      const double frac = samples == 1 ? 0.0
+                                       : static_cast<double>(s) /
+                                             static_cast<double>(samples - 1);
+      known.push_back(traj->PositionAt(start + frac * (end - start)));
+    }
+    uint64_t effective = 0;
+    for (size_t j = 0; j < published.size(); ++j) {
+      const store::StoreEntry& e = published.entry(j);
+      if (e.t_max < start || e.t_min > end) {
+        continue;
+      }
+      bool possible = true;
+      for (const Point& p : known) {
+        if (PointToEntryDistance(e, p) > epsilon) {
+          possible = false;
+          break;
+        }
+      }
+      if (!possible) {
+        continue;
+      }
+      if (j == user) {
+        ++effective;
+        continue;
+      }
+      Result<Trajectory> candidate = published.Read(j);
+      EXPECT_TRUE(candidate.ok()) << candidate.status();
+      bool consistent = true;
+      for (const Point& p : known) {
+        if (SpatialDistance(candidate->PositionAt(p.t), p) > epsilon) {
+          consistent = false;
+          break;
+        }
+      }
+      if (consistent) {
+        ++effective;
+      }
+    }
+    EffectiveKSamples::Sample sample;
+    sample.k = static_cast<int>(published.entry(user).k);
+    sample.delta = published.entry(user).delta;
+    sample.effective_k = effective;
+    result.samples.push_back(sample);
+  }
+  return result;
+}
+
+void ExpectSameReident(const ReidentResult& want, const ReidentResult& got) {
+  EXPECT_EQ(want.victims_attacked, got.victims_attacked);
+  EXPECT_EQ(want.victims_suppressed, got.victims_suppressed);
+  EXPECT_EQ(want.top1_success, got.top1_success);
+  EXPECT_EQ(want.top5_success, got.top5_success);
+  EXPECT_EQ(want.mean_true_rank, got.mean_true_rank);
+  EXPECT_EQ(want.mean_reciprocal_rank, got.mean_reciprocal_rank);
+  EXPECT_EQ(want.candidates_total, got.candidates_total);
+  EXPECT_EQ(want.candidates_scored, got.candidates_scored);
+  EXPECT_EQ(want.candidates_pruned, got.candidates_pruned);
+}
+
+void ExpectSameSamples(const EffectiveKSamples& want,
+                       const EffectiveKSamples& got) {
+  ASSERT_EQ(want.samples.size(), got.samples.size());
+  for (size_t i = 0; i < want.samples.size(); ++i) {
+    SCOPED_TRACE("sample " + std::to_string(i));
+    EXPECT_EQ(want.samples[i].k, got.samples[i].k);
+    EXPECT_EQ(want.samples[i].delta, got.samples[i].delta);
+    EXPECT_EQ(want.samples[i].effective_k, got.samples[i].effective_k);
+  }
+}
+
+// A seeded adversarial audit corpus. The original holds `present` victims
+// that appear in the publication plus `absent` ones that were suppressed.
+// The publication holds each present victim jittered, `clones` exact
+// copies of published victims under fresh ids (their re-identification
+// scores tie the truth's exactly, and they are co-located for effective-
+// k), `duplicates` extra entries reusing a present victim's truth key,
+// and unrelated trajectories up to `n` entries, in shuffled order.
+struct OracleCorpus {
+  Dataset original;
+  std::vector<std::pair<int64_t, Trajectory>> published;  // (truth key, t)
+};
+
+Trajectory RandomWalk(int64_t id, Rng* rng) {
+  const size_t points = 3 + rng->UniformIndex(6);
+  double x = rng->UniformReal(0.0, 3000.0);
+  double y = rng->UniformReal(0.0, 3000.0);
+  double t = rng->UniformReal(0.0, 3600.0);
+  std::vector<Point> fixes;
+  for (size_t i = 0; i < points; ++i) {
+    fixes.emplace_back(x, y, t);
+    x += rng->UniformReal(-80.0, 80.0);
+    y += rng->UniformReal(-80.0, 80.0);
+    t += 60.0;
+  }
+  Trajectory walk(id, std::move(fixes));
+  walk.set_requirement(
+      Requirement{static_cast<int>(2 + rng->UniformIndex(4)),
+                  rng->UniformReal(10.0, 250.0)});
+  return walk;
+}
+
+OracleCorpus MakeOracleCorpus(uint64_t seed, size_t present, size_t absent,
+                              size_t clones, size_t duplicates, size_t n) {
+  Rng rng(seed);
+  OracleCorpus corpus;
+  for (size_t i = 0; i < present + absent; ++i) {
+    corpus.original.Add(RandomWalk(static_cast<int64_t>(i), &rng));
+  }
+  for (size_t i = 0; i < present; ++i) {
+    Trajectory published = corpus.original[i];
+    for (Point& p : published.mutable_points()) {
+      p.x += rng.UniformReal(-40.0, 40.0);
+      p.y += rng.UniformReal(-40.0, 40.0);
+    }
+    corpus.published.emplace_back(static_cast<int64_t>(i),
+                                  std::move(published));
+  }
+  for (size_t c = 0; c < clones && present > 0; ++c) {
+    Trajectory clone = corpus.published[rng.UniformIndex(present)].second;
+    const int64_t key = 1000000 + static_cast<int64_t>(c);
+    clone.set_id(key);
+    corpus.published.emplace_back(key, std::move(clone));
+  }
+  for (size_t d = 0; d < duplicates && present > 0; ++d) {
+    const size_t of = rng.UniformIndex(present);
+    corpus.published.emplace_back(static_cast<int64_t>(of),
+                                  RandomWalk(static_cast<int64_t>(of), &rng));
+  }
+  for (int64_t extra = 2000000; corpus.published.size() < n; ++extra) {
+    corpus.published.emplace_back(extra, RandomWalk(extra, &rng));
+  }
+  std::shuffle(corpus.published.begin(), corpus.published.end(),
+               rng.engine());
+  return corpus;
+}
+
+// Dataset form of the publication: the truth key is the trajectory id, so
+// duplicate keys are duplicate ids.
+Dataset PublishedDataset(const OracleCorpus& corpus) {
+  Dataset d;
+  for (const auto& [key, t] : corpus.published) {
+    Trajectory copy = t;
+    copy.set_id(key);
+    d.Add(std::move(copy));
+  }
+  return d;
+}
+
+// Store form: ids must be unique in a store, so the truth key travels as
+// the parent id, exactly as in the continuous pipeline's window stores.
+Result<StoreCandidateSource> PublishedStore(const OracleCorpus& corpus,
+                                            const std::string& name) {
+  Dataset d;
+  int64_t id = 5000000;
+  for (const auto& [key, t] : corpus.published) {
+    Trajectory copy = t;
+    copy.set_id(id++);
+    copy.set_parent_id(key);
+    d.Add(std::move(copy));
+  }
+  const std::string path = TempPath(name);
+  WCOP_RETURN_IF_ERROR(store::WriteDatasetStore(d, path));
+  return StoreCandidateSource::Open(path,
+                                    StoreCandidateSource::TruthKey::kParentId);
+}
+
+struct OracleCase {
+  const char* name;
+  size_t present, absent, clones, duplicates, n;
+  size_t cap;  ///< num_victims / num_users (0 = everyone)
+};
+
+TEST(BlockJoinOracle, MatchesVictimMajorScansOnBothSourcesAtAnyThreadCount) {
+  // Victim-block edges (1, 255, 256, 257, 600 present victims), tiny
+  // publications (n = 1, 2, 3), and n = 677 (not a multiple of the 64
+  // candidate ranges); every corpus with absent victims, and the larger
+  // ones with exact-tie clones and duplicate truth keys.
+  const OracleCase cases[] = {
+      {"n1", 1, 3, 0, 0, 1, 0},
+      {"n2", 2, 2, 0, 0, 2, 0},
+      {"n3_tie", 2, 4, 1, 0, 3, 0},
+      {"present255", 255, 9, 6, 3, 293, 0},
+      {"present256", 256, 0, 5, 2, 300, 0},
+      {"present257", 257, 11, 4, 4, 270, 0},
+      {"present600", 600, 40, 12, 6, 677, 0},
+      {"capped", 600, 40, 12, 6, 677, 300},
+  };
+  uint64_t seed = 41;
+  for (const OracleCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const OracleCorpus corpus = MakeOracleCorpus(
+        seed++, c.present, c.absent, c.clones, c.duplicates, c.n);
+    ASSERT_EQ(corpus.published.size(), c.n);
+    const DatasetCandidateSource mem_original(corpus.original);
+    const Dataset published_dataset = PublishedDataset(corpus);
+    const DatasetCandidateSource mem_published(published_dataset);
+    Result<StoreCandidateSource> disk_original = StoreSourceFor(
+        corpus.original, std::string("oracle_orig_") + c.name + ".wst");
+    ASSERT_TRUE(disk_original.ok()) << disk_original.status();
+    Result<StoreCandidateSource> disk_published =
+        PublishedStore(corpus, std::string("oracle_pub_") + c.name + ".wst");
+    ASSERT_TRUE(disk_published.ok()) << disk_published.status();
+
+    ReidentOptions reident;
+    reident.adversary.observations = 5;
+    reident.adversary.noise = 25.0;
+    reident.num_victims = c.cap;
+    EffectiveKOptions effective;
+    effective.adversary.tau_seconds = 240.0;
+    effective.adversary.epsilon = 150.0;
+    effective.samples = 4;
+    effective.num_users = c.cap;
+
+    const std::pair<const CandidateSource*, const CandidateSource*>
+        sources[] = {{&mem_original, &mem_published},
+                     {&*disk_original, &*disk_published}};
+    for (const auto& [original, published] : sources) {
+      SCOPED_TRACE(original == &mem_original ? "dataset" : "store");
+      const ReidentResult want_reident =
+          OracleReident(*original, *published, reident);
+      if (c.cap == 0) {
+        EXPECT_EQ(want_reident.victims_attacked, c.present);
+      }
+      const EffectiveKSamples want_samples =
+          OracleEffectiveKSamples(*published, effective);
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        reident.threads = threads;
+        Result<ReidentResult> got_reident =
+            RunReidentAttack(*original, *published, reident);
+        ASSERT_TRUE(got_reident.ok()) << got_reident.status();
+        ExpectSameReident(want_reident, *got_reident);
+        effective.threads = threads;
+        Result<EffectiveKSamples> got_samples =
+            MeasureEffectiveKSamples(*published, effective);
+        ASSERT_TRUE(got_samples.ok()) << got_samples.status();
+        ExpectSameSamples(want_samples, *got_samples);
+      }
+    }
+  }
+}
+
+// The corpora must actually exercise the tie and pruning paths the oracle
+// compares, or the property above would hold vacuously.
+TEST(BlockJoinOracle, CorporaExerciseTiesAndPruning) {
+  ReidentOptions options;
+  options.adversary.observations = 5;
+  options.adversary.noise = 25.0;
+
+  // One victim and its exact clone: the clone ties the truth's score to
+  // the last bit, so the tie block is 2 wide.
+  const OracleCorpus pair = MakeOracleCorpus(3, 1, 0, 1, 0, 2);
+  const DatasetCandidateSource pair_original(pair.original);
+  const Dataset pair_published = PublishedDataset(pair);
+  const DatasetCandidateSource pair_source(pair_published);
+  Result<ReidentResult> tie =
+      RunReidentAttack(pair_original, pair_source, options);
+  ASSERT_TRUE(tie.ok()) << tie.status();
+  EXPECT_EQ(tie->top1_success, 0.5);
+  EXPECT_EQ(tie->mean_true_rank, 1.5);
+
+  const OracleCorpus corpus = MakeOracleCorpus(7, 600, 40, 12, 6, 677);
+  const DatasetCandidateSource original(corpus.original);
+  const Dataset published_dataset = PublishedDataset(corpus);
+  const DatasetCandidateSource published(published_dataset);
+  Result<ReidentResult> r = RunReidentAttack(original, published, options);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->victims_attacked, 600u);
+  EXPECT_EQ(r->victims_suppressed, 40u);
+  EXPECT_GT(r->candidates_pruned, 0u);
+  EXPECT_GT(r->candidates_scored, r->victims_attacked);
+}
+
+// ---------------------------------------------------------------------------
+// Read-once contract: on a dense store, where the bound prunes almost
+// nothing, each scan reads a published block at most once per victim
+// block, on top of the per-victim set-up reads.
+// ---------------------------------------------------------------------------
+
+// `count` short walks packed into one 200 m square over the same minutes:
+// every candidate survives every victim's bound.
+Dataset DenseCorpus(size_t count) {
+  Rng rng(17);
+  Dataset d;
+  for (size_t i = 0; i < count; ++i) {
+    std::vector<Point> fixes;
+    for (size_t p = 0; p < 5; ++p) {
+      fixes.emplace_back(rng.UniformReal(0.0, 200.0),
+                         rng.UniformReal(0.0, 200.0),
+                         60.0 * static_cast<double>(p));
+    }
+    Trajectory t(static_cast<int64_t>(i), std::move(fixes));
+    t.set_requirement(Requirement{3, 100.0});
+    d.Add(std::move(t));
+  }
+  return d;
+}
+
+size_t CeilDiv(size_t a, size_t b) { return (a + b - 1) / b; }
+
+TEST(BlockJoinReadOnce, ScansReadEachBlockOncePerVictimBlock) {
+  constexpr size_t kPresent = 300;
+  constexpr size_t kExtra = 40;
+  const Dataset everyone = DenseCorpus(kPresent + kExtra);
+  Dataset victims_only;
+  for (size_t i = 0; i < kPresent; ++i) {
+    victims_only.Add(everyone[i]);
+  }
+  Result<StoreCandidateSource> original =
+      StoreSourceFor(victims_only, "read_once_orig.wst");
+  ASSERT_TRUE(original.ok()) << original.status();
+  Result<StoreCandidateSource> published =
+      StoreSourceFor(everyone, "read_once_pub.wst");
+  ASSERT_TRUE(published.ok()) << published.status();
+  const size_t n = published->size();
+
+  FailpointRegistry& registry = FailpointRegistry::Instance();
+  registry.EnableHitCounting(true);
+  auto reads = [&registry] { return registry.HitCount("store.read_block"); };
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ReidentOptions reident;
+    reident.adversary.observations = 5;
+    reident.adversary.noise = 200.0;
+    reident.threads = threads;
+    const uint64_t before_reident = reads();
+    Result<ReidentResult> r =
+        RunReidentAttack(*original, *published, reident);
+    const uint64_t reident_reads = reads() - before_reident;
+    ASSERT_TRUE(r.ok()) << r.status();
+    ASSERT_EQ(r->victims_attacked, kPresent);
+    // Dense: most pairs need their block, so a per-pair read would blow
+    // far past the bound below.
+    EXPECT_GT(r->candidates_scored, kPresent * n / 2);
+    EXPECT_LE(reident_reads, 2 * kPresent + CeilDiv(kPresent, 256) * n);
+
+    EffectiveKOptions effective;
+    effective.adversary.tau_seconds = 240.0;
+    effective.adversary.epsilon = 5000.0;
+    effective.threads = threads;
+    const uint64_t before_effective = reads();
+    Result<EffectiveKSamples> samples =
+        MeasureEffectiveKSamples(*published, effective);
+    const uint64_t effective_reads = reads() - before_effective;
+    ASSERT_TRUE(samples.ok()) << samples.status();
+    ASSERT_EQ(samples->samples.size(), n);
+    EXPECT_EQ(samples->samples[0].effective_k, n);  // everyone consistent
+    EXPECT_LE(effective_reads, n + CeilDiv(n, 256) * n);
+  }
+  registry.EnableHitCounting(false);
 }
 
 // ---------------------------------------------------------------------------
