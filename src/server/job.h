@@ -20,7 +20,7 @@
 /// Codec: one "key value" pair per line; string values are percent-escaped
 /// so paths and error messages with spaces/newlines round-trip; doubles are
 /// printed %.17g so the strtod round-trip is bit-exact (the same convention
-/// as the store blocks and checkpoint payloads). Unknown keys are skipped
+/// as the checkpoint payloads). Unknown keys are skipped
 /// on decode, so old binaries read records written by newer ones.
 
 #include <cstdint>

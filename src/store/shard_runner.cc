@@ -24,7 +24,7 @@ namespace store {
 
 namespace {
 
-constexpr uint32_t kShardCheckpointVersion = 1;
+constexpr uint32_t kShardCheckpointVersion = 2;
 
 Status MakeDir(const std::string& path) {
   if (::mkdir(path.c_str(), 0755) != 0 && errno != EEXIST) {
@@ -105,8 +105,10 @@ void AppendF64(std::string* out, double v) {
   out->push_back(' ');
 }
 
-/// Minimal whitespace tokenizer mirroring the store-block scanner; every
-/// failure is kDataLoss so a damaged checkpoint falls back to recompute.
+/// Minimal whitespace tokenizer for the checkpoint's text sections (the
+/// published trajectories are binary store records, decoded by
+/// ParseTrajectoryRecord); every failure is kDataLoss so a damaged
+/// checkpoint falls back to recompute.
 class CkptScanner {
  public:
   explicit CkptScanner(std::string_view text) : text_(text) {}
@@ -202,11 +204,14 @@ struct ShardState {
 /// merge must be deterministic), verification verdict, deterministic
 /// metric counters/gauges (histograms hold timings and are dropped), the
 /// trash, the clusters (shard-local indices), and the published
-/// trajectories in store record encoding.
+/// trajectories as binary store records (AppendTrajectoryRecord), which
+/// start right after the newline that ends the "published <count>" line.
 std::string EncodeShardCheckpoint(uint64_t fingerprint,
                                   const ShardState& state) {
   const AnonymizationReport& r = state.result.report;
-  std::string out = "wcop-shard-checkpoint 1\nfingerprint ";
+  std::string out = "wcop-shard-checkpoint ";
+  AppendU64(&out, kShardCheckpointVersion);
+  out.append("\nfingerprint ");
   AppendU64(&out, fingerprint);
   out.append("\nreport ");
   AppendU64(&out, r.input_trajectories);
@@ -282,7 +287,7 @@ Result<ShardState> DecodeShardCheckpoint(std::string_view payload,
   CkptScanner scan(payload);
   WCOP_RETURN_IF_ERROR(scan.Expect("wcop-shard-checkpoint"));
   WCOP_ASSIGN_OR_RETURN(uint64_t codec_version, scan.NextU64());
-  if (codec_version != 1) {
+  if (codec_version != kShardCheckpointVersion) {
     return Status::DataLoss("shard checkpoint: unknown codec version");
   }
   WCOP_RETURN_IF_ERROR(scan.Expect("fingerprint"));
@@ -378,7 +383,14 @@ Result<ShardState> DecodeShardCheckpoint(std::string_view payload,
     return Status::DataLoss("shard checkpoint: implausible published count");
   }
   state.result.sanitized.mutable_trajectories().reserve(num_published);
+  // The scanner stops right after the count; the binary records begin after
+  // the " \n" that ends its line, and a record's first byte may itself be
+  // whitespace, so the separator is matched exactly, never skipped.
   size_t pos = scan.pos();
+  if (payload.substr(pos, 2) != " \n") {
+    return Status::DataLoss("shard checkpoint: malformed published header");
+  }
+  pos += 2;
   for (uint64_t i = 0; i < num_published; ++i) {
     WCOP_ASSIGN_OR_RETURN(Trajectory t,
                           ParseTrajectoryRecord(payload, &pos));

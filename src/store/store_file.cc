@@ -2,11 +2,10 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cinttypes>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -26,7 +25,16 @@ constexpr char kEndMagic[8] = {'W', 'C', 'O', 'P', 'S', 'E', 'N', 'D'};
 constexpr size_t kHeaderSize = 8 + 4 + 4;
 constexpr size_t kBlockHeaderSize = 4 + 4;
 constexpr size_t kEntrySize = 13 * 8;  // 13 8-byte fields per index entry
+constexpr size_t kIndexFrameSize = 8 + 8 + 4;  // marker, count, CRC
 constexpr size_t kFooterSize = 8 + 8;
+constexpr size_t kRecordHeaderSize = 6 * 8;  // id .. n, see the header
+constexpr size_t kPointSize = 3 * 8;        // x, y, t
+
+/// Size of the block holding a trajectory of `num_points` points; the
+/// caller keeps num_points below 2^64 / kPointSize.
+uint64_t BlockSize(uint64_t num_points) {
+  return kBlockHeaderSize + kRecordHeaderSize + num_points * kPointSize;
+}
 
 void PutU32(char* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -40,11 +48,13 @@ void PutU64(char* out, uint64_t v) {
   }
 }
 
-void PutF64(char* out, double v) {
+uint64_t F64Bits(double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, 8);
-  PutU64(out, bits);
+  return bits;
 }
+
+void PutF64(char* out, double v) { PutU64(out, F64Bits(v)); }
 
 uint32_t GetU32(const char* in) {
   uint32_t v = 0;
@@ -69,78 +79,6 @@ double GetF64(const char* in) {
   return v;
 }
 
-void AppendDouble(std::string* out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-}
-
-/// Whitespace-token scanner over a block payload; every accessor reports
-/// kDataLoss on malformed input (a CRC-valid block can still be malformed
-/// only through a writer bug, but the reader never trusts it).
-class TokenScanner {
- public:
-  TokenScanner(std::string_view text, size_t pos) : text_(text), pos_(pos) {}
-
-  size_t pos() const { return pos_; }
-
-  Result<std::string_view> Next() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r' || text_[pos_] == '\t')) {
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) {
-      return Status::DataLoss("store record: unexpected end of payload");
-    }
-    const size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] != ' ' &&
-           text_[pos_] != '\n' && text_[pos_] != '\r' &&
-           text_[pos_] != '\t') {
-      ++pos_;
-    }
-    return text_.substr(start, pos_ - start);
-  }
-
-  Result<int64_t> NextI64() {
-    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    char buf[32];
-    if (tok.size() >= sizeof(buf)) {
-      return Status::DataLoss("store record: oversized integer token");
-    }
-    std::memcpy(buf, tok.data(), tok.size());
-    buf[tok.size()] = '\0';
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(buf, &end, 10);
-    if (errno != 0 || end != buf + tok.size()) {
-      return Status::DataLoss("store record: bad integer token");
-    }
-    return static_cast<int64_t>(v);
-  }
-
-  Result<double> NextDouble() {
-    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    char buf[64];
-    if (tok.size() >= sizeof(buf)) {
-      return Status::DataLoss("store record: oversized double token");
-    }
-    std::memcpy(buf, tok.data(), tok.size());
-    buf[tok.size()] = '\0';
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(buf, &end);
-    if (end != buf + tok.size()) {
-      return Status::DataLoss("store record: bad double token");
-    }
-    return v;
-  }
-
- private:
-  std::string_view text_;
-  size_t pos_;
-};
-
 Status WriteAll(std::FILE* f, const char* data, size_t n,
                 const std::string& path) {
   if (n != 0 && std::fwrite(data, 1, n, f) != n) {
@@ -150,13 +88,25 @@ Status WriteAll(std::FILE* f, const char* data, size_t n,
   return Status::OK();
 }
 
-Status ReadExact(std::FILE* f, uint64_t offset, char* out, size_t n,
-                 const std::string& path) {
-  if (std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0) {
-    return Status::DataLoss("store " + path + ": seek past end (truncated?)");
-  }
-  if (std::fread(out, 1, n, f) != n) {
-    return Status::DataLoss("store " + path + ": short read (truncated?)");
+/// Positional read of exactly `n` bytes at `offset`: no shared file
+/// position, so concurrent calls on one descriptor never interfere.
+Status ReadAt(int fd, uint64_t offset, char* out, size_t n,
+              const std::string& path) {
+  while (n > 0) {
+    const ssize_t got = ::pread(fd, out, n, static_cast<off_t>(offset));
+    if (got < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return Status::IoError("read failed on " + path + ": " +
+                             std::strerror(errno));
+    }
+    if (got == 0) {
+      return Status::DataLoss("store " + path + ": short read (truncated?)");
+    }
+    out += got;
+    offset += static_cast<uint64_t>(got);
+    n -= static_cast<size_t>(got);
   }
   return Status::OK();
 }
@@ -216,59 +166,57 @@ StoreEntry DecodeEntry(const char* in) {
 }  // namespace
 
 void AppendTrajectoryRecord(std::string* out, const Trajectory& t) {
-  out->append("traj ");
-  out->append(std::to_string(t.id()));
-  out->push_back(' ');
-  out->append(std::to_string(t.object_id()));
-  out->push_back(' ');
-  out->append(std::to_string(t.parent_id()));
-  out->push_back(' ');
-  out->append(std::to_string(t.requirement().k));
-  out->push_back(' ');
-  AppendDouble(out, t.requirement().delta);
-  out->push_back(' ');
-  out->append(std::to_string(t.size()));
-  out->push_back('\n');
-  for (const Point& p : t.points()) {
-    AppendDouble(out, p.x);
-    out->push_back(' ');
-    AppendDouble(out, p.y);
-    out->push_back(' ');
-    AppendDouble(out, p.t);
-    out->push_back('\n');
+  const size_t start = out->size();
+  out->resize(start + kRecordHeaderSize + t.size() * kPointSize);
+  char* p = out->data() + start;
+  PutU64(p, static_cast<uint64_t>(t.id()));
+  PutU64(p + 8, static_cast<uint64_t>(t.object_id()));
+  PutU64(p + 16, static_cast<uint64_t>(t.parent_id()));
+  PutU64(p + 24, static_cast<uint64_t>(int64_t{t.requirement().k}));
+  PutF64(p + 32, t.requirement().delta);
+  PutU64(p + 40, t.size());
+  p += kRecordHeaderSize;
+  for (const Point& point : t.points()) {
+    PutF64(p, point.x);
+    PutF64(p + 8, point.y);
+    PutF64(p + 16, point.t);
+    p += kPointSize;
   }
 }
 
 Result<Trajectory> ParseTrajectoryRecord(std::string_view payload,
                                          size_t* pos) {
-  TokenScanner scan(payload, *pos);
-  WCOP_ASSIGN_OR_RETURN(std::string_view marker, scan.Next());
-  if (marker != "traj") {
-    return Status::DataLoss("store record: missing 'traj' marker");
+  if (*pos > payload.size() ||
+      payload.size() - *pos < kRecordHeaderSize) {
+    return Status::DataLoss("store record: truncated header");
   }
-  WCOP_ASSIGN_OR_RETURN(int64_t id, scan.NextI64());
-  WCOP_ASSIGN_OR_RETURN(int64_t object_id, scan.NextI64());
-  WCOP_ASSIGN_OR_RETURN(int64_t parent_id, scan.NextI64());
-  WCOP_ASSIGN_OR_RETURN(int64_t k, scan.NextI64());
-  WCOP_ASSIGN_OR_RETURN(double delta, scan.NextDouble());
-  WCOP_ASSIGN_OR_RETURN(int64_t num_points, scan.NextI64());
-  if (num_points < 0 ||
-      static_cast<uint64_t>(num_points) > payload.size() - *pos) {
+  const char* in = payload.data() + *pos;
+  const uint64_t num_points = GetU64(in + 40);
+  if (num_points >
+      (payload.size() - *pos - kRecordHeaderSize) / kPointSize) {
     return Status::DataLoss("store record: implausible point count");
   }
-  std::vector<Point> points;
-  points.reserve(static_cast<size_t>(num_points));
-  for (int64_t i = 0; i < num_points; ++i) {
-    WCOP_ASSIGN_OR_RETURN(double x, scan.NextDouble());
-    WCOP_ASSIGN_OR_RETURN(double y, scan.NextDouble());
-    WCOP_ASSIGN_OR_RETURN(double t, scan.NextDouble());
-    points.push_back(Point{x, y, t});
+  const auto k = static_cast<int64_t>(GetU64(in + 24));
+  if (k < std::numeric_limits<int>::min() ||
+      k > std::numeric_limits<int>::max()) {
+    return Status::DataLoss("store record: k out of range");
   }
-  Trajectory t(id, std::move(points),
-               Requirement{static_cast<int>(k), delta});
-  t.set_object_id(object_id);
-  t.set_parent_id(parent_id);
-  *pos = scan.pos();
+  std::vector<Point> points;
+  points.reserve(num_points);
+  for (const char* p = in + kRecordHeaderSize; points.size() < num_points;
+       p += kPointSize) {
+    points.emplace_back(GetF64(p), GetF64(p + 8), GetF64(p + 16));
+  }
+  Trajectory t(static_cast<int64_t>(GetU64(in)), std::move(points),
+               Requirement{static_cast<int>(k), GetF64(in + 32)});
+  t.set_object_id(static_cast<int64_t>(GetU64(in + 8)));
+  t.set_parent_id(static_cast<int64_t>(GetU64(in + 16)));
+  // The writer validated every trajectory it wrote, so a record that fails
+  // here is corrupt, not merely unusual.
+  if (const Status valid = t.Validate(); !valid.ok()) {
+    return Status::DataLoss("store record: " + valid.message());
+  }
+  *pos += kRecordHeaderSize + num_points * kPointSize;
   return t;
 }
 
@@ -308,7 +256,6 @@ Status TrajectoryStoreWriter::Append(const Trajectory& t) {
   WCOP_RETURN_IF_ERROR(t.Validate());
   WCOP_FAILPOINT("store.write_block");
   std::string payload;
-  payload.reserve(64 + t.size() * 60);
   AppendTrajectoryRecord(&payload, t);
   if (payload.size() > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument("trajectory record exceeds block limit");
@@ -385,31 +332,34 @@ Status TrajectoryStoreWriter::Finish() {
   return status;
 }
 
+TrajectoryStoreReader::Descriptor::~Descriptor() {
+  if (fd_ >= 0) {
+    ::close(fd_);
+  }
+}
+
 Result<TrajectoryStoreReader> TrajectoryStoreReader::Open(
     const std::string& path) {
   WCOP_FAILPOINT("store.open");
   TrajectoryStoreReader r;
   r.path_ = path;
-  r.mutex_ = std::make_unique<std::mutex>();
-  r.file_.reset(std::fopen(path.c_str(), "rb"));
-  if (r.file_ == nullptr) {
+  r.fd_ = Descriptor(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  const int fd = r.fd_.get();
+  if (fd < 0) {
     return Status::NotFound("cannot open store " + path + ": " +
                             std::strerror(errno));
   }
-  std::FILE* f = r.file_.get();
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    return Status::IoError("seek failed on " + path);
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    return Status::IoError("fstat failed on " + path + ": " +
+                           std::strerror(errno));
   }
-  const long end = std::ftell(f);
-  if (end < 0) {
-    return Status::IoError("ftell failed on " + path);
-  }
-  const uint64_t file_size = static_cast<uint64_t>(end);
-  if (file_size < kHeaderSize + kFooterSize) {
+  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
+  if (file_size < kHeaderSize + kIndexFrameSize + kFooterSize) {
     return Status::DataLoss("store " + path + ": file too small");
   }
   char header[kHeaderSize];
-  WCOP_RETURN_IF_ERROR(ReadExact(f, 0, header, kHeaderSize, path));
+  WCOP_RETURN_IF_ERROR(ReadAt(fd, 0, header, kHeaderSize, path));
   if (std::memcmp(header, kFileMagic, 8) != 0) {
     return Status::DataLoss("store " + path + ": bad magic");
   }
@@ -421,19 +371,21 @@ Result<TrajectoryStoreReader> TrajectoryStoreReader::Open(
   }
   char footer[kFooterSize];
   WCOP_RETURN_IF_ERROR(
-      ReadExact(f, file_size - kFooterSize, footer, kFooterSize, path));
+      ReadAt(fd, file_size - kFooterSize, footer, kFooterSize, path));
   if (std::memcmp(footer + 8, kEndMagic, 8) != 0) {
     return Status::DataLoss("store " + path +
                             ": missing end marker (truncated?)");
   }
+  // Every bound below is written as a subtraction from a value already
+  // known to be larger, so a crafted offset or size cannot wrap past it.
   const uint64_t index_offset = GetU64(footer);
   if (index_offset < kHeaderSize ||
-      index_offset + 8 + 8 + 4 + kFooterSize > file_size) {
+      index_offset > file_size - kFooterSize - kIndexFrameSize) {
     return Status::DataLoss("store " + path + ": index offset out of range");
   }
   WCOP_FAILPOINT("store.read_index");
   char index_header[16];
-  WCOP_RETURN_IF_ERROR(ReadExact(f, index_offset, index_header, 16, path));
+  WCOP_RETURN_IF_ERROR(ReadAt(fd, index_offset, index_header, 16, path));
   if (std::memcmp(index_header, kIndexMagic, 8) != 0) {
     return Status::DataLoss("store " + path + ": bad index marker");
   }
@@ -445,13 +397,11 @@ Result<TrajectoryStoreReader> TrajectoryStoreReader::Open(
   if (index_offset + 8 + index_bytes + 4 + kFooterSize != file_size) {
     return Status::DataLoss("store " + path + ": index size mismatch");
   }
-  std::string section(index_bytes, '\0');
+  std::string section(index_bytes + 4, '\0');
   WCOP_RETURN_IF_ERROR(
-      ReadExact(f, index_offset + 8, section.data(), section.size(), path));
-  char crc_buf[4];
-  WCOP_RETURN_IF_ERROR(
-      ReadExact(f, index_offset + 8 + index_bytes, crc_buf, 4, path));
-  if (Crc32(section) != GetU32(crc_buf)) {
+      ReadAt(fd, index_offset + 8, section.data(), section.size(), path));
+  if (Crc32(std::string_view(section).substr(0, index_bytes)) !=
+      GetU32(section.data() + index_bytes)) {
     return Status::DataLoss("store " + path + ": index CRC mismatch");
   }
   r.index_.reserve(count);
@@ -459,8 +409,12 @@ Result<TrajectoryStoreReader> TrajectoryStoreReader::Open(
   uint64_t expected_offset = kHeaderSize;
   for (uint64_t i = 0; i < count; ++i) {
     StoreEntry e = DecodeEntry(section.data() + 8 + i * kEntrySize);
-    if (e.offset != expected_offset || e.block_size < kBlockHeaderSize ||
-        e.offset + e.block_size > index_offset) {
+    // A block is exactly its framing, record header and points, so
+    // num_points (and with it total_points()) is bounded by the file size.
+    if (e.offset != expected_offset ||
+        e.num_points > (index_offset - e.offset) / kPointSize ||
+        e.block_size != BlockSize(e.num_points) ||
+        e.block_size > index_offset - e.offset) {
       return Status::DataLoss("store " + path + ": corrupt index entry " +
                               std::to_string(i));
     }
@@ -485,11 +439,8 @@ Result<Trajectory> TrajectoryStoreReader::Read(size_t i) const {
   WCOP_FAILPOINT("store.read_block");
   const StoreEntry& e = index_[i];
   std::string block(e.block_size, '\0');
-  {
-    std::lock_guard<std::mutex> lock(*mutex_);
-    WCOP_RETURN_IF_ERROR(
-        ReadExact(file_.get(), e.offset, block.data(), block.size(), path_));
-  }
+  WCOP_RETURN_IF_ERROR(
+      ReadAt(fd_.get(), e.offset, block.data(), block.size(), path_));
   const uint32_t payload_size = GetU32(block.data());
   const uint32_t crc = GetU32(block.data() + 4);
   if (payload_size != e.block_size - kBlockHeaderSize) {
@@ -504,7 +455,12 @@ Result<Trajectory> TrajectoryStoreReader::Read(size_t i) const {
   }
   size_t pos = 0;
   WCOP_ASSIGN_OR_RETURN(Trajectory t, ParseTrajectoryRecord(payload, &pos));
-  if (t.id() != e.id || t.size() != e.num_points) {
+  // The partitioner plans from the index row alone, so the block must agree
+  // with it on everything both carry: id, size and the requirement, delta
+  // compared bit for bit.
+  if (t.id() != e.id || t.size() != e.num_points ||
+      t.requirement().k != e.k ||
+      F64Bits(t.requirement().delta) != F64Bits(e.delta)) {
     return Status::DataLoss("store " + path_ + ": block " +
                             std::to_string(i) + " does not match index");
   }

@@ -6,18 +6,18 @@
 ///
 /// A store file holds one trajectory per block plus a metadata-rich index,
 /// so a reader can partition or randomly access a multi-gigabyte dataset
-/// without ever materializing it. Layout (all integers little-endian, all
-/// doubles %.17g text in blocks / raw IEEE-754 bits in the index):
+/// without ever materializing it. Layout (format version 2; all integers
+/// little-endian, all doubles raw IEEE-754 bits):
 ///
 ///   [0..8)    magic "WCOPSTR1"
 ///   [8..12)   format version (u32)
 ///   [12..16)  reserved (u32, zero)
 ///   blocks    one per trajectory, appended in write order:
 ///               u32 payload_size | u32 crc32(payload) | payload
-///             payload is the text record of AppendTrajectoryRecord():
-///               "traj <id> <object_id> <parent_id> <k> <delta> <n>\n"
-///               then n lines "<x> <y> <t>\n", doubles printed %.17g so the
-///               strtod round-trip is bit-exact.
+///             payload is the binary record of AppendTrajectoryRecord():
+///               id, object_id, parent_id, k (i64 each), delta (f64),
+///               n (u64) — a 48-byte header — then n * (x, y, t) as f64,
+///             so every block is exactly 8 + 48 + 24 * n bytes.
 ///   index     "WCOPSIDX" | u64 count | count * 104-byte entries | u32 crc
 ///             each entry: id, offset, block_size, num_points (8 bytes
 ///             each), then k, delta, MBR min_x/min_y/max_x/max_y,
@@ -34,10 +34,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/artifact_registry.h"
@@ -52,7 +52,7 @@ namespace wcop {
 namespace store {
 
 /// Store file format version written by this build.
-inline constexpr uint32_t kStoreFormatVersion = 1;
+inline constexpr uint32_t kStoreFormatVersion = 2;
 
 /// One index row: everything the partitioner and the random-access reader
 /// need to know about a trajectory without touching its block.
@@ -67,12 +67,13 @@ struct StoreEntry {
   double t_min = 0.0, t_max = 0.0;  ///< trajectory lifetime
 };
 
-/// Appends the %.17g-lossless text record of `t` to `*out`. Exposed so the
-/// shard checkpoint codec can reuse the exact block encoding.
+/// Appends the binary record of `t` (bit-exact, see the layout above) to
+/// `*out`. Exposed so the shard checkpoint codec reuses the block encoding.
 void AppendTrajectoryRecord(std::string* out, const Trajectory& t);
 
-/// Parses one record starting at `*pos` in `payload`; advances `*pos` past
-/// it. Returns kDataLoss on any malformed content.
+/// Decodes one record starting at `*pos` in `payload`; advances `*pos` past
+/// it. Returns kDataLoss when the record overruns `payload`, its k does not
+/// fit an int, or the decoded trajectory fails Trajectory::Validate().
 Result<Trajectory> ParseTrajectoryRecord(std::string_view payload,
                                          size_t* pos);
 
@@ -124,7 +125,9 @@ class TrajectoryStoreWriter {
 /// Random-access store reader. Open() loads and verifies only the header
 /// and the index; trajectory blocks are read (and CRC-checked) on demand,
 /// so memory stays proportional to the index, not the dataset. All Read*
-/// methods are thread-safe (reads are serialized on an internal mutex).
+/// methods are thread-safe and lock-free: each block is one positional
+/// read (pread) of exactly its indexed size, so concurrent reads proceed in
+/// parallel.
 class TrajectoryStoreReader {
  public:
   static Result<TrajectoryStoreReader> Open(const std::string& path);
@@ -148,21 +151,30 @@ class TrajectoryStoreReader {
  private:
   TrajectoryStoreReader() = default;
 
-  struct FileCloser {
-    void operator()(std::FILE* f) const {
-      if (f != nullptr) {
-        std::fclose(f);
-      }
+  /// Owns the read-only descriptor; move-only, so exactly one reader
+  /// closes it.
+  class Descriptor {
+   public:
+    Descriptor() = default;
+    explicit Descriptor(int fd) : fd_(fd) {}
+    Descriptor(Descriptor&& other) noexcept
+        : fd_(std::exchange(other.fd_, -1)) {}
+    Descriptor& operator=(Descriptor&& other) noexcept {
+      std::swap(fd_, other.fd_);
+      return *this;
     }
+    ~Descriptor();
+    int get() const { return fd_; }
+
+   private:
+    int fd_ = -1;
   };
 
   std::string path_;
-  std::unique_ptr<std::FILE, FileCloser> file_;
+  Descriptor fd_;
   std::vector<StoreEntry> index_;
   std::unordered_map<int64_t, size_t> by_id_;
   uint64_t total_points_ = 0;
-  // unique_ptr keeps the reader movable (Result<T> requires it).
-  mutable std::unique_ptr<std::mutex> mutex_;
 };
 
 /// Writes every trajectory of `dataset` to a store file at `path`

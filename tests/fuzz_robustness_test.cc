@@ -1,5 +1,6 @@
-// Robustness: the file parsers must never crash or loop on malformed
-// input — they fail with a Status or skip garbage records gracefully —
+// Robustness: the file parsers and the store decoder must never crash or
+// loop on malformed input — they fail with a Status or skip garbage records
+// gracefully —
 // and the anonymization pipeline must survive adversarial datasets
 // (non-finite coordinates, broken timelines, degenerate trajectories)
 // by returning a non-OK Status or a structurally valid result.
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -17,6 +19,7 @@
 #include "anon/wcop_ct.h"
 #include "common/rng.h"
 #include "data/geolife_parser.h"
+#include "store/store_file.h"
 #include "test_util.h"
 #include "traj/io.h"
 
@@ -116,6 +119,208 @@ TEST_F(FuzzRobustnessTest, PltParserSurvivesPathologicalNumbers) {
   if (r.ok()) {
     EXPECT_TRUE(r->Validate().ok());  // non-finite points must not survive
   }
+}
+
+// ---------------------------------------------------------------------------
+// Store decoder (.wst): seeded mutations of a valid store. Whatever the
+// bytes, Open() and Read() return a Status — they never crash or throw —
+// and what they accept is bounded by the file: index rows, points and block
+// sizes (everything the reader allocates for) fit inside it. Plain
+// corruption (bit flips, truncation, appended bytes) is caught by the CRCs
+// and markers, so a block that still reads is bit-identical to the
+// original. "CRC-repaired" mutations edit header, index and block fields
+// and then recompute both CRCs, so they reach the structural checks: a
+// block read from those is valid and agrees with its index row.
+// ---------------------------------------------------------------------------
+
+namespace wst = testing_util::wst;
+using testing_util::DoubleBits;
+
+bool SameTrajectory(const Trajectory& a, const Trajectory& b) {
+  if (a.id() != b.id() || a.object_id() != b.object_id() ||
+      a.parent_id() != b.parent_id() ||
+      a.requirement().k != b.requirement().k ||
+      DoubleBits(a.requirement().delta) !=
+          DoubleBits(b.requirement().delta) ||
+      a.size() != b.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (DoubleBits(a[i].x) != DoubleBits(b[i].x) ||
+        DoubleBits(a[i].y) != DoubleBits(b[i].y) ||
+        DoubleBits(a[i].t) != DoubleBits(b[i].t)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Opens and fully reads the store image `bytes`, checking the contract
+// above; `original` (when not null) is the dataset every accepted block
+// must reproduce exactly. Returns how many blocks read back.
+size_t DecodeStoreImage(const std::string& path, const std::string& bytes,
+                        const Dataset* original) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  Result<store::TrajectoryStoreReader> reader =
+      store::TrajectoryStoreReader::Open(path);
+  if (!reader.ok()) {
+    EXPECT_FALSE(reader.status().message().empty());
+    return 0;
+  }
+  EXPECT_LE(reader->size(), bytes.size() / wst::kEntrySize);
+  EXPECT_LE(reader->total_points(), bytes.size() / 24);
+  size_t read = 0;
+  for (size_t i = 0; i < reader->size(); ++i) {
+    const store::StoreEntry& e = reader->index()[i];
+    EXPECT_LE(e.block_size, bytes.size());
+    Result<Trajectory> t = reader->Read(i);
+    if (!t.ok()) {
+      EXPECT_EQ(t.status().code(), StatusCode::kDataLoss) << t.status();
+      continue;
+    }
+    ++read;
+    EXPECT_TRUE(t->Validate().ok());
+    EXPECT_EQ(t->id(), e.id);
+    EXPECT_EQ(t->size(), e.num_points);
+    EXPECT_EQ(t->requirement().k, e.k);
+    EXPECT_EQ(DoubleBits(t->requirement().delta), DoubleBits(e.delta));
+    if (original != nullptr) {
+      EXPECT_LT(i, original->size());
+      if (i < original->size()) {
+        EXPECT_TRUE(SameTrajectory(*t, (*original)[i])) << "block " << i;
+      }
+    }
+  }
+  return read;
+}
+
+// Values that stress the reader's arithmetic: zero, small counts, the
+// original value nudged by a field width, and the u64/i64/double extremes.
+uint64_t InterestingValue(Rng* rng, uint64_t original) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const uint64_t values[] = {
+      0,
+      1,
+      original + 1,
+      original - 1,
+      original + 8,
+      original - 8,
+      original + 24,
+      original - 24,
+      original * 2,
+      uint64_t{1} << 31,
+      uint64_t{1} << 32,
+      uint64_t{1} << 63,
+      UINT64_MAX,
+      UINT64_MAX - 7,
+      UINT64_MAX / 24 + 1,
+      DoubleBits(nan),
+      DoubleBits(inf),
+      DoubleBits(-inf),
+      DoubleBits(-0.0),
+      DoubleBits(std::numeric_limits<double>::max()),
+      static_cast<uint64_t>(rng->engine()()),
+  };
+  return values[rng->UniformIndex(sizeof(values) / sizeof(values[0]))];
+}
+
+class StoreFuzzTest : public FuzzRobustnessTest {
+ protected:
+  void SetUp() override {
+    FuzzRobustnessTest::SetUp();
+    dataset_ = testing_util::SmallSynthetic(6, 12);
+    path_ = (dir_ / "fuzz.wst").string();
+    ASSERT_TRUE(store::WriteDatasetStore(dataset_, path_).ok());
+    std::ifstream in(path_, std::ios::binary);
+    good_.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+    // The clean image decodes completely: the baseline of every mutation.
+    ASSERT_EQ(DecodeStoreImage(path_, good_, &dataset_), dataset_.size());
+  }
+
+  Dataset dataset_;
+  std::string path_;
+  std::string good_;
+};
+
+TEST_F(StoreFuzzTest, BitFlipsAreRejectedOrExact) {
+  Rng rng(303);
+  for (int round = 0; round < 300; ++round) {
+    std::string bytes = good_;
+    const size_t flips = 1 + rng.UniformIndex(8);
+    for (size_t f = 0; f < flips; ++f) {
+      bytes[rng.UniformIndex(bytes.size())] ^=
+          static_cast<char>(1u << rng.UniformIndex(8));
+    }
+    DecodeStoreImage(path_, bytes, &dataset_);
+  }
+}
+
+TEST_F(StoreFuzzTest, TruncationsAndAppendedBytesAreRejected) {
+  Rng rng(404);
+  for (int round = 0; round < 100; ++round) {
+    const std::string cut = good_.substr(0, rng.UniformIndex(good_.size()));
+    EXPECT_EQ(DecodeStoreImage(path_, cut, &dataset_), 0u) << cut.size();
+    const std::string longer =
+        good_ + RandomBytes(&rng, 1 + rng.UniformIndex(64), round % 2 == 0);
+    EXPECT_EQ(DecodeStoreImage(path_, longer, &dataset_), 0u);
+  }
+}
+
+TEST_F(StoreFuzzTest, CrcRepairedFieldEditsReachStructuralChecks) {
+  Rng rng(505);
+  const size_t count = wst::EntryCount(good_);
+  std::vector<size_t> blocks;
+  for (size_t i = 0; i < count; ++i) {
+    blocks.push_back(wst::BlockAt(good_, i));
+  }
+  size_t rejected = 0;
+  for (int round = 0; round < 1500; ++round) {
+    std::string bytes = good_;
+    const size_t edits = 1 + rng.UniformIndex(3);
+    for (size_t n = 0; n < edits; ++n) {
+      const size_t i = rng.UniformIndex(count);
+      size_t at = 0;
+      switch (rng.UniformIndex(6)) {
+        case 0:  // file header: version and reserved word
+          at = 8;
+          break;
+        case 1:  // footer: the index offset
+          at = bytes.size() - 16;
+          break;
+        case 2:  // index: the entry count
+          at = wst::IndexOffset(good_) + 8;
+          break;
+        case 3:  // index: any field of any entry
+          at = wst::EntryFieldAt(good_, i, rng.UniformIndex(13));
+          break;
+        case 4:  // block: the u32 size | u32 CRC framing, or a record field
+          at = rng.UniformIndex(2) == 0
+                   ? blocks[i]
+                   : wst::RecordFieldAt(blocks[i], rng.UniformIndex(6));
+          break;
+        default:  // block: any coordinate of any point
+          at = wst::PointAt(blocks[i], rng.UniformIndex(dataset_[i].size()),
+                            rng.UniformIndex(3));
+          break;
+      }
+      wst::PutU64(&bytes, at, InterestingValue(&rng, wst::GetU64(bytes, at)));
+    }
+    for (const size_t block : blocks) {
+      wst::RepairBlockCrc(&bytes, block);
+    }
+    wst::RepairIndexCrc(&bytes);
+    if (DecodeStoreImage(path_, bytes, nullptr) < count) {
+      ++rejected;
+    }
+  }
+  // Most edits must actually be caught, or the mutations are not reaching
+  // the checks they are meant to exercise.
+  EXPECT_GT(rejected, 1000u);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include "anon/wcop.h"
 #include "common/rng.h"
 #include "common/run_context.h"
+#include "common/snapshot.h"
 #include "common/telemetry.h"
 #include "data/synthetic.h"
 #include "store/store_file.h"
@@ -338,6 +339,26 @@ TEST(ShardedPipelineTest, CheckpointResumeSkipsCompletedShards) {
   ExpectDatasetsIdentical(first->merged.sanitized, third->merged.sanitized);
   ExpectReportsEqualMinusTimings(first->merged.report,
                                  third->merged.report);
+
+  // A checkpoint in a version-1 envelope (the retired text-record codec) is
+  // never decoded: that shard recomputes, and its rewritten checkpoint is
+  // byte-identical to the one it replaced.
+  const std::string old_version = run.checkpoint_dir + "/shard_00002.ckpt";
+  Result<Snapshot> current = ReadSnapshotFile(old_version);
+  ASSERT_TRUE(current.ok()) << current.status();
+  ASSERT_TRUE(WriteSnapshotFile(old_version, current->payload,
+                                /*format_version=*/1)
+                  .ok());
+  Result<ShardedRunResult> fifth = RunShardedWcopCt(*reader, run);
+  ASSERT_TRUE(fifth.ok()) << fifth.status();
+  EXPECT_EQ(fifth->resumed_shards, num_shards - 1);
+  ExpectDatasetsIdentical(first->merged.sanitized, fifth->merged.sanitized);
+  ExpectReportsEqualMinusTimings(first->merged.report,
+                                 fifth->merged.report);
+  Result<Snapshot> rewritten = ReadSnapshotFile(old_version);
+  ASSERT_TRUE(rewritten.ok()) << rewritten.status();
+  EXPECT_NE(rewritten->format_version, 1u);
+  EXPECT_EQ(rewritten->payload, current->payload);
 
   // A changed option invalidates the fingerprints: nothing resumes.
   ShardRunOptions reseeded = run;

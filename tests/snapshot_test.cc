@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
+#include <string_view>
 
 #include "common/failpoint.h"
 
@@ -52,6 +56,51 @@ TEST_F(SnapshotTest, Crc32KnownVectors) {
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog"),
             0x414FA339u);
+}
+
+// The byte-at-a-time table CRC that Crc32 used before slice-by-8: the
+// reference the faster version must match on every input.
+uint32_t BytewiseCrc32(std::string_view data) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  for (const char ch : data) {
+    crc = table[(crc ^ static_cast<unsigned char>(ch)) & 0xffu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::string RandomBuffer(size_t n, uint32_t seed) {
+  std::mt19937 gen(seed);
+  std::string out(n, '\0');
+  for (char& c : out) {
+    c = static_cast<char>(gen() & 0xffu);
+  }
+  return out;
+}
+
+TEST_F(SnapshotTest, Crc32MatchesBytewiseReference) {
+  // Every length through the 8-byte main loop and its tail, at every start
+  // alignment, then one large buffer.
+  const std::string buf = RandomBuffer(1100 + 8, 5);
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      const std::string_view view(buf.data() + align, len);
+      ASSERT_EQ(Crc32(view), BytewiseCrc32(view))
+          << "align " << align << " len " << len;
+    }
+  }
+  const std::string big = RandomBuffer(size_t{1} << 20, 6);
+  EXPECT_EQ(Crc32(big), BytewiseCrc32(big));
 }
 
 // ---------------------------------------------------------------------------

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cfloat>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +29,8 @@ namespace {
 
 using testing_util::MakeLineWithReq;
 using testing_util::SmallSynthetic;
+namespace wst = testing_util::wst;
+using testing_util::DoubleBits;
 
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
@@ -45,18 +54,35 @@ void ExpectBitExact(const Trajectory& a, const Trajectory& b) {
   EXPECT_EQ(a.object_id(), b.object_id());
   EXPECT_EQ(a.parent_id(), b.parent_id());
   EXPECT_EQ(a.requirement().k, b.requirement().k);
-  // Bitwise equality throughout: the %.17g text round-trip must be lossless.
-  EXPECT_EQ(a.requirement().delta, b.requirement().delta);
+  // Bitwise equality throughout (so -0.0 differs from 0.0): blocks hold the
+  // raw IEEE-754 bits.
+  EXPECT_EQ(DoubleBits(a.requirement().delta),
+            DoubleBits(b.requirement().delta));
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a.points()[i].x, b.points()[i].x) << "point " << i;
-    EXPECT_EQ(a.points()[i].y, b.points()[i].y) << "point " << i;
-    EXPECT_EQ(a.points()[i].t, b.points()[i].t) << "point " << i;
+    EXPECT_EQ(DoubleBits(a[i].x), DoubleBits(b[i].x)) << "point " << i;
+    EXPECT_EQ(DoubleBits(a[i].y), DoubleBits(b[i].y)) << "point " << i;
+    EXPECT_EQ(DoubleBits(a[i].t), DoubleBits(b[i].t)) << "point " << i;
   }
 }
 
 TEST(StoreFileTest, RoundTripIsBitExact) {
-  const Dataset dataset = SmallSynthetic(24, 40);
+  Dataset dataset = SmallSynthetic(24, 40);
+  // Extremes of every field the record carries: signed zero, the smallest
+  // subnormal and DBL_MAX in each coordinate, the int64 id limits, negative
+  // object and parent ids, k = INT_MAX and delta = 0.
+  const double tiny = 4.9e-324;
+  Trajectory extremes(INT64_MIN,
+                      {Point(-0.0, tiny, -DBL_MAX), Point(DBL_MAX, -0.0, -0.0),
+                       Point(tiny, -DBL_MAX, tiny), Point(-tiny, 0.0, DBL_MAX)},
+                      Requirement{INT_MAX, 0.0});
+  extremes.set_object_id(-7);
+  extremes.set_parent_id(INT64_MIN);
+  dataset.Add(std::move(extremes));
+  Trajectory top(INT64_MAX, {Point(1.0, 2.0, 3.0)}, Requirement{1, -0.0});
+  top.set_object_id(INT64_MIN);
+  top.set_parent_id(-2);
+  dataset.Add(std::move(top));
   const std::string path = TempPath("store_roundtrip.wst");
   ASSERT_TRUE(WriteDatasetStore(dataset, path).ok());
 
@@ -214,12 +240,199 @@ TEST(StoreFileTest, UnsupportedVersionIsRejected) {
   const Dataset dataset = SmallSynthetic(4, 10);
   const std::string path = TempPath("store_version.wst");
   ASSERT_TRUE(WriteDatasetStore(dataset, path).ok());
-  std::string bytes = ReadFileBytes(path);
-  bytes[8] = 99;  // format version lives at [8..12), little-endian
-  WriteFileBytes(path, bytes);
+  const std::string good = ReadFileBytes(path);
+  // Version 1 is the retired text-record format: rejected, never decoded.
+  for (const char version : {char{1}, char{99}}) {
+    std::string bytes = good;
+    bytes[8] = version;  // format version lives at [8..12), little-endian
+    WriteFileBytes(path, bytes);
+    Result<TrajectoryStoreReader> reader = TrajectoryStoreReader::Open(path);
+    ASSERT_FALSE(reader.ok()) << int{version};
+    EXPECT_EQ(reader.status().code(), StatusCode::kFailedPrecondition);
+  }
+  std::filesystem::remove(path);
+}
+
+// Open() rejects index rows that do not describe a real block, even when
+// the index CRC is valid. Regression: it used to bound a block by
+// `offset + block_size`, which wraps in u64 — entry 0 claiming 2^64 - 8
+// bytes wrapped to end at offset 8, entry 1 "continued" from there to the
+// index, and Read(0) threw std::length_error instead of returning a Status.
+// Every row must also describe exactly 8 + 48 + 24 * n bytes, which keeps
+// total_points() bounded by the file size.
+TEST(StoreFileTest, CraftedIndexEntriesAreDataLoss) {
+  const Dataset dataset = SmallSynthetic(2, 10);
+  const std::string path = TempPath("store_crafted_index.wst");
+  ASSERT_TRUE(WriteDatasetStore(dataset, path).ok());
+  const std::string good = ReadFileBytes(path);
+  ASSERT_EQ(wst::EntryCount(good), 2u);
+  const uint64_t index_offset = wst::IndexOffset(good);
+  auto field = [&](size_t entry, size_t f) {
+    return wst::EntryFieldAt(good, entry, f);
+  };
+  const std::vector<std::vector<std::pair<size_t, uint64_t>>> edits = {
+      {{field(0, wst::kEntryBlockSize), UINT64_MAX - 7},
+       {field(1, wst::kEntryOffset), 8},
+       {field(1, wst::kEntryBlockSize), index_offset - 8}},
+      {{field(1, wst::kEntryPoints), 9}},
+      {{field(1, wst::kEntryPoints), 11}},
+      {{field(1, wst::kEntryPoints), UINT64_MAX}},
+  };
+  for (size_t i = 0; i < edits.size(); ++i) {
+    std::string bytes = good;
+    for (const auto& [at, value] : edits[i]) {
+      wst::PutU64(&bytes, at, value);
+    }
+    wst::RepairIndexCrc(&bytes);
+    WriteFileBytes(path, bytes);
+    Result<TrajectoryStoreReader> reader = TrajectoryStoreReader::Open(path);
+    ASSERT_FALSE(reader.ok()) << "edit " << i;
+    EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss)
+        << "edit " << i << ": " << reader.status();
+  }
+  std::filesystem::remove(path);
+}
+
+// A CRC-valid block must still agree with its index row on the requirement
+// (the partitioner plans margins and shard sizes from the row), carry a k
+// that fits an int, and decode to a valid trajectory; otherwise Read() is
+// kDataLoss, while the other blocks stay readable.
+TEST(StoreFileTest, BlockDisagreeingWithItsIndexRowIsDataLoss) {
+  const Dataset dataset = SmallSynthetic(3, 10);
+  const std::string path = TempPath("store_mismatch.wst");
+  ASSERT_TRUE(WriteDatasetStore(dataset, path).ok());
+  const std::string good = ReadFileBytes(path);
+  const size_t block = wst::BlockAt(good, 1);
+  const uint64_t next_delta_bits =
+      DoubleBits(std::nextafter(dataset[1].requirement().delta, 1e9));
+  const uint64_t nan_bits =
+      DoubleBits(std::numeric_limits<double>::quiet_NaN());
+  const uint64_t k_wide = (uint64_t{1} << 32) + 3;  // an int cast gives 3
+  const uint64_t k_bad = static_cast<uint64_t>(int64_t{-3});
+
+  struct Edit {
+    const char* what;
+    std::vector<std::pair<size_t, uint64_t>> puts;  // (file offset, value)
+  };
+  const std::vector<Edit> edits = {
+      {"index k differs",
+       {{wst::EntryFieldAt(good, 1, wst::kEntryK),
+         static_cast<uint64_t>(dataset[1].requirement().k + 1)}}},
+      {"index delta differs by one ulp",
+       {{wst::EntryFieldAt(good, 1, wst::kEntryDelta), next_delta_bits}}},
+      {"block delta differs by one ulp",
+       {{wst::RecordFieldAt(block, wst::kRecordDelta), next_delta_bits}}},
+      {"k does not fit an int (block and row agree)",
+       {{wst::RecordFieldAt(block, wst::kRecordK), k_wide},
+        {wst::EntryFieldAt(good, 1, wst::kEntryK), k_wide}}},
+      {"k < 1 fails validation (block and row agree)",
+       {{wst::RecordFieldAt(block, wst::kRecordK), k_bad},
+        {wst::EntryFieldAt(good, 1, wst::kEntryK), k_bad}}},
+      {"non-finite coordinate fails validation",
+       {{wst::PointAt(block, 4, 0), nan_bits}}},
+      {"repeated timestamp fails validation",
+       {{wst::PointAt(block, 5, 2),
+         wst::GetU64(good, wst::PointAt(block, 4, 2))}}},
+  };
+  for (const Edit& edit : edits) {
+    std::string bytes = good;
+    for (const auto& [at, value] : edit.puts) {
+      wst::PutU64(&bytes, at, value);
+    }
+    wst::RepairBlockCrc(&bytes, block);
+    wst::RepairIndexCrc(&bytes);
+    WriteFileBytes(path, bytes);
+    Result<TrajectoryStoreReader> reader = TrajectoryStoreReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << edit.what << ": " << reader.status();
+    Result<Trajectory> damaged = reader->Read(1);
+    ASSERT_FALSE(damaged.ok()) << edit.what;
+    EXPECT_EQ(damaged.status().code(), StatusCode::kDataLoss)
+        << edit.what << ": " << damaged.status();
+    Result<Trajectory> intact = reader->Read(2);
+    ASSERT_TRUE(intact.ok()) << edit.what << ": " << intact.status();
+    ExpectBitExact(dataset[2], *intact);
+  }
+  std::filesystem::remove(path);
+}
+
+// The record codec on its own, as the shard checkpoint uses it: records
+// concatenate, and a record that overruns its buffer or carries a k beyond
+// int is kDataLoss, with no index row to compare against.
+TEST(StoreFileTest, RecordCodecRejectsMalformedRecords) {
+  const Dataset dataset = SmallSynthetic(2, 5);
+  std::string two;
+  AppendTrajectoryRecord(&two, dataset[0]);
+  const size_t first_size = two.size();
+  ASSERT_EQ(first_size, wst::kRecordHeaderSize + 5 * 24);
+  AppendTrajectoryRecord(&two, dataset[1]);
+  size_t pos = 0;
+  for (size_t i = 0; i < 2; ++i) {
+    Result<Trajectory> t = ParseTrajectoryRecord(two, &pos);
+    ASSERT_TRUE(t.ok()) << t.status();
+    ExpectBitExact(dataset[i], *t);
+  }
+  EXPECT_EQ(pos, two.size());
+
+  const std::string one = two.substr(0, first_size);
+  for (size_t len = 0; len < one.size(); ++len) {
+    pos = 0;
+    EXPECT_EQ(ParseTrajectoryRecord(one.substr(0, len), &pos).status().code(),
+              StatusCode::kDataLoss)
+        << len;
+    EXPECT_EQ(pos, 0u);
+  }
+  std::string wide_k = one;
+  wst::PutU64(&wide_k, wst::kRecordK * 8, (uint64_t{1} << 32) + 3);
+  pos = 0;
+  EXPECT_EQ(ParseTrajectoryRecord(wide_k, &pos).status().code(),
+            StatusCode::kDataLoss);
+  pos = one.size() + 1;
+  EXPECT_EQ(ParseTrajectoryRecord(one, &pos).status().code(),
+            StatusCode::kDataLoss);
+}
+
+// The reader is lock-free: eight threads reading every block of one reader,
+// each in its own order, get exactly what a serial read returns.
+TEST(StoreFileTest, ConcurrentReadsMatchSerial) {
+  const Dataset dataset = SmallSynthetic(64, 30);
+  const std::string path = TempPath("store_concurrent.wst");
+  ASSERT_TRUE(WriteDatasetStore(dataset, path).ok());
   Result<TrajectoryStoreReader> reader = TrajectoryStoreReader::Open(path);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  Result<Dataset> serial = reader->ReadAll();
+  ASSERT_TRUE(serial.ok()) << serial.status();
+
+  constexpr size_t kThreads = 8;
+  std::vector<std::vector<Trajectory>> got(
+      kThreads, std::vector<Trajectory>(reader->size()));
+  std::vector<size_t> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      std::vector<size_t> order(reader->size());
+      for (size_t i = 0; i < order.size(); ++i) {
+        order[i] = i;
+      }
+      std::shuffle(order.begin(), order.end(), std::mt19937(t));
+      for (const size_t i : order) {
+        Result<Trajectory> r = reader->Read(i);
+        if (r.ok()) {
+          got[t][i] = std::move(r).value();
+        } else {
+          ++failures[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0u) << "thread " << t;
+    for (size_t i = 0; i < serial->size(); ++i) {
+      ExpectBitExact((*serial)[i], got[t][i]);
+    }
+  }
   std::filesystem::remove(path);
 }
 

@@ -1,6 +1,8 @@
 #ifndef WCOP_TESTS_TEST_UTIL_H_
 #define WCOP_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -9,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/snapshot.h"
 #include "data/synthetic.h"
 #include "traj/dataset.h"
 #include "traj/trajectory.h"
@@ -95,6 +98,110 @@ inline std::map<std::string, std::string> PublishedWindowBytes(
   }
   return bytes;
 }
+
+/// The IEEE-754 bits of `v`, for bit-exact comparisons (-0.0 != 0.0).
+inline uint64_t DoubleBits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, 8);
+  return bits;
+}
+
+/// Byte-level surgery on a `.wst` store image (layout in
+/// store/store_file.h), for tests that craft corrupt stores: field offsets,
+/// little-endian accessors and CRC repair, so that an edited field reaches
+/// the reader's structural checks instead of being caught by a checksum.
+namespace wst {
+
+inline constexpr size_t kEntrySize = 104;  // 13 8-byte fields
+inline constexpr size_t kRecordHeaderSize = 48;
+// Field numbers of an index entry and of a block's record header.
+enum EntryField { kEntryId, kEntryOffset, kEntryBlockSize, kEntryPoints,
+                  kEntryK, kEntryDelta };
+enum RecordField { kRecordId, kRecordObject, kRecordParent, kRecordK,
+                   kRecordDelta, kRecordPoints };
+
+inline uint64_t GetU64(const std::string& b, size_t at) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<unsigned char>(b[at + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+inline void PutU64(std::string* b, size_t at, uint64_t v) {
+  for (size_t i = 0; i < 8; ++i) {
+    (*b)[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+inline void PutU32(std::string* b, size_t at, uint32_t v) {
+  for (size_t i = 0; i < 4; ++i) {
+    (*b)[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+/// Index offset recorded in the footer (the last 16 bytes).
+inline uint64_t IndexOffset(const std::string& b) {
+  return GetU64(b, b.size() - 16);
+}
+
+inline uint64_t EntryCount(const std::string& b) {
+  return GetU64(b, IndexOffset(b) + 8);
+}
+
+/// File offset of field `field` of index entry `i`.
+inline size_t EntryFieldAt(const std::string& b, size_t i, size_t field) {
+  return IndexOffset(b) + 16 + i * kEntrySize + field * 8;
+}
+
+/// File offset of the block of index entry `i` (its u32 size | u32 CRC).
+inline size_t BlockAt(const std::string& b, size_t i) {
+  return GetU64(b, EntryFieldAt(b, i, kEntryOffset));
+}
+
+/// File offset of header field `field` of the record in the block at
+/// `block`; coordinate `c` (0 x, 1 y, 2 t) of point `p` with PointAt.
+inline size_t RecordFieldAt(size_t block, size_t field) {
+  return block + 8 + field * 8;
+}
+inline size_t PointAt(size_t block, size_t p, size_t c) {
+  return block + 8 + kRecordHeaderSize + (p * 3 + c) * 8;
+}
+
+/// Recomputes the CRC of the block at `block` over the payload its size
+/// field claims; a no-op when that range leaves the image.
+inline void RepairBlockCrc(std::string* b, size_t block) {
+  if (block > b->size() || b->size() - block < 8) {
+    return;
+  }
+  const uint64_t size = GetU64(*b, block) & 0xffffffffu;
+  if (size > b->size() - block - 8) {
+    return;
+  }
+  PutU32(b, block + 4, Crc32(std::string_view(*b).substr(block + 8, size)));
+}
+
+/// Recomputes the index CRC over the count and entries the footer and count
+/// point at; a no-op when that range leaves the image.
+inline void RepairIndexCrc(std::string* b) {
+  if (b->size() < 16) {
+    return;
+  }
+  const uint64_t index = IndexOffset(*b);
+  if (index > b->size() || b->size() - index < 20) {
+    return;
+  }
+  const uint64_t count = EntryCount(*b);
+  if (count > (b->size() - index - 20) / kEntrySize) {
+    return;
+  }
+  const size_t crc_at = index + 16 + count * kEntrySize;
+  PutU32(b, crc_at,
+         Crc32(std::string_view(*b).substr(index + 8, crc_at - index - 8)));
+}
+
+}  // namespace wst
 
 }  // namespace testing_util
 }  // namespace wcop
