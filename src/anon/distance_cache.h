@@ -107,6 +107,10 @@ class ShardedPairDistanceCache {
   /// positive scale, DistanceConfig::cascade set).
   bool cascade_active() const { return cascade_; }
 
+  /// Per-trajectory bound profiles, indexed as the dataset; empty unless
+  /// cascade_active().
+  const std::vector<EdrBoundsProfile>& profiles() const { return profiles_; }
+
   /// Number of full (DP) distance computations stored so far.
   uint64_t computed() const {
     return computed_.load(std::memory_order_relaxed);

@@ -8,7 +8,7 @@
 #include "anon/distance_cache.h"
 #include "common/failpoint.h"
 #include "common/parallel.h"
-#include "index/grid_index.h"
+#include "distance/edr_bounds.h"
 
 namespace wcop {
 
@@ -46,6 +46,82 @@ class TopKThreshold {
  private:
   size_t capacity_ = 0;
   std::vector<double> heap_;
+};
+
+/// Order-statistic view of the active flags: a Fenwick tree of 0/1 counts.
+/// Kth(r) is the r-th active index in ascending order — the element an
+/// ascending active list holds at position r — and Remove costs O(log n)
+/// instead of the list's O(n) erase.
+class ActiveRank {
+ public:
+  void Reset(size_t n) {
+    tree_.assign(n + 1, 0);
+    for (size_t i = 1; i <= n; ++i) {
+      tree_[i] = i & (~i + 1);  // all set: node i counts lowbit(i) flags
+    }
+    count_ = n;
+    top_step_ = 1;
+    while (top_step_ * 2 <= n) {
+      top_step_ *= 2;
+    }
+  }
+
+  void Remove(size_t index) {
+    for (size_t i = index + 1; i < tree_.size(); i += i & (~i + 1)) {
+      --tree_[i];
+    }
+    --count_;
+  }
+
+  /// Requires rank < count().
+  size_t Kth(size_t rank) const {
+    size_t pos = 0;  // largest prefix length holding at most `rank` flags
+    for (size_t step = top_step_; step > 0; step >>= 1) {
+      if (pos + step < tree_.size() && tree_[pos + step] <= rank) {
+        pos += step;
+        rank -= tree_[pos];
+      }
+    }
+    return pos;
+  }
+
+  size_t count() const { return count_; }
+
+ private:
+  std::vector<size_t> tree_;
+  size_t count_ = 0;
+  size_t top_step_ = 1;
+};
+
+/// Smallest unclustered index >= i: union-find over "next" links with path
+/// compression. Within a round the clustered set only grows, so a link is
+/// never undone. Index n is the end sentinel.
+class NextUnclustered {
+ public:
+  void Reset(size_t n) {
+    next_.resize(n + 1);
+    for (size_t i = 0; i <= n; ++i) {
+      next_[i] = i;
+    }
+  }
+
+  void Remove(size_t index) { next_[index] = index + 1; }
+
+  size_t Find(size_t index) {
+    size_t root = index;
+    while (next_[root] != root) {
+      root = next_[root];
+    }
+    while (next_[index] != root) {
+      const size_t up = next_[index];
+      next_[index] = root;
+      index = up;
+    }
+    return root;
+  }
+
+ private:
+  std::vector<size_t> next_;
 };
 
 }  // namespace
@@ -96,67 +172,65 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
   ShardedPairDistanceCache distances(dataset, options.distance, context, tel,
                                      expected_pairs);
   // Filter-and-refine scaffolding (EDR cascade only — see DESIGN.md
-  // "Distance engine: filter-and-refine"). MBR centers go into a uniform
-  // grid sized to the maximum matching reach: two trajectories whose
-  // centers are farther apart than the sum of their MBR half-diagonals
-  // plus hypot(dx, dy) cannot contain a matching point pair, so their
-  // normalized EDR is exactly 1.0 — assigned without any per-pair work.
-  // K_global caps how many nearest neighbours any cluster can ever take
-  // (cluster.k is the max member k), so the (K_global - 1) smallest exact
-  // distances of a scan bound everything a pivot can still accept.
+  // "Distance engine: filter-and-refine"). A pivot can match a point only
+  // with the candidates whose profile it is not EdrSeparated from; the
+  // reach index returns exactly those. Every other candidate's normalized
+  // EDR is exactly 1.0 (the all-substitution alignment), so it is priced
+  // at edr_scale with zero per-pair work and never even materialized (see
+  // the growth loop below). K_global caps how many nearest neighbours any
+  // cluster can ever take (cluster.k is the max member k), so the
+  // (K_global - 1) smallest exact distances of a scan bound everything a
+  // pivot can still accept.
   const bool cascade = distances.cascade_active();
-  telemetry::Counter* prefiltered_counter =
-      tel != nullptr
-          ? tel->metrics().GetCounter("distance.candidates.prefiltered")
-          : nullptr;
+  const double edr_scale = options.distance.edr_scale;
+  telemetry::Counter* prefiltered_counter = nullptr;
+  telemetry::Counter* range_queries = nullptr;
+  telemetry::Counter* boxes_tested = nullptr;
+  if (tel != nullptr) {
+    prefiltered_counter =
+        tel->metrics().GetCounter("distance.candidates.prefiltered");
+    if (cascade) {
+      // One reach query per pivot; "candidates scanned" counts the
+      // trajectory boxes it tests.
+      range_queries = tel->metrics().GetCounter("grid.range_queries");
+      boxes_tested = tel->metrics().GetCounter("grid.candidates_scanned");
+    }
+  }
   size_t top_needed = 0;
-  double reach_pad = 0.0;
-  double max_half_diag = 0.0;
-  std::vector<double> center_x;
-  std::vector<double> center_y;
-  std::vector<double> half_diag;
-  std::optional<GridIndex> grid;
+  std::optional<EdrReachIndex> reach_index;
+  // The reach set of an empty pivot: two empty trajectories are at
+  // distance 0, while a non-empty one is at edr_scale.
+  std::vector<size_t> empty_trajectories;
   if (cascade) {
     int k_global = 2;
     for (const Trajectory& t : dataset.trajectories()) {
       k_global = std::max(k_global, t.requirement().k);
     }
     top_needed = static_cast<size_t>(k_global - 1);
-    reach_pad = std::hypot(options.distance.tolerance.dx,
-                           options.distance.tolerance.dy);
-    center_x.resize(n);
-    center_y.resize(n);
-    half_diag.resize(n);
+    reach_index.emplace(distances.profiles());
     for (size_t i = 0; i < n; ++i) {
-      const BoundingBox bounds = dataset[i].Bounds();
-      if (bounds.empty()) {
-        center_x[i] = center_y[i] = half_diag[i] = 0.0;
-      } else {
-        center_x[i] = 0.5 * (bounds.min_x() + bounds.max_x());
-        center_y[i] = 0.5 * (bounds.min_y() + bounds.max_y());
-        half_diag[i] = bounds.HalfDiagonal();
+      if (dataset[i].empty()) {
+        empty_trajectories.push_back(i);
       }
-      max_half_diag = std::max(max_half_diag, half_diag[i]);
-    }
-    grid.emplace(std::max(max_half_diag + reach_pad, 1.0));
-    grid->AttachTelemetry(tel);
-    for (size_t i = 0; i < n; ++i) {
-      grid->Insert(i, center_x[i], center_y[i]);
     }
   }
-  // Scratch reused across pivot scans (cascade path).
-  std::vector<size_t> reach;
-  std::vector<char> in_reach;
-  std::vector<size_t> near_candidates;
-  std::vector<ShardedPairDistanceCache::ProbeResult> probe_results;
+  // Scratch reused across pivot scans.
+  std::vector<size_t> candidates;   // exhaustive path only
+  std::vector<size_t> reach;        // cascade path only
+  std::vector<size_t> active_list;  // farthest-first only
+  std::vector<std::pair<double, size_t>> pool;
   struct RefineEntry {
     double bound;
     size_t index;
     ShardedPairDistanceCache::BoundRung rung;
   };
   std::vector<RefineEntry> refine;
+  std::vector<double> scratch_values;
   TopKThreshold threshold;
-  // Pure distance evaluations fan out over the pool; every ordering and
+  ActiveRank active_rank;
+  NextUnclustered next_unclustered;
+  // Pure distance evaluations of the exhaustive scan, farthest-first and
+  // the leftover phase fan out over the pool; every ordering and
   // tie-breaking decision below stays on this thread, so the outcome is
   // identical for any thread count (see DESIGN.md "Parallel execution").
   // Budget charges happen inside the cache; trips are observed at the same
@@ -177,10 +251,9 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
     telemetry::CounterAdd(rounds_counter);
     std::vector<bool> active(n, true);
     std::vector<bool> clustered(n, false);
-    std::vector<size_t> active_list(n);
-    for (size_t i = 0; i < n; ++i) {
-      active_list[i] = i;
-    }
+    active_rank.Reset(n);
+    next_unclustered.Reset(n);
+    size_t unclustered = n;
     std::vector<AnonymityCluster> clusters;
 
     // Set when the run context trips mid-round and allow_partial_results
@@ -191,8 +264,7 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
 
     // --- Phase 1: pivot selection and cluster growth (lines 3-19). ---
     std::vector<size_t> chosen_pivots;
-    std::vector<double> scratch_values;
-    while (!active_list.empty()) {
+    while (active_rank.count() > 0) {
       // Cooperative yield point: one check per cluster attempt.
       if (Status s = CheckRunContext(context); !s.ok()) {
         if (!options.allow_partial_results) {
@@ -209,6 +281,12 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
           !chosen_pivots.empty()) {
         // Batch the candidate scores (pure, exact distances); the argmax
         // with its first-wins tie-break runs serially below.
+        active_list.clear();
+        for (size_t i = 0; i < n; ++i) {
+          if (active[i]) {
+            active_list.push_back(i);
+          }
+        }
         scratch_values.assign(active_list.size(), 0.0);
         WCOP_TRACE_SPAN(tel, "cluster/farthest_scan");
         Status batch = parallel::ParallelFor(
@@ -234,7 +312,7 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
           }
         }
       } else {
-        pivot = active_list[rng.UniformIndex(active_list.size())];
+        pivot = active_rank.Kth(rng.UniformIndex(active_rank.count()));
       }
       chosen_pivots.push_back(pivot);
       WCOP_TRACE_SPAN(tel, "cluster/grow");
@@ -253,17 +331,18 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
       // sort after every in-radius candidate and can only appear in
       // clusters the radius test rejects anyway, so the accepted clusters
       // are exactly those of a full computation.
-      std::vector<size_t> candidates;
-      candidates.reserve(n);
-      for (size_t cand = 0; cand < n; ++cand) {
-        if (cand == pivot || clustered[cand]) {
-          continue;
-        }
-        candidates.push_back(cand);
-      }
-      std::vector<std::pair<double, size_t>> pool;
-      pool.reserve(candidates.size());
+      pool.clear();
+      // Cascade only: the number of candidates outside the reach set, all
+      // at exactly edr_scale and left out of the pool.
+      size_t implicit = 0;
       if (!cascade) {
+        candidates.clear();
+        for (size_t cand = 0; cand < n; ++cand) {
+          if (cand == pivot || clustered[cand]) {
+            continue;
+          }
+          candidates.push_back(cand);
+        }
         scratch_values.assign(candidates.size(), 0.0);
         WCOP_TRACE_SPAN(tel, "cluster/pivot_scan");
         Status batch = parallel::ParallelFor(
@@ -282,56 +361,39 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
       } else {
         WCOP_TRACE_SPAN(tel, "cluster/pivot_scan");
         threshold.Reset(top_needed);
-        // Grid pre-filter: every candidate the reach query cannot return
-        // is certified unmatchable with the pivot — its normalized EDR is
-        // exactly 1.0 (all-substitution alignment), entered into the pool
-        // as that exact distance with zero per-pair work.
         reach.clear();
-        grid->CandidateQuery(center_x[pivot], center_y[pivot],
-                             half_diag[pivot] + max_half_diag + reach_pad,
-                             &reach);
-        in_reach.assign(n, 0);
-        for (size_t c : reach) {
-          in_reach[c] = 1;
+        telemetry::CounterAdd(range_queries);
+        if (dataset[pivot].empty()) {
+          reach = empty_trajectories;
+        } else {
+          telemetry::CounterAdd(
+              boxes_tested,
+              reach_index->Query(distances.profiles()[pivot],
+                                 options.distance.tolerance, &reach));
         }
-        near_candidates.clear();
-        uint64_t prefiltered = 0;
-        for (size_t cand : candidates) {
-          if (in_reach[cand]) {
-            near_candidates.push_back(cand);
-            continue;
-          }
-          pool.emplace_back(options.distance.edr_scale, cand);
-          threshold.Push(options.distance.edr_scale);
-          ++prefiltered;
+        reach.erase(std::remove_if(reach.begin(), reach.end(),
+                                   [&](size_t c) {
+                                     return c == pivot || clustered[c];
+                                   }),
+                    reach.end());
+        std::sort(reach.begin(), reach.end());
+        implicit = unclustered - 1 - reach.size();
+        telemetry::CounterAdd(prefiltered_counter, implicit);
+        // The top-K threshold keeps the K smallest values pushed, so K
+        // copies of edr_scale stand in for the whole implicit run.
+        for (size_t t = 0; t < std::min(implicit, top_needed); ++t) {
+          threshold.Push(edr_scale);
         }
-        if (prefiltered > 0) {
-          telemetry::CounterAdd(prefiltered_counter, prefiltered);
-        }
-        // Cheap bound probes (cache / length / separation / envelope) fan
-        // out in parallel; classification and every ordering decision stay
-        // on this thread.
-        probe_results.assign(near_candidates.size(),
-                             ShardedPairDistanceCache::ProbeResult{});
-        Status batch = parallel::ParallelFor(
-            near_candidates.size(),
-            [&](size_t t) {
-              probe_results[t] = distances.CheapProbe(pivot,
-                                                      near_candidates[t]);
-            },
-            par);
-        if (!batch.ok()) {
-          return batch;
-        }
+        // Cheap bound probes (cache / length / separation / envelope) on
+        // the reach set, inline: each costs far less than a pool hand-off.
         refine.clear();
-        for (size_t t = 0; t < near_candidates.size(); ++t) {
-          const auto& probe = probe_results[t];
+        for (size_t cand : reach) {
+          const auto probe = distances.CheapProbe(pivot, cand);
           if (probe.exact) {
-            pool.emplace_back(probe.value, near_candidates[t]);
+            pool.emplace_back(probe.value, cand);
             threshold.Push(probe.value);
           } else {
-            refine.push_back(
-                RefineEntry{probe.value, near_candidates[t], probe.rung});
+            refine.push_back(RefineEntry{probe.value, cand, probe.rung});
           }
         }
         std::sort(refine.begin(), refine.end(),
@@ -339,14 +401,15 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
                     return a.bound != b.bound ? a.bound < b.bound
                                               : a.index < b.index;
                   });
-        // Cheapest-first refinement in growing block-synchronous batches:
-        // the cutoff (best-so-far top-K threshold, capped by radius_max) is
-        // frozen per block and tightened only between blocks, so the set of
-        // pairs that reach the DP — and every counter event — is identical
-        // for every thread count. A candidate pruned here has top_needed
-        // exactly-known candidates strictly ahead of it (or is outside the
-        // acceptance radius), so the exact distance could not have changed
-        // any decision; its certified bound enters the pool instead.
+        // Cheapest-first refinement, inline, in growing blocks: the cutoff
+        // (best-so-far top-K threshold, capped by radius_max) is frozen per
+        // block and tightened only between blocks, which fixes the set of
+        // pairs that reach the DP and every counter event. The reach set is
+        // small, so no block is worth a pool hand-off. A candidate pruned
+        // here has top_needed exactly-known candidates strictly ahead of it
+        // (or is outside the acceptance radius), so the exact distance could
+        // not have changed any decision; its certified bound enters the pool
+        // instead.
         size_t pos = 0;
         size_t block = 32;
         while (pos < refine.size()) {
@@ -365,21 +428,12 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
           while (split > pos && refine[split - 1].bound > cutoff) {
             --split;
           }
-          scratch_values.assign(split - pos, 0.0);
-          batch = parallel::ParallelFor(
-              split - pos,
-              [&](size_t t) {
-                scratch_values[t] = distances.GetWithCutoff(
-                    pivot, refine[pos + t].index, cutoff);
-              },
-              par);
-          if (!batch.ok()) {
-            return batch;
-          }
-          for (size_t t = 0; t < split - pos; ++t) {
-            pool.emplace_back(scratch_values[t], refine[pos + t].index);
-            if (scratch_values[t] <= cutoff) {
-              threshold.Push(scratch_values[t]);
+          for (size_t t = pos; t < split; ++t) {
+            const double d =
+                distances.GetWithCutoff(pivot, refine[t].index, cutoff);
+            pool.emplace_back(d, refine[t].index);
+            if (d <= cutoff) {
+              threshold.Push(d);
             }
           }
           pos = split;
@@ -388,18 +442,49 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
       }
       std::sort(pool.begin(), pool.end());
       if (context != nullptr) {
-        context->ChargeCandidatePairs(pool.size());
+        context->ChargeCandidatePairs(unclustered - 1);
       }
 
+      // Growth, nearest first. In the cascade the sorted pool is merged by
+      // (value, index) with the implicit run: every unclustered candidate
+      // outside the reach set, all at exactly edr_scale, enumerated in
+      // ascending index order — the order a fully materialized pool sorts
+      // them in.
+      size_t implicit_from = 0;
+      size_t reach_pos = 0;
+      const auto next_implicit = [&]() -> size_t {
+        for (;;) {
+          const size_t c = next_unclustered.Find(implicit_from);
+          if (c == n) {
+            return n;
+          }
+          implicit_from = c + 1;
+          while (reach_pos < reach.size() && reach[reach_pos] < c) {
+            ++reach_pos;
+          }
+          if (c != pivot &&
+              (reach_pos == reach.size() || reach[reach_pos] != c)) {
+            return c;
+          }
+        }
+      };
+      size_t implicit_head = implicit > 0 ? next_implicit() : n;
       size_t next_candidate = 0;
       bool grown = true;
       while (static_cast<size_t>(cluster.k) > cluster.members.size()) {
-        if (next_candidate >= pool.size()) {
+        size_t nn;
+        if (next_candidate < pool.size() &&
+            (implicit_head == n ||
+             pool[next_candidate] < std::make_pair(edr_scale, implicit_head))) {
+          nn = pool[next_candidate].second;
+          ++next_candidate;
+        } else if (implicit_head < n) {
+          nn = implicit_head;
+          implicit_head = next_implicit();
+        } else {
           grown = false;  // not enough unclustered trajectories remain
           break;
         }
-        const size_t nn = pool[next_candidate].second;
-        ++next_candidate;
         cluster.members.push_back(nn);
         cluster.k = std::max(cluster.k, dataset[nn].requirement().k);
         cluster.delta = std::min(cluster.delta, dataset[nn].requirement().delta);
@@ -420,21 +505,19 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
         }
         for (size_t m : cluster.members) {
           clustered[m] = true;
-          active[m] = false;
+          next_unclustered.Remove(m);
+          if (active[m]) {
+            active[m] = false;
+            active_rank.Remove(m);
+          }
         }
+        unclustered -= cluster.members.size();
         clusters.push_back(std::move(cluster));
-        // Compact the active list.
-        active_list.erase(
-            std::remove_if(active_list.begin(), active_list.end(),
-                           [&](size_t idx) { return !active[idx]; }),
-            active_list.end());
       } else {
         // Reject: only the pivot leaves the active set (line 18).
         telemetry::CounterAdd(grown ? rejected_radius : rejected_exhausted);
         active[pivot] = false;
-        active_list.erase(
-            std::remove(active_list.begin(), active_list.end(), pivot),
-            active_list.end());
+        active_rank.Remove(pivot);
       }
     }
 

@@ -32,12 +32,12 @@ struct DistanceConfig {
 
   /// Filter-and-refine kill-switch (kEdr only). When true (the default)
   /// the clustering hot path runs the lower-bound cascade (length,
-  /// MBR/tolerance separation, envelope), grid pre-filtering, and banded
-  /// DP evaluation under best-so-far cutoffs. Published output is
-  /// byte-identical either way — a bound only ever skips a pair whose
-  /// exact distance could not have changed any decision (see DESIGN.md
-  /// "Distance engine: filter-and-refine"); `false` forces the legacy
-  /// exhaustive scan. Drivers also honour the WCOP_DISTANCE_CASCADE
+  /// MBR/tolerance separation, envelope), the separation-index
+  /// pre-filter, and DP evaluation under best-so-far cutoffs. Published
+  /// output is byte-identical either way — a bound only ever skips a pair
+  /// whose exact distance could not have changed any decision (see
+  /// DESIGN.md "Distance engine: filter-and-refine"); `false` forces the
+  /// legacy exhaustive scan. Drivers also honour the WCOP_DISTANCE_CASCADE
   /// environment variable (0/off/false disables).
   bool cascade = true;
 };

@@ -151,8 +151,9 @@ Result<EffectiveKSamples> MeasureEffectiveKSamples(
                       return SetUpUser(published, users[begin + i], options);
                     },
                     popts));
-    for (const UserSetup& s : setups) {
+    for (UserSetup& s : setups) {
       WCOP_RETURN_IF_ERROR(s.status);
+      s.known = std::vector<Point>(s.known);  // re-homed, as in reident.cc
     }
     WCOP_ASSIGN_OR_RETURN(std::vector<JoinTally> tallies,
                           JoinCandidates(published, count, test, score,

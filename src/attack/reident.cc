@@ -173,8 +173,13 @@ Result<ReidentResult> RunReidentAttack(const CandidateSource& original,
                                          options.adversary);
                     },
                     popts));
-    for (const VictimSetup& s : setups) {
+    for (VictimSetup& s : setups) {
       WCOP_RETURN_IF_ERROR(s.status);
+      // Re-home the observations on this thread: every join thread reads
+      // them for every candidate, and where a setup worker allocated them
+      // they can share cache lines with that worker's transient block
+      // reads (see DESIGN.md "Attack subsystem").
+      s.observations = std::vector<Point>(s.observations);
     }
     WCOP_ASSIGN_OR_RETURN(std::vector<JoinTally> tallies,
                           JoinCandidates(published, count, test, score,

@@ -40,10 +40,14 @@ class Rng {
     return dist(engine_);
   }
 
-  /// Standard-normal draw scaled to the given mean and stddev.
+  /// Standard-normal draw scaled to the given mean and stddev; stddev 0
+  /// returns `mean` (std::normal_distribution requires stddev > 0). For
+  /// stddev > 0 the value and the engine's advance are bit-identical to
+  /// normal_distribution(mean, stddev), which evaluates the same
+  /// z * stddev + mean.
   double Gaussian(double mean, double stddev) {
-    std::normal_distribution<double> dist(mean, stddev);
-    return dist(engine_);
+    std::normal_distribution<double> dist(0.0, 1.0);
+    return dist(engine_) * stddev + mean;
   }
 
   /// Bernoulli draw with success probability p.

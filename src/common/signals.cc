@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <mutex>
+#include <vector>
 
 namespace wcop {
 
@@ -20,6 +21,12 @@ std::atomic<CancellationToken*> g_token{nullptr};
 
 std::mutex g_install_mu;
 bool g_handlers_installed = false;
+
+/// Tokens replaced by ResetShutdownSignalStateForTesting (guarded by
+/// g_install_mu). A handler racing the reset may still dereference the old
+/// token, so it is never freed; holding it here keeps it reachable, which
+/// is what leak checkers ask of intentionally immortal objects.
+std::vector<CancellationToken*>* g_retired_tokens = nullptr;
 
 extern "C" void HandleShutdownSignal(int signo) {
   int expected = 0;
@@ -68,9 +75,13 @@ void ResetShutdownSignalStateForTesting() {
   std::lock_guard<std::mutex> lock(g_install_mu);
   g_last_signal.store(0, std::memory_order_relaxed);
   // Old token copies stay tripped; future installs hand out a fresh flag.
-  // The previous token object leaks by design — a handler racing the reset
-  // may still dereference it.
-  g_token.store(new CancellationToken(), std::memory_order_release);
+  // The previous token object is retired, never freed — a handler racing
+  // the reset may still dereference it.
+  if (g_retired_tokens == nullptr) {
+    g_retired_tokens = new std::vector<CancellationToken*>();
+  }
+  g_retired_tokens->push_back(
+      g_token.exchange(new CancellationToken(), std::memory_order_acq_rel));
 }
 
 }  // namespace wcop

@@ -1,7 +1,9 @@
 #ifndef WCOP_DISTANCE_EDR_BOUNDS_H_
 #define WCOP_DISTANCE_EDR_BOUNDS_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "distance/edr.h"
 #include "traj/trajectory.h"
@@ -35,6 +37,47 @@ struct EdrBoundsProfile {
 /// report separated, which keeps the same identity (EDR = other length).
 bool EdrSeparated(const EdrBoundsProfile& a, const EdrBoundsProfile& b,
                   const EdrTolerance& tolerance);
+
+/// Static (x, y, t) index over a set of profiles whose query returns
+/// *exactly* the profiles not EdrSeparated from the query profile — the
+/// candidates with which at least one point pair could match.
+///
+/// Bulk-loaded once with Sort-Tile-Recursive packing into a multi-level
+/// tree of fanout kFanout; length-0 profiles are not indexed (they are
+/// separated from everything). Node boxes are the plain union of their
+/// children's boxes, and a node is pruned by calling EdrSeparated itself
+/// on the node box (with a nonzero length), so the tolerance dilates only
+/// the arithmetic of the test, never a stored box. Floating-point
+/// addition is monotone, so a node holding a non-separated member is never
+/// pruned, and dt = infinity needs no special case.
+class EdrReachIndex {
+ public:
+  static constexpr size_t kFanout = 16;
+
+  /// Indexes every non-empty profile of `profiles` by its position. The
+  /// vector is referenced, not copied: it must outlive the index and stay
+  /// unchanged.
+  explicit EdrReachIndex(const std::vector<EdrBoundsProfile>& profiles);
+
+  /// Appends to `out`, each once and in unspecified order, every indexed j
+  /// with !EdrSeparated(query, profiles[j], tolerance). Returns the number
+  /// of indexed profiles tested (the candidates scanned in the leaves the
+  /// query reaches; node boxes are not counted).
+  size_t Query(const EdrBoundsProfile& query, const EdrTolerance& tolerance,
+               std::vector<size_t>* out) const;
+
+ private:
+  struct Node {
+    EdrBoundsProfile box;  ///< union of the children; length is 1
+    uint32_t first = 0;    ///< first child in items_ (leaf) or nodes_
+    uint32_t count = 0;
+    bool leaf = false;
+  };
+
+  const std::vector<EdrBoundsProfile>& profiles_;
+  std::vector<uint32_t> items_;  ///< indexed profiles, in leaf order
+  std::vector<Node> nodes_;      ///< level by level, root last
+};
 
 /// The PR-4 length bound: every alignment deletes/creates >= ||a|-|b||
 /// points, so EDR >= ||a|-|b||. O(1) from the profiles.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
 #include <sstream>
 
 #include "common/arg_parser.h"
@@ -129,6 +131,33 @@ TEST(RngTest, UniformIndexCoversAll) {
   }
   for (int h : hits) {
     EXPECT_GT(h, 0);
+  }
+}
+
+TEST(RngTest, GaussianIsBitIdenticalToNormalDistribution) {
+  // The synthetic generators draw through Gaussian, so every stddev > 0
+  // must give exactly what normal_distribution(mean, stddev) gives and
+  // advance the engine identically; the two engines stay in lockstep.
+  Rng rng(11);
+  std::mt19937_64 reference(11);
+  Rng params(12);
+  for (int i = 0; i < 20000; ++i) {
+    const double mean = params.UniformReal(-1.0e4, 1.0e4);
+    const double stddev = i % 3 == 0 ? params.UniformReal(1e-9, 1e-3)
+                                     : params.UniformReal(1e-3, 5.0e3);
+    std::normal_distribution<double> dist(mean, stddev);
+    const double expected = dist(reference);
+    const double got = rng.Gaussian(mean, stddev);
+    ASSERT_EQ(std::memcmp(&expected, &got, sizeof(double)), 0)
+        << "draw " << i << ": " << expected << " vs " << got;
+  }
+  EXPECT_EQ(rng.engine()(), reference());
+}
+
+TEST(RngTest, GaussianWithZeroStddevReturnsMean) {
+  Rng rng(3);
+  for (double mean : {0.0, -2.5, 1.0e6}) {
+    EXPECT_EQ(rng.Gaussian(mean, 0.0), mean);
   }
 }
 

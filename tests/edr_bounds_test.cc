@@ -152,6 +152,118 @@ TEST(EdrBoundsTest, CornersBehave) {
 }
 
 // ---------------------------------------------------------------------------
+// Reach index: a query visits exactly the profiles it is not separated from.
+// ---------------------------------------------------------------------------
+
+/// Random box in a random tile of a `tiles` x `tiles` grid `spacing` apart,
+/// within one day; `kind` 1 gives a zero-extent one-point box and 2 a
+/// length-0 profile.
+EdrBoundsProfile RandomBox(Rng* rng, int tiles, double spacing, int kind) {
+  EdrBoundsProfile p;
+  p.min_x = spacing * static_cast<double>(rng->UniformIndex(tiles)) +
+            rng->UniformReal(0, 1000);
+  p.min_y = spacing * static_cast<double>(rng->UniformIndex(tiles)) +
+            rng->UniformReal(0, 1000);
+  p.min_t = rng->UniformReal(0, 86400);
+  p.sorted = true;
+  if (kind == 1) {
+    p.max_x = p.min_x;
+    p.max_y = p.min_y;
+    p.max_t = p.min_t;
+    p.length = 1;
+    return p;
+  }
+  p.max_x = p.min_x + rng->UniformReal(0, 300);
+  p.max_y = p.min_y + rng->UniformReal(0, 300);
+  p.max_t = p.min_t + rng->UniformReal(0, 3600);
+  p.length = kind == 2 ? 0 : 2 + static_cast<uint32_t>(rng->UniformIndex(60));
+  return p;
+}
+
+/// `n` profiles: mostly small boxes, with zero-extent one-point boxes,
+/// length-0 profiles, exact duplicates and one box spanning every tile and
+/// the whole day.
+std::vector<EdrBoundsProfile> RandomProfiles(Rng* rng, size_t n, int tiles,
+                                             double spacing) {
+  std::vector<EdrBoundsProfile> profiles;
+  for (size_t i = 0; i < n; ++i) {
+    const int kind = static_cast<int>(rng->UniformIndex(10));
+    if (kind == 3 && !profiles.empty()) {
+      profiles.push_back(profiles[rng->UniformIndex(profiles.size())]);
+    } else {
+      profiles.push_back(RandomBox(rng, tiles, spacing, kind));
+    }
+  }
+  if (n > 0) {
+    EdrBoundsProfile& span = profiles[rng->UniformIndex(n)];
+    span.min_x = span.min_y = span.min_t = 0.0;
+    span.max_x = span.max_y = spacing * tiles;
+    span.max_t = 90000.0;
+    span.length = 500;
+  }
+  return profiles;
+}
+
+TEST(EdrReachIndexTest, QueryVisitsExactlyTheNonSeparatedProfiles) {
+  Rng rng(4242);
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<EdrTolerance> tolerances = {
+      Tol(50, 50, 600), Tol(0, 0, 600), Tol(0, 0, inf), Tol(400, 20, inf),
+      Tol(0, 0, 0)};
+  for (size_t n : {0, 1, 2, 15, 16, 17, 256, 257, 1000, 5000}) {
+    for (int tiles : {1, 4}) {
+      const std::vector<EdrBoundsProfile> profiles =
+          RandomProfiles(&rng, n, tiles, 1.0e5);
+      const EdrReachIndex index(profiles);
+      for (const EdrTolerance& tol : tolerances) {
+        for (int q = 0; q < 40; ++q) {
+          // Indexed profiles, fresh boxes of every kind, and length 0.
+          const EdrBoundsProfile query =
+              (n > 0 && q % 2 == 0)
+                  ? profiles[rng.UniformIndex(n)]
+                  : RandomBox(&rng, tiles, 1.0e5, q % 5 == 1 ? 2 : q % 3);
+          std::vector<size_t> got;
+          const size_t tested = index.Query(query, tol, &got);
+          std::vector<size_t> expected;
+          for (size_t j = 0; j < n; ++j) {
+            if (profiles[j].length > 0 &&
+                !EdrSeparated(query, profiles[j], tol)) {
+              expected.push_back(j);
+            }
+          }
+          std::sort(got.begin(), got.end());
+          EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end())
+              << "an item was visited twice";
+          ASSERT_EQ(got, expected)
+              << "n=" << n << " tiles=" << tiles << " query " << q;
+          EXPECT_GE(tested, got.size());
+        }
+      }
+    }
+  }
+}
+
+TEST(EdrReachIndexTest, QueryCostFollowsTheReachSet) {
+  // On far-apart tiles a point query must prune whole subtrees: the
+  // candidates it tests stay a small multiple of the reach set, far below
+  // the corpus.
+  Rng rng(77);
+  const size_t n = 16000;
+  const std::vector<EdrBoundsProfile> profiles =
+      RandomProfiles(&rng, n, 8, 1.0e5);
+  const EdrReachIndex index(profiles);
+  size_t tested = 0;
+  size_t reached = 0;
+  for (int q = 0; q < 200; ++q) {
+    std::vector<size_t> got;
+    tested += index.Query(RandomBox(&rng, 8, 1.0e5, 1), Tol(50, 50, 600),
+                          &got);
+    reached += got.size();
+  }
+  EXPECT_LT(tested, 200 * n / 20) << "reached " << reached;
+}
+
+// ---------------------------------------------------------------------------
 // Kernel agreement: bit-parallel and the dispatch are bit-identical to scalar.
 // ---------------------------------------------------------------------------
 
