@@ -101,8 +101,7 @@ int main(int argc, char** argv) {
         "and\n"
         "                anonymize shard-by-shard; 0/absent = monolithic,\n"
         "                1 = single shard, byte-identical to monolithic)\n"
-        "              [--shard-dir=DIR] [--margin=M] "
-        "[--shard-checkpoints=DIR]\n"
+        "              [--margin=M] [--shard-checkpoints=DIR]\n"
         "              [--shard-parallelism=P]\n"
         "              [--deadline-ms=N] [--allow-partial]  (graceful "
         "degradation:\n"
@@ -236,7 +235,6 @@ int main(int argc, char** argv) {
     run.wcop = options;
     run.partition.num_shards = static_cast<size_t>(shards);
     run.partition.overlap_margin = args.GetDouble("margin", 0.0);
-    run.shard_dir = args.GetString("shard-dir", "");
     run.checkpoint_dir = args.GetString("shard-checkpoints", "");
     run.shard_parallelism =
         static_cast<int>(args.GetInt("shard-parallelism", 1));

@@ -173,7 +173,7 @@ Result<Snapshot> ReadSnapshotOnce(const std::string& path) {
 
 }  // namespace
 
-uint32_t Crc32(std::string_view data) {
+uint32_t Crc32(std::string_view data, uint32_t crc) {
   // Slice-by-8 CRC-32 (reflected 0x04C11DB7, i.e. 0xEDB88320), the
   // zlib/PNG checksum. t[0] is the classic byte-at-a-time table; t[j][b] is
   // t[j-1][b] advanced over one more zero byte, so eight lookups fold eight
@@ -197,7 +197,7 @@ uint32_t Crc32(std::string_view data) {
   }();
   const char* p = data.data();
   size_t n = data.size();
-  uint32_t crc = 0xFFFFFFFFu;
+  crc ^= 0xFFFFFFFFu;
   for (; n >= 8; p += 8, n -= 8) {
     const uint32_t lo = crc ^ GetU32(p);
     const uint32_t hi = GetU32(p + 4);

@@ -32,8 +32,10 @@ namespace wcop {
 /// mismatch — the caller (see anon/checkpoint.h) falls back to the
 /// previous good snapshot instead of trusting a corrupt one.
 
-/// CRC-32 (ISO-HDLC polynomial, the zlib/PNG one) of `data`.
-uint32_t Crc32(std::string_view data);
+/// CRC-32 (ISO-HDLC polynomial, the zlib/PNG one) of `data`. Continuable:
+/// passing the CRC of a prefix as `crc` yields the CRC of the prefix
+/// followed by `data`, so Crc32(b, Crc32(a)) == Crc32(a + b).
+uint32_t Crc32(std::string_view data, uint32_t crc = 0);
 
 struct Snapshot {
   uint32_t format_version = 0;

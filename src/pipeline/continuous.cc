@@ -61,22 +61,10 @@ std::string ManifestPath(const std::string& output_dir, size_t window) {
   return output_dir + "/" + IndexName("window_", window, ".mfr");
 }
 
-std::string WindowInputPath(const std::string& work_dir, size_t window) {
-  return work_dir + "/" + IndexName("win_in_", window, ".wst");
-}
-
 // carry_NNNNN.wst is the carry-over store *consumed* by window NNNNN
 // (i.e. written by window NNNNN-1). carry_00000 never exists.
 std::string CarryPath(const std::string& work_dir, size_t window) {
   return work_dir + "/" + IndexName("carry_", window, ".wst");
-}
-
-std::string ShardDirPath(const std::string& work_dir, size_t window) {
-  return work_dir + "/" + IndexName("shards_", window, "");
-}
-
-std::string CheckpointDirPath(const std::string& work_dir, size_t window) {
-  return work_dir + "/" + IndexName("ckpt_", window, "");
 }
 
 Status EnsureDir(const std::string& dir) {
@@ -96,11 +84,12 @@ void RemoveQuietly(const std::string& path) {
 
 /// Publishes a valid-but-empty store at `path` (atomic tmp -> rename),
 /// for windows whose extraction produced no fragments or whose
-/// anonymization suppressed everything.
-Status WriteEmptyStore(const std::string& path) {
+/// anonymization suppressed everything, and returns its digest.
+Result<FileDigest> WriteEmptyStore(const std::string& path) {
   WCOP_ASSIGN_OR_RETURN(store::TrajectoryStoreWriter writer,
                         store::TrajectoryStoreWriter::Create(path));
-  return writer.Finish();
+  WCOP_RETURN_IF_ERROR(writer.Finish());
+  return writer.digest();
 }
 
 /// True when `status` means "this window cannot be anonymized as given"
@@ -285,6 +274,12 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
         adopted.pop_back();
         --first_window;
       }
+      // Carry stores below the adopted prefix are consumed by committed
+      // windows and can no longer be needed by a step-back; a crash after
+      // a manifest commit left them behind.
+      for (size_t wi = 0; wi < first_window; ++wi) {
+        RemoveQuietly(CarryPath(work_dir, wi));
+      }
       result.resumed_windows = first_window;
       if (windows_resumed != nullptr && first_window > 0) {
         windows_resumed->Add(first_window);
@@ -309,12 +304,10 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
     const double window_start = plan.WindowStart(wi);
     const double window_end = plan.WindowStart(wi + 1);
 
-    const std::string input_path = WindowInputPath(work_dir, wi);
     const std::string carry_in =
         wi == 0 ? std::string() : CarryPath(work_dir, wi);
     const std::string carry_out = CarryPath(work_dir, wi + 1);
     const std::string output_path = WindowStorePath(options.output_dir, wi);
-    const std::string shard_dir = ShardDirPath(work_dir, wi);
 
     WindowOutcome outcome;
     int attempts = 0;
@@ -322,8 +315,8 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
       outcome = WindowOutcome();
       WCOP_FAILPOINT("pipeline.window_start");
 
-      // 1. Extract: writes the window input store and the next carry
-      //    store, both atomic. A stale output store from a previous torn
+      // 1. Extract the window's fragments into memory and write the next
+      //    carry store (atomic). A stale output store from a previous torn
       //    attempt is simply overwritten below.
       store::WindowExtractOptions extract;
       extract.window_start = window_start;
@@ -331,12 +324,16 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
       extract.min_fragment_points = options.min_fragment_points;
       extract.next_fragment_id = next_fragment_id;
       extract.carry_in_path = carry_in;
-      extract.window_out_path = input_path;
       extract.carry_out_path = carry_out;
       WCOP_ASSIGN_OR_RETURN(store::WindowExtraction extraction,
                             store::ExtractWindow(source, extract));
       WCOP_FAILPOINT("pipeline.window_extracted");
 
+      // The manifest's digests come from the writers that produced the
+      // bytes. The input digest pins the extraction (the store image the
+      // fragments encode to), the carry digest lets the *next* run's resume
+      // scan verify the chain, the output digest is the byte-identity
+      // witness.
       WindowManifest& m = outcome.manifest;
       m.config_fingerprint = fingerprint;
       m.window_index = wi;
@@ -347,32 +344,36 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
       m.carried_out = extraction.carried_out;
       m.suppressed_delta = extraction.suppressed;
       m.next_fragment_id = extraction.next_fragment_id;
+      m.input_crc = extraction.input.crc;
+      m.input_size = extraction.input.size;
+      m.carry_crc = extraction.carry.crc;
+      m.carry_size = extraction.carry.size;
 
-      // 2. Anonymize, streaming published fragments straight to the final
-      //    window store (its Finish() is the atomic output publish).
+      // 2. Anonymize the fragments in memory, streaming published fragments
+      //    straight to the final window store (its Finish() is the atomic
+      //    output publish).
+      FileDigest output;
       if (extraction.fragments == 0) {
-        WCOP_RETURN_IF_ERROR(WriteEmptyStore(output_path));
+        WCOP_ASSIGN_OR_RETURN(output, WriteEmptyStore(output_path));
       } else {
-        WCOP_ASSIGN_OR_RETURN(store::TrajectoryStoreReader window_reader,
-                              store::TrajectoryStoreReader::Open(input_path));
         store::ShardRunOptions run;
         run.wcop = options.wcop;
         run.partition = options.partition;
-        run.shard_dir = shard_dir;
         run.verify_shards = options.verify_shards;
         run.shard_parallelism = 1;  // stream_output_store requires it
         run.stream_output_store = output_path;
-        if (options.shard_checkpoints) {
-          run.checkpoint_dir = CheckpointDirPath(work_dir, wi);
-          WCOP_RETURN_IF_ERROR(EnsureDir(run.checkpoint_dir));
-        }
-        Result<store::ShardedRunResult> sharded =
-            store::RunShardedWcopCt(window_reader, run);
+        const std::vector<Trajectory>& fragments = extraction.trajectories;
+        Result<store::ShardedRunResult> sharded = store::RunShardedWcopCt(
+            extraction.index,
+            [&fragments](size_t i) -> Result<Trajectory> {
+              return fragments[i];
+            },
+            run);
         if (!sharded.ok() && IsWindowSkip(sharded.status())) {
           log::Warn("pipeline: window skipped",
                     {{"window", wi},
                      {"reason", sharded.status().ToString()}});
-          WCOP_RETURN_IF_ERROR(WriteEmptyStore(output_path));
+          WCOP_ASSIGN_OR_RETURN(output, WriteEmptyStore(output_path));
           m.skipped = true;
           m.suppressed_delta += m.input_fragments;
         } else if (!sharded.ok()) {
@@ -386,26 +387,15 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
           m.ttd = report.ttd;
           m.degraded = report.degraded;
           outcome.window_degraded = report.degraded;
+          output = sharded->output;
         }
       }
       WCOP_FAILPOINT("pipeline.window_anonymized");
-
-      // 3. Digest the three stores this window commits to. The input
-      //    digest pins the extraction, the carry digest lets the *next*
-      //    run's resume scan verify the chain, the output digest is the
-      //    byte-identity witness.
-      WCOP_ASSIGN_OR_RETURN(FileDigest input_digest, DigestFile(input_path));
-      m.input_crc = input_digest.crc;
-      m.input_size = input_digest.size;
-      WCOP_ASSIGN_OR_RETURN(FileDigest carry_digest, DigestFile(carry_out));
-      m.carry_crc = carry_digest.crc;
-      m.carry_size = carry_digest.size;
-      WCOP_ASSIGN_OR_RETURN(FileDigest output_digest, DigestFile(output_path));
-      m.output_crc = output_digest.crc;
-      m.output_size = output_digest.size;
+      m.output_crc = output.crc;
+      m.output_size = output.size;
       WCOP_FAILPOINT("pipeline.window_published");
 
-      // 4. Commit point.
+      // 3. Commit point.
       WCOP_RETURN_IF_ERROR(WriteWindowManifest(
           ManifestPath(options.output_dir, wi), m, options.publish_retry));
       WCOP_FAILPOINT("pipeline.manifest_saved");
@@ -423,17 +413,13 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
     }
     WCOP_RETURN_IF_ERROR(window_status);
 
-    // 5. Garbage-collect scratch beyond the two-carry retention horizon:
+    // 4. Garbage-collect scratch beyond the two-carry retention horizon:
     //    carry_<wi-1> can only be needed if the resume scan steps back to
     //    recompute window wi-1, which it can no longer do once window wi's
-    //    manifest committed with an intact chain. The window input and the
-    //    shard scratch are re-derivable, so they go immediately.
+    //    manifest committed with an intact chain.
     if (wi >= 1) {
       RemoveQuietly(CarryPath(work_dir, wi - 1));
     }
-    RemoveQuietly(input_path);
-    RemoveQuietly(shard_dir);
-    RemoveQuietly(CheckpointDirPath(work_dir, wi));
 
     const WindowManifest& m = outcome.manifest;
     result.published_fragments += m.published_fragments;

@@ -7,17 +7,21 @@
 /// The engine reads a finished `.wst` trajectory store, slices it into
 /// fixed-width time windows, and publishes each window as its own
 /// atomically-finished output store plus a manifest record — the durable
-/// commit point (see manifest.h). Per window it:
+/// commit point (see manifest.h). Each window reads its source blocks once
+/// and writes each artifact it commits once. Per window it:
 ///
-///   1. extracts the window's fragments out-of-core (store/window_io.h),
+///   1. extracts the window's fragments into memory (store/window_io.h),
 ///      merging carry-over records spilled by the previous window and
-///      spilling this window's own short-but-continuing fragments,
-///   2. re-partitions and anonymizes the fragments through the sharded
-///      WCOP-CT runner, streaming published trajectories straight to the
-///      final window store (peak memory stays bounded by the largest
-///      shard, never the window or the dataset),
-///   3. commits the manifest, then garbage-collects scratch state older
-///      than the two-window carry retention horizon.
+///      writing this window's own short-but-continuing fragments to the
+///      next carry store,
+///   2. re-partitions and anonymizes the fragments in memory through the
+///      sharded WCOP-CT runner, streaming published trajectories straight
+///      to the final window store (peak memory stays bounded by the
+///      window's fragments plus one shard's working set, never the
+///      dataset),
+///   3. commits the manifest, whose CRC32/size digests come from the
+///      writers that produced the bytes, then garbage-collects carry stores
+///      older than the two-window retention horizon.
 ///
 /// Robustness contract: `kill -9`, SIGTERM, ENOSPC, short writes, or a
 /// torn rename at ANY point of the window lifecycle must, on a restarted
@@ -26,7 +30,8 @@
 /// function of (source store, options, carry-over chain), every store and
 /// manifest is published via write-tmp/fsync/rename, and restart replays
 /// manifests from window 0, recomputing from the first window whose
-/// manifest, output bytes, or input carry chain fail their CRC checks.
+/// manifest, output bytes, or input carry chain fail their CRC checks (the
+/// only time published bytes are read back).
 /// tests/pipeline_chaos_test.cc enforces the contract with a seeded kill
 /// matrix and errno-injection schedules over the pipeline.* failpoints.
 
@@ -65,9 +70,8 @@ struct ContinuousPipelineOptions {
   /// Created if missing.
   std::string output_dir;
 
-  /// Scratch space for window inputs, carry-over spills, shard stores and
-  /// shard checkpoints. Empty = `<output_dir>/.work`. Safe to delete
-  /// between runs (costs recomputation, never correctness).
+  /// Scratch space for the carry-over stores. Empty = `<output_dir>/.work`.
+  /// Safe to delete between runs (costs recomputation, never correctness).
   std::string work_dir;
 
   /// Window width in seconds of trajectory time.
@@ -101,10 +105,6 @@ struct ContinuousPipelineOptions {
   /// Audit every shard of every window with VerifyAnonymity (slow; the
   /// chaos and e2e tests turn it on, production defaults off).
   bool verify_shards = false;
-
-  /// Persist per-shard checkpoints under the work dir so a mid-window
-  /// crash resumes shard-by-shard instead of re-anonymizing the window.
-  bool shard_checkpoints = true;
 
   /// When set, each window's whole execute-and-publish step runs under
   /// RetryCall: transient kIoError failures (the injected-ENOSPC class)

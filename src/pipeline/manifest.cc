@@ -5,8 +5,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "common/snapshot.h"
 
@@ -194,23 +192,6 @@ Result<WindowManifest> ReadWindowManifest(const std::string& path) {
                             std::to_string(snapshot.format_version));
   }
   return DecodeWindowManifest(snapshot.payload);
-}
-
-Result<FileDigest> DigestFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("no file at " + path);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return Status::IoError("read failed on " + path);
-  }
-  const std::string bytes = buffer.str();
-  FileDigest digest;
-  digest.crc = Crc32(bytes);
-  digest.size = bytes.size();
-  return digest;
 }
 
 }  // namespace pipeline

@@ -27,6 +27,7 @@
 
 #include "common/result.h"
 #include "common/retry.h"
+#include "store/store_file.h"
 
 namespace wcop {
 namespace pipeline {
@@ -52,7 +53,7 @@ struct WindowManifest {
 
   int64_t next_fragment_id = 0;  ///< first id unused after this window
 
-  uint64_t input_crc = 0;  ///< CRC32/size of the window input store file
+  uint64_t input_crc = 0;  ///< CRC32/size of the window's input store image
   uint64_t input_size = 0;
   uint64_t output_crc = 0;  ///< CRC32/size of the published output store
   uint64_t output_size = 0;
@@ -72,13 +73,11 @@ Status WriteWindowManifest(const std::string& path,
                            const RetryPolicy* retry = nullptr);
 Result<WindowManifest> ReadWindowManifest(const std::string& path);
 
-/// CRC32 and size of a whole file's bytes — the manifest's store
-/// fingerprints. kNotFound when the file does not exist.
-struct FileDigest {
-  uint64_t crc = 0;
-  uint64_t size = 0;
-};
-Result<FileDigest> DigestFile(const std::string& path);
+/// The manifest's store fingerprints (store/store_file.h). The pipeline
+/// takes them from the writers that produced the stores and reads a file
+/// back with DigestFile only to verify it on resume.
+using store::DigestFile;
+using store::FileDigest;
 
 }  // namespace pipeline
 }  // namespace wcop

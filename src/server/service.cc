@@ -115,6 +115,7 @@ Result<std::unique_ptr<AnonymizationService>> AnonymizationService::Start(
                                          // just queued work again
       service->admitted_at_[record.id] =
           std::chrono::steady_clock::now();
+      ++service->outstanding_;  // no worker runs yet
       WCOP_RETURN_IF_ERROR(service->queue_->ForcePush(record.id));
       service->recovered_jobs_ += 1;
       recovered_counter->Add();
@@ -254,6 +255,9 @@ Result<int64_t> AnonymizationService::Submit(JobSpec spec) {
     by_name_[record.spec.name] = id;
     admitted_at_[id] = std::chrono::steady_clock::now();
     jobs_[id] = std::move(record);
+    // Counted before the push makes the job visible to a worker, which
+    // releases it when done with it (WorkerLoop).
+    ++outstanding_;
   }
   metrics.GetCounter("server.jobs.accepted")->Add();
   if (Status push = queue_->TryPush(id); !push.ok()) {
@@ -261,6 +265,11 @@ Result<int64_t> AnonymizationService::Submit(JobSpec spec) {
     // the next start, which is exactly what "accepted" promises.
     log::Warn("job accepted but not scheduled; it will run on restart",
               {{"job", id}, {"status", push.ToString()}});
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      --outstanding_;
+    }
+    idle_.notify_all();
   }
   metrics.GetGauge("server.queue.depth")
       ->Set(static_cast<double>(queue_->size()));
@@ -324,18 +333,7 @@ void AnonymizationService::AwaitTermination() {
 
 void AnonymizationService::AwaitIdle() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [&] {
-    if (queue_->size() != 0 ||
-        running_.load(std::memory_order_relaxed) != 0) {
-      return false;
-    }
-    for (const auto& [id, record] : jobs_) {
-      if (record.state == JobState::kRunning) {
-        return false;
-      }
-    }
-    return true;
-  });
+  idle_.wait(lock, [&] { return outstanding_ == 0; });
 }
 
 void AnonymizationService::StoreRecord(const JobRecord& record) {
@@ -362,105 +360,115 @@ Status AnonymizationService::PersistTransition(const JobRecord& record,
 }
 
 void AnonymizationService::WorkerLoop() {
-  telemetry::MetricsRegistry& metrics = telemetry_.metrics();
-  telemetry::Gauge* depth = metrics.GetGauge("server.queue.depth");
+  telemetry::Gauge* depth =
+      telemetry_.metrics().GetGauge("server.queue.depth");
   while (std::optional<int64_t> id = queue_->Pop()) {
     depth->Set(static_cast<double>(queue_->size()));
-    JobRecord record;
+    ProcessJob(*id);
+    // Released only once the worker is done with the job, whichever way
+    // ProcessJob returned: AwaitIdle never sees a popped job as finished
+    // while it is still kQueued or kRunning.
     {
       std::lock_guard<std::mutex> lock(mu_);
-      auto it = jobs_.find(*id);
-      if (it == jobs_.end()) {
-        continue;
-      }
-      record = it->second;
+      --outstanding_;
     }
-    if (record.state == JobState::kDone ||
-        record.state == JobState::kFailed) {
-      continue;  // stale queue entry (deduped resubmit of a finished job)
-    }
-    if (shutdown_token_.cancellation_requested()) {
-      // Immediate shutdown won the race to this job: leave it queued in
-      // the ledger for the next start.
-      continue;
-    }
-    running_.fetch_add(1, std::memory_order_relaxed);
+    idle_.notify_all();
+  }
+}
 
-    record.state = JobState::kRunning;
-    record.attempts += 1;
-    if (record.trace_id.empty()) {
-      record.trace_id = MintTraceId(record.spec.name);
+void AnonymizationService::ProcessJob(int64_t id) {
+  telemetry::MetricsRegistry& metrics = telemetry_.metrics();
+  JobRecord record;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = jobs_.find(id);
+    if (it == jobs_.end()) {
+      return;
     }
-    const log::ContextLogger jlog = JobLogger(record);
-    // The job's own telemetry bundle: its span buffer becomes the
-    // persisted trace, its metrics roll up into the service registry once
-    // the job finishes (either way).
-    telemetry::Telemetry job_tel;
-    job_tel.trace().set_trace_id(record.trace_id);
-    Status run = PersistTransition(record, "server.job_claim");
-    if (run.ok()) {
-      StoreRecord(record);
-      jlog.Info("job running", {{"attempt", record.attempts},
-                                {"shards", record.spec.shards}});
-      Stopwatch timer;
-      run = ExecuteJob(&record, &job_tel);
-      metrics.GetHistogram("server.job.exec_ns")
-          ->Record(static_cast<uint64_t>(timer.ElapsedSeconds() * 1e9));
-      telemetry::AccumulateSnapshot(&metrics, job_tel.metrics().Snapshot());
-      PersistJobTrace(record.id, job_tel);
-    }
+    record = it->second;
+  }
+  if (record.state == JobState::kDone || record.state == JobState::kFailed) {
+    return;  // stale queue entry (deduped resubmit of a finished job)
+  }
+  if (shutdown_token_.cancellation_requested()) {
+    // Immediate shutdown won the race to this job: leave it queued in the
+    // ledger for the next start.
+    return;
+  }
+  running_.fetch_add(1, std::memory_order_relaxed);
 
-    if (run.ok()) {
-      record.state = JobState::kDone;
-      metrics.GetCounter("server.jobs.completed")->Add();
-      if (record.outcome.degraded) {
-        metrics.GetCounter("server.jobs.degraded")->Add();
-      }
-      jlog.Info("job done",
-                {{"published", record.outcome.published},
-                 {"clusters", record.outcome.clusters},
-                 {"degraded", record.outcome.degraded},
-                 {"resumed_shards", record.outcome.resumed_shards}});
-    } else if (run.code() == StatusCode::kCancelled &&
-               shutdown_token_.cancellation_requested()) {
-      // Service teardown, not a job failure: requeue for the next life.
-      record.state = JobState::kQueued;
-      record.outcome = JobOutcome{};
-      record.progress = JobProgress{};
-      metrics.GetCounter("server.jobs.requeued")->Add();
-      jlog.Info("job requeued by shutdown");
-      if (Status s = ledger_->Update(record); !s.ok()) {
-        // Best-effort: a still-"running" ledger record recovers the same
-        // way a requeued one does.
-        jlog.Warn("requeue not recorded in ledger",
-                  {{"status", s.ToString()}});
-      }
-      StoreRecord(record);
-      running_.fetch_sub(1, std::memory_order_relaxed);
-      idle_.notify_all();
-      continue;
-    } else {
-      record.state = JobState::kFailed;
-      record.outcome.error = run.ToString();
-      metrics.GetCounter("server.jobs.failed")->Add();
-      if (run.code() == StatusCode::kDeadlineExceeded) {
-        metrics.GetCounter("server.jobs.deadline_exceeded")->Add();
-      }
-      jlog.Error("job failed", {{"status", run.ToString()},
-                                {"attempt", record.attempts}});
+  record.state = JobState::kRunning;
+  record.attempts += 1;
+  if (record.trace_id.empty()) {
+    record.trace_id = MintTraceId(record.spec.name);
+  }
+  const log::ContextLogger jlog = JobLogger(record);
+  // The job's own telemetry bundle: its span buffer becomes the
+  // persisted trace, its metrics roll up into the service registry once
+  // the job finishes (either way).
+  telemetry::Telemetry job_tel;
+  job_tel.trace().set_trace_id(record.trace_id);
+  Status run = PersistTransition(record, "server.job_claim");
+  if (run.ok()) {
+    StoreRecord(record);
+    jlog.Info("job running", {{"attempt", record.attempts},
+                              {"shards", record.spec.shards}});
+    Stopwatch timer;
+    run = ExecuteJob(&record, &job_tel);
+    metrics.GetHistogram("server.job.exec_ns")
+        ->Record(static_cast<uint64_t>(timer.ElapsedSeconds() * 1e9));
+    telemetry::AccumulateSnapshot(&metrics, job_tel.metrics().Snapshot());
+    PersistJobTrace(record.id, job_tel);
+  }
+
+  if (run.ok()) {
+    record.state = JobState::kDone;
+    metrics.GetCounter("server.jobs.completed")->Add();
+    if (record.outcome.degraded) {
+      metrics.GetCounter("server.jobs.degraded")->Add();
     }
-    if (Status fin = PersistTransition(record, "server.job_done");
-        !fin.ok()) {
-      // The terminal state is in memory but not durable; a restart re-runs
-      // the job, which is idempotent (deterministic output, atomic
-      // publish).
-      jlog.Warn("final ledger write failed; job will re-run on restart",
-                {{"status", fin.ToString()}});
+    jlog.Info("job done",
+              {{"published", record.outcome.published},
+               {"clusters", record.outcome.clusters},
+               {"degraded", record.outcome.degraded},
+               {"resumed_shards", record.outcome.resumed_shards}});
+  } else if (run.code() == StatusCode::kCancelled &&
+             shutdown_token_.cancellation_requested()) {
+    // Service teardown, not a job failure: requeue for the next life.
+    record.state = JobState::kQueued;
+    record.outcome = JobOutcome{};
+    record.progress = JobProgress{};
+    metrics.GetCounter("server.jobs.requeued")->Add();
+    jlog.Info("job requeued by shutdown");
+    if (Status s = ledger_->Update(record); !s.ok()) {
+      // Best-effort: a still-"running" ledger record recovers the same
+      // way a requeued one does.
+      jlog.Warn("requeue not recorded in ledger",
+                {{"status", s.ToString()}});
     }
     StoreRecord(record);
     running_.fetch_sub(1, std::memory_order_relaxed);
-    idle_.notify_all();
+    return;
+  } else {
+    record.state = JobState::kFailed;
+    record.outcome.error = run.ToString();
+    metrics.GetCounter("server.jobs.failed")->Add();
+    if (run.code() == StatusCode::kDeadlineExceeded) {
+      metrics.GetCounter("server.jobs.deadline_exceeded")->Add();
+    }
+    jlog.Error("job failed", {{"status", run.ToString()},
+                              {"attempt", record.attempts}});
   }
+  if (Status fin = PersistTransition(record, "server.job_done");
+      !fin.ok()) {
+    // The terminal state is in memory but not durable; a restart re-runs
+    // the job, which is idempotent (deterministic output, atomic
+    // publish).
+    jlog.Warn("final ledger write failed; job will re-run on restart",
+              {{"status", fin.ToString()}});
+  }
+  StoreRecord(record);
+  running_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 std::string AnonymizationService::TracePath(int64_t id) const {
@@ -575,7 +583,6 @@ Status AnonymizationService::ExecuteJob(JobRecord* record,
   run.wcop.allow_partial_results = spec.allow_partial;
   run.partition.num_shards = spec.shards;
   run.partition.overlap_margin = spec.overlap_margin;
-  run.shard_dir = work_dir + "/shards";
   // Per-job checkpoints are what make kill -9 cheap: a restarted job
   // resumes past every shard that already finished.
   run.checkpoint_dir = work_dir + "/ckpt";

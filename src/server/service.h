@@ -142,8 +142,10 @@ class AnonymizationService {
   /// Joins the worker pool. Call after BeginShutdown.
   void AwaitTermination();
 
-  /// Test/drain helper: blocks until the queue is empty and no job is
-  /// executing (or the pool terminated).
+  /// Test/drain helper: blocks until every job handed to the queue has been
+  /// taken and released by a worker (the model is Python's
+  /// Queue.task_done/join). Jobs abandoned in the queue by an immediate
+  /// shutdown stay outstanding.
   void AwaitIdle();
 
  private:
@@ -151,6 +153,9 @@ class AnonymizationService {
 
   void ApplyTenantPolicy(JobSpec* spec) const;
   void WorkerLoop();
+  /// Runs one popped job to its next durable state (done, failed or
+  /// requeued), or returns at once for a stale or shutdown-abandoned entry.
+  void ProcessJob(int64_t id);
   /// One ledger transition with its failpoint window; Status-returning so
   /// WCOP_FAILPOINT can inject errors.
   Status PersistTransition(const JobRecord& record, const char* site);
@@ -202,6 +207,9 @@ class AnonymizationService {
 
   mutable std::mutex mu_;
   std::condition_variable idle_;
+  /// Jobs pushed to the queue and not yet released by a worker; guarded by
+  /// mu_. AwaitIdle waits for zero.
+  size_t outstanding_ = 0;
   std::map<int64_t, JobRecord> jobs_;
   std::unordered_map<std::string, int64_t> by_name_;
   std::unordered_map<int64_t, std::chrono::steady_clock::time_point>

@@ -1,7 +1,6 @@
 #include "store/shard_runner.h"
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
@@ -488,9 +487,10 @@ void MergeReportInto(AnonymizationReport* a, const AnonymizationReport& b) {
   MergeSnapshotInto(&a->metrics, b.metrics);
 }
 
-Result<ShardedRunResult> RunShardedWcopCt(const TrajectoryStoreReader& source,
+Result<ShardedRunResult> RunShardedWcopCt(const std::vector<StoreEntry>& index,
+                                          const TrajectoryFetch& fetch,
                                           const ShardRunOptions& options) {
-  if (source.size() == 0) {
+  if (index.empty()) {
     return Status::InvalidArgument("cannot shard an empty store");
   }
   if (options.shard_parallelism > 1 &&
@@ -503,45 +503,18 @@ Result<ShardedRunResult> RunShardedWcopCt(const TrajectoryStoreReader& source,
   telemetry::Telemetry* parent_tel = options.wcop.telemetry;
 
   ShardedRunResult out;
-  WCOP_ASSIGN_OR_RETURN(
-      out.partition, PartitionStoreIndex(source.index(), options.partition));
+  WCOP_ASSIGN_OR_RETURN(out.partition,
+                        PartitionStoreIndex(index, options.partition));
   const size_t num_shards = out.partition.shards.size();
 
-  const std::string shard_dir = options.shard_dir.empty()
-                                    ? source.path() + ".shards"
-                                    : options.shard_dir;
-  WCOP_RETURN_IF_ERROR(MakeDir(shard_dir));
   if (!options.checkpoint_dir.empty()) {
     WCOP_RETURN_IF_ERROR(MakeDir(options.checkpoint_dir));
-  }
-  // Janitor pass: a kill between write-tmp and rename (store writer or
-  // checkpoint snapshot) leaves `*.tmp` orphans behind; sweep them now,
-  // before any writer is live, so crashed runs converge instead of
-  // accumulating garbage.
-  WCOP_RETURN_IF_ERROR(SweepStaleArtifacts(shard_dir, parent_tel).status());
-  if (!options.checkpoint_dir.empty()) {
+    // Janitor pass: a kill between write-tmp and rename of a checkpoint
+    // snapshot leaves `*.tmp` orphans behind; sweep them now, before any
+    // writer is live, so crashed runs converge instead of accumulating
+    // garbage.
     WCOP_RETURN_IF_ERROR(
         SweepStaleArtifacts(options.checkpoint_dir, parent_tel).status());
-  }
-
-  // Phase 1: materialize one store file per shard. Sequential by design —
-  // reads walk the source forward per shard (members are sorted) and the
-  // writer never holds more than one trajectory in memory.
-  {
-    WCOP_TRACE_SPAN(parent_tel, "shard/write_stores");
-    for (const ShardSpec& shard : out.partition.shards) {
-      WCOP_FAILPOINT("shard.write_store");
-      WCOP_RETURN_IF_ERROR(CheckRunContext(options.wcop.run_context));
-      WCOP_ASSIGN_OR_RETURN(
-          TrajectoryStoreWriter writer,
-          TrajectoryStoreWriter::Create(
-              ShardFileName(shard_dir, "shard", shard.shard_index, ".wst")));
-      for (size_t pos : shard.members) {
-        WCOP_ASSIGN_OR_RETURN(Trajectory t, source.Read(pos));
-        WCOP_RETURN_IF_ERROR(writer.Append(t));
-      }
-      WCOP_RETURN_IF_ERROR(writer.Finish());
-    }
   }
 
   // Per-shard RunContext slices: parent deadline and cancellation token
@@ -579,7 +552,7 @@ Result<ShardedRunResult> RunShardedWcopCt(const TrajectoryStoreReader& source,
     }
   }
 
-  // Phase 2: anonymize every shard independently over wcop::parallel.
+  // Anonymize every shard independently over wcop::parallel.
   std::vector<ShardState> states(num_shards);
   std::vector<ShardOutcome> outcomes(num_shards);
   // Live progress: callbacks are serialized under their own mutex so the
@@ -612,12 +585,15 @@ Result<ShardedRunResult> RunShardedWcopCt(const TrajectoryStoreReader& source,
     WCOP_TRACE_SPAN(parent_tel, "shard/run");
         WCOP_FAILPOINT("shard.run");
         const ShardSpec& shard = out.partition.shards[s];
-        const std::string store_path =
-            ShardFileName(shard_dir, "shard", shard.shard_index, ".wst");
-        WCOP_ASSIGN_OR_RETURN(TrajectoryStoreReader reader,
-                              TrajectoryStoreReader::Open(store_path));
-        WCOP_ASSIGN_OR_RETURN(Dataset shard_dataset,
-                              reader.ReadAll(contexts[s].get()));
+        Dataset shard_dataset;
+        shard_dataset.mutable_trajectories().reserve(shard.members.size());
+        for (size_t m = 0; m < shard.members.size(); ++m) {
+          if (m % 256 == 0) {
+            WCOP_RETURN_IF_ERROR(CheckRunContext(contexts[s].get()));
+          }
+          WCOP_ASSIGN_OR_RETURN(Trajectory t, fetch(shard.members[m]));
+          shard_dataset.Add(std::move(t));
+        }
 
         WcopOptions wcop = options.wcop;
         wcop.run_context = contexts[s].get();
@@ -703,7 +679,7 @@ Result<ShardedRunResult> RunShardedWcopCt(const TrajectoryStoreReader& source,
     }
   }
 
-  // Phase 3: merge in shard order.
+  // Merge in shard order.
   WCOP_TRACE_SPAN(parent_tel, "shard/merge");
   const bool stream_out = !options.stream_output_store.empty();
   std::unique_ptr<TrajectoryStoreWriter> out_writer;
@@ -754,15 +730,7 @@ Result<ShardedRunResult> RunShardedWcopCt(const TrajectoryStoreReader& source,
   }
   if (out_writer != nullptr) {
     WCOP_RETURN_IF_ERROR(out_writer->Finish());
-  }
-
-  if (!options.keep_shard_stores) {
-    for (const ShardSpec& shard : out.partition.shards) {
-      std::remove(
-          ShardFileName(shard_dir, "shard", shard.shard_index, ".wst")
-              .c_str());
-    }
-    ::rmdir(shard_dir.c_str());  // succeeds only when empty; best effort
+    out.output = out_writer->digest();
   }
 
   out.merged.report.runtime_seconds = wall.ElapsedSeconds();
@@ -784,6 +752,13 @@ Result<ShardedRunResult> RunShardedWcopCt(const TrajectoryStoreReader& source,
     }
   }
   return out;
+}
+
+Result<ShardedRunResult> RunShardedWcopCt(const TrajectoryStoreReader& source,
+                                          const ShardRunOptions& options) {
+  return RunShardedWcopCt(
+      source.index(), [&source](size_t i) { return source.Read(i); },
+      options);
 }
 
 }  // namespace store

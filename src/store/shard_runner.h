@@ -1,19 +1,25 @@
 #ifndef WCOP_STORE_SHARD_RUNNER_H_
 #define WCOP_STORE_SHARD_RUNNER_H_
 
-/// Sharded anonymization pipeline: partition a trajectory store, anonymize
+/// Sharded anonymization pipeline: partition a trajectory index, anonymize
 /// every shard independently with WCOP-CT, audit each shard with the
 /// verifier, and merge the published outputs and reports (DESIGN.md
 /// "Dataset store & sharding").
 ///
-/// Memory stays bounded by the largest shard plus the merged output; with
-/// `stream_output_store` set, the merged output streams to disk too and
-/// peak memory is just the largest shard — the out-of-core path the
-/// shard_scaling bench exercises at 500k+ trajectories.
+/// The core runs over an index (store rows: ids, extents, requirements) and
+/// a fetch callback that returns the trajectory at an index position, so
+/// it serves both a store on disk — the reader overload reads each shard's
+/// members straight from the source with CRC-checked `pread`s — and a
+/// window's fragments already in memory (the continuous pipeline). No
+/// intermediate store is written. Memory stays bounded by the shards in
+/// flight plus the merged output; with `stream_output_store` set, the
+/// merged output streams to disk too and peak memory is just the largest
+/// shard — the out-of-core path the shard_scaling bench exercises at 500k+
+/// trajectories.
 ///
-/// Determinism: shards are derived from the store index deterministically
-/// (see partitioner.h), each shard preserves source order, per-shard runs
-/// are deterministic in `wcop.threads` (PR 4's guarantee), and the merge
+/// Determinism: shards are derived from the index deterministically (see
+/// partitioner.h), each shard preserves source order, per-shard runs are
+/// deterministic in `wcop.threads` (PR 4's guarantee), and the merge
 /// concatenates in shard order — so the published bytes and the merged
 /// report (minus timings) are identical across thread counts, and a
 /// single-shard run is byte-identical to the monolithic driver.
@@ -52,15 +58,12 @@ struct ShardRunOptions {
 
   PartitionOptions partition;
 
-  /// Directory for the per-shard store files (created if missing).
-  /// Empty = derive `<source>.shards/` next to the source store.
+  /// Ignored. Shards are read straight from the source and no shard store
+  /// is written; kept only so existing callers that set it still compile.
   std::string shard_dir;
 
   /// Audit every shard's output against its input (VerifyAnonymity).
   bool verify_shards = true;
-
-  /// Keep the per-shard store files after the run (default: removed).
-  bool keep_shard_stores = false;
 
   /// When non-empty, each completed shard persists a checkpoint
   /// (`shard_NNNN.ckpt`, snapshot envelope) and a re-run with the same
@@ -102,10 +105,23 @@ struct ShardedRunResult {
   std::vector<ShardOutcome> shards;
   bool all_verified = true;   ///< every shard audit passed (or audits off)
   size_t resumed_shards = 0;  ///< restored from checkpoints
+  /// CRC32/size of the store written to `stream_output_store`, from the
+  /// writer that produced it; zero when the output was not streamed.
+  FileDigest output;
 };
 
-/// Runs the full pipeline over `source`. The source store must validate
-/// (Open() succeeded); shard stores are written under `shard_dir`.
+/// Returns the trajectory at position `i` of the run's index. Called once
+/// per shard member, concurrently when shard_parallelism > 1.
+using TrajectoryFetch = std::function<Result<Trajectory>(size_t i)>;
+
+/// Runs the full pipeline over `index`, fetching each shard's members
+/// through `fetch` when that shard starts.
+Result<ShardedRunResult> RunShardedWcopCt(const std::vector<StoreEntry>& index,
+                                          const TrajectoryFetch& fetch,
+                                          const ShardRunOptions& options);
+
+/// Runs the full pipeline over `source` (Open() succeeded), reading each
+/// shard's members from it.
 Result<ShardedRunResult> RunShardedWcopCt(const TrajectoryStoreReader& source,
                                           const ShardRunOptions& options);
 

@@ -7,6 +7,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <fstream>
 #include <limits>
 
 #include "common/failpoint.h"
@@ -77,15 +78,6 @@ double GetF64(const char* in) {
   double v;
   std::memcpy(&v, &bits, 8);
   return v;
-}
-
-Status WriteAll(std::FILE* f, const char* data, size_t n,
-                const std::string& path) {
-  if (n != 0 && std::fwrite(data, 1, n, f) != n) {
-    return Status::IoError("write failed on " + path + ": " +
-                           std::strerror(errno));
-  }
-  return Status::OK();
 }
 
 /// Positional read of exactly `n` bytes at `offset`: no shared file
@@ -222,23 +214,23 @@ Result<Trajectory> ParseTrajectoryRecord(std::string_view payload,
 
 Result<TrajectoryStoreWriter> TrajectoryStoreWriter::Create(
     const std::string& path) {
-  WCOP_FAILPOINT("store.create");
   TrajectoryStoreWriter w;
-  w.path_ = path;
-  w.tmp_path_ = path + ".tmp";
-  w.live_tmp_ = ScopedLiveArtifact(w.tmp_path_);
-  w.file_.reset(std::fopen(w.tmp_path_.c_str(), "wb"));
-  if (w.file_ == nullptr) {
-    return Status::IoError("cannot open " + w.tmp_path_ + ": " +
-                           std::strerror(errno));
+  if (!path.empty()) {
+    WCOP_FAILPOINT("store.create");
+    w.path_ = path;
+    w.tmp_path_ = path + ".tmp";
+    w.live_tmp_ = ScopedLiveArtifact(w.tmp_path_);
+    w.file_.reset(std::fopen(w.tmp_path_.c_str(), "wb"));
+    if (w.file_ == nullptr) {
+      return Status::IoError("cannot open " + w.tmp_path_ + ": " +
+                             std::strerror(errno));
+    }
   }
   char header[kHeaderSize];
   std::memcpy(header, kFileMagic, 8);
   PutU32(header + 8, kStoreFormatVersion);
   PutU32(header + 12, 0);
-  WCOP_RETURN_IF_ERROR(WriteAll(w.file_.get(), header, kHeaderSize,
-                                w.tmp_path_));
-  w.offset_ = kHeaderSize;
+  WCOP_RETURN_IF_ERROR(w.Emit(header, kHeaderSize));
   return w;
 }
 
@@ -249,12 +241,24 @@ TrajectoryStoreWriter::~TrajectoryStoreWriter() {
   }
 }
 
+Status TrajectoryStoreWriter::Emit(const char* data, size_t n) {
+  crc_ = Crc32(std::string_view(data, n), crc_);
+  size_ += n;
+  if (file_ != nullptr && n != 0 && std::fwrite(data, 1, n, file_.get()) != n) {
+    return Status::IoError("write failed on " + tmp_path_ + ": " +
+                           std::strerror(errno));
+  }
+  return Status::OK();
+}
+
 Status TrajectoryStoreWriter::Append(const Trajectory& t) {
-  if (file_ == nullptr || finished_) {
+  if (finished_) {
     return Status::FailedPrecondition("store writer is closed");
   }
   WCOP_RETURN_IF_ERROR(t.Validate());
-  WCOP_FAILPOINT("store.write_block");
+  if (file_ != nullptr) {
+    WCOP_FAILPOINT("store.write_block");
+  }
   std::string payload;
   AppendTrajectoryRecord(&payload, t);
   if (payload.size() > std::numeric_limits<uint32_t>::max()) {
@@ -263,22 +267,22 @@ Status TrajectoryStoreWriter::Append(const Trajectory& t) {
   char block_header[kBlockHeaderSize];
   PutU32(block_header, static_cast<uint32_t>(payload.size()));
   PutU32(block_header + 4, Crc32(payload));
-  WCOP_RETURN_IF_ERROR(WriteAll(file_.get(), block_header, kBlockHeaderSize,
-                                tmp_path_));
-  WCOP_RETURN_IF_ERROR(WriteAll(file_.get(), payload.data(), payload.size(),
-                                tmp_path_));
-  index_.push_back(
-      MakeEntry(t, offset_, kBlockHeaderSize + payload.size()));
-  offset_ += kBlockHeaderSize + payload.size();
+  const uint64_t offset = size_;
+  WCOP_RETURN_IF_ERROR(Emit(block_header, kBlockHeaderSize));
+  WCOP_RETURN_IF_ERROR(Emit(payload.data(), payload.size()));
+  index_.push_back(MakeEntry(t, offset, kBlockHeaderSize + payload.size()));
   return Status::OK();
 }
 
 Status TrajectoryStoreWriter::Finish() {
-  if (file_ == nullptr || finished_) {
+  if (finished_) {
     return Status::FailedPrecondition("store writer is closed");
   }
+  const bool file_backed = file_ != nullptr;
   Status status = [&]() -> Status {
-    WCOP_FAILPOINT("store.write_index");
+    if (file_backed) {
+      WCOP_FAILPOINT("store.write_index");
+    }
     std::string section;
     section.reserve(8 + 8 + index_.size() * kEntrySize + 4);
     section.append(kIndexMagic, 8);
@@ -295,11 +299,13 @@ Status TrajectoryStoreWriter::Finish() {
     PutU32(buf, crc);
     section.append(buf, 4);
     char footer[kFooterSize];
-    PutU64(footer, offset_);
+    PutU64(footer, size_);
     std::memcpy(footer + 8, kEndMagic, 8);
     section.append(footer, kFooterSize);
-    WCOP_RETURN_IF_ERROR(WriteAll(file_.get(), section.data(),
-                                  section.size(), tmp_path_));
+    WCOP_RETURN_IF_ERROR(Emit(section.data(), section.size()));
+    if (!file_backed) {
+      return Status::OK();
+    }
     if (std::fflush(file_.get()) != 0) {
       return Status::IoError("flush failed on " + tmp_path_ + ": " +
                              std::strerror(errno));
@@ -311,6 +317,10 @@ Status TrajectoryStoreWriter::Finish() {
     }
     return Status::OK();
   }();
+  finished_ = true;
+  if (!file_backed) {
+    return status;
+  }
   file_.reset();
   if (status.ok()) {
     // Fired by hand (not WCOP_FAILPOINT, which returns): an injected rename
@@ -328,7 +338,6 @@ Status TrajectoryStoreWriter::Finish() {
     std::remove(tmp_path_.c_str());
   }
   live_tmp_.Release();
-  finished_ = true;
   return status;
 }
 
@@ -476,14 +485,10 @@ Result<Trajectory> TrajectoryStoreReader::ReadById(int64_t id) const {
   return Read(it->second);
 }
 
-Result<Dataset> TrajectoryStoreReader::ReadAll(
-    const RunContext* context) const {
+Result<Dataset> TrajectoryStoreReader::ReadAll() const {
   Dataset dataset;
   dataset.mutable_trajectories().reserve(index_.size());
   for (size_t i = 0; i < index_.size(); ++i) {
-    if (i % 256 == 0) {
-      WCOP_RETURN_IF_ERROR(CheckRunContext(context));
-    }
     WCOP_ASSIGN_OR_RETURN(Trajectory t, Read(i));
     dataset.Add(std::move(t));
   }
@@ -497,6 +502,26 @@ Status WriteDatasetStore(const Dataset& dataset, const std::string& path) {
     WCOP_RETURN_IF_ERROR(writer.Append(t));
   }
   return writer.Finish();
+}
+
+Result<FileDigest> DigestFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return Status::NotFound("no file at " + path);
+  }
+  std::vector<char> chunk(64 * 1024);
+  uint32_t crc = 0;
+  uint64_t size = 0;
+  while (in) {
+    in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+    const auto n = static_cast<size_t>(in.gcount());
+    crc = Crc32(std::string_view(chunk.data(), n), crc);
+    size += n;
+  }
+  if (in.bad()) {
+    return Status::IoError("read failed on " + path);
+  }
+  return FileDigest{crc, size};
 }
 
 Result<size_t> SweepStaleArtifacts(const std::string& dir,

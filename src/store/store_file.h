@@ -29,7 +29,9 @@
 /// kDataLoss — per-block CRCs mean a damaged block never yields a torn
 /// trajectory, and undamaged blocks stay readable. Writes go to
 /// `<path>.tmp` and rename into place on Finish(), matching the
-/// common/snapshot atomicity conventions.
+/// common/snapshot atomicity conventions. Every writer also keeps the
+/// CRC32 and size of the whole image it emits, so a caller that must
+/// fingerprint a store it just wrote never reads it back.
 
 #include <cstdint>
 #include <cstdio>
@@ -42,7 +44,6 @@
 
 #include "common/artifact_registry.h"
 #include "common/result.h"
-#include "common/run_context.h"
 #include "common/status.h"
 #include "common/telemetry.h"
 #include "traj/dataset.h"
@@ -67,6 +68,13 @@ struct StoreEntry {
   double t_min = 0.0, t_max = 0.0;  ///< trajectory lifetime
 };
 
+/// CRC32 and size of a store image (or any file's bytes), as recorded in
+/// the continuous pipeline's window manifests.
+struct FileDigest {
+  uint64_t crc = 0;
+  uint64_t size = 0;
+};
+
 /// Appends the binary record of `t` (bit-exact, see the layout above) to
 /// `*out`. Exposed so the shard checkpoint codec reuses the block encoding.
 void AppendTrajectoryRecord(std::string* out, const Trajectory& t);
@@ -82,6 +90,11 @@ Result<Trajectory> ParseTrajectoryRecord(std::string_view payload,
 /// footer and atomically renames the file into place. An unfinished writer
 /// removes its temp file on destruction, so a crash or early error never
 /// leaves a partial store at the target path.
+///
+/// A writer created with an empty path encodes the same image without
+/// creating a file: it touches no disk and fires no store.* failpoint, and
+/// its index() and digest() equal those of a file-backed writer fed the
+/// same trajectories.
 class TrajectoryStoreWriter {
  public:
   static Result<TrajectoryStoreWriter> Create(const std::string& path);
@@ -93,12 +106,20 @@ class TrajectoryStoreWriter {
   /// Validates and appends one trajectory block.
   Status Append(const Trajectory& t);
 
-  /// Writes index + footer, fsyncs, and renames `<path>.tmp` -> `path`.
-  /// The writer is closed afterwards regardless of the outcome.
+  /// Writes index + footer, fsyncs, and renames `<path>.tmp` -> `path` (a
+  /// pathless writer only encodes them into its digest). The writer is
+  /// closed afterwards regardless of the outcome.
   Status Finish();
 
   size_t trajectories_written() const { return index_.size(); }
   const std::string& path() const { return path_; }
+
+  /// Index rows of the blocks appended so far (offsets within the image).
+  const std::vector<StoreEntry>& index() const { return index_; }
+
+  /// CRC32 and size of every byte emitted so far; after a successful
+  /// Finish(), of the whole store image (what DigestFile would read back).
+  FileDigest digest() const { return FileDigest{crc_, size_}; }
 
  private:
   TrajectoryStoreWriter() = default;
@@ -111,14 +132,19 @@ class TrajectoryStoreWriter {
     }
   };
 
-  std::string path_;
+  /// Feeds `n` bytes into the running digest and, when file-backed, the
+  /// temp file.
+  Status Emit(const char* data, size_t n);
+
+  std::string path_;  // empty: encode and digest only, no file
   std::string tmp_path_;
   // Marks the temp file live for the duration of the write so a concurrent
   // stale-artifact sweep never reclaims it from under the writer.
   ScopedLiveArtifact live_tmp_;
   std::unique_ptr<std::FILE, FileCloser> file_;
   std::vector<StoreEntry> index_;
-  uint64_t offset_ = 0;
+  uint32_t crc_ = 0;   // running CRC32 of the emitted image
+  uint64_t size_ = 0;  // bytes emitted: the next block's offset
   bool finished_ = false;
 };
 
@@ -144,9 +170,8 @@ class TrajectoryStoreReader {
   Result<Trajectory> ReadById(int64_t id) const;
 
   /// Materializes the whole store (the monolithic path; the sharded
-  /// pipeline reads per-shard subsets instead). Polls `context` every few
-  /// hundred blocks.
-  Result<Dataset> ReadAll(const RunContext* context = nullptr) const;
+  /// pipeline reads per-shard subsets instead).
+  Result<Dataset> ReadAll() const;
 
  private:
   TrajectoryStoreReader() = default;
@@ -180,6 +205,11 @@ class TrajectoryStoreReader {
 /// Writes every trajectory of `dataset` to a store file at `path`
 /// (Create + Append* + Finish).
 Status WriteDatasetStore(const Dataset& dataset, const std::string& path);
+
+/// CRC32 and size of the whole file at `path` (any file, not only a store),
+/// read in fixed-size chunks so memory stays constant. kNotFound when the
+/// file does not exist.
+Result<FileDigest> DigestFile(const std::string& path);
 
 /// Stale-artifact janitor: removes every orphaned `*.tmp` entry in `dir`
 /// and returns how many were swept. Every durable writer in the codebase

@@ -92,9 +92,9 @@ Result<WindowExtraction> ExtractWindow(const TrajectoryStoreReader& source,
   if (!(options.window_end > options.window_start)) {
     return Status::InvalidArgument("window extraction: empty window");
   }
-  if (options.window_out_path.empty() || options.carry_out_path.empty()) {
+  if (options.carry_out_path.empty()) {
     return Status::InvalidArgument(
-        "window extraction: output store paths are required");
+        "window extraction: a carry-over store path is required");
   }
   WCOP_FAILPOINT("window_io.extract");
   const size_t min_points = std::max<size_t>(options.min_fragment_points, 1);
@@ -135,9 +135,10 @@ Result<WindowExtraction> ExtractWindow(const TrajectoryStoreReader& source,
       continue;  // lifetime overlaps the window but no samples fall in it
     }
     if (points.size() >= min_points) {
-      WCOP_RETURN_IF_ERROR(window_writer.Append(MakeWindowFragment(
-          stats.next_fragment_id++, t, std::move(points))));
-      ++stats.fragments;
+      Trajectory fragment =
+          MakeWindowFragment(stats.next_fragment_id++, t, std::move(points));
+      WCOP_RETURN_IF_ERROR(window_writer.Append(fragment));
+      stats.trajectories.push_back(std::move(fragment));
     } else if (entry.t_max >= options.window_end) {
       // The trajectory continues: spill the short fragment so the next
       // window merges it instead of this window suppressing it. The record
@@ -164,6 +165,10 @@ Result<WindowExtraction> ExtractWindow(const TrajectoryStoreReader& source,
   WCOP_RETURN_IF_ERROR(carry_writer.Finish());
   WCOP_FAILPOINT("window_io.carry_saved");
   WCOP_RETURN_IF_ERROR(window_writer.Finish());
+  stats.fragments = stats.trajectories.size();
+  stats.index = window_writer.index();
+  stats.input = window_writer.digest();
+  stats.carry = carry_writer.digest();
   return stats;
 }
 

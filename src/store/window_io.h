@@ -6,25 +6,29 @@
 /// publication pipeline").
 ///
 /// ExtractWindow() walks the source store's index, reads only the blocks
-/// whose lifetime overlaps the window (one trajectory in memory at a time),
-/// slices each into the window's sub-trajectory with the window-iterator
-/// core below, and writes the resulting fragments to a window input store.
-/// Fragments too short to publish are not dropped at window boundaries:
-/// when the source trajectory continues past the window, the short
-/// fragment is spilled to a carry-over store and merged (prepended) into
-/// the same user's fragment in the next window, still carrying that user's
-/// (k_i, δ_i). Only a short fragment with no continuation is suppressed for
-/// good.
+/// whose lifetime overlaps the window (one source trajectory in memory at a
+/// time), slices each into the window's sub-trajectory with the
+/// window-iterator core below, and returns the window's fragments in
+/// memory, together with their index rows and the CRC32/size of the store
+/// image they encode to — the pipeline anonymizes them directly and
+/// records that digest in the window's manifest, without writing or
+/// re-reading a window store. A window store file is written only when the
+/// caller names one. Fragments too short to publish are not dropped at
+/// window boundaries: when the source trajectory continues past the window,
+/// the short fragment is spilled to a carry-over store and merged
+/// (prepended) into the same user's fragment in the next window, still
+/// carrying that user's (k_i, δ_i). Only a short fragment with no
+/// continuation is suppressed for good.
 ///
 /// Carry-over records are tiny by construction — a record is spilled only
 /// while its accumulated points stay below `min_fragment_points` — so the
 /// carry store (and the in-memory map the next window loads it into) is
 /// bounded by the number of trajectories alive at the window boundary,
-/// never by stream length. Both output stores are finished atomically
+/// never by stream length. Every store written is finished atomically
 /// (write-tmp → fsync → rename), and the whole extraction is deterministic:
 /// fragments are emitted in source index order with sequentially assigned
 /// ids, so re-running a window after a crash reproduces byte-identical
-/// stores.
+/// stores and digests.
 
 #include <cstdint>
 #include <string>
@@ -92,7 +96,9 @@ struct WindowExtractOptions {
   /// Path of the carry-over store written by the previous window; empty or
   /// missing means no carry-in (the first window).
   std::string carry_in_path;
-  /// Output: the window's input store (fragments to anonymize).
+  /// Optional output: also write the window's fragments to a store file
+  /// here (the image `WindowExtraction::input` digests). Empty = keep them
+  /// in memory only.
   std::string window_out_path;
   /// Output: the carry-over store for the next window. Always written
   /// (possibly empty) so the window's durable state is self-describing.
@@ -100,16 +106,25 @@ struct WindowExtractOptions {
 };
 
 struct WindowExtraction {
-  size_t fragments = 0;      ///< fragments written to the window store
+  size_t fragments = 0;      ///< fragments in the window (= trajectories.size())
   size_t carried_in = 0;     ///< carry-over records merged from the previous window
   size_t carried_out = 0;    ///< short fragments spilled to the next window
   size_t suppressed = 0;     ///< short fragments with no continuation (dropped)
   int64_t next_fragment_id = 0;  ///< first id unused after this window
+
+  /// The window's fragments in emission order — the anonymizer's input —
+  /// and their index rows within the window store image.
+  std::vector<Trajectory> trajectories;
+  std::vector<StoreEntry> index;
+  /// CRC32/size of the window store image (written to window_out_path when
+  /// set) and of the carry-over store written to carry_out_path.
+  FileDigest input;
+  FileDigest carry;
 };
 
-/// Extracts one window from `source` per the options above. The window and
-/// carry stores are atomically finished before returning; on any error
-/// neither output path is created or replaced.
+/// Extracts one window from `source` per the options above. The carry store
+/// (and the window store, when requested) is atomically finished before
+/// returning; on any error no output path is created or replaced.
 Result<WindowExtraction> ExtractWindow(const TrajectoryStoreReader& source,
                                        const WindowExtractOptions& options);
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -18,7 +19,9 @@
 #include "anon/verifier.h"
 #include "anon/wcop_ct.h"
 #include "common/rng.h"
+#include "common/snapshot.h"
 #include "data/geolife_parser.h"
+#include "pipeline/manifest.h"
 #include "store/store_file.h"
 #include "test_util.h"
 #include "traj/io.h"
@@ -321,6 +324,140 @@ TEST_F(StoreFuzzTest, CrcRepairedFieldEditsReachStructuralChecks) {
   // Most edits must actually be caught, or the mutations are not reaching
   // the checks they are meant to exercise.
   EXPECT_GT(rejected, 1000u);
+}
+
+// ---------------------------------------------------------------------------
+// Window manifest (`.mfr`) decoder. Every mutated payload is re-sealed in a
+// valid snapshot envelope, so it reaches DecodeWindowManifest instead of
+// failing the envelope's CRC. Contract: kDataLoss, or a record that
+// round-trips through the codec; never a crash (the asan-ubsan leg runs it).
+// ---------------------------------------------------------------------------
+
+class ManifestFuzzTest : public FuzzRobustnessTest {
+ protected:
+  void SetUp() override {
+    FuzzRobustnessTest::SetUp();
+    pipeline::WindowManifest m;
+    m.config_fingerprint = 0x9e3779b97f4a7c15ULL;
+    m.window_index = 17;
+    m.window_start = 0.1;
+    m.window_end = 1e9 + 0.25;
+    m.input_fragments = 40;
+    m.published_fragments = 37;
+    m.suppressed_delta = 3;
+    m.carried_in = 2;
+    m.carried_out = 5;
+    m.clusters = 11;
+    m.ttd = 12345.678;
+    m.degraded = true;
+    m.next_fragment_id = 1234;
+    m.input_crc = 0xdeadbeef;
+    m.input_size = 98765;
+    m.output_crc = 7;
+    m.output_size = 43210;
+    m.carry_crc = 0xffffffff;
+    m.carry_size = 16;
+    good_ = pipeline::EncodeWindowManifest(m);
+    path_ = (dir_ / "fuzz.mfr").string();
+    // Token boundaries of the clean payload: the marker, then 20 fields.
+    for (size_t pos = 0; pos < good_.size(); ++pos) {
+      if (good_[pos] != ' ' && good_[pos] != '\n' &&
+          (pos == 0 || good_[pos - 1] == ' ')) {
+        token_starts_.push_back(pos);
+      }
+    }
+    ASSERT_EQ(token_starts_.size(), 21u);
+    ASSERT_TRUE(Decode(good_));
+  }
+
+  /// Seals `payload`, reads it back as a manifest and checks the contract.
+  /// Returns whether the record was accepted.
+  bool Decode(const std::string& payload) {
+    EXPECT_TRUE(WriteSnapshotFile(path_, payload,
+                                  pipeline::kWindowManifestVersion)
+                    .ok());
+    Result<pipeline::WindowManifest> m = pipeline::ReadWindowManifest(path_);
+    if (!m.ok()) {
+      EXPECT_EQ(m.status().code(), StatusCode::kDataLoss) << m.status();
+      return false;
+    }
+    const std::string encoded = pipeline::EncodeWindowManifest(*m);
+    Result<pipeline::WindowManifest> again =
+        pipeline::DecodeWindowManifest(encoded);
+    EXPECT_TRUE(again.ok()) << again.status();
+    if (again.ok()) {
+      EXPECT_EQ(pipeline::EncodeWindowManifest(*again), encoded);
+    }
+    return true;
+  }
+
+  std::string good_;
+  std::string path_;
+  std::vector<size_t> token_starts_;
+};
+
+TEST_F(ManifestFuzzTest, TruncationsAreRejectedUntilTheLastField) {
+  // Any cut before the last field's first digit drops a field.
+  for (size_t cut = 0; cut <= good_.size(); ++cut) {
+    const bool accepted = Decode(good_.substr(0, cut));
+    if (cut <= token_starts_.back()) {
+      EXPECT_FALSE(accepted) << "cut " << cut;
+    }
+  }
+}
+
+TEST_F(ManifestFuzzTest, SeededMutationsAreRejectedOrRoundTrip) {
+  Rng rng(606);
+  const std::vector<std::string> tokens = {
+      "", "0", "-1", "+7", "-0", "1.5", "12abc", "0x10", "nan", "-nan",
+      "inf", "-inf", "1e309", "-1e309", "1e-320", "4294967296",
+      "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+      "18446744073709551615", "18446744073709551616",
+      "99999999999999999999999999999999999999", "wcop-window-manifest"};
+  size_t rejected = 0;
+  size_t accepted = 0;
+  for (int round = 0; round < 1500; ++round) {
+    std::string payload = good_;
+    const size_t edits = 1 + rng.UniformIndex(3);
+    for (size_t n = 0; n < edits; ++n) {
+      // Token positions are those of the clean payload; after an edit they
+      // may land mid-token, which is a mutation too.
+      const size_t at =
+          std::min(token_starts_[rng.UniformIndex(token_starts_.size())],
+                   payload.size());
+      const size_t end = std::min(payload.find(' ', at), payload.size());
+      switch (rng.UniformIndex(5)) {
+        case 0:  // replace a field with an edge-case token
+          payload.replace(at, end - at,
+                          tokens[rng.UniformIndex(tokens.size())]);
+          break;
+        case 1:  // drop a field (and its separator)
+          payload.erase(at, end - at + 1);
+          break;
+        case 2:  // duplicate a field
+          payload.insert(at, payload.substr(at, end - at + 1));
+          break;
+        case 3:  // overwrite any byte with any value
+          payload[rng.UniformIndex(payload.size())] =
+              static_cast<char>(rng.UniformInt(0, 255));
+          break;
+        default:  // insert random bytes anywhere
+          payload.insert(rng.UniformIndex(payload.size() + 1),
+                         RandomBytes(&rng, 1 + rng.UniformIndex(8),
+                                     round % 2 == 0));
+          break;
+      }
+    }
+    if (Decode(payload)) {
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+  }
+  // Both outcomes must occur, or the mutations are not reaching the
+  // decoder's checks (or never produce a still-valid record).
+  EXPECT_GT(rejected, 1000u);
+  EXPECT_GT(accepted, 50u);
 }
 
 // ---------------------------------------------------------------------------

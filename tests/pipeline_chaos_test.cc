@@ -47,35 +47,15 @@
 namespace wcop {
 namespace {
 
-using testing_util::MakeLineWithReq;
+using testing_util::StaggeredGroupedDataset;
 
 namespace fs = std::filesystem;
 
 // ---------------------------------------------------------------------------
-// Shared between parent and child: the deterministic workload.
+// Shared between parent and child: the deterministic workload
+// (StaggeredGroupedDataset, five 100 s windows with a live carry-over chain)
+// and the published-bytes dump.
 // ---------------------------------------------------------------------------
-
-// Three groups of three co-travelling lines with staggered start times
-// (t0 = 0 / 90 / 190 s). Windows of 100 s give five windows, and the
-// stagger lands single-point fragments at window boundaries, so the
-// carry-over chain is genuinely exercised: crashing between "carry saved"
-// and "manifest saved" leaves exactly the torn state resume must repair.
-Dataset ChaosDataset() {
-  std::vector<Trajectory> trajectories;
-  const double starts[3] = {0.0, 90.0, 190.0};
-  int64_t id = 0;
-  for (int g = 0; g < 3; ++g) {
-    for (int i = 0; i < 3; ++i) {
-      Trajectory t = MakeLineWithReq(id, 2000.0 * g, 30.0 * i, 5.0, 0.0,
-                                     /*n=*/30, /*k=*/2, /*delta=*/300.0,
-                                     /*dt=*/10.0, /*t0=*/starts[g]);
-      t.set_object_id(id);
-      trajectories.push_back(std::move(t));
-      ++id;
-    }
-  }
-  return Dataset(std::move(trajectories));
-}
 
 // Concatenated raw bytes of every published artifact, in filename order.
 // Includes the manifests, so a run that "recovers" by rewriting different
@@ -189,7 +169,7 @@ class PipelineChaosTest : public ::testing::Test {
     fs::remove_all(dir_);
     fs::create_directories(dir_);
     source_ = Path("source.wst");
-    ASSERT_TRUE(store::WriteDatasetStore(ChaosDataset(), source_).ok());
+    ASSERT_TRUE(store::WriteDatasetStore(StaggeredGroupedDataset(), source_).ok());
     // Uninterrupted reference run: every faulted run must converge to
     // exactly these bytes.
     const ChildOutcome baseline =
@@ -234,7 +214,7 @@ class PipelineChaosTest : public ::testing::Test {
 // kill -9-equivalent (abort leaves no atexit cleanup, like SIGKILL minus
 // the unkillability) at every window lifecycle boundary and inside every
 // layer underneath it: extraction, carry spill, store block writes, the
-// atomic rename, the manifest snapshot, and the shard checkpoint.
+// atomic rename and the manifest snapshot.
 TEST_F(PipelineChaosTest, SurvivesAbortAtEveryLifecyclePoint) {
   const std::vector<std::string> specs = {
       "pipeline.window_start:abort@2",
@@ -251,7 +231,6 @@ TEST_F(PipelineChaosTest, SurvivesAbortAtEveryLifecyclePoint) {
       "store.write_block:abort@4",
       "store.rename:abort@3",
       "snapshot.rename:abort@2",
-      "shard.checkpoint_saved:abort@1",
   };
   for (size_t i = 0; i < specs.size(); ++i) {
     CrashAndRecover(specs[i], SIGABRT, "abort_" + std::to_string(i));

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,7 @@ namespace {
 using testing_util::GroupedDataset;
 using testing_util::MakeLineWithReq;
 using testing_util::PublishedWindowBytes;
+using testing_util::StaggeredGroupedDataset;
 
 namespace fs = std::filesystem;
 
@@ -66,6 +68,27 @@ class PipelineTest : public ::testing::Test {
 
   fs::path dir_;
 };
+
+std::string WindowName(size_t window, const std::string& suffix) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "window_%05zu", window);
+  return name + suffix;
+}
+
+std::set<std::string> ListDir(const std::string& dir) {
+  std::set<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.insert(entry.path().filename().string());
+  }
+  return names;
+}
+
+void ExpectDigest(const std::string& path, uint64_t crc, uint64_t size) {
+  Result<pipeline::FileDigest> digest = pipeline::DigestFile(path);
+  ASSERT_TRUE(digest.ok()) << digest.status();
+  EXPECT_EQ(digest->crc, crc) << path;
+  EXPECT_EQ(digest->size, size) << path;
+}
 
 // ---------------------------------------------------------------------------
 // Window-iterator core (store/window_io.h).
@@ -268,6 +291,87 @@ TEST_F(PipelineTest, PublishesEveryWindowWithValidManifests) {
     ASSERT_TRUE(window.ok());
     EXPECT_EQ(window->size(), manifest->published_fragments);
   }
+}
+
+// Every digest a manifest records names real bytes, although the pipeline
+// reads none of them back: the output and carry digests equal DigestFile of
+// those files, and the input digest equals that of the store ExtractWindow
+// writes for the window when given a path.
+TEST_F(PipelineTest, ManifestDigestsMatchTheBytesTheyName) {
+  const std::string source = WriteSource(StaggeredGroupedDataset());
+  Result<pipeline::ContinuousPipelineResult> result =
+      pipeline::RunContinuousPipeline(BaseOptions(source, "out"));
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->windows.size(), 5u);
+  Result<store::TrajectoryStoreReader> reader =
+      store::TrajectoryStoreReader::Open(source);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+
+  std::string carry_in;
+  int64_t next_fragment_id = 0;
+  uint64_t carried = 0;
+  for (size_t wi = 0; wi < result->windows.size(); ++wi) {
+    SCOPED_TRACE(wi);
+    const pipeline::WindowManifest& m = result->windows[wi];
+    ExpectDigest(Path("out/" + WindowName(wi, ".wst")), m.output_crc,
+                 m.output_size);
+
+    store::WindowExtractOptions extract;
+    extract.window_start = m.window_start;
+    extract.window_end = m.window_end;
+    extract.next_fragment_id = next_fragment_id;
+    extract.carry_in_path = carry_in;
+    extract.window_out_path = Path(WindowName(wi, ".input.wst"));
+    extract.carry_out_path = Path(WindowName(wi, ".carry.wst"));
+    Result<store::WindowExtraction> extraction =
+        store::ExtractWindow(*reader, extract);
+    ASSERT_TRUE(extraction.ok()) << extraction.status();
+    EXPECT_EQ(extraction->fragments, m.input_fragments);
+    EXPECT_EQ(extraction->input.crc, m.input_crc);
+    EXPECT_EQ(extraction->input.size, m.input_size);
+    ExpectDigest(extract.window_out_path, m.input_crc, m.input_size);
+    ExpectDigest(extract.carry_out_path, m.carry_crc, m.carry_size);
+    carried += m.carried_out;
+    carry_in = extract.carry_out_path;
+    next_fragment_id = extraction->next_fragment_id;
+  }
+  EXPECT_GT(carried, 0u) << "the chain must carry records, not only empty "
+                            "stores";
+  // The two carry stores the run retains are the last two windows' own.
+  ExpectDigest(Path("out/.work/carry_00004.wst"), result->windows[3].carry_crc,
+               result->windows[3].carry_size);
+  ExpectDigest(Path("out/.work/carry_00005.wst"), result->windows[4].carry_crc,
+               result->windows[4].carry_size);
+}
+
+// A run that commits a window's manifest and dies before that window's
+// garbage collection leaves an extra carry store behind; resuming must not
+// keep it. Afterwards the work dir lists exactly what an uninterrupted run's
+// does, and the published bytes match.
+TEST_F(PipelineTest, ResumeLeavesTheWorkDirOfAnUninterruptedRun) {
+  const std::string source = WriteSource(StaggeredGroupedDataset());
+  ASSERT_TRUE(pipeline::RunContinuousPipeline(BaseOptions(source, "ref")).ok());
+
+  pipeline::ContinuousPipelineOptions options = BaseOptions(source, "out");
+  FailpointRegistry::Instance().ArmErrno("pipeline.manifest_saved", EIO,
+                                         /*on_hit=*/3);
+  EXPECT_EQ(pipeline::RunContinuousPipeline(options).status().code(),
+            StatusCode::kIoError);
+  FailpointRegistry::Instance().DisarmAll();
+  for (const std::string& name : ListDir(Path("out/.work"))) {
+    EXPECT_EQ(name.rfind("carry_", 0), 0u) << name;
+  }
+  EXPECT_EQ(ListDir(Path("out/.work")),
+            (std::set<std::string>{"carry_00001.wst", "carry_00002.wst",
+                                   "carry_00003.wst"}));
+
+  options.resume = true;
+  Result<pipeline::ContinuousPipelineResult> resumed =
+      pipeline::RunContinuousPipeline(options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->resumed_windows, 3u);
+  EXPECT_EQ(ListDir(Path("out/.work")), ListDir(Path("ref/.work")));
+  EXPECT_EQ(PublishedWindowBytes(Path("out")), PublishedWindowBytes(Path("ref")));
 }
 
 TEST_F(PipelineTest, RefusesNonEmptyOutputWithoutResume) {

@@ -188,6 +188,33 @@ TEST_F(ServerTest, ResubmittingAKnownNameDedupes) {
   EXPECT_EQ((*service)->Jobs().size(), 1u);
 }
 
+// A job counts as outstanding from admission until its worker is done with
+// it, so AwaitIdle can never return between a worker's Pop and the job's
+// claim, when the queue is empty, nothing runs and the job is still
+// kQueued.
+TEST_F(ServerTest, AwaitIdleNeverReturnsBeforeTheJobFinishes) {
+  ServiceOptions options = BaseOptions();
+  options.workers = 4;
+  Result<std::unique_ptr<AnonymizationService>> service =
+      AnonymizationService::Start(options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  const std::string input = Path("tiny.wst");
+  ASSERT_TRUE(store::WriteDatasetStore(SmallSynthetic(6, 8), input).ok());
+
+  for (int round = 0; round < 200; ++round) {
+    Result<int64_t> id =
+        (*service)->Submit(Spec("round-" + std::to_string(round), input));
+    ASSERT_TRUE(id.ok()) << id.status();
+    // A varying gap lets a worker's Pop land before, during or after
+    // AwaitIdle's first check.
+    std::this_thread::sleep_for(std::chrono::microseconds(100 * (round % 4)));
+    (*service)->AwaitIdle();
+    Result<JobRecord> record = (*service)->GetJob(*id);
+    ASSERT_TRUE(record.ok()) << record.status();
+    ASSERT_EQ(record->state, JobState::kDone) << "round " << round;
+  }
+}
+
 TEST_F(ServerTest, InvalidSubmissionsAreRejectedUpFront) {
   Result<std::unique_ptr<AnonymizationService>> service =
       AnonymizationService::Start(BaseOptions());

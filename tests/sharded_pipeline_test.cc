@@ -115,7 +115,6 @@ TEST(ShardedPipelineTest, SingleShardIsByteIdenticalToMonolithic) {
   ShardRunOptions run;
   run.wcop = wcop;
   run.partition.num_shards = 1;
-  run.shard_dir = TempDirFor("shard_single.shards");
   Result<ShardedRunResult> sharded = RunShardedWcopCt(*reader, run);
   ASSERT_TRUE(sharded.ok()) << sharded.status();
 
@@ -146,7 +145,6 @@ TEST(ShardedPipelineTest, MultiShardRunsVerifierCleanAndComplete) {
   ShardRunOptions run;
   run.wcop.seed = 9;
   run.partition.num_shards = 4;
-  run.shard_dir = TempDirFor("shard_multi.shards");
   Result<ShardedRunResult> r = RunShardedWcopCt(*reader, run);
   ASSERT_TRUE(r.ok()) << r.status();
 
@@ -191,7 +189,6 @@ TEST(ShardedPipelineTest, ProgressCallbackIsMonotoneAndComplete) {
   run.wcop.seed = 9;
   run.wcop.run_context = &ctx;
   run.partition.num_shards = 4;
-  run.shard_dir = TempDirFor("shard_progress.shards");
   std::vector<ShardProgress> updates;
   run.progress = [&updates](const ShardProgress& p) {
     updates.push_back(p);
@@ -234,7 +231,6 @@ TEST(ShardedPipelineTest, ShardSpansMergeIntoParentTelemetry) {
   run.wcop.run_context = &ctx;
   run.wcop.telemetry = &tel;
   run.partition.num_shards = 4;
-  run.shard_dir = TempDirFor("shard_spans.shards");
   Result<ShardedRunResult> r = RunShardedWcopCt(*reader, run);
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_GT(r->partition.shards.size(), 1u);
@@ -268,13 +264,11 @@ TEST(ShardedPipelineTest, DeterministicAcrossThreadCounts) {
   serial.wcop.seed = 9;
   serial.wcop.threads = 1;
   serial.partition.num_shards = 4;
-  serial.shard_dir = TempDirFor("shard_threads1.shards");
   Result<ShardedRunResult> a = RunShardedWcopCt(*reader, serial);
   ASSERT_TRUE(a.ok()) << a.status();
 
   ShardRunOptions threaded = serial;
   threaded.wcop.threads = 4;
-  threaded.shard_dir = TempDirFor("shard_threads4.shards");
   Result<ShardedRunResult> b = RunShardedWcopCt(*reader, threaded);
   ASSERT_TRUE(b.ok()) << b.status();
 
@@ -285,7 +279,6 @@ TEST(ShardedPipelineTest, DeterministicAcrossThreadCounts) {
   // Shard-level parallelism must not change the output either.
   ShardRunOptions shard_par = serial;
   shard_par.shard_parallelism = 3;
-  shard_par.shard_dir = TempDirFor("shard_threadsp.shards");
   Result<ShardedRunResult> c = RunShardedWcopCt(*reader, shard_par);
   ASSERT_TRUE(c.ok()) << c.status();
   ExpectDatasetsIdentical(a->merged.sanitized, c->merged.sanitized);
@@ -304,7 +297,6 @@ TEST(ShardedPipelineTest, CheckpointResumeSkipsCompletedShards) {
   ShardRunOptions run;
   run.wcop.seed = 9;
   run.partition.num_shards = 4;
-  run.shard_dir = TempDirFor("shard_ckpt.shards");
   run.checkpoint_dir = TempDirFor("shard_ckpt.ckpts");
   Result<ShardedRunResult> first = RunShardedWcopCt(*reader, run);
   ASSERT_TRUE(first.ok()) << first.status();
@@ -382,18 +374,23 @@ TEST(ShardedPipelineTest, StreamedOutputMatchesInMemoryMerge) {
   ShardRunOptions run;
   run.wcop.seed = 9;
   run.partition.num_shards = 4;
-  run.shard_dir = TempDirFor("shard_stream.shards");
   Result<ShardedRunResult> in_memory = RunShardedWcopCt(*reader, run);
   ASSERT_TRUE(in_memory.ok()) << in_memory.status();
 
   ShardRunOptions streamed = run;
-  streamed.shard_dir = TempDirFor("shard_stream2.shards");
   streamed.stream_output_store = TempPath("shard_stream.out.wst");
   Result<ShardedRunResult> r = RunShardedWcopCt(*reader, streamed);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_TRUE(r->merged.sanitized.empty());  // streamed to disk instead
   ExpectReportsEqualMinusTimings(in_memory->merged.report,
                                  r->merged.report);
+
+  // The reported digest is the writer's, and names the file's bytes.
+  Result<FileDigest> digest = DigestFile(streamed.stream_output_store);
+  ASSERT_TRUE(digest.ok()) << digest.status();
+  EXPECT_EQ(r->output.crc, digest->crc);
+  EXPECT_EQ(r->output.size, digest->size);
+  EXPECT_EQ(in_memory->output.size, 0u);  // nothing streamed
 
   Result<TrajectoryStoreReader> out =
       TrajectoryStoreReader::Open(streamed.stream_output_store);

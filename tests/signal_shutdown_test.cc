@@ -153,7 +153,6 @@ TEST_F(SignalShutdownTest, SigintCancelsShardRunnerAndResumeIsByteIdentical) {
 
   store::ShardRunOptions options;
   options.partition.num_shards = 4;
-  options.shard_dir = Path("shards_baseline");
   Result<store::ShardedRunResult> baseline =
       store::RunShardedWcopCt(*reader, options);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
@@ -168,7 +167,6 @@ TEST_F(SignalShutdownTest, SigintCancelsShardRunnerAndResumeIsByteIdentical) {
   const CancellationToken token = InstallShutdownSignalHandlers();
   RunContext ctx;
   ctx.set_cancellation_token(token);
-  options.shard_dir = Path("shards");
   options.checkpoint_dir = Path("ckpt");
   options.wcop.run_context = &ctx;
   FailpointRegistry::Instance().ArmSignal("shard.run", SIGINT, /*on_hit=*/2);

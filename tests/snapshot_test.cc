@@ -9,6 +9,7 @@
 #include <random>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/failpoint.h"
 
@@ -101,6 +102,31 @@ TEST_F(SnapshotTest, Crc32MatchesBytewiseReference) {
   }
   const std::string big = RandomBuffer(size_t{1} << 20, 6);
   EXPECT_EQ(Crc32(big), BytewiseCrc32(big));
+}
+
+// Passing a prefix's CRC continues it: Crc32(b, Crc32(a)) == Crc32(a + b),
+// the running digest the store writer keeps while it streams a file.
+TEST_F(SnapshotTest, Crc32ContinuesAcrossEverySplit) {
+  const std::vector<std::string> inputs = {
+      "", "123456789", "The quick brown fox jumps over the lazy dog",
+      RandomBuffer(1100, 5)};
+  for (const std::string& input : inputs) {
+    const std::string_view all(input);
+    for (size_t split = 0; split <= all.size(); ++split) {
+      ASSERT_EQ(Crc32(all.substr(split), Crc32(all.substr(0, split))),
+                Crc32(all))
+          << "size " << all.size() << " split " << split;
+    }
+  }
+  // The 1 MiB buffer at a spread of split points, odd and aligned.
+  const std::string big = RandomBuffer(size_t{1} << 20, 6);
+  const std::string_view all(big);
+  for (size_t split = 0; split <= all.size(); split += 65537) {
+    EXPECT_EQ(Crc32(all.substr(split), Crc32(all.substr(0, split))),
+              Crc32(all))
+        << "split " << split;
+  }
+  EXPECT_EQ(Crc32("", Crc32(all)), Crc32(all));
 }
 
 // ---------------------------------------------------------------------------

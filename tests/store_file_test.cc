@@ -479,6 +479,73 @@ TEST(StoreFileTest, ReaderFailpointsPropagate) {
   std::filesystem::remove(path);
 }
 
+void ExpectSameEntry(const StoreEntry& a, const StoreEntry& b) {
+  EXPECT_EQ(a.id, b.id);
+  EXPECT_EQ(a.offset, b.offset);
+  EXPECT_EQ(a.block_size, b.block_size);
+  EXPECT_EQ(a.num_points, b.num_points);
+  EXPECT_EQ(a.k, b.k);
+  EXPECT_EQ(DoubleBits(a.delta), DoubleBits(b.delta));
+  EXPECT_EQ(DoubleBits(a.min_x), DoubleBits(b.min_x));
+  EXPECT_EQ(DoubleBits(a.min_y), DoubleBits(b.min_y));
+  EXPECT_EQ(DoubleBits(a.max_x), DoubleBits(b.max_x));
+  EXPECT_EQ(DoubleBits(a.max_y), DoubleBits(b.max_y));
+  EXPECT_EQ(DoubleBits(a.t_min), DoubleBits(b.t_min));
+  EXPECT_EQ(DoubleBits(a.t_max), DoubleBits(b.t_max));
+}
+
+// A writer's digest is the CRC32 and size of exactly the file it finished,
+// and a pathless writer encodes the same image, with the same index rows,
+// without touching the disk.
+TEST(StoreFileTest, WriterDigestMatchesTheFinishedFile) {
+  // Many blocks: ~120 KB, so DigestFile reads it in more than one chunk.
+  const Dataset dataset = SmallSynthetic(60, 80);
+  for (const size_t n : {size_t{0}, size_t{1}, dataset.size()}) {
+    SCOPED_TRACE("blocks " + std::to_string(n));
+    const std::string path = TempPath("store_digest.wst");
+    Result<TrajectoryStoreWriter> file = TrajectoryStoreWriter::Create(path);
+    ASSERT_TRUE(file.ok()) << file.status();
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(file->Append(dataset[i]).ok());
+    }
+    ASSERT_TRUE(file->Finish().ok());
+    Result<FileDigest> on_disk = DigestFile(path);
+    ASSERT_TRUE(on_disk.ok()) << on_disk.status();
+    EXPECT_EQ(on_disk->size, ReadFileBytes(path).size());
+    EXPECT_EQ(file->digest().crc, on_disk->crc);
+    EXPECT_EQ(file->digest().size, on_disk->size);
+
+    Result<TrajectoryStoreWriter> memory = Status::Internal("not created");
+    {
+      // Every writer I/O site armed: a pathless writer reaches none of them.
+      ScopedFailpoint create("store.create", Status::IoError("injected"));
+      ScopedFailpoint block("store.write_block", Status::IoError("injected"));
+      ScopedFailpoint index("store.write_index", Status::IoError("injected"));
+      ScopedFailpoint fsync("store.fsync", Status::IoError("injected"));
+      ScopedFailpoint rename("store.rename", Status::IoError("injected"));
+      memory = TrajectoryStoreWriter::Create("");
+      ASSERT_TRUE(memory.ok()) << memory.status();
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_TRUE(memory->Append(dataset[i]).ok());
+      }
+      ASSERT_TRUE(memory->Finish().ok());
+    }
+    EXPECT_EQ(memory->digest().crc, on_disk->crc);
+    EXPECT_EQ(memory->digest().size, on_disk->size);
+    Result<TrajectoryStoreReader> reader = TrajectoryStoreReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    ASSERT_EQ(memory->index().size(), n);
+    ASSERT_EQ(reader->index().size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      ExpectSameEntry(memory->index()[i], reader->index()[i]);
+      ExpectSameEntry(file->index()[i], reader->index()[i]);
+    }
+    std::filesystem::remove(path);
+  }
+  EXPECT_EQ(DigestFile(TempPath("store_digest.wst")).status().code(),
+            StatusCode::kNotFound);
+}
+
 TEST(StoreFileTest, EmptyAndMissingFiles) {
   const std::string path = TempPath("store_empty.wst");
   WriteFileBytes(path, "");

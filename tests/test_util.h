@@ -66,21 +66,29 @@ inline Dataset SmallSynthetic(size_t n = 40, size_t points = 60,
 
 /// Three groups of three co-travelling lines in [0, 290] s, 2 km apart: a
 /// 100 s window grid gives exactly three windows with every group
-/// clusterable at k=2, delta=300.
-inline Dataset GroupedDataset() {
+/// clusterable at k=2, delta=300. `starts` shifts each group's first sample.
+inline Dataset GroupedDataset(const double (&starts)[3] = {0.0, 0.0, 0.0}) {
   std::vector<Trajectory> trajectories;
   int64_t id = 0;
   for (int g = 0; g < 3; ++g) {
     for (int i = 0; i < 3; ++i) {
       Trajectory t = MakeLineWithReq(id, 2000.0 * g, 30.0 * i, 5.0, 0.0,
                                      /*n=*/30, /*k=*/2, /*delta=*/300.0,
-                                     /*dt=*/10.0);
+                                     /*dt=*/10.0, /*t0=*/starts[g]);
       t.set_object_id(id);
       trajectories.push_back(std::move(t));
       ++id;
     }
   }
   return Dataset(std::move(trajectories));
+}
+
+/// GroupedDataset with the groups starting at t = 0 / 90 / 190 s. Windows of
+/// 100 s give five windows, and the stagger lands single-point fragments at
+/// window boundaries, so the continuous pipeline's carry-over chain is
+/// genuinely exercised.
+inline Dataset StaggeredGroupedDataset() {
+  return GroupedDataset({0.0, 90.0, 190.0});
 }
 
 /// Bytes of every published continuous-pipeline artifact in `dir` (the
