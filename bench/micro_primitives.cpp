@@ -1,7 +1,8 @@
 // Micro-benchmarks of the computational primitives behind the WCOP suite:
 // EDR distance / op reconstruction, synchronized Euclidean distance, DBSCAN,
-// grid-index range queries, TRACLUS MDL partitioning, greedy clustering and
-// the translation phase. google-benchmark binary — runs standalone.
+// grid-index range queries, TRACLUS MDL partitioning, greedy clustering, the
+// translation phase and CSV ingest. google-benchmark binary — runs
+// standalone.
 //
 // `--json-out=FILE` (the shared bench_util flag) additionally captures every
 // run as a machine-readable record; all other flags pass through to
@@ -10,7 +11,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "anon/greedy_clustering.h"
@@ -18,6 +21,7 @@
 #include "anon/wcop_ct.h"
 #include "bench_util.h"
 #include "cluster/dbscan.h"
+#include "data/store_convert.h"
 #include "distance/edr.h"
 #include "distance/edr_bounds.h"
 #include "distance/edr_kernel.h"
@@ -25,6 +29,7 @@
 #include "index/grid_index.h"
 #include "mod/trajectory_store.h"
 #include "segment/traclus.h"
+#include "traj/io.h"
 
 using namespace wcop;
 using namespace wcop::bench;
@@ -240,6 +245,65 @@ void BM_StoreNearestAt(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreNearestAt)->Range(64, 512);
 
+// Ingest: the exchange CSV of a 2,000 x 40 corpus (about 5 MB), written
+// once per process and removed at exit. Throughput is CSV bytes per second
+// of wall time.
+struct IngestCsv {
+  IngestCsv() {
+    BenchScale scale;
+    scale.trajectories = 2000;
+    scale.points = 40;
+    Dataset d = MakeBenchDataset(scale);
+    AssignPaperRequirements(&d, 5, 250.0, 11);
+    path = (std::filesystem::temp_directory_path() / "wcop_micro_ingest.csv")
+               .string();
+    ok = WriteDatasetCsv(d, path).ok();
+    bytes = ok ? static_cast<int64_t>(std::filesystem::file_size(path)) : 0;
+  }
+  IngestCsv(const IngestCsv&) = delete;
+  IngestCsv& operator=(const IngestCsv&) = delete;
+  ~IngestCsv() { std::filesystem::remove(path); }
+
+  std::string path;
+  bool ok = false;
+  int64_t bytes = 0;
+};
+
+const IngestCsv& IngestInput() {
+  static const IngestCsv csv;
+  return csv;
+}
+
+void BM_ReadDatasetCsv(benchmark::State& state) {
+  const IngestCsv& csv = IngestInput();
+  for (auto _ : state) {
+    Result<Dataset> d = ReadDatasetCsv(csv.path);
+    if (!csv.ok || !d.ok()) {
+      state.SkipWithError("ReadDatasetCsv failed");
+      break;
+    }
+    benchmark::DoNotOptimize(d);
+  }
+  state.SetBytesProcessed(state.iterations() * csv.bytes);
+}
+BENCHMARK(BM_ReadDatasetCsv)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_CsvToStore(benchmark::State& state) {
+  const IngestCsv& csv = IngestInput();
+  const std::string store = csv.path + ".wst";
+  for (auto _ : state) {
+    Result<StoreConvertStats> stats = ConvertCsvToStore(csv.path, store);
+    if (!csv.ok || !stats.ok()) {
+      state.SkipWithError("ConvertCsvToStore failed");
+      break;
+    }
+    benchmark::DoNotOptimize(stats);
+  }
+  state.SetBytesProcessed(state.iterations() * csv.bytes);
+  std::filesystem::remove(store);
+}
+BENCHMARK(BM_CsvToStore)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 void BM_WcopCtEndToEnd(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const Dataset d = SmallDataset(n, 60);
@@ -333,10 +397,16 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
       }
       const double iterations =
           run.iterations > 0 ? static_cast<double>(run.iterations) : 1.0;
-      out_->Add("micro/" + run.benchmark_name(),
-                {{"iterations", iterations},
-                 {"per_iteration_seconds",
-                  run.real_accumulated_time / iterations}},
+      std::vector<std::pair<std::string, double>> config = {
+          {"iterations", iterations},
+          {"per_iteration_seconds", run.real_accumulated_time / iterations}};
+      // SetBytesProcessed's rate, in MB (2^20 bytes) per second.
+      const auto bytes = run.counters.find("bytes_per_second");
+      if (bytes != run.counters.end()) {
+        config.emplace_back("mb_per_second",
+                            bytes->second.value / (1024.0 * 1024.0));
+      }
+      out_->Add("micro/" + run.benchmark_name(), config,
                 run.real_accumulated_time, {});
     }
     ConsoleReporter::ReportRuns(runs);

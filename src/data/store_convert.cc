@@ -1,101 +1,26 @@
 #include "data/store_convert.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
-#include <utility>
 
-#include "geo/point.h"
-#include "traj/trajectory.h"
+#include "traj/io.h"
 
 namespace wcop {
-
-namespace {
-
-// Mirrors the WriteDatasetCsv row layout (traj/io.cc).
-Status WriteCsvRows(std::ofstream* out, const Trajectory& t) {
-  char line[256];
-  for (const Point& p : t.points()) {
-    std::snprintf(line, sizeof(line),
-                  "%lld,%lld,%lld,%d,%.6f,%.6f,%.6f,%.6f\n",
-                  static_cast<long long>(t.id()),
-                  static_cast<long long>(t.object_id()),
-                  static_cast<long long>(t.parent_id()), t.requirement().k,
-                  t.requirement().delta, p.x, p.y, p.t);
-    *out << line;
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<StoreConvertStats> ConvertCsvToStore(const std::string& csv_path,
                                             const std::string& store_path,
                                             const RunContext* context) {
-  std::ifstream in(csv_path);
-  if (!in) {
-    return Status::IoError("cannot open for reading: " + csv_path);
-  }
+  WCOP_ASSIGN_OR_RETURN(CsvTrajectoryReader csv,
+                        CsvTrajectoryReader::Open(csv_path));
   WCOP_ASSIGN_OR_RETURN(store::TrajectoryStoreWriter writer,
                         store::TrajectoryStoreWriter::Create(store_path));
   StoreConvertStats stats;
-  Trajectory current;
-  bool have_current = false;
-  std::string line;
-  size_t line_no = 0;
-  // The same row grammar as ReadDatasetCsv (traj/io.cc), but each
-  // trajectory flushes to the store writer as soon as its rows end, so the
+  // Each trajectory goes to the writer as soon as its rows end, so the
   // conversion holds exactly one trajectory in memory.
-  auto flush = [&]() -> Status {
-    if (!have_current) {
-      return Status::OK();
-    }
+  WCOP_RETURN_IF_ERROR(csv.ForEach(context, nullptr, [&](Trajectory t) {
     stats.trajectories += 1;
-    stats.points += current.size();
-    WCOP_RETURN_IF_ERROR(writer.Append(current));
-    have_current = false;
-    return Status::OK();
-  };
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line_no % 4096 == 0) {
-      WCOP_RETURN_IF_ERROR(CheckRunContext(context));
-    }
-    if (line.empty() || line.rfind("traj_id", 0) == 0) {
-      continue;
-    }
-    std::istringstream ss(line);
-    std::string cell;
-    double fields[8];
-    int n = 0;
-    while (n < 8 && std::getline(ss, cell, ',')) {
-      char* end = nullptr;
-      fields[n] = std::strtod(cell.c_str(), &end);
-      if (end == cell.c_str()) {
-        return Status::ParseError(csv_path + ":" + std::to_string(line_no) +
-                                  ": bad numeric cell '" + cell + "'");
-      }
-      ++n;
-    }
-    if (n != 8) {
-      return Status::ParseError(csv_path + ":" + std::to_string(line_no) +
-                                ": expected 8 cells, got " +
-                                std::to_string(n));
-    }
-    const int64_t traj_id = static_cast<int64_t>(fields[0]);
-    if (!have_current || current.id() != traj_id) {
-      WCOP_RETURN_IF_ERROR(flush());
-      current = Trajectory(traj_id, {});
-      current.set_object_id(static_cast<int64_t>(fields[1]));
-      current.set_parent_id(static_cast<int64_t>(fields[2]));
-      current.set_requirement(
-          Requirement{static_cast<int>(fields[3]), fields[4]});
-      have_current = true;
-    }
-    current.AppendPoint(Point(fields[5], fields[6], fields[7]));
-  }
-  WCOP_RETURN_IF_ERROR(flush());
+    stats.points += t.size();
+    return writer.Append(t);
+  }));
   if (stats.trajectories == 0) {
     return Status::InvalidArgument(csv_path + ": no trajectories");
   }
@@ -112,14 +37,14 @@ Result<StoreConvertStats> ConvertStoreToCsv(const std::string& store_path,
   if (!out) {
     return Status::IoError("cannot open for writing: " + csv_path);
   }
-  out << "traj_id,object_id,parent_id,k,delta,x,y,t\n";
+  out << kCsvHeader;
   StoreConvertStats stats;
   for (size_t i = 0; i < reader.size(); ++i) {
     if (i % 256 == 0) {
       WCOP_RETURN_IF_ERROR(CheckRunContext(context));
     }
     WCOP_ASSIGN_OR_RETURN(Trajectory t, reader.Read(i));
-    WCOP_RETURN_IF_ERROR(WriteCsvRows(&out, t));
+    WriteCsvRows(t, &out);
     stats.trajectories += 1;
     stats.points += t.size();
   }

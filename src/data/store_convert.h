@@ -20,9 +20,11 @@ struct StoreConvertStats {
 };
 
 /// Converts the exchange-CSV at `csv_path` (traj_id,object_id,parent_id,
-/// k,delta,x,y,t — the WriteDatasetCsv format) into a trajectory store at
-/// `store_path`. Values round-trip bit-exactly from the parsed CSV: the
-/// store keeps the raw IEEE-754 bits of the doubles the parser produced.
+/// k,delta,x,y,t — the WriteDatasetCsv format, parsed by
+/// CsvTrajectoryReader like ReadDatasetCsv) into a trajectory store at
+/// `store_path`. The CSV is opened before the store is created. Values
+/// round-trip bit-exactly from the parsed CSV: the store keeps the raw
+/// IEEE-754 bits of the doubles the parser produced.
 Result<StoreConvertStats> ConvertCsvToStore(const std::string& csv_path,
                                             const std::string& store_path,
                                             const RunContext* context =

@@ -2,9 +2,11 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <system_error>
 
 #include "common/snapshot.h"
 
@@ -57,39 +59,22 @@ class ManifestScanner {
     return text_.substr(start, pos_ - start);
   }
 
-  Result<uint64_t> NextU64() {
+  /// An unsigned field rejects a sign (strtoull wrapped "-1" to 2^64 - 1),
+  /// a signed one rejects '+': the encoder writes neither.
+  template <typename Int>
+  Result<Int> NextInt() {
     WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    char buf[32];
-    if (tok.size() >= sizeof(buf)) {
-      return Status::DataLoss("window manifest: oversized token");
-    }
-    std::memcpy(buf, tok.data(), tok.size());
-    buf[tok.size()] = '\0';
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(buf, &end, 10);
-    if (errno != 0 || end != buf + tok.size()) {
+    Int v = 0;
+    const char* end = tok.data() + tok.size();
+    const std::from_chars_result r = std::from_chars(tok.data(), end, v);
+    if (r.ec != std::errc() || r.ptr != end) {
       return Status::DataLoss("window manifest: bad integer");
     }
-    return static_cast<uint64_t>(v);
+    return v;
   }
 
-  Result<int64_t> NextI64() {
-    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    char buf[32];
-    if (tok.size() >= sizeof(buf)) {
-      return Status::DataLoss("window manifest: oversized token");
-    }
-    std::memcpy(buf, tok.data(), tok.size());
-    buf[tok.size()] = '\0';
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(buf, &end, 10);
-    if (errno != 0 || end != buf + tok.size()) {
-      return Status::DataLoss("window manifest: bad integer");
-    }
-    return static_cast<int64_t>(v);
-  }
+  Result<uint64_t> NextU64() { return NextInt<uint64_t>(); }
+  Result<int64_t> NextI64() { return NextInt<int64_t>(); }
 
   Result<double> NextF64() {
     WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
@@ -174,6 +159,9 @@ Result<WindowManifest> DecodeWindowManifest(std::string_view payload) {
   WCOP_ASSIGN_OR_RETURN(m.output_size, scan.NextU64());
   WCOP_ASSIGN_OR_RETURN(m.carry_crc, scan.NextU64());
   WCOP_ASSIGN_OR_RETURN(m.carry_size, scan.NextU64());
+  if (scan.Next().ok()) {
+    return Status::DataLoss("window manifest: trailing bytes");
+  }
   return m;
 }
 

@@ -61,7 +61,10 @@ struct WindowManifest {
   uint64_t carry_size = 0;
 };
 
-/// Text payload codec (deterministic; no timestamps, no paths).
+/// Text payload codec (deterministic; no timestamps, no paths). Decoding
+/// returns kDataLoss for a missing or malformed field, a sign on an
+/// unsigned field, '+' on the signed one, or anything but whitespace after
+/// the last field.
 std::string EncodeWindowManifest(const WindowManifest& manifest);
 Result<WindowManifest> DecodeWindowManifest(std::string_view payload);
 

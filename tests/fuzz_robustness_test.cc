@@ -460,6 +460,30 @@ TEST_F(ManifestFuzzTest, SeededMutationsAreRejectedOrRoundTrip) {
   EXPECT_GT(accepted, 50u);
 }
 
+// The encoder never writes a sign on an unsigned field nor '+' on the
+// signed one, and nothing after the last field: such records are corrupt,
+// not values to wrap ("-1" as 2^64 - 1) or bytes to ignore.
+TEST_F(ManifestFuzzTest, SignedUnsignedFieldsAndTrailingBytesAreRejected) {
+  constexpr size_t kNextFragmentId = 14;  // token 0 is the marker
+  for (size_t field = 1; field < token_starts_.size(); ++field) {
+    if (field == 3 || field == 4 || field == 11) {
+      continue;  // window_start, window_end and ttd are doubles
+    }
+    for (const std::string tok : {"+7", "-1", "-0"}) {
+      std::string payload = good_;
+      const size_t at = token_starts_[field];
+      payload.replace(at, payload.find(' ', at) - at, tok);
+      EXPECT_EQ(Decode(payload), field == kNextFragmentId && tok[0] == '-')
+          << "field " << field << " = " << tok;
+    }
+  }
+  EXPECT_FALSE(Decode(good_ + "7"));
+  EXPECT_FALSE(Decode(good_ + "x\n"));
+  EXPECT_FALSE(Decode(good_ + std::string(1, '\0')));
+  EXPECT_FALSE(Decode(good_ + "wcop-window-manifest"));
+  EXPECT_TRUE(Decode(good_ + " \t\n"));
+}
+
 // ---------------------------------------------------------------------------
 // Adversarial end-to-end runs: RunWcopCt must either reject the dataset with
 // a clean Status or publish a result the independent verifier accepts. It
