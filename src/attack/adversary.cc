@@ -1,5 +1,8 @@
 #include "attack/adversary.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "anon/uncertainty.h"
 #include "common/rng.h"
 
@@ -57,6 +60,18 @@ std::vector<Point> SampleObservations(const Trajectory& truth,
     observations.push_back(p);
   }
   return observations;
+}
+
+std::vector<size_t> DrawSubset(size_t universe, size_t cap, uint64_t seed) {
+  std::vector<size_t> picked(universe);
+  std::iota(picked.begin(), picked.end(), 0);
+  if (cap > 0 && cap < picked.size()) {
+    Rng rng(seed);
+    std::shuffle(picked.begin(), picked.end(), rng.engine());
+    picked.resize(cap);
+    std::sort(picked.begin(), picked.end());
+  }
+  return picked;
 }
 
 }  // namespace attack

@@ -55,6 +55,12 @@ std::vector<Point> SampleObservations(const Trajectory& truth,
                                       const AdversaryModel& model,
                                       uint64_t stream);
 
+/// Who an attack targets: indices 0..universe-1 in ascending order — all of
+/// them when `cap` is 0 or not below `universe`, else `cap` of them picked
+/// by a deterministic shuffle of `seed`, independent of thread count.
+/// Re-identification victims and effective-k users are drawn this way.
+std::vector<size_t> DrawSubset(size_t universe, size_t cap, uint64_t seed);
+
 }  // namespace attack
 }  // namespace wcop
 

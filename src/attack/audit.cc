@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -77,6 +78,15 @@ Result<DistortionSummary> ReadDistortion(const std::string& windows_dir,
     }
   }
   return summary;
+}
+
+/// Opens window store `path` as a resident source: every block is read,
+/// CRC-checked and decoded here, once, under its own span.
+Result<StoreCandidateSource> LoadWindow(const std::string& path,
+                                        const AuditOptions& options) {
+  WCOP_TRACE_SPAN(options.telemetry, "attack/window_load");
+  return StoreCandidateSource::Open(
+      path, StoreCandidateSource::TruthKey::kParentId, options.run_context);
 }
 
 void AppendDouble(std::ostringstream& os, double value) {
@@ -199,7 +209,6 @@ Result<AuditReport> RunAudit(const AuditOptions& options) {
   effective_options.threads = options.threads;
   effective_options.run_context = options.run_context;
   effective_options.telemetry = options.telemetry;
-  effective_options.progress = phase_progress("effective_k");
 
   std::unique_ptr<StoreCandidateSource> original;
   if (!options.original_store.empty()) {
@@ -214,13 +223,14 @@ Result<AuditReport> RunAudit(const AuditOptions& options) {
 
   if (!options.published_store.empty()) {
     // Single release: one published store, keys are trajectory ids.
+    reident_options.progress = phase_progress("reident");
+    effective_options.progress = phase_progress("effective_k");
     WCOP_ASSIGN_OR_RETURN(
         StoreCandidateSource published,
         StoreCandidateSource::Open(options.published_store,
                                    StoreCandidateSource::TruthKey::kId,
                                    options.run_context));
     if (original != nullptr) {
-      reident_options.progress = phase_progress("reident");
       WCOP_ASSIGN_OR_RETURN(
           report.reident,
           RunReidentAttack(*original, published, reident_options));
@@ -232,7 +242,10 @@ Result<AuditReport> RunAudit(const AuditOptions& options) {
     return report;
   }
 
-  // Continuous mode: audit each window, join consecutive releases.
+  // Continuous mode, one pass: each window store is opened and decoded
+  // once (a resident kParentId source), joined to its predecessor by the
+  // linkage step, then attacked by re-identification and effective-k. At
+  // most two windows are resident, and the victim sample is drawn once.
   WCOP_ASSIGN_OR_RETURN(std::vector<std::string> windows,
                         ListWindowStores(options.windows_dir));
 
@@ -240,37 +253,46 @@ Result<AuditReport> RunAudit(const AuditOptions& options) {
   linkage_options.threads = options.threads;
   linkage_options.run_context = options.run_context;
   linkage_options.telemetry = options.telemetry;
-  linkage_options.progress = phase_progress("linkage");
-  WCOP_ASSIGN_OR_RETURN(report.linkage,
-                        RunLinkageAttack(windows, linkage_options));
-  report.has_linkage = true;
+  VictimSample victims;
+  if (original != nullptr) {
+    victims = DrawVictims(*original, options.victims, options.adversary.seed);
+  }
 
+  LinkageAccumulator linkage;
   ReidentAccumulator reident_accumulator;
   EffectiveKSamples pooled;
+  std::optional<StoreCandidateSource> previous;
   for (size_t w = 0; w < windows.size(); ++w) {
     WCOP_RETURN_IF_ERROR(CheckRunContext(options.run_context));
-    WCOP_ASSIGN_OR_RETURN(
-        StoreCandidateSource published,
-        StoreCandidateSource::Open(
-            windows[w], StoreCandidateSource::TruthKey::kParentId,
-            options.run_context));
-    if (published.size() == 0) {
-      continue;  // fully suppressed window
+    WCOP_ASSIGN_OR_RETURN(StoreCandidateSource current,
+                          LoadWindow(windows[w], options));
+    if (previous.has_value()) {
+      WCOP_RETURN_IF_ERROR(
+          linkage.AddBoundary(*previous, current, linkage_options));
     }
-    if (original != nullptr) {
-      reident_options.progress = phase_progress("reident");
+    if (current.size() > 0) {  // else a fully suppressed window
+      if (original != nullptr) {
+        WCOP_ASSIGN_OR_RETURN(
+            ReidentResult r,
+            RunReidentAttack(*original, current, victims, reident_options));
+        reident_accumulator.Fold(r);
+        report.has_reident = true;
+      }
       WCOP_ASSIGN_OR_RETURN(
-          ReidentResult r,
-          RunReidentAttack(*original, published, reident_options));
-      reident_accumulator.Fold(r);
-      report.has_reident = true;
+          EffectiveKSamples samples,
+          MeasureEffectiveKSamples(current, effective_options));
+      pooled.samples.insert(pooled.samples.end(), samples.samples.begin(),
+                            samples.samples.end());
     }
-    WCOP_ASSIGN_OR_RETURN(
-        EffectiveKSamples samples,
-        MeasureEffectiveKSamples(published, effective_options));
-    pooled.samples.insert(pooled.samples.end(), samples.samples.begin(),
-                          samples.samples.end());
+    previous = std::move(current);
+    // Progress counts windows: the attacks on one window are too short to
+    // report on their own.
+    if (options.progress) {
+      options.progress("windows", w + 1, windows.size());
+    }
   }
+  report.linkage = linkage.Finish(windows.size());
+  report.has_linkage = true;
   if (report.has_reident) {
     report.reident = reident_accumulator.Finish();
   }

@@ -83,7 +83,8 @@ struct AuditOptions {
   telemetry::Telemetry* telemetry = nullptr;
 
   /// Progress callback: (phase name, done, total), on the coordinating
-  /// thread. Phases: "reident", "linkage", "effective_k".
+  /// thread. Phases of a single release: "reident", "effective_k"; of a
+  /// window directory: "windows" (windows audited, all attacks done).
   std::function<void(const char*, size_t, size_t)> progress;
 };
 

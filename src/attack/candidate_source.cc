@@ -65,8 +65,11 @@ Result<StoreCandidateSource> StoreCandidateSource::Open(
   } else {
     // Window stores: the truth key is the fragment's parent (source)
     // trajectory, recorded only in the block payload — one sequential
-    // CRC-checked pass, retaining a single int64 per entry. Fragments cut
-    // from nothing (parent_id == kNoParent) key on their own id.
+    // CRC-checked pass, which also keeps every decoded fragment for Read.
+    // Fragments cut from nothing (parent_id == kNoParent) key on their
+    // own id.
+    source.resident_ = true;
+    source.fragments_.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       if (i % 512 == 0) {
         WCOP_RETURN_IF_ERROR(CheckRunContext(context));
@@ -75,6 +78,7 @@ Result<StoreCandidateSource> StoreCandidateSource::Open(
       source.keys_.push_back(t.parent_id() == Trajectory::kNoParent
                                  ? t.id()
                                  : t.parent_id());
+      source.fragments_.push_back(std::move(t));
     }
   }
   for (size_t i = 0; i < n; ++i) {
@@ -83,6 +87,16 @@ Result<StoreCandidateSource> StoreCandidateSource::Open(
     }
   }
   return source;
+}
+
+Result<Trajectory> StoreCandidateSource::Read(size_t i) const {
+  if (!resident_) {
+    return reader_->Read(i);
+  }
+  if (i >= fragments_.size()) {
+    return Status::InvalidArgument("candidate index out of range");
+  }
+  return fragments_[i];
 }
 
 }  // namespace attack

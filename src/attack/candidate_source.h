@@ -78,10 +78,16 @@ class DatasetCandidateSource : public CandidateSource {
   std::vector<store::StoreEntry> entries_;
 };
 
-/// Out-of-core adapter over a `.wst` store. With kId keys, opening costs
-/// one index load and no block reads; with kParentId keys (window stores),
-/// one sequential CRC-checked pass resolves each fragment's parent id —
-/// memory stays one int64 per entry either way.
+/// Adapter over a `.wst` store. With kId keys (single releases, original
+/// stores) it is out-of-core: opening costs one index load and no block
+/// reads, and every Read is a CRC-checked block read, so memory stays one
+/// int64 per entry at any store size. With kParentId keys (the continuous
+/// pipeline's window stores) the truth key lives only in the block
+/// payload, so opening reads, CRC-checks and decodes every block once in
+/// any case; the source keeps the decoded fragments and serves Read from
+/// memory. A window source therefore holds one window's fragments — the
+/// bound the pipeline already holds per window while publishing — and
+/// never reads its store again.
 class StoreCandidateSource : public CandidateSource {
  public:
   enum class TruthKey { kId, kParentId };
@@ -97,7 +103,7 @@ class StoreCandidateSource : public CandidateSource {
   const store::StoreEntry& entry(size_t i) const override {
     return reader_->index()[i];
   }
-  Result<Trajectory> Read(size_t i) const override { return reader_->Read(i); }
+  Result<Trajectory> Read(size_t i) const override;
   int64_t KeyOf(size_t i) const override { return keys_[i]; }
 
  private:
@@ -106,6 +112,8 @@ class StoreCandidateSource : public CandidateSource {
   // unique_ptr keeps the source movable (Result<T> requires it).
   std::unique_ptr<store::TrajectoryStoreReader> reader_;
   std::vector<int64_t> keys_;
+  bool resident_ = false;
+  std::vector<Trajectory> fragments_;  ///< kParentId: every entry, decoded
 };
 
 /// Spatial distance from `p` to the entry's MBR (0 when inside). Because

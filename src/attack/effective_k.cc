@@ -85,14 +85,8 @@ Result<EffectiveKSamples> MeasureEffectiveKSamples(
   WCOP_RETURN_IF_ERROR(CheckRunContext(options.run_context));
   WCOP_TRACE_SPAN(options.telemetry, "attack/effective_k");
 
-  std::vector<size_t> users(published.size());
-  std::iota(users.begin(), users.end(), 0);
-  if (options.num_users > 0 && options.num_users < users.size()) {
-    Rng rng(options.adversary.seed);
-    std::shuffle(users.begin(), users.end(), rng.engine());
-    users.resize(options.num_users);
-    std::sort(users.begin(), users.end());
-  }
+  const std::vector<size_t> users =
+      DrawSubset(published.size(), options.num_users, options.adversary.seed);
 
   EffectiveKSamples result;
   result.samples.reserve(users.size());

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <map>
 #include <sys/stat.h>
 #include <utility>
 #include <vector>
@@ -182,86 +181,56 @@ Result<std::vector<std::string>> ListWindowStores(const std::string& dir) {
   return paths;
 }
 
-Result<LinkageResult> RunLinkageAttack(
-    const std::vector<std::string>& window_paths,
-    const LinkageOptions& options) {
-  WCOP_RETURN_IF_ERROR(CheckRunContext(options.run_context));
+Status LinkageAccumulator::AddBoundary(const CandidateSource& from,
+                                       const CandidateSource& to,
+                                       const LinkageOptions& options) {
   WCOP_TRACE_SPAN(options.telemetry, "attack/linkage");
-  telemetry::Counter* attempted_counter = nullptr;
-  telemetry::Counter* joined_counter = nullptr;
-  if (options.telemetry != nullptr) {
-    attempted_counter =
-        options.telemetry->metrics().GetCounter("attack.linkage.attempted");
-    joined_counter =
-        options.telemetry->metrics().GetCounter("attack.linkage.joined");
-  }
-
-  LinkageResult result;
-  result.windows = window_paths.size();
-  if (window_paths.size() < 2) {
-    return result;
-  }
-  result.boundaries = window_paths.size() - 1;
-
-  // Per-user consecutive-pair tally across all boundaries (ordered map:
-  // deterministic iteration for the trackability fold).
-  std::map<int64_t, std::pair<uint64_t, uint64_t>> user_pairs;
-
   parallel::ParallelOptions popts;
   popts.threads = options.threads;
   popts.grain = 1;
   popts.context = options.run_context;
   popts.telemetry = options.telemetry;
-
-  // Two windows are open at a time; the later one of boundary b is reused
-  // as the earlier one of boundary b+1.
   WCOP_ASSIGN_OR_RETURN(
-      StoreCandidateSource from,
-      StoreCandidateSource::Open(window_paths[0],
-                                 StoreCandidateSource::TruthKey::kParentId,
-                                 options.run_context));
-  for (size_t b = 0; b + 1 < window_paths.size(); ++b) {
-    WCOP_ASSIGN_OR_RETURN(
-        StoreCandidateSource to,
-        StoreCandidateSource::Open(window_paths[b + 1],
-                                   StoreCandidateSource::TruthKey::kParentId,
-                                   options.run_context));
-    Result<std::vector<JoinOutcome>> outcomes =
-        parallel::ParallelMap<JoinOutcome>(
-            from.size(),
-            [&](size_t i) { return JoinFragment(from, to, i, options); },
-            popts);
-    if (!outcomes.ok()) {
-      return outcomes.status();
-    }
-    for (const JoinOutcome& out : *outcomes) {
-      if (!out.status.ok()) {
-        return out.status;
-      }
-      ++result.fragments;
-      result.pairs_gated += out.gated;
-      if (out.has_continuation) {
-        ++result.joins_attempted;
-        auto& tally = user_pairs[out.user];
-        ++tally.first;
-        if (out.predicted && out.correct) {
-          ++result.joins_correct;
-          ++tally.second;
-        }
+      std::vector<JoinOutcome> outcomes,
+      parallel::ParallelMap<JoinOutcome>(
+          from.size(),
+          [&](size_t i) { return JoinFragment(from, to, i, options); },
+          popts));
+  uint64_t attempted = 0;
+  uint64_t joined = 0;
+  for (const JoinOutcome& out : outcomes) {
+    WCOP_RETURN_IF_ERROR(out.status);
+    ++result_.fragments;
+    result_.pairs_gated += out.gated;
+    if (out.has_continuation) {
+      ++attempted;
+      auto& tally = user_pairs_[out.user];
+      ++tally.first;
+      if (out.predicted && out.correct) {
+        ++joined;
+        ++tally.second;
       }
     }
-    if (options.progress) {
-      options.progress(b + 1, result.boundaries);
-    }
-    WCOP_RETURN_IF_ERROR(CheckRunContext(options.run_context));
-    from = std::move(to);
   }
+  ++result_.boundaries;
+  result_.joins_attempted += attempted;
+  result_.joins_correct += joined;
+  if (options.telemetry != nullptr) {
+    telemetry::MetricsRegistry& metrics = options.telemetry->metrics();
+    metrics.GetCounter("attack.linkage.attempted")->Add(attempted);
+    metrics.GetCounter("attack.linkage.joined")->Add(joined);
+  }
+  return Status::OK();
+}
 
+LinkageResult LinkageAccumulator::Finish(size_t windows) const {
+  LinkageResult result = result_;
+  result.windows = windows;
   if (result.joins_attempted > 0) {
     result.linkage_rate = static_cast<double>(result.joins_correct) /
                           static_cast<double>(result.joins_attempted);
   }
-  for (const auto& [user, tally] : user_pairs) {
+  for (const auto& [user, tally] : user_pairs_) {
     (void)user;
     ++result.users_total;
     if (tally.second == tally.first) {
@@ -272,9 +241,36 @@ Result<LinkageResult> RunLinkageAttack(
     result.trackable_fraction = static_cast<double>(result.users_tracked) /
                                 static_cast<double>(result.users_total);
   }
-  telemetry::CounterAdd(attempted_counter, result.joins_attempted);
-  telemetry::CounterAdd(joined_counter, result.joins_correct);
   return result;
+}
+
+Result<LinkageResult> RunLinkageAttack(
+    const std::vector<std::string>& window_paths,
+    const LinkageOptions& options) {
+  WCOP_RETURN_IF_ERROR(CheckRunContext(options.run_context));
+  LinkageAccumulator linkage;
+  if (window_paths.size() >= 2) {
+    // The later window of boundary b is the earlier one of boundary b+1.
+    WCOP_ASSIGN_OR_RETURN(
+        StoreCandidateSource from,
+        StoreCandidateSource::Open(window_paths[0],
+                                   StoreCandidateSource::TruthKey::kParentId,
+                                   options.run_context));
+    for (size_t b = 1; b < window_paths.size(); ++b) {
+      WCOP_ASSIGN_OR_RETURN(
+          StoreCandidateSource to,
+          StoreCandidateSource::Open(window_paths[b],
+                                     StoreCandidateSource::TruthKey::kParentId,
+                                     options.run_context));
+      WCOP_RETURN_IF_ERROR(linkage.AddBoundary(from, to, options));
+      if (options.progress) {
+        options.progress(b, window_paths.size() - 1);
+      }
+      WCOP_RETURN_IF_ERROR(CheckRunContext(options.run_context));
+      from = std::move(to);
+    }
+  }
+  return linkage.Finish(window_paths.size());
 }
 
 }  // namespace attack

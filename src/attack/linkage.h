@@ -4,7 +4,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attack/candidate_source.h"
@@ -72,9 +74,32 @@ struct LinkageResult {
   double trackable_fraction = 0.0;
 };
 
-/// Runs the attack over `window_paths` in the given (chronological) order.
-/// Fewer than two windows yields an empty result (nothing to join).
-/// Results are byte-identical across thread counts.
+/// The attack one boundary at a time, for a caller that walks the releases
+/// itself (the audit's one-pass windows mode). Feed every consecutive pair
+/// of releases, in chronological order, to AddBoundary — an empty release
+/// included — then take the result from Finish.
+class LinkageAccumulator {
+ public:
+  /// Joins every fragment of `from` (release w) to its predicted
+  /// continuation in `to` (release w+1) and folds the verdicts in, under
+  /// the `attack/linkage` span. Byte-identical across thread counts.
+  Status AddBoundary(const CandidateSource& from, const CandidateSource& to,
+                     const LinkageOptions& options);
+
+  /// The result over a sequence of `windows` releases.
+  LinkageResult Finish(size_t windows) const;
+
+ private:
+  LinkageResult result_;
+  /// Per-user (consecutive pairs, pairs joined correctly) across all
+  /// boundaries; ordered, so the trackability fold is deterministic.
+  std::map<int64_t, std::pair<uint64_t, uint64_t>> user_pairs_;
+};
+
+/// Runs the attack over `window_paths` in the given (chronological) order,
+/// two windows open at a time. Fewer than two windows yields an empty
+/// result (nothing to join). Results are byte-identical across thread
+/// counts.
 Result<LinkageResult> RunLinkageAttack(
     const std::vector<std::string>& window_paths,
     const LinkageOptions& options);

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <utility>
 #include <vector>
 
 #include "common/parallel.h"
-#include "common/rng.h"
 #include "geo/point.h"
 
 namespace wcop {
@@ -51,8 +49,33 @@ VictimSetup SetUpVictim(const CandidateSource& original,
 
 }  // namespace
 
+VictimSample DrawVictims(const CandidateSource& original, size_t num_victims,
+                         uint64_t seed) {
+  VictimSample sample;
+  sample.victims = DrawSubset(original.size(), num_victims, seed);
+  sample.by_key.reserve(sample.victims.size());
+  for (size_t v = 0; v < sample.victims.size(); ++v) {
+    sample.by_key.emplace_back(original.KeyOf(sample.victims[v]), v);
+  }
+  std::sort(sample.by_key.begin(), sample.by_key.end());
+  return sample;
+}
+
 Result<ReidentResult> RunReidentAttack(const CandidateSource& original,
                                        const CandidateSource& published,
+                                       const ReidentOptions& options) {
+  // Victim selection: a deterministic shuffle of the victim universe,
+  // independent of thread count (the per-victim observation streams are
+  // keyed on the truth key, not on draw order).
+  return RunReidentAttack(
+      original, published,
+      DrawVictims(original, options.num_victims, options.adversary.seed),
+      options);
+}
+
+Result<ReidentResult> RunReidentAttack(const CandidateSource& original,
+                                       const CandidateSource& published,
+                                       const VictimSample& sample,
                                        const ReidentOptions& options) {
   if (original.size() == 0 || published.size() == 0) {
     return Status::InvalidArgument("attack needs non-empty datasets");
@@ -77,38 +100,38 @@ Result<ReidentResult> RunReidentAttack(const CandidateSource& original,
     rank_histogram = metrics.GetHistogram("attack.rank");
   }
 
-  // Victim selection: a deterministic shuffle of the victim universe,
-  // independent of thread count (the per-victim observation streams are
-  // keyed on the truth key, not on draw order).
-  std::vector<size_t> victims(original.size());
-  std::iota(victims.begin(), victims.end(), 0);
-  if (options.num_victims > 0 && options.num_victims < victims.size()) {
-    Rng rng(options.adversary.seed);
-    std::shuffle(victims.begin(), victims.end(), rng.engine());
-    victims.resize(options.num_victims);
-    std::sort(victims.begin(), victims.end());
-  }
-
   ReidentResult result;
   double top1_sum = 0.0;
   double top5_sum = 0.0;
   double rank_sum = 0.0;
   double reciprocal_sum = 0.0;
 
-  // Presence first, from the key map alone: victims with nothing to link
-  // to are suppressed, and only present ones fill the victim blocks — a
+  // Presence first, from the keys alone: victims with nothing to link to
+  // are suppressed, and only present ones fill the victim blocks — a
   // window holding a few sampled victims is then walked once, not once
-  // per block of the whole sample.
-  std::vector<std::pair<size_t, size_t>> present;  // (victim, truth index)
-  for (size_t victim : victims) {
-    Result<size_t> truth_index =
-        published.FindByKey(original.KeyOf(victim));
-    if (truth_index.ok()) {
-      present.emplace_back(victim, *truth_index);
-    } else {
-      ++result.victims_suppressed;
+  // per block of the whole sample. One walk over the published keys
+  // finds each present victim's first entry (the one FindByKey returns);
+  // sorting by victim position restores victim order.
+  const std::vector<size_t>& victims = sample.victims;
+  std::vector<std::pair<size_t, size_t>> present;  // (position, truth index)
+  for (size_t j = 0; j < published.size(); ++j) {
+    const int64_t key = published.KeyOf(j);
+    auto it = std::lower_bound(
+        sample.by_key.begin(), sample.by_key.end(), key,
+        [](const std::pair<int64_t, size_t>& e, int64_t k) {
+          return e.first < k;
+        });
+    for (; it != sample.by_key.end() && it->first == key; ++it) {
+      present.emplace_back(it->second, j);
     }
   }
+  std::sort(present.begin(), present.end());
+  present.erase(std::unique(present.begin(), present.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.first == b.first;
+                            }),
+                present.end());
+  result.victims_suppressed = victims.size() - present.size();
 
   // Victim blocks of kBlock: set each victim up once (in parallel), then
   // one candidate-major join reads each surviving block once for the
@@ -168,7 +191,7 @@ Result<ReidentResult> RunReidentAttack(const CandidateSource& original,
                     count,
                     [&](size_t i) {
                       return SetUpVictim(original, published,
-                                         present[begin + i].first,
+                                         victims[present[begin + i].first],
                                          present[begin + i].second,
                                          options.adversary);
                     },

@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "attack/adversary.h"
 #include "attack/candidate_source.h"
@@ -61,8 +63,24 @@ struct ReidentResult {
   uint64_t candidates_pruned = 0;  ///< skipped via the MBR lower bound
 };
 
+/// The victims of the attack on one original: their indices in the original
+/// (DrawSubset order, ascending) and their truth keys, sorted, so a
+/// publication's own entries resolve which victims it holds. Drawn once,
+/// a sample serves every release cut from that original.
+struct VictimSample {
+  std::vector<size_t> victims;
+  /// (truth key, position in `victims`), sorted.
+  std::vector<std::pair<int64_t, size_t>> by_key;
+};
+
+/// DrawSubset(original.size(), num_victims, seed) plus its truth keys.
+VictimSample DrawVictims(const CandidateSource& original, size_t num_victims,
+                         uint64_t seed);
+
 /// Runs the attack. Victims whose truth key is absent from `published`
-/// count as suppressed; the present ones are attacked in blocks of 256.
+/// count as suppressed; a present victim's truth is the first entry that
+/// carries its key, found by one walk over the published keys. The
+/// present ones are attacked in victim order, in blocks of 256.
 /// Each victim of a block is set up once: its observations are sampled
 /// and its true candidate's exact score s_true is computed. Then one
 /// candidate-major join (JoinCandidates) walks the published index: every
@@ -78,6 +96,14 @@ struct ReidentResult {
 /// or a zero-observation adversary.
 Result<ReidentResult> RunReidentAttack(const CandidateSource& original,
                                        const CandidateSource& published,
+                                       const ReidentOptions& options);
+
+/// The same attack on victims drawn beforehand (`options.num_victims` is
+/// not read): an audit of many releases of one original draws its sample
+/// once with DrawVictims instead of once per release.
+Result<ReidentResult> RunReidentAttack(const CandidateSource& original,
+                                       const CandidateSource& published,
+                                       const VictimSample& sample,
                                        const ReidentOptions& options);
 
 }  // namespace attack

@@ -85,7 +85,9 @@ void RemoveQuietly(const std::string& path) {
 /// Publishes a valid-but-empty store at `path` (atomic tmp -> rename),
 /// for windows whose extraction produced no fragments or whose
 /// anonymization suppressed everything, and returns its digest.
-Result<FileDigest> WriteEmptyStore(const std::string& path) {
+Result<FileDigest> WriteEmptyStore(const std::string& path,
+                                   telemetry::Telemetry* tel) {
+  WCOP_TRACE_SPAN(tel, "pipeline/commit");
   WCOP_ASSIGN_OR_RETURN(store::TrajectoryStoreWriter writer,
                         store::TrajectoryStoreWriter::Create(path));
   WCOP_RETURN_IF_ERROR(writer.Finish());
@@ -325,8 +327,12 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
       extract.next_fragment_id = next_fragment_id;
       extract.carry_in_path = carry_in;
       extract.carry_out_path = carry_out;
+      Result<store::WindowExtraction> extracted = [&] {
+        WCOP_TRACE_SPAN(tel, "pipeline/extract");
+        return store::ExtractWindow(source, extract);
+      }();
       WCOP_ASSIGN_OR_RETURN(store::WindowExtraction extraction,
-                            store::ExtractWindow(source, extract));
+                            std::move(extracted));
       WCOP_FAILPOINT("pipeline.window_extracted");
 
       // The manifest's digests come from the writers that produced the
@@ -354,7 +360,7 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
       //    output publish).
       FileDigest output;
       if (extraction.fragments == 0) {
-        WCOP_ASSIGN_OR_RETURN(output, WriteEmptyStore(output_path));
+        WCOP_ASSIGN_OR_RETURN(output, WriteEmptyStore(output_path, tel));
       } else {
         store::ShardRunOptions run;
         run.wcop = options.wcop;
@@ -373,7 +379,7 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
           log::Warn("pipeline: window skipped",
                     {{"window", wi},
                      {"reason", sharded.status().ToString()}});
-          WCOP_ASSIGN_OR_RETURN(output, WriteEmptyStore(output_path));
+          WCOP_ASSIGN_OR_RETURN(output, WriteEmptyStore(output_path, tel));
           m.skipped = true;
           m.suppressed_delta += m.input_fragments;
         } else if (!sharded.ok()) {
@@ -396,8 +402,11 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
       WCOP_FAILPOINT("pipeline.window_published");
 
       // 3. Commit point.
-      WCOP_RETURN_IF_ERROR(WriteWindowManifest(
-          ManifestPath(options.output_dir, wi), m, options.publish_retry));
+      {
+        WCOP_TRACE_SPAN(tel, "pipeline/commit");
+        WCOP_RETURN_IF_ERROR(WriteWindowManifest(
+            ManifestPath(options.output_dir, wi), m, options.publish_retry));
+      }
       WCOP_FAILPOINT("pipeline.manifest_saved");
       return Status::OK();
     };

@@ -5,10 +5,12 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cinttypes>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <system_error>
 #include <utility>
 
 #include "anon/checkpoint.h"
@@ -22,8 +24,6 @@ namespace wcop {
 namespace store {
 
 namespace {
-
-constexpr uint32_t kShardCheckpointVersion = 2;
 
 Status MakeDir(const std::string& path) {
   if (::mkdir(path.c_str(), 0755) != 0 && errno != EEXIST) {
@@ -128,39 +128,22 @@ class CkptScanner {
     return text_.substr(start, pos_ - start);
   }
 
-  Result<uint64_t> NextU64() {
+  /// An unsigned field rejects a sign (strtoull wrapped "-1" to 2^64 - 1),
+  /// a signed one rejects '+': the encoder writes neither.
+  template <typename Int>
+  Result<Int> NextInt() {
     WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    char buf[32];
-    if (tok.size() >= sizeof(buf)) {
-      return Status::DataLoss("shard checkpoint: oversized token");
-    }
-    std::memcpy(buf, tok.data(), tok.size());
-    buf[tok.size()] = '\0';
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(buf, &end, 10);
-    if (errno != 0 || end != buf + tok.size()) {
+    Int v = 0;
+    const char* end = tok.data() + tok.size();
+    const std::from_chars_result r = std::from_chars(tok.data(), end, v);
+    if (r.ec != std::errc() || r.ptr != end) {
       return Status::DataLoss("shard checkpoint: bad integer");
     }
-    return static_cast<uint64_t>(v);
+    return v;
   }
 
-  Result<int64_t> NextI64() {
-    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    char buf[32];
-    if (tok.size() >= sizeof(buf)) {
-      return Status::DataLoss("shard checkpoint: oversized token");
-    }
-    std::memcpy(buf, tok.data(), tok.size());
-    buf[tok.size()] = '\0';
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(buf, &end, 10);
-    if (errno != 0 || end != buf + tok.size()) {
-      return Status::DataLoss("shard checkpoint: bad integer");
-    }
-    return static_cast<int64_t>(v);
-  }
+  Result<uint64_t> NextU64() { return NextInt<uint64_t>(); }
+  Result<int64_t> NextI64() { return NextInt<int64_t>(); }
 
   Result<double> NextF64() {
     WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
@@ -194,19 +177,19 @@ class CkptScanner {
   size_t pos_ = 0;
 };
 
-struct ShardState {
-  AnonymizationResult result;
-  VerificationReport verification;
-};
+/// 0 or 1, the only values the encoder writes for a flag.
+Result<bool> NextFlag(CkptScanner* scan) {
+  WCOP_ASSIGN_OR_RETURN(uint64_t v, scan->NextU64());
+  if (v > 1) {
+    return Status::DataLoss("shard checkpoint: bad flag");
+  }
+  return v == 1;
+}
 
-/// Checkpoint payload: fingerprint, report (timings excluded — a resumed
-/// merge must be deterministic), verification verdict, deterministic
-/// metric counters/gauges (histograms hold timings and are dropped), the
-/// trash, the clusters (shard-local indices), and the published
-/// trajectories as binary store records (AppendTrajectoryRecord), which
-/// start right after the newline that ends the "published <count>" line.
+}  // namespace
+
 std::string EncodeShardCheckpoint(uint64_t fingerprint,
-                                  const ShardState& state) {
+                                  const ShardCheckpoint& state) {
   const AnonymizationReport& r = state.result.report;
   std::string out = "wcop-shard-checkpoint ";
   AppendU64(&out, kShardCheckpointVersion);
@@ -281,8 +264,8 @@ std::string EncodeShardCheckpoint(uint64_t fingerprint,
   return out;
 }
 
-Result<ShardState> DecodeShardCheckpoint(std::string_view payload,
-                                         uint64_t expected_fingerprint) {
+Result<ShardCheckpoint> DecodeShardCheckpoint(std::string_view payload,
+                                              uint64_t expected_fingerprint) {
   CkptScanner scan(payload);
   WCOP_RETURN_IF_ERROR(scan.Expect("wcop-shard-checkpoint"));
   WCOP_ASSIGN_OR_RETURN(uint64_t codec_version, scan.NextU64());
@@ -295,7 +278,7 @@ Result<ShardState> DecodeShardCheckpoint(std::string_view payload,
     return Status::FailedPrecondition(
         "shard checkpoint does not match this shard/configuration");
   }
-  ShardState state;
+  ShardCheckpoint state;
   AnonymizationReport& r = state.result.report;
   WCOP_RETURN_IF_ERROR(scan.Expect("report"));
   WCOP_ASSIGN_OR_RETURN(r.input_trajectories, scan.NextU64());
@@ -315,11 +298,9 @@ Result<ShardState> DecodeShardCheckpoint(std::string_view payload,
   WCOP_ASSIGN_OR_RETURN(r.total_distortion, scan.NextF64());
   WCOP_ASSIGN_OR_RETURN(r.clustering_rounds, scan.NextU64());
   WCOP_ASSIGN_OR_RETURN(r.final_radius, scan.NextF64());
-  WCOP_ASSIGN_OR_RETURN(uint64_t degraded, scan.NextU64());
-  r.degraded = degraded != 0;
+  WCOP_ASSIGN_OR_RETURN(r.degraded, NextFlag(&scan));
   WCOP_RETURN_IF_ERROR(scan.Expect("verification"));
-  WCOP_ASSIGN_OR_RETURN(uint64_t ok, scan.NextU64());
-  state.verification.ok = ok != 0;
+  WCOP_ASSIGN_OR_RETURN(state.verification.ok, NextFlag(&scan));
   WCOP_ASSIGN_OR_RETURN(state.verification.clusters_checked, scan.NextU64());
   WCOP_ASSIGN_OR_RETURN(state.verification.violations, scan.NextU64());
   WCOP_RETURN_IF_ERROR(scan.Expect("counters"));
@@ -359,11 +340,14 @@ Result<ShardState> DecodeShardCheckpoint(std::string_view payload,
   }
   state.result.clusters.reserve(num_clusters);
   for (uint64_t i = 0; i < num_clusters; ++i) {
+    // Pivot and members index the shard's input; k was an int.
     AnonymityCluster c;
     WCOP_ASSIGN_OR_RETURN(uint64_t pivot, scan.NextU64());
+    if (pivot >= r.input_trajectories) {
+      return Status::DataLoss("shard checkpoint: pivot out of range");
+    }
     c.pivot = pivot;
-    WCOP_ASSIGN_OR_RETURN(int64_t k, scan.NextI64());
-    c.k = static_cast<int>(k);
+    WCOP_ASSIGN_OR_RETURN(c.k, scan.NextInt<int>());
     WCOP_ASSIGN_OR_RETURN(c.delta, scan.NextF64());
     WCOP_ASSIGN_OR_RETURN(uint64_t num_members, scan.NextU64());
     if (num_members > payload.size()) {
@@ -372,6 +356,9 @@ Result<ShardState> DecodeShardCheckpoint(std::string_view payload,
     c.members.reserve(num_members);
     for (uint64_t m = 0; m < num_members; ++m) {
       WCOP_ASSIGN_OR_RETURN(uint64_t member, scan.NextU64());
+      if (member >= r.input_trajectories) {
+        return Status::DataLoss("shard checkpoint: member out of range");
+      }
       c.members.push_back(member);
     }
     state.result.clusters.push_back(std::move(c));
@@ -397,8 +384,13 @@ Result<ShardState> DecodeShardCheckpoint(std::string_view payload,
   }
   CkptScanner tail(payload.substr(pos));
   WCOP_RETURN_IF_ERROR(tail.Expect("end"));
+  if (tail.Next().ok()) {
+    return Status::DataLoss("shard checkpoint: trailing bytes");
+  }
   return state;
 }
+
+namespace {
 
 // ---- metrics merge -----------------------------------------------------
 
@@ -553,7 +545,7 @@ Result<ShardedRunResult> RunShardedWcopCt(const std::vector<StoreEntry>& index,
   }
 
   // Anonymize every shard independently over wcop::parallel.
-  std::vector<ShardState> states(num_shards);
+  std::vector<ShardCheckpoint> states(num_shards);
   std::vector<ShardOutcome> outcomes(num_shards);
   // Live progress: callbacks are serialized under their own mutex so the
   // sink sees strictly monotonic shards_done even with parallel shards.
@@ -601,13 +593,15 @@ Result<ShardedRunResult> RunShardedWcopCt(const std::vector<StoreEntry>& index,
         if (shard_parallelism > 1) {
           wcop.threads = 1;  // one parallelism layer at a time
         }
-        const uint64_t fingerprint =
-            ShardConfigFingerprint(shard_dataset, wcop);
+        // The fingerprint hashes every point of the shard; only a
+        // checkpoint reads or writes it.
         const std::string ckpt_path =
             options.checkpoint_dir.empty()
                 ? std::string()
                 : ShardFileName(options.checkpoint_dir, "shard",
                                 shard.shard_index, ".ckpt");
+        const uint64_t fingerprint =
+            ckpt_path.empty() ? 0 : ShardConfigFingerprint(shard_dataset, wcop);
         outcomes[s].shard_index = shard.shard_index;
         outcomes[s].input_trajectories = shard_dataset.size();
         // Exact distance work this shard performed: the RunContext charge
@@ -625,7 +619,7 @@ Result<ShardedRunResult> RunShardedWcopCt(const std::vector<StoreEntry>& index,
           Result<Snapshot> snapshot = ReadSnapshotFile(ckpt_path);
           if (snapshot.ok() &&
               snapshot->format_version == kShardCheckpointVersion) {
-            Result<ShardState> restored =
+            Result<ShardCheckpoint> restored =
                 DecodeShardCheckpoint(snapshot->payload, fingerprint);
             if (restored.ok()) {
               states[s] = std::move(restored).value();
@@ -692,7 +686,7 @@ Result<ShardedRunResult> RunShardedWcopCt(const std::vector<StoreEntry>& index,
   size_t input_base = 0;
   bool first_report = true;
   for (size_t s = 0; s < num_shards; ++s) {
-    ShardState& state = states[s];
+    ShardCheckpoint& state = states[s];
     out.shards.push_back(outcomes[s]);
     if (outcomes[s].from_checkpoint) {
       ++out.resumed_shards;

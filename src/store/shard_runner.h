@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "anon/types.h"
@@ -124,6 +125,34 @@ Result<ShardedRunResult> RunShardedWcopCt(const std::vector<StoreEntry>& index,
 /// shard's members from it.
 Result<ShardedRunResult> RunShardedWcopCt(const TrajectoryStoreReader& source,
                                           const ShardRunOptions& options);
+
+/// A shard's checkpointed outcome: what a resumed run restores instead of
+/// re-anonymizing the shard.
+struct ShardCheckpoint {
+  AnonymizationResult result;
+  VerificationReport verification;
+};
+
+/// Snapshot-envelope format version of `shard_NNNNN.ckpt`.
+inline constexpr uint32_t kShardCheckpointVersion = 2;
+
+/// Checkpoint payload: fingerprint, report (timings excluded — a resumed
+/// merge must be deterministic), verification verdict, deterministic
+/// metric counters/gauges (histograms hold timings and are dropped), the
+/// trash, the clusters (shard-local indices), and the published
+/// trajectories as binary store records (AppendTrajectoryRecord), which
+/// start right after the newline that ends the "published <count>" line.
+std::string EncodeShardCheckpoint(uint64_t fingerprint,
+                                  const ShardCheckpoint& state);
+
+/// Decodes an EncodeShardCheckpoint payload. kFailedPrecondition when it
+/// was written for another fingerprint (another shard or configuration);
+/// kDataLoss for anything the encoder never writes: a sign on an unsigned
+/// field, '+' on a signed one, a flag other than 0/1, a cluster pivot or
+/// member outside the shard's input, a k outside int, bytes after "end".
+/// Exposed for tests.
+Result<ShardCheckpoint> DecodeShardCheckpoint(std::string_view payload,
+                                              uint64_t expected_fingerprint);
 
 /// Merges `b` into `a` the way the shard merger does: totals summed,
 /// averages recomputed from the summed totals, omega / rounds / radius

@@ -2,7 +2,9 @@
 // team: the out-of-core store path must agree with the in-memory dataset
 // path, the block-join scans must agree exactly with the victim-major
 // scans kept here as their oracle and read each block at most once per
-// victim block, the audit JSON must be byte-identical across thread
+// victim block, the one-pass windows audit must reproduce the two-pass
+// streaming audit kept here as its oracle byte for byte and read each
+// window block once, the audit JSON must be byte-identical across thread
 // counts, the effective-k quantifier must flag a deliberately weakened
 // publication (and must not cry wolf on a genuinely collapsed one), and
 // the linkage attack must recover hand-built ground truth.
@@ -12,7 +14,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -27,6 +31,8 @@
 #include "attack/reident.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
+#include "pipeline/continuous.h"
+#include "pipeline/manifest.h"
 #include "store/store_file.h"
 #include "test_util.h"
 
@@ -175,8 +181,8 @@ OracleVictim OracleAttackVictim(const CandidateSource& original,
   return out;
 }
 
-// The same seeded shuffle RunReidentAttack and MeasureEffectiveKSamples
-// use to pick a capped subset.
+// The seeded shuffle DrawSubset uses to pick a capped subset, spelled out
+// again for the oracle.
 std::vector<size_t> OracleSubset(size_t universe, size_t cap,
                                  uint64_t seed) {
   std::vector<size_t> picked(universe);
@@ -787,6 +793,251 @@ TEST(Linkage, EmptyDirectoryIsNotFound) {
   std::filesystem::create_directories(dir);
   Result<std::vector<std::string>> windows = ListWindowStores(dir);
   EXPECT_EQ(windows.status().code(), StatusCode::kNotFound);
+}
+
+// ---------------------------------------------------------------------------
+// One-pass windows mode: each window store is decoded once and attacked by
+// all three scans while resident. The two-pass streaming audit it replaced
+// is kept here as its oracle.
+// ---------------------------------------------------------------------------
+
+// A window source as the two-pass audit opened it: truth keys from one
+// pass at open, then every Read a CRC-checked block read from disk.
+class StreamingWindowSource : public CandidateSource {
+ public:
+  static Result<std::unique_ptr<StreamingWindowSource>> Open(
+      const std::string& path) {
+    WCOP_ASSIGN_OR_RETURN(store::TrajectoryStoreReader reader,
+                          store::TrajectoryStoreReader::Open(path));
+    std::unique_ptr<StreamingWindowSource> source(
+        new StreamingWindowSource(std::move(reader)));
+    for (size_t i = 0; i < source->size(); ++i) {
+      WCOP_ASSIGN_OR_RETURN(Trajectory t, source->reader_.Read(i));
+      const int64_t key = t.parent_id() == Trajectory::kNoParent
+                              ? t.id()
+                              : t.parent_id();
+      source->keys_.push_back(key);
+      source->by_key_.emplace(key, i);  // keeps the first entry per key
+    }
+    return source;
+  }
+
+  size_t size() const override { return reader_.size(); }
+  const store::StoreEntry& entry(size_t i) const override {
+    return reader_.index()[i];
+  }
+  Result<Trajectory> Read(size_t i) const override { return reader_.Read(i); }
+  int64_t KeyOf(size_t i) const override { return keys_[i]; }
+
+ private:
+  explicit StreamingWindowSource(store::TrajectoryStoreReader reader)
+      : reader_(std::move(reader)) {}
+
+  store::TrajectoryStoreReader reader_;
+  std::vector<int64_t> keys_;
+};
+
+// The windows mode before it went one-pass: the linkage attack over every
+// boundary first, then a second pass that re-opens each window for
+// re-identification (victims drawn again per window, presence by
+// FindByKey, via the victim-major oracle) and effective-k, every
+// candidate read going to disk; distortion from the manifests.
+Result<AuditReport> TwoPassStreamingAudit(const AuditOptions& options) {
+  AuditReport report;
+  report.adversary = options.adversary;
+  WCOP_ASSIGN_OR_RETURN(std::vector<std::string> windows,
+                        ListWindowStores(options.windows_dir));
+  WCOP_ASSIGN_OR_RETURN(StoreCandidateSource original,
+                        StoreCandidateSource::Open(options.original_store));
+
+  LinkageOptions linkage_options = options.linkage;
+  linkage_options.threads = options.threads;
+  LinkageAccumulator linkage;
+  for (size_t w = 1; w < windows.size(); ++w) {
+    WCOP_ASSIGN_OR_RETURN(std::unique_ptr<StreamingWindowSource> from,
+                          StreamingWindowSource::Open(windows[w - 1]));
+    WCOP_ASSIGN_OR_RETURN(std::unique_ptr<StreamingWindowSource> to,
+                          StreamingWindowSource::Open(windows[w]));
+    WCOP_RETURN_IF_ERROR(linkage.AddBoundary(*from, *to, linkage_options));
+  }
+  report.linkage = linkage.Finish(windows.size());
+  report.has_linkage = true;
+
+  ReidentOptions reident;
+  reident.adversary = options.adversary;
+  reident.num_victims = options.victims;
+  EffectiveKOptions effective;
+  effective.adversary = options.adversary;
+  effective.samples = options.effective_k_samples;
+  effective.num_users = options.victims;
+  ReidentResult& total = report.reident;
+  double top1 = 0.0, top5 = 0.0, rank = 0.0, reciprocal = 0.0;
+  EffectiveKSamples pooled;
+  for (const std::string& path : windows) {
+    WCOP_ASSIGN_OR_RETURN(std::unique_ptr<StreamingWindowSource> published,
+                          StreamingWindowSource::Open(path));
+    if (published->size() == 0) {
+      continue;
+    }
+    const ReidentResult r = OracleReident(original, *published, reident);
+    const double n = static_cast<double>(r.victims_attacked);
+    total.victims_attacked += r.victims_attacked;
+    total.victims_suppressed += r.victims_suppressed;
+    total.candidates_total += r.candidates_total;
+    total.candidates_scored += r.candidates_scored;
+    total.candidates_pruned += r.candidates_pruned;
+    top1 += r.top1_success * n;
+    top5 += r.top5_success * n;
+    rank += r.mean_true_rank * n;
+    reciprocal += r.mean_reciprocal_rank * n;
+    report.has_reident = true;
+    const EffectiveKSamples s = OracleEffectiveKSamples(*published, effective);
+    pooled.samples.insert(pooled.samples.end(), s.samples.begin(),
+                          s.samples.end());
+  }
+  if (total.victims_attacked > 0) {
+    const double n = static_cast<double>(total.victims_attacked);
+    total.top1_success = top1 / n;
+    total.top5_success = top5 / n;
+    total.mean_true_rank = rank / n;
+    total.mean_reciprocal_rank = reciprocal / n;
+  }
+  report.effective_k = SummarizeEffectiveK(pooled, nullptr);
+  report.has_effective_k = true;
+
+  DistortionSummary& d = report.distortion;
+  for (size_t w = 0; w < windows.size(); ++w) {
+    char name[64];
+    std::snprintf(name, sizeof(name), "/window_%05zu.mfr", w);
+    WCOP_ASSIGN_OR_RETURN(
+        pipeline::WindowManifest m,
+        pipeline::ReadWindowManifest(options.windows_dir + name));
+    ++d.windows;
+    d.input_fragments += m.input_fragments;
+    d.published_fragments += m.published_fragments;
+    d.suppressed_fragments += m.suppressed_delta;
+    d.clusters += m.clusters;
+    d.ttd += m.ttd;
+    d.degraded_windows += m.degraded ? 1 : 0;
+    d.skipped_windows += m.skipped ? 1 : 0;
+  }
+  report.has_distortion = d.windows > 0;
+  return report;
+}
+
+// A continuous publication with every shape the windows mode meets, in
+// 100 s windows: three staggered groups of co-travellers whose
+// single-point boundary fragments are carried into the next window
+// (windows 0-4), empty windows, a lone traveller no one can hide, whose
+// window is suppressed whole (window 8), and a late group (windows 12-15).
+// Returns the output directory; the source store is `<dir>.source.wst`.
+std::string PublishWindowedCorpus(const std::string& name) {
+  Dataset source = testing_util::StaggeredGroupedDataset();
+  Trajectory lone = MakeLineWithReq(9, 50000.0, 0.0, 5.0, 0.0, 10, /*k=*/2,
+                                    /*delta=*/300.0, /*dt=*/10.0,
+                                    /*t0=*/805.0);
+  lone.set_object_id(9);
+  source.Add(std::move(lone));
+  for (int64_t i = 0; i < 3; ++i) {
+    Trajectory late = MakeLineWithReq(
+        10 + i, 8000.0, 30.0 * static_cast<double>(i), 5.0, 2.0, 30,
+        /*k=*/2, /*delta=*/300.0, /*dt=*/10.0, /*t0=*/1210.0);
+    late.set_object_id(10 + i);
+    source.Add(std::move(late));
+  }
+  const std::string dir = TempPath(name);
+  const std::string source_path = dir + ".source.wst";
+  EXPECT_TRUE(store::WriteDatasetStore(source, source_path).ok());
+  pipeline::ContinuousPipelineOptions options;
+  options.source_store = source_path;
+  options.output_dir = dir;
+  options.window_seconds = 100.0;
+  options.wcop.seed = 7;
+  Result<pipeline::ContinuousPipelineResult> published =
+      pipeline::RunContinuousPipeline(options);
+  EXPECT_TRUE(published.ok()) << published.status();
+  return dir;
+}
+
+TEST(OnePassAudit, MatchesTwoPassStreamingOracleByteForByte) {
+  const std::string dir = PublishWindowedCorpus("one_pass_equivalence");
+  // The corpus must hold what the test claims, or equality is vacuous.
+  Result<std::vector<std::string>> windows = ListWindowStores(dir);
+  ASSERT_TRUE(windows.ok()) << windows.status();
+  ASSERT_EQ(windows->size(), 16u);
+  bool carried = false;
+  bool suppressed_whole = false;
+  for (size_t w = 0; w < windows->size(); ++w) {
+    char name[64];
+    std::snprintf(name, sizeof(name), "/window_%05zu.mfr", w);
+    Result<pipeline::WindowManifest> m =
+        pipeline::ReadWindowManifest(dir + name);
+    ASSERT_TRUE(m.ok()) << m.status();
+    carried = carried || m->carried_in > 0;
+    suppressed_whole = suppressed_whole || (m->input_fragments > 0 &&
+                                            m->published_fragments == 0);
+  }
+  ASSERT_TRUE(carried);
+  ASSERT_TRUE(suppressed_whole);
+
+  for (size_t victims : {size_t{0}, size_t{5}}) {
+    SCOPED_TRACE("victims " + std::to_string(victims));
+    AuditOptions options;
+    options.windows_dir = dir;
+    options.original_store = dir + ".source.wst";
+    options.victims = victims;
+    Result<AuditReport> want = TwoPassStreamingAudit(options);
+    ASSERT_TRUE(want.ok()) << want.status();
+    ASSERT_TRUE(want->has_reident);
+    EXPECT_GT(want->linkage.joins_attempted, 0u);
+    EXPECT_GT(want->reident.victims_suppressed, 0u);
+    const std::string want_json = AuditReportToJson(*want);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      options.threads = threads;
+      Result<AuditReport> got = RunAudit(options);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(want_json, AuditReportToJson(*got));
+    }
+  }
+}
+
+// Read-once gate: the audit reads every window block once, at open, plus
+// one original block per present victim and window (its truth, for the
+// observations); every other read is served from the resident windows.
+TEST(OnePassAudit, ReadsEachWindowBlockOnce) {
+  const std::string dir = PublishWindowedCorpus("one_pass_read_once");
+  Result<std::vector<std::string>> windows = ListWindowStores(dir);
+  ASSERT_TRUE(windows.ok()) << windows.status();
+  size_t fragments = 0;
+  for (const std::string& path : *windows) {
+    Result<store::TrajectoryStoreReader> reader =
+        store::TrajectoryStoreReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    fragments += reader->size();
+  }
+
+  FailpointRegistry& registry = FailpointRegistry::Instance();
+  registry.EnableHitCounting(true);
+  auto reads = [&registry] { return registry.HitCount("store.read_block"); };
+  AuditOptions options;
+  options.windows_dir = dir;
+  options.original_store = dir + ".source.wst";
+  uint64_t oracle_reads = reads();
+  ASSERT_TRUE(TwoPassStreamingAudit(options).ok());
+  oracle_reads = reads() - oracle_reads;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    options.threads = threads;
+    const uint64_t before = reads();
+    Result<AuditReport> report = RunAudit(options);
+    const uint64_t audit_reads = reads() - before;
+    ASSERT_TRUE(report.ok()) << report.status();
+    ASSERT_GT(report->reident.victims_attacked, 0u);
+    EXPECT_EQ(audit_reads, fragments + report->reident.victims_attacked);
+    EXPECT_LT(audit_reads, oracle_reads);
+  }
+  registry.EnableHitCounting(false);
 }
 
 // ---------------------------------------------------------------------------

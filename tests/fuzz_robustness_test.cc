@@ -1,6 +1,6 @@
-// Robustness: the file parsers and the store decoder must never crash or
-// loop on malformed input — they fail with a Status or skip garbage records
-// gracefully —
+// Robustness: the file parsers and the store, manifest and shard checkpoint
+// decoders must never crash or loop on malformed input — they fail with a
+// Status or skip garbage records gracefully —
 // and the anonymization pipeline must survive adversarial datasets
 // (non-finite coordinates, broken timelines, degenerate trajectories)
 // by returning a non-OK Status or a structurally valid result.
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -20,8 +21,10 @@
 #include "anon/wcop_ct.h"
 #include "common/rng.h"
 #include "common/snapshot.h"
+#include "common/telemetry.h"
 #include "data/geolife_parser.h"
 #include "pipeline/manifest.h"
+#include "store/shard_runner.h"
 #include "store/store_file.h"
 #include "test_util.h"
 #include "traj/io.h"
@@ -481,6 +484,231 @@ TEST_F(ManifestFuzzTest, SignedUnsignedFieldsAndTrailingBytesAreRejected) {
   EXPECT_FALSE(Decode(good_ + "x\n"));
   EXPECT_FALSE(Decode(good_ + std::string(1, '\0')));
   EXPECT_FALSE(Decode(good_ + "wcop-window-manifest"));
+  EXPECT_TRUE(Decode(good_ + " \t\n"));
+}
+
+// ---------------------------------------------------------------------------
+// Shard checkpoint codec (`shard_NNNNN.ckpt`): every truncation and seeded
+// field and byte mutations, re-sealed in the snapshot envelope so they
+// reach the decoder past the envelope's CRC, must be rejected or decode to
+// a checkpoint that re-encodes stably. A sign on an unsigned field is
+// corruption, not 2^64 - 1.
+// ---------------------------------------------------------------------------
+
+class ShardCheckpointFuzzTest : public FuzzRobustnessTest {
+ protected:
+  static constexpr uint64_t kFingerprint = 0x243f6a8885a308d3ULL;
+
+  void SetUp() override {
+    FuzzRobustnessTest::SetUp();
+    // Three pairs of co-travellers and one traveller asking for k = 8 of
+    // 7, who is trashed: a checkpoint with clusters, trash, counters,
+    // gauges and records.
+    Dataset d;
+    for (int64_t i = 0; i < 7; ++i) {
+      d.Add(testing_util::MakeLineWithReq(
+          i, 3000.0 * static_cast<double>(i / 2),
+          20.0 * static_cast<double>(i % 2), 5.0, 0.0, 5, i < 6 ? 2 : 8,
+          300.0, 10.0));
+    }
+    telemetry::Telemetry telemetry;
+    WcopOptions options;
+    options.seed = 3;
+    options.trash_fraction = 0.2;
+    options.telemetry = &telemetry;
+    Result<AnonymizationResult> result = RunWcopCt(d, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    store::ShardCheckpoint state;
+    state.result = *std::move(result);
+    state.verification = VerifyAnonymity(d, state.result);
+    ASSERT_EQ(state.result.report.input_trajectories, 7u);
+    ASSERT_FALSE(state.result.trashed_ids.empty());
+    ASSERT_FALSE(state.result.clusters.empty());
+    ASSERT_FALSE(state.result.report.metrics.counters.empty());
+    ASSERT_FALSE(state.result.report.metrics.gauges.empty());
+    good_ = store::EncodeShardCheckpoint(kFingerprint, state);
+    path_ = (dir_ / "fuzz.ckpt").string();
+    // Token starts of the text sections, which end where the binary
+    // records begin, after the "published <count> \n" line.
+    const size_t published = good_.find("\npublished ");
+    ASSERT_NE(published, std::string::npos);
+    const size_t text_end = good_.find('\n', published + 1);
+    for (size_t pos = 0; pos < text_end; ++pos) {
+      if (!IsSpace(good_[pos]) && (pos == 0 || IsSpace(good_[pos - 1]))) {
+        token_starts_.push_back(pos);
+      }
+    }
+    // A clean payload re-encodes to itself.
+    Result<store::ShardCheckpoint> clean =
+        store::DecodeShardCheckpoint(good_, kFingerprint);
+    ASSERT_TRUE(clean.ok()) << clean.status();
+    ASSERT_EQ(store::EncodeShardCheckpoint(kFingerprint, *clean), good_);
+    ASSERT_TRUE(Decode(good_));
+  }
+
+  static bool IsSpace(char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  }
+
+  /// Seals `payload`, reads it back and decodes it, checking the contract.
+  /// Returns whether the checkpoint was accepted.
+  bool Decode(const std::string& payload) {
+    EXPECT_TRUE(
+        WriteSnapshotFile(path_, payload, store::kShardCheckpointVersion)
+            .ok());
+    Result<Snapshot> snapshot = ReadSnapshotFile(path_);
+    EXPECT_TRUE(snapshot.ok()) << snapshot.status();
+    if (!snapshot.ok()) {
+      return false;
+    }
+    Result<store::ShardCheckpoint> c =
+        store::DecodeShardCheckpoint(snapshot->payload, kFingerprint);
+    if (!c.ok()) {
+      // A mutated fingerprint that still parses is another shard's.
+      EXPECT_TRUE(c.status().code() == StatusCode::kDataLoss ||
+                  c.status().code() == StatusCode::kFailedPrecondition)
+          << c.status();
+      return false;
+    }
+    const std::string encoded = store::EncodeShardCheckpoint(kFingerprint, *c);
+    Result<store::ShardCheckpoint> again =
+        store::DecodeShardCheckpoint(encoded, kFingerprint);
+    EXPECT_TRUE(again.ok()) << again.status();
+    if (again.ok()) {
+      EXPECT_EQ(store::EncodeShardCheckpoint(kFingerprint, *again), encoded);
+    }
+    return true;
+  }
+
+  /// Start of the `n`-th token after the keyword that opens the line
+  /// `section` (any line but the first).
+  size_t TokenAfter(const std::string& section, size_t n) const {
+    const size_t line = good_.find("\n" + section + " ") + 1;
+    const size_t keyword = static_cast<size_t>(
+        std::find(token_starts_.begin(), token_starts_.end(), line) -
+        token_starts_.begin());
+    if (keyword + n >= token_starts_.size()) {
+      ADD_FAILURE() << "no token " << n << " after " << section;
+      return 0;
+    }
+    return token_starts_[keyword + n];
+  }
+
+  std::string Replaced(size_t at, const std::string& token) const {
+    std::string payload = good_;
+    const size_t end = payload.find_first_of(" \n", at);
+    payload.replace(at, end - at, token);
+    return payload;
+  }
+
+  std::string good_;
+  std::string path_;
+  std::vector<size_t> token_starts_;
+};
+
+TEST_F(ShardCheckpointFuzzTest, EveryTruncationIsRejected) {
+  // "end" is the last token: a cut anywhere before its newline drops it.
+  for (size_t cut = 0; cut + 1 < good_.size(); ++cut) {
+    EXPECT_FALSE(Decode(good_.substr(0, cut))) << "cut " << cut;
+  }
+}
+
+TEST_F(ShardCheckpointFuzzTest, SeededMutationsAreRejectedOrRoundTrip) {
+  Rng rng(707);
+  const std::vector<std::string> tokens = {
+      "", "0", "1", "2", "7", "-1", "+7", "-0", "1.5", "12abc", "0x10", "nan",
+      "-nan", "inf", "1e309", "1e-320", "2147483648", "4294967296",
+      "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+      "18446744073709551615", "18446744073709551616", "end", "published",
+      "clusters"};
+  size_t rejected = 0;
+  size_t accepted = 0;
+  for (int round = 0; round < 1500; ++round) {
+    std::string payload = good_;
+    const size_t edits = 1 + rng.UniformIndex(3);
+    for (size_t n = 0; n < edits; ++n) {
+      // Token positions are those of the clean payload; after an edit they
+      // may land mid-token, which is a mutation too.
+      const size_t at =
+          std::min(token_starts_[rng.UniformIndex(token_starts_.size())],
+                   payload.size());
+      const size_t end = std::min(payload.find_first_of(" \n", at),
+                                  payload.size());
+      switch (rng.UniformIndex(5)) {
+        case 0:  // replace a field with an edge-case token
+          payload.replace(at, end - at,
+                          tokens[rng.UniformIndex(tokens.size())]);
+          break;
+        case 1:  // drop a field (and its separator)
+          payload.erase(at, end - at + 1);
+          break;
+        case 2:  // duplicate a field
+          payload.insert(at, payload.substr(at, end - at + 1));
+          break;
+        case 3:  // overwrite any byte, binary records included
+          payload[rng.UniformIndex(payload.size())] =
+              static_cast<char>(rng.UniformInt(0, 255));
+          break;
+        default:  // insert random bytes anywhere
+          payload.insert(rng.UniformIndex(payload.size() + 1),
+                         RandomBytes(&rng, 1 + rng.UniformIndex(8),
+                                     round % 2 == 0));
+          break;
+      }
+    }
+    if (Decode(payload)) {
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+  }
+  // Both outcomes must occur, or the mutations are not reaching the
+  // decoder's checks (or never produce a still-valid checkpoint).
+  EXPECT_GT(rejected, 1000u);
+  EXPECT_GT(accepted, 50u);
+}
+
+// Fields the encoder never writes that way are rejected; the signed ones
+// (trashed ids, cluster k) take a sign.
+TEST_F(ShardCheckpointFuzzTest, SignsFlagsRangesAndTrailingBytesAreRejected) {
+  struct Edit {
+    const char* section;
+    size_t token;  ///< 1 = the first value after the section keyword
+    const char* value;
+    bool accepted;
+  };
+  const Edit edits[] = {
+      {"fingerprint", 1, "-1", false},
+      {"report", 1, "-1", false},   // input_trajectories
+      {"report", 1, "+7", false},
+      {"report", 4, "-0", false},   // trashed_points
+      {"report", 16, "-1", false},  // clustering_rounds
+      {"report", 18, "2", false},   // degraded flag
+      {"verification", 1, "2", false},
+      {"verification", 3, "-1", false},
+      {"counters", 1, "-1", false},
+      {"counters", 3, "-1", false},  // the first counter's value
+      {"trashed", 1, "-1", false},
+      {"trashed", 2, "-6", true},  // ids are signed
+      {"trashed", 2, "+6", false},
+      {"clusters", 1, "-1", false},
+      {"clusters", 2, "-1", false},  // pivot
+      {"clusters", 2, "7", false},   // pivot past the shard's 7 inputs
+      {"clusters", 3, "-2", true},   // k is a signed int...
+      {"clusters", 3, "2147483648", false},  // ...that fits an int
+      {"clusters", 5, "-1", false},  // member count
+      {"clusters", 6, "-1", false},  // first member
+      {"clusters", 6, "7", false},   // member past the shard's 7 inputs
+      {"published", 1, "-1", false},
+  };
+  for (const Edit& e : edits) {
+    EXPECT_EQ(Decode(Replaced(TokenAfter(e.section, e.token), e.value)),
+              e.accepted)
+        << e.section << " token " << e.token << " = " << e.value;
+  }
+  EXPECT_FALSE(Decode(good_ + "x"));
+  EXPECT_FALSE(Decode(good_ + "end\n"));
+  EXPECT_FALSE(Decode(good_ + std::string(1, '\0')));
   EXPECT_TRUE(Decode(good_ + " \t\n"));
 }
 
