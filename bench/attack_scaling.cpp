@@ -1,9 +1,11 @@
 // Red-team scaling bench: re-identification audit throughput against
 // growing out-of-core corpora. The store is generated tile by tile and
-// never materialized in memory; the attack walks the index and block-reads
-// only candidates that survive the certified MBR lower bound, so audit
-// cost per victim grows with the *surviving* candidate set, not the
-// corpus. The bench reports candidates/sec at each scale and fails if
+// never materialized in memory; the attack descends a box tree over the
+// index rows and block-reads only candidates that survive the certified
+// MBR lower bound, so audit cost per victim grows with the *surviving*
+// candidate set, not the corpus, once the tree is built. The bench reports
+// candidates/sec and the join's row and node tests at each scale and
+// fails if
 //
 //   - the exact-observation adversary does not pin its victim on raw data
 //     (top-1 < 0.99: the attack engine itself is broken), or
@@ -15,6 +17,7 @@
 //                    [--rss-budget-mb=2048] [--keep-store]
 //                    [--json-out=FILE]
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -28,6 +31,7 @@
 #include "bench_util.h"
 #include "common/arg_parser.h"
 #include "common/stopwatch.h"
+#include "common/telemetry.h"
 #include "data/synthetic.h"
 #include "store/store_file.h"
 
@@ -167,10 +171,17 @@ int main(int argc, char** argv) {
             ? 0.0
             : static_cast<double>(result->candidates_pruned) / walked;
     const double peak_rss_mb = PeakRssMb();
-    std::printf("n=%zu: %zu victims in %.2fs (gen %.1fs) — %.3g cand/s, "
-                "pruned %.1f%%, top-1 %.3f, RSS %.0f MiB\n",
+    // The join's work: (victim, row) and (victim, tree node) tests.
+    const telemetry::MetricsSnapshot metrics = telemetry.metrics().Snapshot();
+    const uint64_t row_tests = metrics.CounterValue("attack.join.row_tests");
+    const uint64_t node_tests = metrics.CounterValue("attack.join.node_tests");
+    std::printf("n=%zu: %zu victims in %.3fs (gen %.1fs) — %.3g cand/s, "
+                "pruned %.1f%% (row tests %llu, node tests %llu), top-1 "
+                "%.3f, RSS %.0f MiB\n",
                 n, result->victims_attacked, seconds, gen_seconds,
                 candidates_per_sec, 100.0 * pruned_fraction,
+                static_cast<unsigned long long>(row_tests),
+                static_cast<unsigned long long>(node_tests),
                 result->top1_success, peak_rss_mb);
 
     json_out.Add("attack_scaling/reident",
@@ -180,10 +191,12 @@ int main(int argc, char** argv) {
                   {"threads", static_cast<double>(threads)},
                   {"candidates_per_sec", candidates_per_sec},
                   {"pruned_fraction", pruned_fraction},
+                  {"row_tests", static_cast<double>(row_tests)},
+                  {"node_tests", static_cast<double>(node_tests)},
                   {"top1_success", result->top1_success},
                   {"generate_seconds", gen_seconds},
                   {"peak_rss_mb", peak_rss_mb}},
-                 seconds, telemetry.metrics().Snapshot());
+                 seconds, metrics);
 
     if (result->top1_success < 0.99) {
       std::fprintf(stderr,

@@ -103,6 +103,30 @@ inline void PrintHeader(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }
 
+/// The shape checks a paper bench prints against the paper's claims.
+/// Tag() returns the "ok" / "MISMATCH" label for one check and counts the
+/// mismatches; main() returns ExitCode(), so a bench whose output no
+/// longer has the paper's shape fails (the ctest `paper` label runs them).
+class ShapeChecks {
+ public:
+  const char* Tag(bool ok) {
+    mismatches_ += ok ? 0 : 1;
+    return ok ? "ok" : "MISMATCH";
+  }
+
+  int ExitCode() const {
+    if (mismatches_ == 0) {
+      return 0;
+    }
+    std::fprintf(stderr, "%d shape check(s) do not match the paper\n",
+                 mismatches_);
+    return 1;
+  }
+
+ private:
+  int mismatches_ = 0;
+};
+
 /// Machine-readable bench output behind the shared `--json-out=FILE` flag:
 /// each benchmark configuration appends one record
 ///

@@ -61,11 +61,12 @@ int main(int argc, char** argv) {
   PrintHeader("Figure 5(b): WCOP-CT discernibility");
   sweep->PrintTable("discernibility", std::cout);
 
+  ShapeChecks checks;
   std::printf("\nshape check vs paper: [%s] distortion non-monotone in "
               "k_max for some delta_max series\n",
-              sweep->AnySeriesNonMonotone("distortion") ? "ok" : "MISMATCH");
+              checks.Tag(sweep->AnySeriesNonMonotone("distortion")));
   if (!json_out.Flush()) {
     return 1;
   }
-  return 0;
+  return checks.ExitCode();
 }

@@ -63,6 +63,7 @@ int main(int argc, char** argv) {
        1400.0},
   };
 
+  ShapeChecks checks;
   for (const Regime& regime : regimes) {
     // Assign the regime's requirements to parents, propagate to children.
     Dataset parents = base;
@@ -187,11 +188,10 @@ int main(int argc, char** argv) {
     }
     std::printf("shape checks vs paper: [%s] editing lowers some pipeline's "
                 "distortion; [%s] distortion non-monotone in edit size\n",
-                any_improves ? "ok" : "MISMATCH",
-                any_non_monotone ? "ok" : "MISMATCH");
+                checks.Tag(any_improves), checks.Tag(any_non_monotone));
   }
   if (!json_out.Flush()) {
     return 1;
   }
-  return 0;
+  return checks.ExitCode();
 }

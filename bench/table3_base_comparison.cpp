@@ -219,29 +219,27 @@ int main(int argc, char** argv) {
   });
   table.Print(std::cout);
 
-  // Shape assertions the paper's Table 3 supports (reported, not fatal).
+  // Shape assertions the paper's Table 3 supports; any mismatch fails.
   const auto& nv = reports[0].report;
   const auto& ct = reports[1].report;
   const auto& sa_traclus = reports[2].report;
   const auto& b = reports[4].report;
+  ShapeChecks checks;
   std::printf("\nshape checks vs paper:\n");
   std::printf("  [%s] WCOP-CT distortion < WCOP-NV\n",
-              ct.total_distortion < nv.total_distortion ? "ok" : "MISMATCH");
+              checks.Tag(ct.total_distortion < nv.total_distortion));
   std::printf("  [%s] WCOP-CT creates more clusters than WCOP-NV\n",
-              ct.num_clusters > nv.num_clusters ? "ok" : "MISMATCH");
+              checks.Tag(ct.num_clusters > nv.num_clusters));
   std::printf("  [%s] SA-Traclus has the most input units and clusters\n",
-              sa_traclus.input_trajectories > ct.input_trajectories &&
-                      sa_traclus.num_clusters > ct.num_clusters
-                  ? "ok"
-                  : "MISMATCH");
+              checks.Tag(sa_traclus.input_trajectories >
+                             ct.input_trajectories &&
+                         sa_traclus.num_clusters > ct.num_clusters));
   std::printf("  [%s] SA-Traclus achieves the lowest total distortion\n",
-              sa_traclus.total_distortion <= ct.total_distortion
-                  ? "ok"
-                  : "MISMATCH");
+              checks.Tag(sa_traclus.total_distortion <= ct.total_distortion));
   std::printf("  [%s] WCOP-B distortion <= WCOP-CT\n",
-              b.total_distortion <= ct.total_distortion ? "ok" : "MISMATCH");
+              checks.Tag(b.total_distortion <= ct.total_distortion));
   if (!json_out.Flush()) {
     return 1;
   }
-  return 0;
+  return checks.ExitCode();
 }

@@ -1,5 +1,6 @@
 #include "attack/candidate_source.h"
 
+#include <numeric>
 #include <utility>
 
 #include "geo/bounding_box.h"
@@ -14,6 +15,32 @@ Result<size_t> CandidateSource::FindByKey(int64_t key) const {
                             std::to_string(key));
   }
   return it->second;
+}
+
+const CandidateSource::Packed& CandidateSource::packed() const {
+  std::call_once(packed_->once, [this] {
+    const size_t n = size();
+    std::vector<uint32_t> ids(n);
+    std::iota(ids.begin(), ids.end(), 0u);
+    std::vector<XytBox> boxes(n);
+    for (size_t i = 0; i < n; ++i) {
+      const store::StoreEntry& e = entry(i);
+      boxes[i] = {e.min_x, e.max_x, e.min_y, e.max_y, e.t_min, e.t_max};
+    }
+    packed_->tree = BoxTree(ids, boxes);
+    const std::vector<uint32_t>& items = packed_->tree.items();
+    packed_->position.resize(n);
+    for (size_t p = 0; p < items.size(); ++p) {
+      packed_->position[items[p]] = static_cast<uint32_t>(p);
+    }
+  });
+  return *packed_;
+}
+
+const BoxTree& CandidateSource::tree() const { return packed().tree; }
+
+uint32_t CandidateSource::TreePosition(size_t i) const {
+  return packed().position[i];
 }
 
 DatasetCandidateSource::DatasetCandidateSource(const Dataset& dataset)

@@ -101,6 +101,21 @@ Result<EffectiveKSamples> MeasureEffectiveKSamples(
   popts.telemetry = options.telemetry;
   const double epsilon = options.adversary.epsilon;
   std::vector<UserSetup> setups;
+  // The row test's two prefilters on a node box: a node that fails them
+  // holds no row that passes them, the user's own included.
+  const auto node_test = [&](size_t u, const BoxTree::Node& node,
+                             JoinTally*) {
+    const UserSetup& s = setups[u];
+    if (s.skipped || node.box.max_t < s.start || node.box.min_t > s.end) {
+      return false;
+    }
+    for (const Point& p : s.known) {
+      if (PointToEntryDistance(node.box, p) > epsilon) {
+        return false;
+      }
+    }
+    return true;
+  };
   const auto test = [&](size_t u, size_t j, const store::StoreEntry& row,
                         JoinTally* tally) {
     const UserSetup& s = setups[u];
@@ -150,8 +165,8 @@ Result<EffectiveKSamples> MeasureEffectiveKSamples(
       s.known = std::vector<Point>(s.known);  // re-homed, as in reident.cc
     }
     WCOP_ASSIGN_OR_RETURN(std::vector<JoinTally> tallies,
-                          JoinCandidates(published, count, test, score,
-                                         popts));
+                          JoinCandidates(published, count, node_test, test,
+                                         score, popts));
     for (size_t i = 0; i < count; ++i) {
       if (setups[i].skipped) {
         continue;

@@ -55,7 +55,8 @@ struct EffectiveKOptions {
   int threads = 1;
   const RunContext* run_context = nullptr;
   /// `attack.effective_k` histogram + `attack.effective_k.violations`
-  /// counter.
+  /// counter, and the join's `attack.join.row_tests` /
+  /// `attack.join.node_tests`.
   telemetry::Telemetry* telemetry = nullptr;
   std::function<void(size_t, size_t)> progress;  ///< (done, total) users
 };
@@ -70,10 +71,12 @@ struct EffectiveKOptions {
 /// records an adversary holding this sub-trajectory cannot tell apart —
 /// and is compared against the user's requested k_i. Candidates whose
 /// index MBR, dilated by ε, excludes any sampled position are skipped
-/// without reading their block (certified, see PointToEntryDistance).
-/// Users are measured in blocks of 256 through one candidate-major join
-/// (JoinCandidates): each candidate block is read at most once per user
-/// block, and the counts are identical at every thread count.
+/// without reading their block (certified, see PointToEntryDistance), and
+/// a tree node whose box fails the same test, or does not overlap the
+/// interval in time, skips its whole subtree. Users are measured in blocks
+/// of 256 through one candidate-major join (JoinCandidates): each
+/// candidate block is read at most once per user block, and the counts are
+/// identical at every thread count.
 Result<EffectiveKResult> MeasureEffectiveK(const CandidateSource& published,
                                            const EffectiveKOptions& options);
 

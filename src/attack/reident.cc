@@ -19,6 +19,7 @@ namespace {
 struct VictimSetup {
   Status status;
   size_t truth_index = 0;
+  uint32_t truth_position = 0;  ///< the truth row's position in the tree
   std::vector<Point> observations;
   double s_true = 0.0;
 };
@@ -146,6 +147,24 @@ Result<ReidentResult> RunReidentAttack(const CandidateSource& original,
   popts.telemetry = options.telemetry;
   const size_t candidates = published.size();
   std::vector<VictimSetup> setups;
+  // The row bound on a node box: no larger than any row's below it, so a
+  // node whose bound exceeds s_true settles every row below as pruned,
+  // except the truth row, which is neither pruned nor scored.
+  const auto node_test = [&setups](size_t v, const BoxTree::Node& node,
+                                   JoinTally* tally) {
+    const VictimSetup& s = setups[v];
+    double bound = 0.0;
+    for (const Point& obs : s.observations) {
+      bound += PointToEntryDistance(node.box, obs);
+      if (bound > s.s_true) {
+        const bool holds_truth = s.truth_position >= node.begin &&
+                                 s.truth_position < node.end;
+        tally->pruned += node.end - node.begin - (holds_truth ? 1 : 0);
+        return false;
+      }
+    }
+    return true;
+  };
   const auto test = [&setups](size_t v, size_t j,
                               const store::StoreEntry& row,
                               JoinTally* tally) {
@@ -198,6 +217,7 @@ Result<ReidentResult> RunReidentAttack(const CandidateSource& original,
                     popts));
     for (VictimSetup& s : setups) {
       WCOP_RETURN_IF_ERROR(s.status);
+      s.truth_position = published.TreePosition(s.truth_index);
       // Re-home the observations on this thread: every join thread reads
       // them for every candidate, and where a setup worker allocated them
       // they can share cache lines with that worker's transient block
@@ -205,8 +225,8 @@ Result<ReidentResult> RunReidentAttack(const CandidateSource& original,
       s.observations = std::vector<Point>(s.observations);
     }
     WCOP_ASSIGN_OR_RETURN(std::vector<JoinTally> tallies,
-                          JoinCandidates(published, count, test, score,
-                                         popts));
+                          JoinCandidates(published, count, node_test, test,
+                                         score, popts));
     for (const JoinTally& t : tallies) {
       // Uniform tie-breaking over the tied block (the truth plus its exact
       // ties): expected rank is the block midpoint; the truth lands in the

@@ -38,7 +38,8 @@ struct ReidentOptions {
   const RunContext* run_context = nullptr;
 
   /// Optional metric sink: `attack.victims`, `attack.candidates`,
-  /// `attack.candidates.pruned`, `attack.matches.top1`, and the
+  /// `attack.candidates.pruned`, `attack.matches.top1`, the join's
+  /// `attack.join.row_tests` / `attack.join.node_tests`, and the
   /// `attack.rank` histogram.
   telemetry::Telemetry* telemetry = nullptr;
 
@@ -60,7 +61,7 @@ struct ReidentResult {
   double mean_reciprocal_rank = 0.0;
   uint64_t candidates_total = 0;   ///< victims x candidate universe
   uint64_t candidates_scored = 0;  ///< exact (block-read) scorings
-  uint64_t candidates_pruned = 0;  ///< skipped via the MBR lower bound
+  uint64_t candidates_pruned = 0;  ///< skipped via the box lower bound
 };
 
 /// The victims of the attack on one original: their indices in the original
@@ -83,13 +84,15 @@ VictimSample DrawVictims(const CandidateSource& original, size_t num_victims,
 /// present ones are attacked in victim order, in blocks of 256.
 /// Each victim of a block is set up once: its observations are sampled
 /// and its true candidate's exact score s_true is computed. Then one
-/// candidate-major join (JoinCandidates) walks the published index: every
-/// candidate is tested against each victim's certified lower bound (mean
-/// observation-to-MBR distance, see PointToEntryDistance), and its block
-/// is read once for the whole victim block and scored exactly only for
-/// the victims whose bound does not exceed s_true — a pruned candidate's
-/// exact score is provably > s_true, so its relative rank is known
-/// without touching its block and the result is identical to the
+/// candidate-major join (JoinCandidates) descends the published index's
+/// box tree: a victim whose certified lower bound (the sum of
+/// observation-to-box distances, see PointToEntryDistance) exceeds s_true
+/// at a node settles the node's whole subtree as pruned, and in the leaves
+/// it reaches every candidate is tested against the same bound on its own
+/// MBR; a block is read once for the whole victim block and scored exactly
+/// only for the victims whose bound does not exceed s_true — a pruned
+/// candidate's exact score is provably > s_true, so its relative rank is
+/// known without touching its block and the result is identical to the
 /// exhaustive scan. Out-of-core: memory is O(index + victim block), and
 /// each published block is read at most once per victim block. Counts
 /// and rates are identical at every thread count. Fails on empty sources

@@ -36,6 +36,11 @@ bool EdrSeparated(const EdrBoundsProfile& a, const EdrBoundsProfile& b,
   if (a.length == 0 || b.length == 0) {
     return true;  // no matchable pair exists; EDR = max length exactly
   }
+  return EdrBoxesSeparated(a, b, tolerance);
+}
+
+bool EdrBoxesSeparated(const XytBox& a, const XytBox& b,
+                       const EdrTolerance& tolerance) {
   // An axis separates when even the closest pair of coordinates is farther
   // apart than the tolerance. Infinite dt never separates (inf < x is
   // false), so no special case is needed.
@@ -58,154 +63,51 @@ uint32_t EdrLengthLowerBound(const EdrBoundsProfile& a,
 
 namespace {
 
-/// Box center on axis 0 (x), 1 (y) or 2 (t); only orders the bulk load, so
-/// a NaN (from infinite extents) is mapped to 0 to keep the sort's ordering
-/// strict-weak.
-double Center(const EdrBoundsProfile& p, int axis) {
-  double c;
-  if (axis == 0) {
-    c = 0.5 * p.min_x + 0.5 * p.max_x;
-  } else if (axis == 1) {
-    c = 0.5 * p.min_y + 0.5 * p.max_y;
-  } else {
-    c = 0.5 * p.min_t + 0.5 * p.max_t;
-  }
-  return std::isnan(c) ? 0.0 : c;
-}
-
-/// Sort-Tile-Recursive order of `ids[begin, end)`: sorted by center on
-/// `axis`, cut into slabs of whole kFanout-sized groups (about
-/// groups^(1/remaining axes) slabs), each slab ordered on the next axis.
-/// Consecutive runs of kFanout ids are then compact in (x, y, t).
-template <typename CenterFn>
-void StrOrder(std::vector<uint32_t>* ids, size_t begin, size_t end, int axis,
-              const CenterFn& center) {
-  std::sort(ids->begin() + begin, ids->begin() + end,
-            [&](uint32_t a, uint32_t b) {
-              const double ca = center(a, axis);
-              const double cb = center(b, axis);
-              return ca != cb ? ca < cb : a < b;
-            });
-  if (axis == 2) {
-    return;
-  }
-  constexpr size_t kFanout = EdrReachIndex::kFanout;
-  const size_t groups = (end - begin + kFanout - 1) / kFanout;
-  size_t slabs = 1;
-  for (;;) {
-    size_t power = slabs;
-    for (int d = axis + 1; d < 3; ++d) {
-      power *= slabs;
+/// The tree over the non-empty profiles, keyed by their positions.
+BoxTree PackNonEmpty(const std::vector<EdrBoundsProfile>& profiles) {
+  std::vector<uint32_t> ids;
+  std::vector<XytBox> boxes;
+  for (size_t i = 0; i < profiles.size(); ++i) {
+    if (profiles[i].length > 0) {
+      ids.push_back(static_cast<uint32_t>(i));
+      boxes.push_back(profiles[i]);
     }
-    if (power >= groups) {
-      break;
-    }
-    ++slabs;
   }
-  const size_t per_slab = (groups + slabs - 1) / slabs * kFanout;
-  for (size_t b = begin; b < end; b += per_slab) {
-    StrOrder(ids, b, std::min(b + per_slab, end), axis + 1, center);
-  }
-}
-
-/// Grows `box` to cover `p`.
-void Cover(EdrBoundsProfile* box, const EdrBoundsProfile& p) {
-  box->min_x = std::min(box->min_x, p.min_x);
-  box->max_x = std::max(box->max_x, p.max_x);
-  box->min_y = std::min(box->min_y, p.min_y);
-  box->max_y = std::max(box->max_y, p.max_y);
-  box->min_t = std::min(box->min_t, p.min_t);
-  box->max_t = std::max(box->max_t, p.max_t);
+  return BoxTree(ids, boxes);
 }
 
 }  // namespace
 
 EdrReachIndex::EdrReachIndex(const std::vector<EdrBoundsProfile>& profiles)
-    : profiles_(profiles) {
-  for (size_t i = 0; i < profiles.size(); ++i) {
-    if (profiles[i].length > 0) {
-      items_.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  if (items_.empty()) {
-    return;
-  }
-  StrOrder(&items_, 0, items_.size(), 0, [&](uint32_t i, int axis) {
-    return Center(profiles[i], axis);
-  });
-  // A node box must not look empty to EdrSeparated, whatever it covers.
-  auto node_over = [](const EdrBoundsProfile& first) {
-    Node node;
-    node.box = first;
-    node.box.length = 1;
-    return node;
-  };
-  std::vector<Node> level;
-  for (size_t b = 0; b < items_.size(); b += kFanout) {
-    const size_t e = std::min(b + kFanout, items_.size());
-    Node leaf = node_over(profiles[items_[b]]);
-    for (size_t c = b + 1; c < e; ++c) {
-      Cover(&leaf.box, profiles[items_[c]]);
-    }
-    leaf.first = static_cast<uint32_t>(b);
-    leaf.count = static_cast<uint32_t>(e - b);
-    leaf.leaf = true;
-    level.push_back(leaf);
-  }
-  // Upper levels: STR-order each level's nodes, store them contiguously,
-  // and group consecutive runs under parents until one root remains.
-  while (level.size() > 1) {
-    std::vector<uint32_t> order(level.size());
-    for (size_t i = 0; i < order.size(); ++i) {
-      order[i] = static_cast<uint32_t>(i);
-    }
-    StrOrder(&order, 0, order.size(), 0, [&](uint32_t i, int axis) {
-      return Center(level[i].box, axis);
-    });
-    const size_t base = nodes_.size();
-    for (uint32_t i : order) {
-      nodes_.push_back(level[i]);
-    }
-    std::vector<Node> parents;
-    for (size_t b = 0; b < order.size(); b += kFanout) {
-      const size_t e = std::min(b + kFanout, order.size());
-      Node parent = node_over(nodes_[base + b].box);
-      for (size_t c = b + 1; c < e; ++c) {
-        Cover(&parent.box, nodes_[base + c].box);
-      }
-      parent.first = static_cast<uint32_t>(base + b);
-      parent.count = static_cast<uint32_t>(e - b);
-      parents.push_back(parent);
-    }
-    level = std::move(parents);
-  }
-  nodes_.push_back(level.front());
-}
+    : profiles_(profiles), tree_(PackNonEmpty(profiles)) {}
 
 size_t EdrReachIndex::Query(const EdrBoundsProfile& query,
                             const EdrTolerance& tolerance,
                             std::vector<size_t>* out) const {
-  if (nodes_.empty() || query.length == 0) {
+  if (tree_.empty() || query.length == 0) {
     return 0;  // a length-0 query is separated from everything
   }
-  const uint32_t root = static_cast<uint32_t>(nodes_.size() - 1);
-  if (EdrSeparated(query, nodes_[root].box, tolerance)) {
+  const std::vector<BoxTree::Node>& nodes = tree_.nodes();
+  const std::vector<uint32_t>& items = tree_.items();
+  if (EdrBoxesSeparated(query, nodes[tree_.root()].box, tolerance)) {
     return 0;
   }
   size_t tested = 0;
-  std::vector<uint32_t> stack{root};
+  std::vector<uint32_t> stack{tree_.root()};
   while (!stack.empty()) {
-    const Node& node = nodes_[stack.back()];
+    const BoxTree::Node& node = nodes[stack.back()];
     stack.pop_back();
-    for (uint32_t c = node.first; c < node.first + node.count; ++c) {
-      if (!node.leaf) {
-        if (!EdrSeparated(query, nodes_[c].box, tolerance)) {
+    if (!node.leaf()) {
+      for (uint32_t c = node.first; c < node.first + node.count; ++c) {
+        if (!EdrBoxesSeparated(query, nodes[c].box, tolerance)) {
           stack.push_back(c);
         }
-        continue;
       }
+      continue;
+    }
+    for (uint32_t c = node.begin; c < node.end; ++c) {
       ++tested;
-      const uint32_t j = items_[c];
+      const uint32_t j = items[c];
       if (!EdrSeparated(query, profiles_[j], tolerance)) {
         out->push_back(j);
       }

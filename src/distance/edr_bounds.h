@@ -6,22 +6,17 @@
 #include <vector>
 
 #include "distance/edr.h"
+#include "index/box_tree.h"
 #include "traj/trajectory.h"
 
 namespace wcop {
 
 /// Precomputed per-trajectory summary powering the EDR lower-bound cascade:
-/// spatial MBR, temporal extent, length, and whether the timestamps are
+/// the (x, y, t) box of the points, length, and whether the timestamps are
 /// sorted (Trajectory::Validate guarantees strictly increasing times, but
 /// the bounds never *assume* it — unsorted inputs degrade to the length
 /// bound instead of returning a wrong certificate).
-struct EdrBoundsProfile {
-  double min_x = 0.0;
-  double max_x = 0.0;
-  double min_y = 0.0;
-  double max_y = 0.0;
-  double min_t = 0.0;
-  double max_t = 0.0;
+struct EdrBoundsProfile : XytBox {
   uint32_t length = 0;
   bool sorted = false;  ///< timestamps non-decreasing (envelope usable)
 
@@ -38,21 +33,26 @@ struct EdrBoundsProfile {
 bool EdrSeparated(const EdrBoundsProfile& a, const EdrBoundsProfile& b,
                   const EdrTolerance& tolerance);
 
+/// The axis test of EdrSeparated alone, on two boxes of any length: the
+/// reach index prunes a node by calling it on the node box.
+bool EdrBoxesSeparated(const XytBox& a, const XytBox& b,
+                       const EdrTolerance& tolerance);
+
 /// Static (x, y, t) index over a set of profiles whose query returns
 /// *exactly* the profiles not EdrSeparated from the query profile — the
 /// candidates with which at least one point pair could match.
 ///
-/// Bulk-loaded once with Sort-Tile-Recursive packing into a multi-level
-/// tree of fanout kFanout; length-0 profiles are not indexed (they are
+/// Bulk-loaded once into a BoxTree (index/box_tree.h, Sort-Tile-Recursive
+/// packing, fanout kFanout); length-0 profiles are not indexed (they are
 /// separated from everything). Node boxes are the plain union of their
-/// children's boxes, and a node is pruned by calling EdrSeparated itself
-/// on the node box (with a nonzero length), so the tolerance dilates only
-/// the arithmetic of the test, never a stored box. Floating-point
-/// addition is monotone, so a node holding a non-separated member is never
-/// pruned, and dt = infinity needs no special case.
+/// children's boxes, and a node is pruned by EdrBoxesSeparated, the axis
+/// test of EdrSeparated itself, so the tolerance dilates only the
+/// arithmetic of the test, never a stored box. Floating-point addition is
+/// monotone, so a node holding a non-separated member is never pruned, and
+/// dt = infinity needs no special case.
 class EdrReachIndex {
  public:
-  static constexpr size_t kFanout = 16;
+  static constexpr size_t kFanout = BoxTree::kFanout;
 
   /// Indexes every non-empty profile of `profiles` by its position. The
   /// vector is referenced, not copied: it must outlive the index and stay
@@ -67,16 +67,8 @@ class EdrReachIndex {
                std::vector<size_t>* out) const;
 
  private:
-  struct Node {
-    EdrBoundsProfile box;  ///< union of the children; length is 1
-    uint32_t first = 0;    ///< first child in items_ (leaf) or nodes_
-    uint32_t count = 0;
-    bool leaf = false;
-  };
-
   const std::vector<EdrBoundsProfile>& profiles_;
-  std::vector<uint32_t> items_;  ///< indexed profiles, in leaf order
-  std::vector<Node> nodes_;      ///< level by level, root last
+  BoxTree tree_;  ///< items are the indexed profiles' positions
 };
 
 /// The PR-4 length bound: every alignment deletes/creates >= ||a|-|b||

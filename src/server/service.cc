@@ -804,12 +804,22 @@ Status AnonymizationService::ExecuteAuditJob(JobRecord* record,
   // Outcome mapping: `published` counts audited users, `verified` means
   // the publication delivered every requested k (no effective-k
   // violations and nothing re-identified above the 1/k floor is not
-  // checkable here, so violations are the gate).
+  // checkable here, so violations are the gate). A windows-mode audit
+  // reports the publication's own suppressed fragments and clusters from
+  // its manifests, as the continuous job that published it did; a single
+  // release has no manifests, so `suppressed` counts the victims with
+  // nothing to link to.
   JobOutcome* out = &record->outcome;
   out->published = report.has_effective_k
                        ? report.effective_k.users_measured
                        : report.reident.victims_attacked;
-  out->suppressed = report.has_reident ? report.reident.victims_suppressed : 0;
+  if (report.has_distortion) {
+    out->suppressed = report.distortion.suppressed_fragments;
+    out->clusters = report.distortion.clusters;
+  } else {
+    out->suppressed =
+        report.has_reident ? report.reident.victims_suppressed : 0;
+  }
   out->verified = report.has_effective_k &&
                   report.effective_k.violation_fraction == 0.0;
   out->total_distortion = report.has_distortion ? report.distortion.ttd : 0.0;

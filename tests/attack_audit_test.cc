@@ -31,6 +31,7 @@
 #include "attack/reident.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
+#include "common/telemetry.h"
 #include "pipeline/continuous.h"
 #include "pipeline/manifest.h"
 #include "store/store_file.h"
@@ -325,21 +326,29 @@ void ExpectSameSamples(const EffectiveKSamples& want,
 
 // A seeded adversarial audit corpus. The original holds `present` victims
 // that appear in the publication plus `absent` ones that were suppressed.
-// The publication holds each present victim jittered, `clones` exact
-// copies of published victims under fresh ids (their re-identification
-// scores tie the truth's exactly, and they are co-located for effective-
-// k), `duplicates` extra entries reusing a present victim's truth key,
-// and unrelated trajectories up to `n` entries, in shuffled order.
+// The publication holds each present victim jittered by up to `jitter`
+// metres per axis (0: a raw republication), `clones` exact copies of
+// published victims under fresh ids (their re-identification scores tie
+// the truth's exactly, and they are co-located for effective-k),
+// `duplicates` extra entries reusing a present victim's truth key,
+// `lonely` entries a day apart from everything else, and unrelated
+// trajectories up to `n` entries, in shuffled order. With `tiles` > 1
+// every walk lies in one of tiles x tiles cities 100 km apart.
 struct OracleCorpus {
   Dataset original;
   std::vector<std::pair<int64_t, Trajectory>> published;  // (truth key, t)
 };
 
-Trajectory RandomWalk(int64_t id, Rng* rng) {
+Trajectory RandomWalk(int64_t id, Rng* rng, size_t tiles = 1,
+                      double start = 0.0) {
   const size_t points = 3 + rng->UniformIndex(6);
   double x = rng->UniformReal(0.0, 3000.0);
   double y = rng->UniformReal(0.0, 3000.0);
-  double t = rng->UniformReal(0.0, 3600.0);
+  double t = start + rng->UniformReal(0.0, 3600.0);
+  if (tiles > 1) {
+    x += 1.0e5 * static_cast<double>(rng->UniformIndex(tiles));
+    y += 1.0e5 * static_cast<double>(rng->UniformIndex(tiles));
+  }
   std::vector<Point> fixes;
   for (size_t i = 0; i < points; ++i) {
     fixes.emplace_back(x, y, t);
@@ -355,17 +364,21 @@ Trajectory RandomWalk(int64_t id, Rng* rng) {
 }
 
 OracleCorpus MakeOracleCorpus(uint64_t seed, size_t present, size_t absent,
-                              size_t clones, size_t duplicates, size_t n) {
+                              size_t clones, size_t duplicates, size_t n,
+                              size_t tiles = 1, double jitter = 40.0,
+                              size_t lonely = 0) {
   Rng rng(seed);
   OracleCorpus corpus;
   for (size_t i = 0; i < present + absent; ++i) {
-    corpus.original.Add(RandomWalk(static_cast<int64_t>(i), &rng));
+    corpus.original.Add(RandomWalk(static_cast<int64_t>(i), &rng, tiles));
   }
   for (size_t i = 0; i < present; ++i) {
     Trajectory published = corpus.original[i];
     for (Point& p : published.mutable_points()) {
-      p.x += rng.UniformReal(-40.0, 40.0);
-      p.y += rng.UniformReal(-40.0, 40.0);
+      if (jitter > 0.0) {
+        p.x += rng.UniformReal(-jitter, jitter);
+        p.y += rng.UniformReal(-jitter, jitter);
+      }
     }
     corpus.published.emplace_back(static_cast<int64_t>(i),
                                   std::move(published));
@@ -378,11 +391,18 @@ OracleCorpus MakeOracleCorpus(uint64_t seed, size_t present, size_t absent,
   }
   for (size_t d = 0; d < duplicates && present > 0; ++d) {
     const size_t of = rng.UniformIndex(present);
-    corpus.published.emplace_back(static_cast<int64_t>(of),
-                                  RandomWalk(static_cast<int64_t>(of), &rng));
+    corpus.published.emplace_back(
+        static_cast<int64_t>(of),
+        RandomWalk(static_cast<int64_t>(of), &rng, tiles));
+  }
+  for (size_t l = 0; l < lonely; ++l) {
+    const int64_t key = 3000000 + static_cast<int64_t>(l);
+    corpus.published.emplace_back(
+        key, RandomWalk(key, &rng, tiles,
+                        86400.0 * static_cast<double>(2 + l)));
   }
   for (int64_t extra = 2000000; corpus.published.size() < n; ++extra) {
-    corpus.published.emplace_back(extra, RandomWalk(extra, &rng));
+    corpus.published.emplace_back(extra, RandomWalk(extra, &rng, tiles));
   }
   std::shuffle(corpus.published.begin(), corpus.published.end(),
                rng.engine());
@@ -491,6 +511,197 @@ TEST(BlockJoinOracle, MatchesVictimMajorScansOnBothSourcesAtAnyThreadCount) {
         ASSERT_TRUE(got_samples.ok()) << got_samples.status();
         ExpectSameSamples(want_samples, *got_samples);
       }
+    }
+  }
+}
+
+// Tree-shaped corpora: far-apart cities (the join settles whole subtrees
+// per victim), thousands of rows with victims capped (17,000 rows put
+// inner nodes inside single join tasks), a raw republication observed
+// without noise (s_true = 0, so the truth row's own bound sits exactly at
+// the threshold), and effective-k users whose interval overlaps no other
+// record. Every count and sample must match the victim-major scans on
+// both sources at 1 and 4 threads, with node and row test counts that do
+// not depend on the thread count and fall well short of a row test per
+// pair.
+TEST(BlockJoinOracle, TreeShapedCorporaMatchVictimMajorScans) {
+  struct TreeCase {
+    const char* name;
+    size_t present, absent, clones, duplicates, n;
+    size_t cap;  ///< num_victims / num_users (0 = everyone)
+    size_t tiles;
+    double jitter;  ///< publication jitter, metres
+    double noise;   ///< observation noise, metres
+    size_t lonely;
+  };
+  const TreeCase cases[] = {
+      {"separated", 300, 20, 8, 4, 1200, 0, 4, 40.0, 25.0, 0},
+      {"rows4500_capped", 600, 40, 12, 6, 4500, 250, 8, 40.0, 25.0, 0},
+      {"rows17000_capped", 400, 30, 8, 4, 17000, 120, 8, 40.0, 25.0, 0},
+      {"raw_noise0", 300, 10, 6, 3, 700, 0, 2, 0.0, 0.0, 0},
+      {"lonely_intervals", 200, 10, 4, 2, 500, 0, 2, 40.0, 25.0, 40},
+  };
+  uint64_t seed = 141;
+  for (const TreeCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const OracleCorpus corpus =
+        MakeOracleCorpus(seed++, c.present, c.absent, c.clones, c.duplicates,
+                         c.n, c.tiles, c.jitter, c.lonely);
+    ASSERT_EQ(corpus.published.size(), c.n);
+    const DatasetCandidateSource mem_original(corpus.original);
+    const Dataset published_dataset = PublishedDataset(corpus);
+    const DatasetCandidateSource mem_published(published_dataset);
+    Result<StoreCandidateSource> disk_original = StoreSourceFor(
+        corpus.original, std::string("tree_orig_") + c.name + ".wst");
+    ASSERT_TRUE(disk_original.ok()) << disk_original.status();
+    Result<StoreCandidateSource> disk_published =
+        PublishedStore(corpus, std::string("tree_pub_") + c.name + ".wst");
+    ASSERT_TRUE(disk_published.ok()) << disk_published.status();
+
+    ReidentOptions reident;
+    reident.adversary.observations = 5;
+    reident.adversary.noise = c.noise;
+    reident.num_victims = c.cap;
+    EffectiveKOptions effective;
+    effective.adversary.tau_seconds = 240.0;
+    effective.adversary.epsilon = 150.0;
+    effective.samples = 4;
+    effective.num_users = c.cap;
+
+    const std::pair<const CandidateSource*, const CandidateSource*>
+        sources[] = {{&mem_original, &mem_published},
+                     {&*disk_original, &*disk_published}};
+    for (const auto& [original, published] : sources) {
+      SCOPED_TRACE(original == &mem_original ? "dataset" : "store");
+      const ReidentResult want_reident =
+          OracleReident(*original, *published, reident);
+      const EffectiveKSamples want_samples =
+          OracleEffectiveKSamples(*published, effective);
+      uint64_t serial_node_tests = 0;
+      uint64_t serial_row_tests = 0;
+      for (int threads : {1, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        telemetry::Telemetry tel;
+        reident.threads = threads;
+        reident.telemetry = &tel;
+        Result<ReidentResult> got_reident =
+            RunReidentAttack(*original, *published, reident);
+        ASSERT_TRUE(got_reident.ok()) << got_reident.status();
+        ExpectSameReident(want_reident, *got_reident);
+        effective.threads = threads;
+        effective.telemetry = &tel;
+        Result<EffectiveKSamples> got_samples =
+            MeasureEffectiveKSamples(*published, effective);
+        ASSERT_TRUE(got_samples.ok()) << got_samples.status();
+        ExpectSameSamples(want_samples, *got_samples);
+
+        const telemetry::MetricsSnapshot metrics = tel.metrics().Snapshot();
+        const uint64_t node_tests =
+            metrics.CounterValue("attack.join.node_tests");
+        const uint64_t row_tests =
+            metrics.CounterValue("attack.join.row_tests");
+        if (threads == 1) {
+          serial_node_tests = node_tests;
+          serial_row_tests = row_tests;
+        } else {
+          EXPECT_EQ(node_tests, serial_node_tests);
+          EXPECT_EQ(row_tests, serial_row_tests);
+        }
+        const uint64_t pairs =
+            (got_reident->victims_attacked +
+             (c.cap == 0 ? c.n : std::min(c.cap, c.n))) *
+            c.n;
+        EXPECT_GT(node_tests, 0u);
+        EXPECT_LT(row_tests, pairs / 2) << "no subtree was settled whole";
+      }
+    }
+    if (c.lonely > 0) {
+      // Each lonely record is measured alone: its effective k is 1.
+      const EffectiveKSamples samples =
+          OracleEffectiveKSamples(mem_published, effective);
+      size_t alone = 0;
+      for (const EffectiveKSamples::Sample& sample : samples.samples) {
+        alone += sample.effective_k == 1 ? 1 : 0;
+      }
+      EXPECT_GE(alone, c.lonely);
+    }
+    if (c.noise == 0.0) {
+      // Exact observations of a raw republication score the truth at
+      // s_true = 0: nothing outranks it, only exact clones tie it.
+      EXPECT_GT(OracleReident(mem_original, mem_published, reident)
+                    .top1_success,
+                0.9);
+    }
+  }
+}
+
+// A publication whose index rows lie about their MBRs, as a crafted store
+// can: every even row's box sits 20 km east of its trajectory. The shifted
+// rows pack into subtrees of their own that every victim settles whole,
+// so a victim's own truth row is often settled with them: it must still
+// count neither pruned nor scored, exactly as the row test leaves it.
+class ShiftedBoxSource : public CandidateSource {
+ public:
+  explicit ShiftedBoxSource(const CandidateSource& inner) : inner_(inner) {
+    for (size_t i = 0; i < inner.size(); ++i) {
+      store::StoreEntry e = inner.entry(i);
+      if (i % 2 == 0) {
+        e.min_x += 20000.0;
+        e.max_x += 20000.0;
+      }
+      entries_.push_back(e);
+      by_key_.emplace(inner.KeyOf(i), i);  // the first entry per key
+    }
+  }
+
+  size_t size() const override { return entries_.size(); }
+  const store::StoreEntry& entry(size_t i) const override {
+    return entries_[i];
+  }
+  Result<Trajectory> Read(size_t i) const override { return inner_.Read(i); }
+  int64_t KeyOf(size_t i) const override { return inner_.KeyOf(i); }
+
+ private:
+  const CandidateSource& inner_;
+  std::vector<store::StoreEntry> entries_;
+};
+
+TEST(BlockJoinOracle, LyingIndexRowsMatchVictimMajorScans) {
+  const OracleCorpus corpus = MakeOracleCorpus(77, 400, 20, 8, 4, 900);
+  const DatasetCandidateSource mem_original(corpus.original);
+  const Dataset published_dataset = PublishedDataset(corpus);
+  const DatasetCandidateSource mem_published(published_dataset);
+  Result<StoreCandidateSource> disk_published =
+      PublishedStore(corpus, "lying_pub.wst");
+  ASSERT_TRUE(disk_published.ok()) << disk_published.status();
+  ReidentOptions reident;
+  reident.adversary.observations = 5;
+  reident.adversary.noise = 25.0;
+  EffectiveKOptions effective;
+  effective.adversary.tau_seconds = 240.0;
+  effective.adversary.epsilon = 150.0;
+  effective.samples = 4;
+  for (const CandidateSource* inner :
+       {static_cast<const CandidateSource*>(&mem_published),
+        static_cast<const CandidateSource*>(&*disk_published)}) {
+    SCOPED_TRACE(inner == &mem_published ? "dataset" : "store");
+    const ShiftedBoxSource published(*inner);
+    const ReidentResult want =
+        OracleReident(mem_original, published, reident);
+    const EffectiveKSamples want_samples =
+        OracleEffectiveKSamples(published, effective);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      reident.threads = threads;
+      Result<ReidentResult> got =
+          RunReidentAttack(mem_original, published, reident);
+      ASSERT_TRUE(got.ok()) << got.status();
+      ExpectSameReident(want, *got);
+      effective.threads = threads;
+      Result<EffectiveKSamples> got_samples =
+          MeasureEffectiveKSamples(published, effective);
+      ASSERT_TRUE(got_samples.ok()) << got_samples.status();
+      ExpectSameSamples(want_samples, *got_samples);
     }
   }
 }
@@ -611,43 +822,52 @@ TEST(BlockJoinReadOnce, ScansReadEachBlockOncePerVictimBlock) {
 // ---------------------------------------------------------------------------
 
 TEST(AuditDeterminism, JsonByteIdenticalAcrossThreadCounts) {
-  const Dataset original = SmallSynthetic(36, 40, 4, 250.0, 33);
-  WcopOptions wcop;
-  wcop.seed = 9;
-  Result<AnonymizationResult> anonymized = RunWcopCt(original, wcop);
-  ASSERT_TRUE(anonymized.ok()) << anonymized.status();
-
-  const std::string original_path = TempPath("attack_det_orig.wst");
-  const std::string published_path = TempPath("attack_det_pub.wst");
-  ASSERT_TRUE(store::WriteDatasetStore(original, original_path).ok());
-  ASSERT_TRUE(
-      store::WriteDatasetStore(anonymized->sanitized, published_path).ok());
-
-  auto run_with = [&](int threads) {
-    AuditOptions options;
-    options.published_store = published_path;
-    options.original_store = original_path;
-    options.threads = threads;
-    Result<AuditReport> report = RunAudit(options);
-    EXPECT_TRUE(report.ok()) << report.status();
-    return report.ok() ? AuditReportToJson(*report) : std::string();
+  // A 36-trajectory release fits in three leaves under one root; a
+  // 2,400-trajectory one gives the join's tree interior nodes to settle.
+  struct Release {
+    size_t trajectories, points;
+    uint64_t seed;
+    size_t capped_victims;
   };
-  const std::string serial = run_with(1);
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, run_with(8));
-  // And a victim-capped run is deterministic too (subset selection is a
-  // seeded shuffle, not a schedule artifact).
-  auto run_capped = [&](int threads) {
-    AuditOptions options;
-    options.published_store = published_path;
-    options.original_store = original_path;
-    options.victims = 10;
-    options.threads = threads;
-    Result<AuditReport> report = RunAudit(options);
-    EXPECT_TRUE(report.ok()) << report.status();
-    return report.ok() ? AuditReportToJson(*report) : std::string();
-  };
-  EXPECT_EQ(run_capped(1), run_capped(8));
+  for (const Release& release :
+       {Release{36, 40, 33, 10}, Release{2400, 8, 35, 300}}) {
+    SCOPED_TRACE("trajectories " + std::to_string(release.trajectories));
+    const Dataset original = SmallSynthetic(
+        release.trajectories, release.points, 4, 250.0, release.seed);
+    WcopOptions wcop;
+    wcop.seed = 9;
+    Result<AnonymizationResult> anonymized = RunWcopCt(original, wcop);
+    ASSERT_TRUE(anonymized.ok()) << anonymized.status();
+    if (release.trajectories > 36) {
+      ASSERT_GE(anonymized->sanitized.size(), 2000u);
+    }
+
+    const std::string original_path = TempPath("attack_det_orig.wst");
+    const std::string published_path = TempPath("attack_det_pub.wst");
+    ASSERT_TRUE(store::WriteDatasetStore(original, original_path).ok());
+    ASSERT_TRUE(
+        store::WriteDatasetStore(anonymized->sanitized, published_path)
+            .ok());
+
+    // Uncapped, then victim-capped: subset selection is a seeded
+    // shuffle, not a schedule artifact.
+    for (size_t victims : {size_t{0}, release.capped_victims}) {
+      SCOPED_TRACE("victims " + std::to_string(victims));
+      auto run_with = [&](int threads) {
+        AuditOptions options;
+        options.published_store = published_path;
+        options.original_store = original_path;
+        options.victims = victims;
+        options.threads = threads;
+        Result<AuditReport> report = RunAudit(options);
+        EXPECT_TRUE(report.ok()) << report.status();
+        return report.ok() ? AuditReportToJson(*report) : std::string();
+      };
+      const std::string serial = run_with(1);
+      ASSERT_FALSE(serial.empty());
+      EXPECT_EQ(serial, run_with(8));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

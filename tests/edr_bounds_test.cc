@@ -17,6 +17,7 @@
 #include "distance/edr.h"
 #include "distance/edr_bounds.h"
 #include "distance/edr_kernel.h"
+#include "index/box_tree.h"
 #include "test_util.h"
 
 namespace wcop {
@@ -261,6 +262,102 @@ TEST(EdrReachIndexTest, QueryCostFollowsTheReachSet) {
     reached += got.size();
   }
   EXPECT_LT(tested, 200 * n / 20) << "reached " << reached;
+}
+
+// ---------------------------------------------------------------------------
+// The shared packer: every subtree's items are one contiguous run its box
+// covers, and a NaN bound reaches every ancestor.
+// ---------------------------------------------------------------------------
+
+bool Covers(const XytBox& outer, const XytBox& inner) {
+  return outer.min_x <= inner.min_x && outer.max_x >= inner.max_x &&
+         outer.min_y <= inner.min_y && outer.max_y >= inner.max_y &&
+         outer.min_t <= inner.min_t && outer.max_t >= inner.max_t;
+}
+
+TEST(BoxTreeTest, SubtreesAreContiguousRunsTheirBoxesCover) {
+  Rng rng(99);
+  for (size_t n : {0, 1, 15, 16, 17, 256, 257, 4096, 20000}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const std::vector<EdrBoundsProfile> profiles =
+        RandomProfiles(&rng, n, 4, 1.0e5);
+    std::vector<uint32_t> ids;
+    std::vector<XytBox> boxes;
+    for (size_t i = 0; i < n; ++i) {
+      ids.push_back(static_cast<uint32_t>(3 * i + 1));  // any labels
+      boxes.push_back(profiles[i]);
+    }
+    const BoxTree tree(ids, boxes);
+    ASSERT_EQ(tree.empty(), n == 0);
+    if (n == 0) {
+      continue;
+    }
+    // The items are the ids, each once.
+    std::vector<uint32_t> items = tree.items();
+    std::sort(items.begin(), items.end());
+    ASSERT_EQ(items, ids);
+    const std::vector<BoxTree::Node>& nodes = tree.nodes();
+    const BoxTree::Node& root = nodes[tree.root()];
+    EXPECT_EQ(root.begin, 0u);
+    EXPECT_EQ(root.end, n);
+    size_t leaf_items = 0;
+    for (size_t i = 0; i < nodes.size(); ++i) {
+      const BoxTree::Node& node = nodes[i];
+      ASSERT_LT(node.begin, node.end);
+      for (uint32_t p = node.begin; p < node.end; ++p) {
+        ASSERT_TRUE(Covers(node.box, boxes[(tree.items()[p] - 1) / 3]));
+      }
+      if (node.leaf()) {
+        EXPECT_LE(node.end - node.begin, BoxTree::kFanout);
+        leaf_items += node.end - node.begin;
+        continue;
+      }
+      // Children come first, are contiguous and tile the parent's run.
+      EXPECT_LE(node.count, BoxTree::kFanout);
+      uint32_t next = node.begin;
+      for (uint32_t c = node.first; c < node.first + node.count; ++c) {
+        ASSERT_LT(c, i);
+        EXPECT_EQ(nodes[c].begin, next);
+        EXPECT_TRUE(Covers(node.box, nodes[c].box));
+        next = nodes[c].end;
+      }
+      EXPECT_EQ(next, node.end);
+    }
+    EXPECT_EQ(leaf_items, n);
+    // leaves() tiles the items in order.
+    uint32_t next = 0;
+    for (uint32_t leaf : tree.leaves()) {
+      ASSERT_TRUE(nodes[leaf].leaf());
+      EXPECT_EQ(nodes[leaf].begin, next);
+      next = nodes[leaf].end;
+    }
+    EXPECT_EQ(next, n);
+    size_t height = 1;
+    for (uint32_t c = tree.root(); !nodes[c].leaf(); c = nodes[c].first) {
+      ++height;
+    }
+    EXPECT_EQ(tree.height(), height);
+  }
+}
+
+TEST(BoxTreeTest, NaNBoundReachesTheRoot) {
+  Rng rng(5);
+  const std::vector<EdrBoundsProfile> profiles =
+      RandomProfiles(&rng, 1000, 4, 1.0e5);
+  std::vector<uint32_t> ids;
+  std::vector<XytBox> boxes;
+  for (size_t i = 0; i < profiles.size(); ++i) {
+    ids.push_back(static_cast<uint32_t>(i));
+    boxes.push_back(profiles[i]);
+  }
+  boxes[617].min_x = std::numeric_limits<double>::quiet_NaN();
+  boxes[618].max_t = std::numeric_limits<double>::quiet_NaN();
+  const BoxTree tree(ids, boxes);
+  const XytBox& root = tree.nodes()[tree.root()].box;
+  EXPECT_TRUE(std::isnan(root.min_x));
+  EXPECT_TRUE(std::isnan(root.max_t));
+  EXPECT_FALSE(std::isnan(root.max_x));
+  EXPECT_FALSE(std::isnan(root.min_t));
 }
 
 // ---------------------------------------------------------------------------

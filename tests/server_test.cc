@@ -13,6 +13,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
@@ -95,6 +97,27 @@ class ServerTest : public ::testing::Test {
     return path;
   }
 
+  // Half a day of 30-minute trips in one city: a continuous job cuts it
+  // into dozens of windows that publish clusters and suppress fragments.
+  std::string ContinuousStore() {
+    const std::string path = Path("continuous.wst");
+    if (!std::filesystem::exists(path)) {
+      SyntheticOptions options;
+      options.seed = 23;
+      options.num_users = 14;
+      options.num_trajectories = 40;
+      options.points_per_trajectory = 90;
+      options.sampling_interval = 20.0;
+      options.region_half_diagonal = 15000.0;
+      options.dataset_duration_days = 0.5;
+      Dataset dataset = GenerateSyntheticGeoLife(options).value();
+      Rng rng(24);
+      AssignUniformRequirements(&dataset, 2, 5, 10.0, 250.0, &rng);
+      EXPECT_TRUE(store::WriteDatasetStore(dataset, path).ok());
+    }
+    return path;
+  }
+
   ServiceOptions BaseOptions() {
     ServiceOptions options;
     options.job_dir = Path("jobs");
@@ -163,6 +186,64 @@ TEST_F(ServerTest, SubmitRunsToVerifiedPublishedOutput) {
   const AnonymizationService::Health health = (*service)->GetHealth();
   EXPECT_EQ(health.done, 1u);
   EXPECT_EQ(health.failed, 0u);
+}
+
+// The integer after `"field":` inside the report's `"section":{...}`.
+uint64_t ReportCount(const std::string& json, const std::string& section,
+                     const std::string& field) {
+  const size_t at = json.find("\"" + section + "\":{");
+  EXPECT_NE(at, std::string::npos) << section << " in " << json;
+  const size_t pos = json.find("\"" + field + "\":", at);
+  EXPECT_NE(pos, std::string::npos) << field << " in " << json;
+  if (at == std::string::npos || pos == std::string::npos) {
+    return 0;
+  }
+  return std::stoull(json.substr(pos + field.size() + 3));
+}
+
+// A windows-mode audit job reports the audited publication's own
+// suppressed fragments and clusters (from its manifests), the totals the
+// continuous job that published the windows reported.
+TEST_F(ServerTest, WindowsAuditOutcomeCarriesThePublicationTotals) {
+  Result<std::unique_ptr<AnonymizationService>> service =
+      AnonymizationService::Start(BaseOptions());
+  ASSERT_TRUE(service.ok()) << service.status();
+
+  JobSpec publish = Spec("windows", ContinuousStore());
+  publish.kind = "continuous";
+  publish.window_seconds = 900.0;
+  Result<int64_t> publish_id = (*service)->Submit(publish);
+  ASSERT_TRUE(publish_id.ok()) << publish_id.status();
+  (*service)->AwaitIdle();
+  Result<JobRecord> published = (*service)->GetJob(*publish_id);
+  ASSERT_TRUE(published.ok()) << published.status();
+  ASSERT_EQ(published->state, JobState::kDone) << published->outcome.error;
+
+  JobSpec audit = Spec("windows_audit", ContinuousStore());
+  audit.kind = "audit";
+  audit.audit_windows_dir = published->spec.output_dir;
+  audit.audit_adversary = "moderate";
+  audit.audit_victims = 30;
+  Result<int64_t> audit_id = (*service)->Submit(audit);
+  ASSERT_TRUE(audit_id.ok()) << audit_id.status();
+  (*service)->AwaitIdle();
+  Result<JobRecord> audited = (*service)->GetJob(*audit_id);
+  ASSERT_TRUE(audited.ok()) << audited.status();
+  ASSERT_EQ(audited->state, JobState::kDone) << audited->outcome.error;
+
+  std::ifstream in(audited->spec.output_csv);
+  ASSERT_TRUE(in.good()) << audited->spec.output_csv;
+  const std::string json((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const uint64_t clusters = ReportCount(json, "distortion", "clusters");
+  EXPECT_GT(clusters, 0u);
+  EXPECT_EQ(audited->outcome.clusters, clusters);
+  EXPECT_EQ(audited->outcome.suppressed,
+            ReportCount(json, "distortion", "suppressed_fragments"));
+  EXPECT_EQ(audited->outcome.published,
+            ReportCount(json, "effective_k", "users_measured"));
+  EXPECT_EQ(audited->outcome.clusters, published->outcome.clusters);
+  EXPECT_EQ(audited->outcome.suppressed, published->outcome.suppressed);
 }
 
 TEST_F(ServerTest, ResubmittingAKnownNameDedupes) {
