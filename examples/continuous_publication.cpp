@@ -3,8 +3,8 @@
 // survive being killed at any moment. This CLI drives the out-of-core
 // continuous pipeline (pipeline/continuous.h) over a `.wst` trajectory
 // store: each window is re-partitioned, anonymized through the sharded
-// WCOP-CT runner, and published as an atomically-finished window store
-// plus a manifest record.
+// WCOP-CT runner, and published as an atomically-finished window store,
+// committed by its record in the directory's append-only window journal.
 //
 // Run:  ./continuous_publication --output-dir=DIR
 //         [--store=FILE.wst]            # default: generate synthetic data
@@ -14,10 +14,10 @@
 // Kill/resume quickstart (see README):
 //   ./continuous_publication --output-dir=/tmp/pub &   # kill -9 it mid-run
 //   ./continuous_publication --output-dir=/tmp/pub --resume
-// The resumed run verifies every already-published window against its
-// manifest (CRC of the actual bytes), adopts the valid prefix, and
-// recomputes only from the first torn window — converging to output
-// byte-identical to an uninterrupted run.
+// The resumed run reads the journal once, verifies every already-published
+// window against its record (CRC of the actual bytes), adopts the valid
+// prefix, and recomputes only from the first torn window — converging to
+// output byte-identical to an uninterrupted run.
 
 #include <cstdio>
 #include <iostream>
@@ -144,6 +144,7 @@ int main(int argc, char** argv) {
               result->windows.size(),
               static_cast<unsigned long long>(result->suppressed_fragments),
               result->total_ttd, result->degraded ? " [degraded]" : "");
-  std::printf("output: %s/window_*.wst + window_*.mfr\n", output_dir.c_str());
+  std::printf("output: %s/window_*.wst + window_journal.jnl\n",
+              output_dir.c_str());
   return 0;
 }

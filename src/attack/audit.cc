@@ -49,31 +49,32 @@ struct ReidentAccumulator {
   }
 };
 
+/// Sums the manifests of the publication's window journal over windows
+/// [0, windows), reading the journal once. A directory without a journal
+/// (or whose journal is torn before a window) reports fewer windows.
 Result<DistortionSummary> ReadDistortion(const std::string& windows_dir,
                                          size_t windows) {
   DistortionSummary summary;
-  for (size_t w = 0; w < windows; ++w) {
-    char name[64];
-    std::snprintf(name, sizeof(name), "/window_%05llu.mfr",
-                  static_cast<unsigned long long>(w));
-    Result<pipeline::WindowManifest> manifest =
-        pipeline::ReadWindowManifest(windows_dir + name);
-    if (!manifest.ok()) {
-      if (manifest.status().code() == StatusCode::kNotFound) {
-        continue;  // store published, manifest pruned: skip the window
-      }
-      return manifest.status();
+  std::vector<pipeline::WindowRecord> records;
+  WCOP_RETURN_IF_ERROR(
+      pipeline::WindowJournal(windows_dir + "/" +
+                              std::string(pipeline::kWindowJournalName))
+          .Read(&records));
+  for (const pipeline::WindowRecord& record : records) {
+    const pipeline::WindowManifest& manifest = record.manifest;
+    if (manifest.window_index >= windows) {
+      break;
     }
     ++summary.windows;
-    summary.input_fragments += manifest->input_fragments;
-    summary.published_fragments += manifest->published_fragments;
-    summary.suppressed_fragments += manifest->suppressed_delta;
-    summary.clusters += manifest->clusters;
-    summary.ttd += manifest->ttd;
-    if (manifest->degraded) {
+    summary.input_fragments += manifest.input_fragments;
+    summary.published_fragments += manifest.published_fragments;
+    summary.suppressed_fragments += manifest.suppressed_delta;
+    summary.clusters += manifest.clusters;
+    summary.ttd += manifest.ttd;
+    if (manifest.degraded) {
       ++summary.degraded_windows;
     }
-    if (manifest->skipped) {
+    if (manifest.skipped) {
       ++summary.skipped_windows;
     }
   }

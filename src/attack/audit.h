@@ -17,9 +17,9 @@
 namespace wcop {
 namespace attack {
 
-/// Distortion context pulled from the continuous pipeline's window
-/// manifests, so the audit report places attack success next to the
-/// utility price paid for it (the paper's Table-3 pairing).
+/// Distortion context pulled from the manifests in the continuous
+/// pipeline's window journal, so the audit report places attack success
+/// next to the utility price paid for it (the paper's Table-3 pairing).
 struct DistortionSummary {
   size_t windows = 0;
   size_t degraded_windows = 0;
@@ -53,7 +53,7 @@ struct AuditReport {
 struct AuditOptions {
   /// Single-release mode: the published `.wst` store to audit. Continuous
   /// mode: leave empty and set `windows_dir` to a continuous-publication
-  /// output directory (window_NNNNN.wst + manifests) instead — each
+  /// output directory (window_NNNNN.wst + window journal) instead — each
   /// window is audited and the linkage attack joins consecutive releases.
   std::string published_store;
   std::string windows_dir;

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 namespace wcop {
 
@@ -176,6 +177,19 @@ void FailpointRegistry::ArmAbort(std::string_view site, int on_hit) {
   }
 }
 
+void FailpointRegistry::ArmCallback(std::string_view site,
+                                    std::function<void()> callback) {
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry entry;
+  entry.callback = std::move(callback);
+  auto [it, inserted] =
+      sites_.insert_or_assign(std::string(site), std::move(entry));
+  (void)it;
+  if (inserted) {
+    armed_count_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
 void FailpointRegistry::ArmSignal(std::string_view site, int signo,
                                   int on_hit) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -208,10 +222,16 @@ void FailpointRegistry::DisarmAll() {
 }
 
 Status FailpointRegistry::Fire(std::string_view site) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   ++hits_[std::string(site)];
   auto it = sites_.find(std::string(site));
   if (it == sites_.end()) {
+    return Status::OK();
+  }
+  if (it->second.callback) {
+    const std::function<void()> callback = it->second.callback;
+    lock.unlock();
+    callback();
     return Status::OK();
   }
   if (it->second.abort_mode) {

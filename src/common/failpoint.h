@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -78,6 +79,12 @@ class FailpointRegistry {
   /// at an exact pipeline boundary.
   void ArmSignal(std::string_view site, int signo, int on_hit = 1);
 
+  /// Arms `site` to call `callback` on every hit and then continue
+  /// normally. The callback runs outside the registry's lock, so it may
+  /// block — tests hold a thread at an exact boundary this way until they
+  /// release it — while other threads pass every other site.
+  void ArmCallback(std::string_view site, std::function<void()> callback);
+
   /// Arms `site` to inject Status::IoError carrying `errno_value` (message
   /// includes the errno name and strerror text) on its `on_hit`-th hit,
   /// letting earlier hits through, then disarms itself. This is how the
@@ -146,6 +153,7 @@ class FailpointRegistry {
     bool abort_mode = false;
     int abort_countdown = 0;  ///< abort when a hit decrements this to 0
     int signal_number = 0;    ///< raise this instead of aborting (signal mode)
+    std::function<void()> callback;  ///< callback mode: run, then continue
   };
 
   mutable std::mutex mu_;

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <utility>
 
 #include "common/artifact_registry.h"
 #include "common/failpoint.h"
@@ -17,7 +18,6 @@ namespace wcop {
 namespace {
 
 constexpr char kMagic[8] = {'W', 'C', 'O', 'P', 'S', 'N', 'P', '1'};
-constexpr size_t kHeaderSize = 8 + 4 + 8 + 4;
 
 void PutU32(char* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -47,6 +47,49 @@ uint64_t GetU64(const char* in) {
   return v;
 }
 
+Status PwriteAll(int fd, const std::string& name, const char* data, size_t n,
+                 uint64_t offset) {
+  while (n > 0) {
+    const ssize_t w = ::pwrite(fd, data, n, static_cast<off_t>(offset));
+    if (w < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return Status::IoError("write failed on " + name + ": " +
+                             std::strerror(errno));
+    }
+    data += w;
+    n -= static_cast<size_t>(w);
+    offset += static_cast<uint64_t>(w);
+  }
+  return Status::OK();
+}
+
+/// Writes the envelope record of `payload` at `offset` of `fd`, header
+/// first, and fsyncs it: the write path of both modes. A crash at
+/// snapshot.write_payload leaves a record torn between its first and last
+/// byte.
+Status WriteRecordAt(int fd, const std::string& name, uint64_t offset,
+                     std::string_view payload, uint32_t format_version) {
+  char header[kSnapshotHeaderSize];
+  std::memcpy(header, kMagic, 8);
+  PutU32(header + 8, format_version);
+  PutU64(header + 12, payload.size());
+  PutU32(header + 20, Crc32(payload));
+  WCOP_FAILPOINT("snapshot.write");
+  WCOP_RETURN_IF_ERROR(
+      PwriteAll(fd, name, header, kSnapshotHeaderSize, offset));
+  WCOP_FAILPOINT("snapshot.write_payload");
+  WCOP_RETURN_IF_ERROR(PwriteAll(fd, name, payload.data(), payload.size(),
+                                 offset + kSnapshotHeaderSize));
+  WCOP_FAILPOINT("snapshot.fsync");
+  if (::fsync(fd) != 0) {
+    return Status::IoError("fsync failed on " + name + ": " +
+                           std::strerror(errno));
+  }
+  return Status::OK();
+}
+
 Status WriteSnapshotOnce(const std::string& path, std::string_view payload,
                          uint32_t format_version) {
   const std::string tmp = path + ".tmp";
@@ -59,50 +102,8 @@ Status WriteSnapshotOnce(const std::string& path, std::string_view payload,
     return Status::IoError("cannot open " + tmp + ": " +
                            std::strerror(errno));
   }
-  char header[kHeaderSize];
-  std::memcpy(header, kMagic, 8);
-  PutU32(header + 8, format_version);
-  PutU64(header + 12, payload.size());
-  PutU32(header + 20, Crc32(payload));
-
-  auto write_all = [&](const char* data, size_t n) -> Status {
-    while (n > 0) {
-      const ssize_t w = ::write(fd, data, n);
-      if (w < 0) {
-        if (errno == EINTR) {
-          continue;
-        }
-        return Status::IoError("write failed on " + tmp + ": " +
-                               std::strerror(errno));
-      }
-      data += w;
-      n -= static_cast<size_t>(w);
-    }
-    return Status::OK();
-  };
-
-  // Failpoints fire inside lambdas so an injected Status routes through the
-  // common cleanup below (the fd must close before we propagate).
-  Status status = [&]() -> Status {
-    WCOP_FAILPOINT("snapshot.write");
-    return Status::OK();
-  }();
-  if (status.ok()) {
-    status = write_all(header, kHeaderSize);
-  }
-  if (status.ok() && !payload.empty()) {
-    status = write_all(payload.data(), payload.size());
-  }
-  if (status.ok()) {
-    status = [&]() -> Status {
-      WCOP_FAILPOINT("snapshot.fsync");
-      return Status::OK();
-    }();
-  }
-  if (status.ok() && ::fsync(fd) != 0) {
-    status = Status::IoError("fsync failed on " + tmp + ": " +
-                             std::strerror(errno));
-  }
+  // The fd closes before any failure propagates.
+  Status status = WriteRecordAt(fd, tmp, 0, payload, format_version);
   if (::close(fd) != 0 && status.ok()) {
     status = Status::IoError("close failed on " + tmp + ": " +
                              std::strerror(errno));
@@ -124,50 +125,28 @@ Result<Snapshot> ReadSnapshotOnce(const std::string& path) {
   if (!in) {
     return Status::NotFound("no snapshot at " + path);
   }
-  const std::streamsize file_size = in.tellg();
+  // The whole file, never more: a corrupt size field cannot become a large
+  // allocation.
+  std::string bytes(static_cast<size_t>(in.tellg()), '\0');
   in.seekg(0);
-  if (file_size < static_cast<std::streamsize>(kHeaderSize)) {
-    return Status::DataLoss("snapshot " + path + " shorter than its header");
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (in.gcount() != static_cast<std::streamsize>(bytes.size())) {
+    return Status::IoError("short read on snapshot " + path);
   }
-  char header[kHeaderSize];
-  in.read(header, kHeaderSize);
-  if (in.gcount() != static_cast<std::streamsize>(kHeaderSize)) {
-    return Status::DataLoss("snapshot " + path + " shorter than its header");
+  Result<SnapshotRecord> record = ParseSnapshotRecord(bytes, 0);
+  if (!record.ok()) {
+    return Status::DataLoss("snapshot " + path + ": " +
+                            record.status().message());
   }
-  if (std::memcmp(header, kMagic, 8) != 0) {
-    return Status::DataLoss("snapshot " + path + " has a bad magic header");
+  if (record->end != bytes.size()) {
+    return Status::DataLoss("snapshot " + path + " has " +
+                            std::to_string(bytes.size() - record->end) +
+                            " bytes after its payload");
   }
   Snapshot snapshot;
-  snapshot.format_version = GetU32(header + 8);
-  const uint64_t payload_size = GetU64(header + 12);
-  const uint32_t expected_crc = GetU32(header + 20);
-  // Validate the claimed size against the file before allocating: a corrupt
-  // length field must not become a multi-gigabyte allocation (and any
-  // size mismatch is data loss anyway — truncated payload or trailing
-  // bytes from a torn write).
-  const uint64_t available = static_cast<uint64_t>(file_size) - kHeaderSize;
-  if (payload_size != available) {
-    return Status::DataLoss("snapshot " + path + " payload size mismatch (" +
-                            "header claims " + std::to_string(payload_size) +
-                            " bytes, file holds " + std::to_string(available) +
-                            ")");
-  }
-  snapshot.payload.resize(payload_size);
-  if (payload_size > 0) {
-    in.read(snapshot.payload.data(),
-            static_cast<std::streamsize>(payload_size));
-    if (in.gcount() != static_cast<std::streamsize>(payload_size)) {
-      return Status::DataLoss("snapshot " + path + " payload truncated (" +
-                              std::to_string(in.gcount()) + " of " +
-                              std::to_string(payload_size) + " bytes)");
-    }
-  }
-  const uint32_t actual_crc = Crc32(snapshot.payload);
-  if (actual_crc != expected_crc) {
-    return Status::DataLoss("snapshot " + path + " CRC mismatch (stored " +
-                            std::to_string(expected_crc) + ", computed " +
-                            std::to_string(actual_crc) + ")");
-  }
+  snapshot.format_version = record->format_version;
+  bytes.erase(0, kSnapshotHeaderSize);
+  snapshot.payload = std::move(bytes);
   return snapshot;
 }
 
@@ -228,6 +207,50 @@ Result<Snapshot> ReadSnapshotFile(const std::string& path,
   }
   return RetryResultCall<Snapshot>(
       *retry, [&]() { return ReadSnapshotOnce(path); });
+}
+
+Result<SnapshotRecord> ParseSnapshotRecord(std::string_view bytes,
+                                           size_t offset) {
+  if (offset > bytes.size() || bytes.size() - offset < kSnapshotHeaderSize) {
+    return Status::DataLoss("record shorter than its header");
+  }
+  const char* header = bytes.data() + offset;
+  if (std::memcmp(header, kMagic, 8) != 0) {
+    return Status::DataLoss("record has a bad magic header");
+  }
+  // Checked against the bytes at hand before use: a corrupt size field is
+  // a torn record, never a read past the buffer.
+  const uint64_t payload_size = GetU64(header + 12);
+  const uint64_t available = bytes.size() - offset - kSnapshotHeaderSize;
+  if (payload_size > available) {
+    return Status::DataLoss("record payload truncated (header claims " +
+                            std::to_string(payload_size) + " bytes, " +
+                            std::to_string(available) + " follow)");
+  }
+  SnapshotRecord record;
+  record.format_version = GetU32(header + 8);
+  record.payload = bytes.substr(offset + kSnapshotHeaderSize, payload_size);
+  record.end = offset + kSnapshotHeaderSize + payload_size;
+  const uint32_t expected_crc = GetU32(header + 20);
+  const uint32_t actual_crc = Crc32(record.payload);
+  if (actual_crc != expected_crc) {
+    return Status::DataLoss("record CRC mismatch (stored " +
+                            std::to_string(expected_crc) + ", computed " +
+                            std::to_string(actual_crc) + ")");
+  }
+  return record;
+}
+
+Status AppendSnapshotRecord(int fd, const std::string& name, uint64_t offset,
+                            std::string_view payload,
+                            uint32_t format_version) {
+  Status status = WriteRecordAt(fd, name, offset, payload, format_version);
+  if (!status.ok() && ::ftruncate(fd, static_cast<off_t>(offset)) != 0) {
+    return Status::IoError(status.message() + "; cutting " + name +
+                           " back to its last record failed: " +
+                           std::strerror(errno));
+  }
+  return status;
 }
 
 Status WriteSnapshotRotating(const std::string& path, std::string_view payload,

@@ -1,6 +1,7 @@
 #ifndef WCOP_COMMON_SNAPSHOT_H_
 #define WCOP_COMMON_SNAPSHOT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -31,6 +32,14 @@ namespace wcop {
 /// Readers verify magic, size, and CRC and return kDataLoss on any
 /// mismatch — the caller (see anon/checkpoint.h) falls back to the
 /// previous good snapshot instead of trusting a corrupt one.
+///
+/// Append mode lays the same envelope records end to end in one file (the
+/// continuous pipeline's window journal, pipeline/manifest.h): each record
+/// is written in place at the end of the last good one and fsynced, with no
+/// temp file and no rename. A crash can leave a torn record at the end of
+/// the file, so a reader takes records in order until the first one that
+/// fails ParseSnapshotRecord, and a writer cuts everything after the last
+/// record it keeps before it appends.
 
 /// CRC-32 (ISO-HDLC polynomial, the zlib/PNG one) of `data`. Continuable:
 /// passing the CRC of a prefix as `crc` yields the CRC of the prefix
@@ -71,6 +80,31 @@ Status WriteSnapshotRotating(const std::string& path, std::string_view payload,
 /// valid snapshot.
 Result<Snapshot> ReadSnapshotWithFallback(const std::string& path,
                                           const RetryPolicy* retry = nullptr);
+
+/// Bytes of the envelope header that precedes every payload.
+inline constexpr size_t kSnapshotHeaderSize = 8 + 4 + 8 + 4;
+
+/// One envelope record inside a buffer of append-mode records.
+struct SnapshotRecord {
+  uint32_t format_version = 0;
+  std::string_view payload;  ///< view into the parsed buffer
+  size_t end = 0;            ///< offset just past the record
+};
+
+/// Parses the envelope record that starts at `offset` of `bytes`.
+/// kDataLoss when it is torn (shorter than its header or than the payload
+/// its header claims) or fails its magic or CRC check. Allocates nothing.
+Result<SnapshotRecord> ParseSnapshotRecord(std::string_view bytes,
+                                           size_t offset);
+
+/// Append mode: writes one envelope record of `payload` at byte `offset` of
+/// the file open for writing as `fd` (`name` labels errors), then fsyncs
+/// it, under the snapshot.write, snapshot.write_payload and snapshot.fsync
+/// failpoints. On failure the file is cut back to `offset`, so a retried
+/// append leaves neither a torn nor a duplicate record.
+Status AppendSnapshotRecord(int fd, const std::string& name, uint64_t offset,
+                            std::string_view payload,
+                            uint32_t format_version);
 
 }  // namespace wcop
 

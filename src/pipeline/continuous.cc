@@ -57,14 +57,15 @@ std::string WindowStorePath(const std::string& output_dir, size_t window) {
   return output_dir + "/" + IndexName("window_", window, ".wst");
 }
 
-std::string ManifestPath(const std::string& output_dir, size_t window) {
-  return output_dir + "/" + IndexName("window_", window, ".mfr");
+std::string JournalPath(const std::string& output_dir) {
+  return output_dir + "/" + std::string(kWindowJournalName);
 }
 
-// carry_NNNNN.wst is the carry-over store *consumed* by window NNNNN
-// (i.e. written by window NNNNN-1). carry_00000 never exists.
-std::string CarryPath(const std::string& work_dir, size_t window) {
-  return work_dir + "/" + IndexName("carry_", window, ".wst");
+/// The first manifest of the per-window `.mfr` layout the journal replaced.
+/// Its presence marks a directory with published windows as surely as a
+/// journal does.
+std::string OldFirstManifestPath(const std::string& output_dir) {
+  return output_dir + "/" + IndexName("window_", 0, ".mfr");
 }
 
 Status EnsureDir(const std::string& dir) {
@@ -75,11 +76,6 @@ Status EnsureDir(const std::string& dir) {
                            ec.message());
   }
   return Status::OK();
-}
-
-void RemoveQuietly(const std::string& path) {
-  std::error_code ec;
-  fs::remove_all(path, ec);  // best effort; leftovers are swept next run
 }
 
 /// Publishes a valid-but-empty store at `path` (atomic tmp -> rename),
@@ -102,48 +98,26 @@ bool IsWindowSkip(const Status& status) {
          status.code() == StatusCode::kInvalidArgument;
 }
 
-struct WindowOutcome {
-  WindowManifest manifest;
-  bool window_degraded = false;
-};
-
-/// Checks a published window against its manifest: envelope + fingerprint
-/// + output store bytes. Returns the manifest when everything matches.
-Result<WindowManifest> ValidatePublishedWindow(const std::string& output_dir,
-                                               size_t window,
-                                               uint64_t fingerprint) {
-  WCOP_ASSIGN_OR_RETURN(WindowManifest manifest,
-                        ReadWindowManifest(ManifestPath(output_dir, window)));
+/// Checks a journal record against the published window it commits: its
+/// configuration, then the window store's bytes. kFailedPrecondition when
+/// the window was published under another configuration; kDataLoss when
+/// the store no longer matches the recorded digest.
+Status ValidatePublishedWindow(const std::string& output_dir,
+                               const WindowManifest& manifest,
+                               uint64_t fingerprint) {
+  const size_t window = manifest.window_index;
   if (manifest.config_fingerprint != fingerprint) {
     return Status::FailedPrecondition(
         "window " + std::to_string(window) +
         " was published under a different source or configuration");
   }
-  if (manifest.window_index != window) {
-    return Status::DataLoss("window manifest " + std::to_string(window) +
-                            " records index " +
-                            std::to_string(manifest.window_index));
-  }
   WCOP_ASSIGN_OR_RETURN(FileDigest output,
                         DigestFile(WindowStorePath(output_dir, window)));
   if (output.crc != manifest.output_crc || output.size != manifest.output_size) {
     return Status::DataLoss("window store " + std::to_string(window) +
-                            " does not match its manifest digest");
+                            " does not match its journal digest");
   }
-  return manifest;
-}
-
-/// True when the carry store consumed by `window` matches the digest its
-/// producer recorded. A zero-record carry (producer spilled nothing) is
-/// recorded with the digest of the empty store file, which still exists.
-bool CarryChainIntact(const std::string& work_dir, size_t window,
-                      const WindowManifest& producer_manifest) {
-  Result<FileDigest> carry = DigestFile(CarryPath(work_dir, window));
-  if (!carry.ok()) {
-    return false;
-  }
-  return carry->crc == producer_manifest.carry_crc &&
-         carry->size == producer_manifest.carry_size;
+  return Status::OK();
 }
 
 }  // namespace
@@ -185,9 +159,6 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
     return Status::InvalidArgument(
         "continuous pipeline: source_store and output_dir are required");
   }
-  const std::string work_dir =
-      options.work_dir.empty() ? options.output_dir + "/.work"
-                               : options.work_dir;
 
   WCOP_ASSIGN_OR_RETURN(store::TrajectoryStoreReader source,
                         store::TrajectoryStoreReader::Open(
@@ -197,7 +168,6 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
                                    options.source_store + " is empty");
   }
   WCOP_RETURN_IF_ERROR(EnsureDir(options.output_dir));
-  WCOP_RETURN_IF_ERROR(EnsureDir(work_dir));
 
   // Window grid over the source's full lifetime. The pipeline partitions
   // time as [WindowStart(i), WindowStart(i+1)) — exact at shared
@@ -235,66 +205,49 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
   result.windows_total = windows_total;
 
   // ---- Resume scan: adopt the longest valid published prefix. ----------
+  const std::string journal_path = JournalPath(options.output_dir);
+  if (!options.resume &&
+      (fs::exists(journal_path) ||
+       fs::exists(OldFirstManifestPath(options.output_dir)))) {
+    return Status::FailedPrecondition(
+        "output directory " + options.output_dir +
+        " already holds published windows; pass resume to continue them");
+  }
+  WindowJournal journal(journal_path);
+  std::vector<WindowRecord> records;
+  WCOP_RETURN_IF_ERROR(journal.Read(&records));
+  // The carry-over records the next window to run merges: those its
+  // predecessor's record committed.
+  std::vector<Trajectory> carry;
   size_t first_window = 0;
-  {
-    const bool has_first_manifest =
-        fs::exists(ManifestPath(options.output_dir, 0));
-    if (has_first_manifest && !options.resume) {
-      return Status::FailedPrecondition(
-          "output directory " + options.output_dir +
-          " already holds published windows; pass resume to continue them");
+  for (WindowRecord& record : records) {
+    if (first_window == windows_total) {
+      break;  // a capped run adopts only its prefix of the grid
     }
-    if (options.resume) {
-      std::vector<WindowManifest> adopted;
-      while (first_window < windows_total) {
-        Result<WindowManifest> manifest = ValidatePublishedWindow(
-            options.output_dir, first_window, fingerprint);
-        if (!manifest.ok()) {
-          if (manifest.status().code() == StatusCode::kFailedPrecondition) {
-            return manifest.status();  // config mismatch is never recoverable
-          }
-          log::Info("pipeline: window needs recompute",
-                    {{"window", first_window},
-                     {"reason", manifest.status().ToString()}});
-          break;
-        }
-        adopted.push_back(*std::move(manifest));
-        ++first_window;
-      }
-      // The next window consumes carry_<first_window>; if its bytes do not
-      // match what its producer committed (torn scratch, deleted work dir),
-      // step back and recompute the producer — which rewrites the carry
-      // deterministically. Producer inputs degrade the same way, so this
-      // walks back as far as the damage reaches (worst case: window 0,
-      // which consumes no carry at all).
-      while (first_window > 0 &&
-             first_window < windows_total &&  // nothing left -> no carry need
-             !CarryChainIntact(work_dir, first_window,
-                               adopted[first_window - 1])) {
-        log::Info("pipeline: carry store is stale, stepping back one window",
-                  {{"window", first_window}});
-        adopted.pop_back();
-        --first_window;
-      }
-      // Carry stores below the adopted prefix are consumed by committed
-      // windows and can no longer be needed by a step-back; a crash after
-      // a manifest commit left them behind.
-      for (size_t wi = 0; wi < first_window; ++wi) {
-        RemoveQuietly(CarryPath(work_dir, wi));
-      }
-      result.resumed_windows = first_window;
-      if (windows_resumed != nullptr && first_window > 0) {
-        windows_resumed->Add(first_window);
-      }
-      for (const WindowManifest& m : adopted) {
-        result.published_fragments += m.published_fragments;
-        result.suppressed_fragments += m.suppressed_delta;
-        result.total_clusters += m.clusters;
-        result.total_ttd += m.ttd;
-        result.degraded = result.degraded || m.degraded;
-        result.windows.push_back(m);
-      }
+    const Status valid = ValidatePublishedWindow(
+        options.output_dir, record.manifest, fingerprint);
+    if (valid.code() == StatusCode::kFailedPrecondition) {
+      return valid;  // config mismatch is never recoverable
     }
+    if (!valid.ok()) {
+      log::Info("pipeline: window needs recompute",
+                {{"window", first_window}, {"reason", valid.ToString()}});
+      break;
+    }
+    const WindowManifest& m = record.manifest;
+    result.published_fragments += m.published_fragments;
+    result.suppressed_fragments += m.suppressed_delta;
+    result.total_clusters += m.clusters;
+    result.total_ttd += m.ttd;
+    result.degraded = result.degraded || m.degraded;
+    result.windows.push_back(m);
+    carry = std::move(record.carry);
+    ++first_window;
+  }
+  records.clear();
+  result.resumed_windows = first_window;
+  if (windows_resumed != nullptr && first_window > 0) {
+    windows_resumed->Add(first_window);
   }
 
   int64_t next_fragment_id =
@@ -305,28 +258,23 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
     const auto wall_start = std::chrono::steady_clock::now();
     const double window_start = plan.WindowStart(wi);
     const double window_end = plan.WindowStart(wi + 1);
-
-    const std::string carry_in =
-        wi == 0 ? std::string() : CarryPath(work_dir, wi);
-    const std::string carry_out = CarryPath(work_dir, wi + 1);
     const std::string output_path = WindowStorePath(options.output_dir, wi);
 
-    WindowOutcome outcome;
+    WindowRecord committed;
+    bool window_degraded = false;
     int attempts = 0;
     auto run_window = [&]() -> Status {
-      outcome = WindowOutcome();
+      committed = WindowRecord();
+      window_degraded = false;
       WCOP_FAILPOINT("pipeline.window_start");
 
-      // 1. Extract the window's fragments into memory and write the next
-      //    carry store (atomic). A stale output store from a previous torn
-      //    attempt is simply overwritten below.
+      // 1. Extract the window's fragments and carry-out into memory.
       store::WindowExtractOptions extract;
       extract.window_start = window_start;
       extract.window_end = window_end;
       extract.min_fragment_points = options.min_fragment_points;
       extract.next_fragment_id = next_fragment_id;
-      extract.carry_in_path = carry_in;
-      extract.carry_out_path = carry_out;
+      extract.carry_in = carry;
       Result<store::WindowExtraction> extracted = [&] {
         WCOP_TRACE_SPAN(tel, "pipeline/extract");
         return store::ExtractWindow(source, extract);
@@ -337,10 +285,9 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
 
       // The manifest's digests come from the writers that produced the
       // bytes. The input digest pins the extraction (the store image the
-      // fragments encode to), the carry digest lets the *next* run's resume
-      // scan verify the chain, the output digest is the byte-identity
-      // witness.
-      WindowManifest& m = outcome.manifest;
+      // fragments encode to), the output digest is the byte-identity
+      // witness that resume verifies.
+      WindowManifest& m = committed.manifest;
       m.config_fingerprint = fingerprint;
       m.window_index = wi;
       m.window_start = window_start;
@@ -352,12 +299,11 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
       m.next_fragment_id = extraction.next_fragment_id;
       m.input_crc = extraction.input.crc;
       m.input_size = extraction.input.size;
-      m.carry_crc = extraction.carry.crc;
-      m.carry_size = extraction.carry.size;
+      committed.carry = std::move(extraction.carry);
 
       // 2. Anonymize the fragments in memory, streaming published fragments
       //    straight to the final window store (its Finish() is the atomic
-      //    output publish).
+      //    output publish). A stale store from a torn attempt is replaced.
       FileDigest output;
       if (extraction.fragments == 0) {
         WCOP_ASSIGN_OR_RETURN(output, WriteEmptyStore(output_path, tel));
@@ -392,7 +338,7 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
           m.clusters = report.num_clusters;
           m.ttd = report.ttd;
           m.degraded = report.degraded;
-          outcome.window_degraded = report.degraded;
+          window_degraded = report.degraded;
           output = sharded->output;
         }
       }
@@ -401,11 +347,11 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
       m.output_size = output.size;
       WCOP_FAILPOINT("pipeline.window_published");
 
-      // 3. Commit point.
+      // 3. Commit point: the window's journal record. An earlier attempt's
+      //    record for this window, if any, is replaced.
       {
         WCOP_TRACE_SPAN(tel, "pipeline/commit");
-        WCOP_RETURN_IF_ERROR(WriteWindowManifest(
-            ManifestPath(options.output_dir, wi), m, options.publish_retry));
+        WCOP_RETURN_IF_ERROR(journal.Append(committed));
       }
       WCOP_FAILPOINT("pipeline.manifest_saved");
       return Status::OK();
@@ -422,22 +368,15 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
     }
     WCOP_RETURN_IF_ERROR(window_status);
 
-    // 4. Garbage-collect scratch beyond the two-carry retention horizon:
-    //    carry_<wi-1> can only be needed if the resume scan steps back to
-    //    recompute window wi-1, which it can no longer do once window wi's
-    //    manifest committed with an intact chain.
-    if (wi >= 1) {
-      RemoveQuietly(CarryPath(work_dir, wi - 1));
-    }
-
-    const WindowManifest& m = outcome.manifest;
+    const WindowManifest& m = committed.manifest;
     result.published_fragments += m.published_fragments;
     result.suppressed_fragments += m.suppressed_delta;
     result.total_clusters += m.clusters;
     result.total_ttd += m.ttd;
-    result.degraded = result.degraded || outcome.window_degraded;
+    result.degraded = result.degraded || window_degraded;
     result.windows.push_back(m);
     next_fragment_id = m.next_fragment_id;
+    carry = std::move(committed.carry);
     if (windows_published != nullptr) {
       windows_published->Add();
     }

@@ -6,34 +6,38 @@
 ///
 /// The engine reads a finished `.wst` trajectory store, slices it into
 /// fixed-width time windows, and publishes each window as its own
-/// atomically-finished output store plus a manifest record — the durable
-/// commit point (see manifest.h). Each window reads its source blocks once
-/// and writes each artifact it commits once. Per window it:
+/// atomically-finished output store plus a record in the output
+/// directory's append-only window journal — the durable commit point (see
+/// manifest.h). Each window reads its source blocks once and creates one
+/// file, its published store. Per window it:
 ///
 ///   1. extracts the window's fragments into memory (store/window_io.h),
-///      merging carry-over records spilled by the previous window and
-///      writing this window's own short-but-continuing fragments to the
-///      next carry store,
+///      merging the carry-over records the previous window spilled and
+///      setting aside this window's own short-but-continuing fragments as
+///      the next window's carry; the carry stays in memory,
 ///   2. re-partitions and anonymizes the fragments in memory through the
 ///      sharded WCOP-CT runner, streaming published trajectories straight
 ///      to the final window store (peak memory stays bounded by the
 ///      window's fragments plus one shard's working set, never the
 ///      dataset),
-///   3. commits the manifest, whose CRC32/size digests come from the
-///      writers that produced the bytes, then garbage-collects carry stores
-///      older than the two-window retention horizon.
+///   3. appends the window's journal record — its manifest, whose CRC32/size
+///      digests come from the writers that produced the bytes, and its
+///      carried-out records — and fsyncs it.
 ///
 /// Robustness contract: `kill -9`, SIGTERM, ENOSPC, short writes, or a
-/// torn rename at ANY point of the window lifecycle must, on a restarted
+/// torn append at ANY point of the window lifecycle must, on a restarted
 /// run with `resume = true`, converge to byte-identical published output.
 /// The mechanism is determinism + atomic commits: every window is a pure
-/// function of (source store, options, carry-over chain), every store and
-/// manifest is published via write-tmp/fsync/rename, and restart replays
-/// manifests from window 0, recomputing from the first window whose
-/// manifest, output bytes, or input carry chain fail their CRC checks (the
-/// only time published bytes are read back).
+/// function of (source store, options, carry-in), every store is published
+/// via write-tmp/fsync/rename and every journal record is appended and
+/// fsynced. Restart reads the journal once, adopts the longest prefix of
+/// valid records whose window stores match their CRC checks (the only time
+/// published bytes are read back), and recomputes from the first window
+/// that fails, taking its carry-in from the record before it: a torn
+/// middle window recomputes from itself, not from window 0.
 /// tests/pipeline_chaos_test.cc enforces the contract with a seeded kill
-/// matrix and errno-injection schedules over the pipeline.* failpoints.
+/// matrix and errno-injection schedules over the pipeline.* and snapshot.*
+/// failpoints.
 
 #include <cstddef>
 #include <cstdint>
@@ -66,12 +70,13 @@ struct ContinuousPipelineOptions {
   /// Finished source store (`.wst`) holding the full history to publish.
   std::string source_store;
 
-  /// Published windows land here as `window_NNNNN.wst` + `window_NNNNN.mfr`.
-  /// Created if missing.
+  /// Published windows land here as `window_NNNNN.wst`, committed by
+  /// records of `window_journal.jnl`. Created if missing. The pipeline
+  /// writes nothing else.
   std::string output_dir;
 
-  /// Scratch space for the carry-over stores. Empty = `<output_dir>/.work`.
-  /// Safe to delete between runs (costs recomputation, never correctness).
+  /// Ignored: the carry-over records stay in memory and in the journal, so
+  /// the pipeline has no scratch files. Kept for source compatibility.
   std::string work_dir;
 
   /// Window width in seconds of trajectory time.
@@ -82,16 +87,18 @@ struct ContinuousPipelineOptions {
   /// Values below 1 are treated as 1.
   size_t min_fragment_points = 2;
 
-  /// Publish at most this many windows (0 = the full grid). The manifest
-  /// chain stays valid either way, so a capped run is a prefix of — and
+  /// Publish at most this many windows (0 = the full grid). The journal
+  /// stays valid either way, so a capped run is a prefix of — and
   /// resumable into — the full run.
   size_t max_windows = 0;
 
-  /// When false (the default) a non-empty output directory that already
-  /// contains `window_00000.mfr` is kFailedPrecondition — refusing to
-  /// silently adopt previous state. When true, valid published windows are
-  /// verified and skipped and the run continues from the first window that
-  /// is missing or fails verification.
+  /// When false (the default) an output directory that already holds a
+  /// window journal (or the `window_00000.mfr` manifest of the older
+  /// per-window layout) is kFailedPrecondition — refusing to silently adopt
+  /// previous state. When true, valid published windows are verified and
+  /// skipped and the run continues from the first window that is missing
+  /// or fails verification. An older-layout directory has no journal, so
+  /// it recomputes from window 0.
   bool resume = false;
 
   /// Per-window anonymization options. `threads` is honored inside each
@@ -123,8 +130,8 @@ struct ContinuousPipelineResult {
   uint64_t total_clusters = 0;
   double total_ttd = 0.0;
   bool degraded = false;
-  /// One committed manifest per window, in window order — the same records
-  /// durably stored next to the output stores.
+  /// One committed manifest per window, in window order — the manifests of
+  /// the journal records stored next to the output stores.
   std::vector<WindowManifest> windows;
 };
 

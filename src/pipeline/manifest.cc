@@ -1,13 +1,18 @@
 #include "pipeline/manifest.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cctype>
 #include <cerrno>
 #include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <system_error>
 
+#include "common/log.h"
 #include "common/snapshot.h"
 
 namespace wcop {
@@ -93,6 +98,9 @@ class ManifestScanner {
     return v;
   }
 
+  /// Offset just past the last token returned.
+  size_t pos() const { return pos_; }
+
  private:
   std::string_view text_;
   size_t pos_ = 0;
@@ -102,7 +110,8 @@ constexpr std::string_view kMarker = "wcop-window-manifest";
 
 }  // namespace
 
-std::string EncodeWindowManifest(const WindowManifest& m) {
+std::string EncodeWindowRecord(const WindowRecord& record) {
+  const WindowManifest& m = record.manifest;
   std::string out;
   out.append(kMarker);
   out.push_back(' ');
@@ -124,19 +133,23 @@ std::string EncodeWindowManifest(const WindowManifest& m) {
   AppendU64(&out, m.input_size);
   AppendU64(&out, m.output_crc);
   AppendU64(&out, m.output_size);
-  AppendU64(&out, m.carry_crc);
-  AppendU64(&out, m.carry_size);
+  out.append("\ncarry ");
+  AppendU64(&out, record.carry.size());
   out.push_back('\n');
+  for (const Trajectory& t : record.carry) {
+    store::AppendTrajectoryRecord(&out, t);
+  }
   return out;
 }
 
-Result<WindowManifest> DecodeWindowManifest(std::string_view payload) {
+Result<WindowRecord> DecodeWindowRecord(std::string_view payload) {
   ManifestScanner scan(payload);
   WCOP_ASSIGN_OR_RETURN(std::string_view marker, scan.Next());
   if (marker != kMarker) {
     return Status::DataLoss("window manifest: bad marker");
   }
-  WindowManifest m;
+  WindowRecord record;
+  WindowManifest& m = record.manifest;
   WCOP_ASSIGN_OR_RETURN(m.config_fingerprint, scan.NextU64());
   WCOP_ASSIGN_OR_RETURN(m.window_index, scan.NextU64());
   WCOP_ASSIGN_OR_RETURN(m.window_start, scan.NextF64());
@@ -157,29 +170,133 @@ Result<WindowManifest> DecodeWindowManifest(std::string_view payload) {
   WCOP_ASSIGN_OR_RETURN(m.input_size, scan.NextU64());
   WCOP_ASSIGN_OR_RETURN(m.output_crc, scan.NextU64());
   WCOP_ASSIGN_OR_RETURN(m.output_size, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(m.carry_crc, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(m.carry_size, scan.NextU64());
-  if (scan.Next().ok()) {
+  WCOP_ASSIGN_OR_RETURN(std::string_view carry_keyword, scan.Next());
+  if (carry_keyword != "carry") {
+    return Status::DataLoss("window manifest: missing carry section");
+  }
+  WCOP_ASSIGN_OR_RETURN(uint64_t carried, scan.NextU64());
+  if (carried != m.carried_out) {
+    return Status::DataLoss("window manifest: carry count " +
+                            std::to_string(carried) + " but carried_out " +
+                            std::to_string(m.carried_out));
+  }
+  // The binary records begin after the " \n" that ends the count's line; a
+  // record's first byte may itself be whitespace, so the separator is
+  // matched exactly, never skipped.
+  size_t pos = scan.pos();
+  if (payload.substr(pos, 2) != " \n") {
+    return Status::DataLoss("window manifest: malformed carry header");
+  }
+  pos += 2;
+  // Each record takes at least its 48-byte header: a corrupt count cannot
+  // reserve more than the payload could hold.
+  if (carried > (payload.size() - pos) / 48) {
+    return Status::DataLoss("window manifest: implausible carry count");
+  }
+  record.carry.reserve(carried);
+  for (uint64_t i = 0; i < carried; ++i) {
+    WCOP_ASSIGN_OR_RETURN(Trajectory t,
+                          store::ParseTrajectoryRecord(payload, &pos));
+    record.carry.push_back(std::move(t));
+  }
+  if (pos != payload.size()) {
     return Status::DataLoss("window manifest: trailing bytes");
   }
-  return m;
+  return record;
 }
 
-Status WriteWindowManifest(const std::string& path,
-                           const WindowManifest& manifest,
-                           const RetryPolicy* retry) {
-  return WriteSnapshotFile(path, EncodeWindowManifest(manifest),
-                           kWindowManifestVersion, retry);
-}
-
-Result<WindowManifest> ReadWindowManifest(const std::string& path) {
-  WCOP_ASSIGN_OR_RETURN(Snapshot snapshot, ReadSnapshotFile(path));
-  if (snapshot.format_version != kWindowManifestVersion) {
-    return Status::DataLoss("window manifest " + path +
-                            " has unsupported version " +
-                            std::to_string(snapshot.format_version));
+Status WindowJournal::Read(std::vector<WindowRecord>* records) {
+  records->clear();
+  ends_.clear();
+  file_size_ = 0;
+  std::ifstream in(path_, std::ios::binary | std::ios::ate);
+  if (!in) {
+    return Status::OK();  // no journal yet: nothing committed
   }
-  return DecodeWindowManifest(snapshot.payload);
+  std::string bytes(static_cast<size_t>(in.tellg()), '\0');
+  in.seekg(0);
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  if (in.gcount() != static_cast<std::streamsize>(bytes.size())) {
+    return Status::IoError("short read on window journal " + path_);
+  }
+  file_size_ = bytes.size();
+  size_t pos = 0;
+  Status tail;
+  while (pos < bytes.size()) {
+    Result<SnapshotRecord> envelope = ParseSnapshotRecord(bytes, pos);
+    if (!envelope.ok()) {
+      tail = envelope.status();
+      break;
+    }
+    if (envelope->format_version != kWindowManifestVersion) {
+      tail = Status::DataLoss("unsupported version " +
+                              std::to_string(envelope->format_version));
+      break;
+    }
+    Result<WindowRecord> record = DecodeWindowRecord(envelope->payload);
+    if (!record.ok()) {
+      tail = record.status();
+      break;
+    }
+    if (record->manifest.window_index != records->size()) {
+      tail = Status::DataLoss(
+          "record " + std::to_string(records->size()) + " names window " +
+          std::to_string(record->manifest.window_index));
+      break;
+    }
+    records->push_back(*std::move(record));
+    ends_.push_back(envelope->end);
+    pos = envelope->end;
+  }
+  if (!tail.ok()) {
+    log::Info("pipeline: window journal ends in a torn or invalid record",
+              {{"records", records->size()},
+               {"bytes_after", bytes.size() - pos},
+               {"reason", tail.ToString()}});
+  }
+  return Status::OK();
+}
+
+WindowJournal::~WindowJournal() {
+  if (fd_ >= 0) {
+    ::close(fd_);
+  }
+}
+
+Status WindowJournal::Append(const WindowRecord& record) {
+  const uint64_t index = record.manifest.window_index;
+  if (index > ends_.size()) {
+    return Status::Internal("window journal: record for window " +
+                            std::to_string(index) + " after only " +
+                            std::to_string(ends_.size()) + " records");
+  }
+  if (fd_ < 0) {
+    fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT, 0644);
+    if (fd_ < 0) {
+      return Status::IoError("cannot open window journal " + path_ + ": " +
+                             std::strerror(errno));
+    }
+  }
+  const uint64_t start = index == 0 ? 0 : ends_[index - 1];
+  ends_.resize(index);
+  if (file_size_ != start) {
+    if (::ftruncate(fd_, static_cast<off_t>(start)) != 0) {
+      file_size_ = kUnknownSize;
+      return Status::IoError("cannot cut window journal " + path_ + ": " +
+                             std::strerror(errno));
+    }
+    file_size_ = start;
+  }
+  const std::string payload = EncodeWindowRecord(record);
+  Status appended =
+      AppendSnapshotRecord(fd_, path_, start, payload, kWindowManifestVersion);
+  if (!appended.ok()) {
+    file_size_ = kUnknownSize;
+    return appended;
+  }
+  file_size_ = start + kSnapshotHeaderSize + payload.size();
+  ends_.push_back(file_size_);
+  return Status::OK();
 }
 
 }  // namespace pipeline

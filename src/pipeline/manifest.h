@@ -1,39 +1,54 @@
 #ifndef WCOP_PIPELINE_MANIFEST_H_
 #define WCOP_PIPELINE_MANIFEST_H_
 
-/// Per-window manifest records — the durable commit log of the continuous
+/// The window journal — the durable commit log of the continuous
 /// publication pipeline (DESIGN.md "Continuous publication pipeline").
 ///
 /// A window is published in two steps: its output store is atomically
-/// finished at `window_NNNNN.wst`, then a manifest record is atomically
-/// written at `window_NNNNN.mfr` (snapshot envelope: magic, version,
-/// payload CRC). The manifest is the commit point. On restart the pipeline
-/// replays manifests from window 0; the first missing or invalid record —
-/// bad envelope, fingerprint mismatch, or an output/carry store whose bytes
-/// no longer match the recorded CRC — marks the window to recompute.
-/// Because every window is deterministic given the source store, the
-/// options, and the carry-over chain, recomputation rewrites byte-identical
-/// stores over any torn leftovers, which is what makes `kill -9` at any
-/// lifecycle point recoverable to byte-identical published output.
+/// finished at `window_NNNNN.wst`, then its record is appended to the one
+/// journal of the output directory, `window_journal.jnl`, and fsynced. The
+/// append is the commit point. Each record is a snapshot-envelope record in
+/// append mode (common/snapshot.h: magic, version, size, payload CRC)
+/// holding the window's manifest and the carry-over records it spilled, so
+/// a window commits exactly one new file and the carry chain needs no files
+/// of its own.
 ///
-/// The payload is the whitespace text codec used by the shard checkpoint
-/// (%.17g doubles, lossless round-trip) and carries no timestamps or paths,
-/// so manifests themselves are byte-identical across interrupted and
-/// uninterrupted runs.
+/// On restart the pipeline reads the journal once. Records are taken in
+/// order until the first one that is torn, fails its envelope or codec
+/// check, or names the wrong window; the pipeline then adopts the longest
+/// prefix whose window stores still match their recorded digests and
+/// recomputes from the first window that does not, taking its carry-in from
+/// the record before it. Because every window is deterministic given the
+/// source store, the options and its carry-in, recomputation rewrites
+/// byte-identical stores and records over any torn leftovers, which is what
+/// makes `kill -9` at any lifecycle point recoverable to byte-identical
+/// published output.
+///
+/// The manifest part of a payload is the whitespace text codec used by the
+/// shard checkpoint (%.17g doubles, lossless round-trip); the carry records
+/// use the store's binary record codec (AppendTrajectoryRecord). Neither
+/// carries timestamps or paths, so the journal is byte-identical across
+/// interrupted and uninterrupted runs.
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/result.h"
-#include "common/retry.h"
 #include "store/store_file.h"
+#include "traj/trajectory.h"
 
 namespace wcop {
 namespace pipeline {
 
-/// Snapshot-envelope format_version for window manifest records.
-inline constexpr uint32_t kWindowManifestVersion = 1;
+/// Snapshot-envelope format_version of window journal records. Version 1
+/// was the per-window `window_NNNNN.mfr` manifest file.
+inline constexpr uint32_t kWindowManifestVersion = 2;
+
+/// File name of the window journal inside the output directory.
+inline constexpr std::string_view kWindowJournalName = "window_journal.jnl";
 
 struct WindowManifest {
   uint64_t config_fingerprint = 0;  ///< source index + pipeline options
@@ -57,24 +72,62 @@ struct WindowManifest {
   uint64_t input_size = 0;
   uint64_t output_crc = 0;  ///< CRC32/size of the published output store
   uint64_t output_size = 0;
-  uint64_t carry_crc = 0;  ///< CRC32/size of the carry-over store
-  uint64_t carry_size = 0;
 };
 
-/// Text payload codec (deterministic; no timestamps, no paths). Decoding
-/// returns kDataLoss for a missing or malformed field, a sign on an
-/// unsigned field, '+' on the signed one, or anything but whitespace after
-/// the last field.
-std::string EncodeWindowManifest(const WindowManifest& manifest);
-Result<WindowManifest> DecodeWindowManifest(std::string_view payload);
+/// One journal record: a window's manifest and the carry-over records it
+/// spilled to the next window (manifest.carried_out of them).
+struct WindowRecord {
+  WindowManifest manifest;
+  std::vector<Trajectory> carry;
+};
 
-/// Atomic read/write through the snapshot envelope. Write failures leave
-/// any previous record intact; reads return kNotFound / kDataLoss exactly
-/// like ReadSnapshotFile.
-Status WriteWindowManifest(const std::string& path,
-                           const WindowManifest& manifest,
-                           const RetryPolicy* retry = nullptr);
-Result<WindowManifest> ReadWindowManifest(const std::string& path);
+/// Payload codec (deterministic; no timestamps, no paths): the manifest's
+/// text fields, a `carry <n>` line, then n binary trajectory records.
+/// Decoding returns kDataLoss for a missing or malformed field, a sign on
+/// an unsigned field, '+' on the signed one, a carry count other than
+/// carried_out, a carry record that does not decode, or any byte after the
+/// last record.
+std::string EncodeWindowRecord(const WindowRecord& record);
+Result<WindowRecord> DecodeWindowRecord(std::string_view payload);
+
+/// The append-only window journal of one output directory. Not
+/// thread-safe; the pipeline appends from one thread.
+class WindowJournal {
+ public:
+  /// A journal at `path`. Nothing is read or created until Read or Append.
+  explicit WindowJournal(std::string path) : path_(std::move(path)) {}
+  WindowJournal(const WindowJournal&) = delete;
+  WindowJournal& operator=(const WindowJournal&) = delete;
+  ~WindowJournal();
+
+  /// Reads the journal's valid prefix into `*records` (record i is window
+  /// i's): records are taken in order until the first one that is torn,
+  /// fails its envelope or codec check, has another format version, or
+  /// names a window other than its position. A missing file is an empty
+  /// journal. Reading changes nothing on disk; the next Append cuts what
+  /// lies after the records it keeps.
+  Status Read(std::vector<WindowRecord>* records);
+
+  /// Makes `record` the journal's record number
+  /// `record.manifest.window_index`, which must not exceed the number of
+  /// records kept: everything at or after that position (a torn tail, the
+  /// records of windows being recomputed, an earlier attempt of the same
+  /// window) is cut off first. Then appends the record and fsyncs it,
+  /// creating the file on the first append. On failure the file is cut
+  /// back to the record's start, so a retried append never leaves a
+  /// duplicate record.
+  Status Append(const WindowRecord& record);
+
+ private:
+  static constexpr uint64_t kUnknownSize = ~uint64_t{0};
+
+  std::string path_;
+  int fd_ = -1;                 ///< opened for writing on the first append
+  std::vector<uint64_t> ends_;  ///< byte offset just past record i
+  /// Bytes in the file; kUnknownSize after a failed append, so the next
+  /// append cuts the file back before writing.
+  uint64_t file_size_ = 0;
+};
 
 /// The manifest's store fingerprints (store/store_file.h). The pipeline
 /// takes them from the writers that produced the stores and reads a file

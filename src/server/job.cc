@@ -1,10 +1,12 @@
 #include "server/job.h"
 
 #include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <system_error>
 
 namespace wcop {
 namespace server {
@@ -42,27 +44,27 @@ void AppendDouble(std::string* out, std::string_view key, double value) {
   AppendLine(out, key, buf);
 }
 
-Result<int64_t> ParseInt(std::string_view value) {
-  char* end = nullptr;
-  const std::string copy(value);
-  const long long parsed = std::strtoll(copy.c_str(), &end, 10);
-  if (end == copy.c_str() || *end != '\0') {
-    return Status::ParseError("bad integer '" + copy + "'");
+/// Exact decimal integers, as the encoder writes them: no whitespace, no
+/// '+', no sign on an unsigned field and nothing out of range, where
+/// strtoll/strtoull would skip, wrap ("-5" as 2^64 - 5) or clamp.
+template <typename Int>
+Result<Int> ParseDecimal(std::string_view value) {
+  Int parsed = 0;
+  const char* end = value.data() + value.size();
+  const std::from_chars_result r =
+      std::from_chars(value.data(), end, parsed);
+  if (r.ec != std::errc() || r.ptr != end) {
+    return Status::ParseError("bad integer '" + std::string(value) + "'");
   }
-  return static_cast<int64_t>(parsed);
+  return parsed;
+}
+
+Result<int64_t> ParseInt(std::string_view value) {
+  return ParseDecimal<int64_t>(value);
 }
 
 Result<uint64_t> ParseUint(std::string_view value) {
-  char* end = nullptr;
-  const std::string copy(value);
-  if (!copy.empty() && copy[0] == '-') {
-    return Status::ParseError("bad unsigned integer '" + copy + "'");
-  }
-  const unsigned long long parsed = std::strtoull(copy.c_str(), &end, 10);
-  if (end == copy.c_str() || *end != '\0') {
-    return Status::ParseError("bad unsigned integer '" + copy + "'");
-  }
-  return static_cast<uint64_t>(parsed);
+  return ParseDecimal<uint64_t>(value);
 }
 
 Result<double> ParseDouble(std::string_view value) {
@@ -157,8 +159,7 @@ Status DecodeSpecField(std::string_view key, std::string_view value,
   } else if (key == "audit_victims") {
     WCOP_ASSIGN_OR_RETURN(spec->audit_victims, ParseUint(value));
   } else if (key == "assign_k") {
-    WCOP_ASSIGN_OR_RETURN(int64_t v, ParseInt(value));
-    spec->assign_k = static_cast<int>(v);
+    WCOP_ASSIGN_OR_RETURN(spec->assign_k, ParseDecimal<int>(value));
   } else if (key == "assign_delta") {
     WCOP_ASSIGN_OR_RETURN(spec->assign_delta, ParseDouble(value));
   } else if (key == "shards") {

@@ -57,10 +57,11 @@ struct JobSpec {
 
   /// Job kind: "" or "batch" = one-shot batch anonymization publishing a
   /// CSV; "continuous" = the windowed continuous-publication pipeline
-  /// (pipeline/continuous.h), publishing per-window stores + manifests
-  /// under `output_dir`; "audit" = the privacy red team (attack/audit.h),
-  /// publishing an AuditReport JSON. A crash-recovered continuous job
-  /// resumes into its own published windows instead of recomputing them.
+  /// (pipeline/continuous.h), publishing per-window stores + the window
+  /// journal under `output_dir`; "audit" = the privacy red team
+  /// (attack/audit.h), publishing an AuditReport JSON. A crash-recovered
+  /// continuous job resumes into its own published windows instead of
+  /// recomputing them.
   std::string kind;
   double window_seconds = 3600.0;  ///< continuous only: window width
   std::string output_dir;  ///< continuous: empty = `<job_dir>/out/<name>.windows`

@@ -676,7 +676,6 @@ Status AnonymizationService::ExecuteContinuousJob(
   pipeline::ContinuousPipelineOptions popts;
   popts.source_store = input_path;
   popts.output_dir = spec.output_dir;
-  popts.work_dir = WorkDir(record->id) + "/pipeline";
   popts.window_seconds = spec.window_seconds;
   // Always resume: the output dir is job-private and windows are
   // deterministic, so a crash-recovered attempt adopts every window the

@@ -69,7 +69,7 @@ struct StoreEntry {
 };
 
 /// CRC32 and size of a store image (or any file's bytes), as recorded in
-/// the continuous pipeline's window manifests.
+/// the continuous pipeline's window journal.
 struct FileDigest {
   uint64_t crc = 0;
   uint64_t size = 0;

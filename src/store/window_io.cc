@@ -15,13 +15,17 @@ namespace {
 
 using CarryMap = std::map<int64_t, Trajectory>;
 
-/// Loads the previous window's carry-over store into an id-keyed map. A
-/// missing store (first window, or no carry configured) is an empty map;
-/// a torn one is kDataLoss for the caller to surface. std::map keeps
+/// The previous window's carry-over records keyed by source id: those of
+/// the store at `path` when one is named (a missing store is no carry; a
+/// torn one is kDataLoss), else the in-memory `records`. std::map keeps
 /// deterministic iteration for the defensive leftover pass below.
-Result<CarryMap> LoadCarryIn(const std::string& path) {
+Result<CarryMap> LoadCarryIn(const std::string& path,
+                             const std::vector<Trajectory>& records) {
   CarryMap carry;
   if (path.empty()) {
+    for (const Trajectory& t : records) {
+      carry.emplace(t.id(), t);
+    }
     return carry;
   }
   Result<TrajectoryStoreReader> reader = TrajectoryStoreReader::Open(path);
@@ -92,21 +96,15 @@ Result<WindowExtraction> ExtractWindow(const TrajectoryStoreReader& source,
   if (!(options.window_end > options.window_start)) {
     return Status::InvalidArgument("window extraction: empty window");
   }
-  if (options.carry_out_path.empty()) {
-    return Status::InvalidArgument(
-        "window extraction: a carry-over store path is required");
-  }
   WCOP_FAILPOINT("window_io.extract");
   const size_t min_points = std::max<size_t>(options.min_fragment_points, 1);
 
   WCOP_ASSIGN_OR_RETURN(CarryMap carry_in,
-                        LoadCarryIn(options.carry_in_path));
+                        LoadCarryIn(options.carry_in_path, options.carry_in));
 
   WCOP_ASSIGN_OR_RETURN(
       TrajectoryStoreWriter window_writer,
       TrajectoryStoreWriter::Create(options.window_out_path));
-  WCOP_ASSIGN_OR_RETURN(TrajectoryStoreWriter carry_writer,
-                        TrajectoryStoreWriter::Create(options.carry_out_path));
 
   WindowExtraction stats;
   stats.next_fragment_id = options.next_fragment_id;
@@ -146,8 +144,7 @@ Result<WindowExtraction> ExtractWindow(const TrajectoryStoreReader& source,
       Trajectory carry(t.id(), std::move(points), t.requirement());
       carry.set_object_id(t.object_id());
       carry.set_parent_id(t.parent_id());
-      WCOP_RETURN_IF_ERROR(carry_writer.Append(carry));
-      ++stats.carried_out;
+      stats.carry.push_back(std::move(carry));
     } else {
       ++stats.suppressed;
     }
@@ -158,17 +155,23 @@ Result<WindowExtraction> ExtractWindow(const TrajectoryStoreReader& source,
   // std::map order keeps this deterministic.
   for (auto& [id, carry] : carry_in) {
     (void)id;
-    WCOP_RETURN_IF_ERROR(carry_writer.Append(carry));
-    ++stats.carried_out;
+    stats.carry.push_back(std::move(carry));
   }
+  stats.carried_out = stats.carry.size();
 
-  WCOP_RETURN_IF_ERROR(carry_writer.Finish());
-  WCOP_FAILPOINT("window_io.carry_saved");
+  if (!options.carry_out_path.empty()) {
+    WCOP_ASSIGN_OR_RETURN(
+        TrajectoryStoreWriter carry_writer,
+        TrajectoryStoreWriter::Create(options.carry_out_path));
+    for (const Trajectory& carry : stats.carry) {
+      WCOP_RETURN_IF_ERROR(carry_writer.Append(carry));
+    }
+    WCOP_RETURN_IF_ERROR(carry_writer.Finish());
+  }
   WCOP_RETURN_IF_ERROR(window_writer.Finish());
   stats.fragments = stats.trajectories.size();
   stats.index = window_writer.index();
   stats.input = window_writer.digest();
-  stats.carry = carry_writer.digest();
   return stats;
 }
 

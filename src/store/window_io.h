@@ -12,23 +12,24 @@
 /// memory, together with their index rows and the CRC32/size of the store
 /// image they encode to — the pipeline anonymizes them directly and
 /// records that digest in the window's manifest, without writing or
-/// re-reading a window store. A window store file is written only when the
-/// caller names one. Fragments too short to publish are not dropped at
-/// window boundaries: when the source trajectory continues past the window,
-/// the short fragment is spilled to a carry-over store and merged
-/// (prepended) into the same user's fragment in the next window, still
-/// carrying that user's (k_i, δ_i). Only a short fragment with no
-/// continuation is suppressed for good.
+/// re-reading a window store. Fragments too short to publish are not
+/// dropped at window boundaries: when the source trajectory continues past
+/// the window, the short fragment is carried over and merged (prepended)
+/// into the same user's fragment in the next window, still carrying that
+/// user's (k_i, δ_i). Only a short fragment with no continuation is
+/// suppressed for good.
 ///
 /// Carry-over records are tiny by construction — a record is spilled only
 /// while its accumulated points stay below `min_fragment_points` — so the
-/// carry store (and the in-memory map the next window loads it into) is
-/// bounded by the number of trajectories alive at the window boundary,
-/// never by stream length. Every store written is finished atomically
-/// (write-tmp → fsync → rename), and the whole extraction is deterministic:
-/// fragments are emitted in source index order with sequentially assigned
-/// ids, so re-running a window after a crash reproduces byte-identical
-/// stores and digests.
+/// carry is bounded by the number of trajectories alive at the window
+/// boundary, never by stream length. It travels in memory: the pipeline
+/// passes each window's carried-out records to the next window and commits
+/// them in the window's journal record (pipeline/manifest.h). A window
+/// store or carry store file is written (atomically: write-tmp → fsync →
+/// rename) only when the caller names one. The whole extraction is
+/// deterministic: fragments are emitted in source index order with
+/// sequentially assigned ids, so re-running a window after a crash
+/// reproduces byte-identical fragments, carry and digests.
 
 #include <cstdint>
 #include <string>
@@ -93,15 +94,18 @@ struct WindowExtractOptions {
   /// order. The pipeline threads this through windows so ids are unique
   /// across the whole stream.
   int64_t next_fragment_id = 0;
-  /// Path of the carry-over store written by the previous window; empty or
-  /// missing means no carry-in (the first window).
+  /// Carry-over records spilled by the previous window (its
+  /// `WindowExtraction::carry`), in memory; empty for the first window.
+  std::vector<Trajectory> carry_in;
+  /// Optional: read the carry-over records from this store instead of
+  /// `carry_in`; a missing store means no carry-in.
   std::string carry_in_path;
   /// Optional output: also write the window's fragments to a store file
   /// here (the image `WindowExtraction::input` digests). Empty = keep them
   /// in memory only.
   std::string window_out_path;
-  /// Output: the carry-over store for the next window. Always written
-  /// (possibly empty) so the window's durable state is self-describing.
+  /// Optional output: also write the carried-out records to a store file
+  /// here (possibly empty). Empty = keep them in memory only.
   std::string carry_out_path;
 };
 
@@ -116,15 +120,17 @@ struct WindowExtraction {
   /// and their index rows within the window store image.
   std::vector<Trajectory> trajectories;
   std::vector<StoreEntry> index;
+  /// The carried-out records (= carried_out of them), keyed by their
+  /// source trajectory's id: the next window's `carry_in`.
+  std::vector<Trajectory> carry;
   /// CRC32/size of the window store image (written to window_out_path when
-  /// set) and of the carry-over store written to carry_out_path.
+  /// set).
   FileDigest input;
-  FileDigest carry;
 };
 
-/// Extracts one window from `source` per the options above. The carry store
-/// (and the window store, when requested) is atomically finished before
-/// returning; on any error no output path is created or replaced.
+/// Extracts one window from `source` per the options above. Any store it
+/// is asked to write is atomically finished before returning; on any error
+/// no output path is created or replaced.
 Result<WindowExtraction> ExtractWindow(const TrajectoryStoreReader& source,
                                        const WindowExtractOptions& options);
 

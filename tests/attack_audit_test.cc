@@ -1057,6 +1057,14 @@ class StreamingWindowSource : public CandidateSource {
   std::vector<int64_t> keys_;
 };
 
+// The window journal's records of the publication in `dir`.
+Status JournalRecords(const std::string& dir,
+                      std::vector<pipeline::WindowRecord>* records) {
+  return pipeline::WindowJournal(dir + "/" +
+                                 std::string(pipeline::kWindowJournalName))
+      .Read(records);
+}
+
 // The windows mode before it went one-pass: the linkage attack over every
 // boundary first, then a second pass that re-opens each window for
 // re-identification (victims drawn again per window, presence by
@@ -1126,12 +1134,14 @@ Result<AuditReport> TwoPassStreamingAudit(const AuditOptions& options) {
   report.has_effective_k = true;
 
   DistortionSummary& d = report.distortion;
+  std::vector<pipeline::WindowRecord> records;
+  WCOP_RETURN_IF_ERROR(JournalRecords(options.windows_dir, &records));
   for (size_t w = 0; w < windows.size(); ++w) {
-    char name[64];
-    std::snprintf(name, sizeof(name), "/window_%05zu.mfr", w);
-    WCOP_ASSIGN_OR_RETURN(
-        pipeline::WindowManifest m,
-        pipeline::ReadWindowManifest(options.windows_dir + name));
+    if (w >= records.size()) {
+      return Status::DataLoss("no journal record for window " +
+                              std::to_string(w));
+    }
+    const pipeline::WindowManifest& m = records[w].manifest;
     ++d.windows;
     d.input_fragments += m.input_fragments;
     d.published_fragments += m.published_fragments;
@@ -1187,12 +1197,11 @@ TEST(OnePassAudit, MatchesTwoPassStreamingOracleByteForByte) {
   ASSERT_EQ(windows->size(), 16u);
   bool carried = false;
   bool suppressed_whole = false;
+  std::vector<pipeline::WindowRecord> records;
+  ASSERT_TRUE(JournalRecords(dir, &records).ok());
+  ASSERT_EQ(records.size(), windows->size());
   for (size_t w = 0; w < windows->size(); ++w) {
-    char name[64];
-    std::snprintf(name, sizeof(name), "/window_%05zu.mfr", w);
-    Result<pipeline::WindowManifest> m =
-        pipeline::ReadWindowManifest(dir + name);
-    ASSERT_TRUE(m.ok()) << m.status();
+    const pipeline::WindowManifest* m = &records[w].manifest;
     carried = carried || m->carried_in > 0;
     suppressed_whole = suppressed_whole || (m->input_fragments > 0 &&
                                             m->published_fragments == 0);

@@ -171,6 +171,25 @@ TEST_F(FailpointTest, AbortModeCountsDownWithoutInjectingStatus) {
   EXPECT_TRUE(registry.Fire("test.boom").ok());
 }
 
+// Callback mode runs the callback on every hit, outside the registry lock:
+// the callback may itself pass other sites, and the hit still counts.
+TEST_F(FailpointTest, CallbackModeRunsOnEveryHitAndContinues) {
+  FailpointRegistry& registry = FailpointRegistry::Instance();
+  int calls = 0;
+  registry.ArmCallback("test.held", [&calls, &registry] {
+    ++calls;
+    EXPECT_TRUE(registry.Fire("test.other").ok());
+  });
+  EXPECT_TRUE(registry.Fire("test.held").ok());
+  EXPECT_TRUE(registry.Fire("test.held").ok());
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(registry.HitCount("test.held"), 2u);
+  EXPECT_EQ(registry.HitCount("test.other"), 2u);
+  registry.Disarm("test.held");
+  EXPECT_TRUE(registry.Fire("test.held").ok());
+  EXPECT_EQ(calls, 2);
+}
+
 // ---------------------------------------------------------------------------
 // errno-injection mode: site:errno=ENOSPC[@N] lets the first N-1 hits
 // through, injects exactly one IoError naming the errno, then disarms —

@@ -1,6 +1,6 @@
-// Robustness: the file parsers and the store, manifest and shard checkpoint
-// decoders must never crash or loop on malformed input — they fail with a
-// Status or skip garbage records gracefully —
+// Robustness: the file parsers and the store, window journal, shard
+// checkpoint and job-ledger decoders must never crash or loop on malformed
+// input — they fail with a Status or skip garbage records gracefully —
 // and the anonymization pipeline must survive adversarial datasets
 // (non-finite coordinates, broken timelines, degenerate trajectories)
 // by returning a non-OK Status or a structurally valid result.
@@ -24,6 +24,7 @@
 #include "common/telemetry.h"
 #include "data/geolife_parser.h"
 #include "pipeline/manifest.h"
+#include "server/job.h"
 #include "store/shard_runner.h"
 #include "store/store_file.h"
 #include "test_util.h"
@@ -330,42 +331,54 @@ TEST_F(StoreFuzzTest, CrcRepairedFieldEditsReachStructuralChecks) {
 }
 
 // ---------------------------------------------------------------------------
-// Window manifest (`.mfr`) decoder. Every mutated payload is re-sealed in a
-// valid snapshot envelope, so it reaches DecodeWindowManifest instead of
-// failing the envelope's CRC. Contract: kDataLoss, or a record that
-// round-trips through the codec; never a crash (the asan-ubsan leg runs it).
+// Window journal record decoder (pipeline/manifest.h): the manifest's text
+// fields, a `carry <n>` line and n binary carry records. Contract:
+// kDataLoss, or a record that re-encodes byte-identically through the
+// codec; never a crash (the asan-ubsan leg runs it).
 // ---------------------------------------------------------------------------
+
+pipeline::WindowRecord FuzzWindowRecord(uint64_t window_index) {
+  pipeline::WindowRecord record;
+  pipeline::WindowManifest& m = record.manifest;
+  m.config_fingerprint = 0x9e3779b97f4a7c15ULL;
+  m.window_index = window_index;
+  m.window_start = 0.1;
+  m.window_end = 1e9 + 0.25;
+  m.input_fragments = 40;
+  m.published_fragments = 37;
+  m.suppressed_delta = 3;
+  m.carried_in = 2;
+  m.carried_out = 2;
+  m.clusters = 11;
+  m.ttd = 12345.678;
+  m.degraded = true;
+  m.next_fragment_id = 1234;
+  m.input_crc = 0xdeadbeef;
+  m.input_size = 98765;
+  m.output_crc = 7;
+  m.output_size = 43210;
+  // Id 32 makes the first binary byte a space, which a decoder that skips
+  // whitespace into the records would swallow.
+  record.carry.push_back(testing_util::MakeLineWithReq(
+      32, 1.5, -2.0, 3.0, 0.5, 1, 3, 75.0, 10.0, 90.0));
+  record.carry.push_back(testing_util::MakeLineWithReq(
+      static_cast<int64_t>(window_index), 0.0, 0.0, 1.0, 1.0, 3, 2, 250.0,
+      10.0, 170.0));
+  return record;
+}
 
 class ManifestFuzzTest : public FuzzRobustnessTest {
  protected:
   void SetUp() override {
     FuzzRobustnessTest::SetUp();
-    pipeline::WindowManifest m;
-    m.config_fingerprint = 0x9e3779b97f4a7c15ULL;
-    m.window_index = 17;
-    m.window_start = 0.1;
-    m.window_end = 1e9 + 0.25;
-    m.input_fragments = 40;
-    m.published_fragments = 37;
-    m.suppressed_delta = 3;
-    m.carried_in = 2;
-    m.carried_out = 5;
-    m.clusters = 11;
-    m.ttd = 12345.678;
-    m.degraded = true;
-    m.next_fragment_id = 1234;
-    m.input_crc = 0xdeadbeef;
-    m.input_size = 98765;
-    m.output_crc = 7;
-    m.output_size = 43210;
-    m.carry_crc = 0xffffffff;
-    m.carry_size = 16;
-    good_ = pipeline::EncodeWindowManifest(m);
-    path_ = (dir_ / "fuzz.mfr").string();
-    // Token boundaries of the clean payload: the marker, then 20 fields.
-    for (size_t pos = 0; pos < good_.size(); ++pos) {
+    good_ = pipeline::EncodeWindowRecord(FuzzWindowRecord(17));
+    // Token boundaries of the text part: the marker, 18 fields, "carry"
+    // and its count, which ends the line before the binary records.
+    const size_t text_end = good_.find("\ncarry ");
+    ASSERT_NE(text_end, std::string::npos);
+    for (size_t pos = 0; pos < good_.find('\n', text_end + 1); ++pos) {
       if (good_[pos] != ' ' && good_[pos] != '\n' &&
-          (pos == 0 || good_[pos - 1] == ' ')) {
+          (pos == 0 || good_[pos - 1] == ' ' || good_[pos - 1] == '\n')) {
         token_starts_.push_back(pos);
       }
     }
@@ -373,50 +386,47 @@ class ManifestFuzzTest : public FuzzRobustnessTest {
     ASSERT_TRUE(Decode(good_));
   }
 
-  /// Seals `payload`, reads it back as a manifest and checks the contract.
-  /// Returns whether the record was accepted.
+  /// Decodes `payload` and checks the contract. Returns whether the record
+  /// was accepted.
   bool Decode(const std::string& payload) {
-    EXPECT_TRUE(WriteSnapshotFile(path_, payload,
-                                  pipeline::kWindowManifestVersion)
-                    .ok());
-    Result<pipeline::WindowManifest> m = pipeline::ReadWindowManifest(path_);
-    if (!m.ok()) {
-      EXPECT_EQ(m.status().code(), StatusCode::kDataLoss) << m.status();
+    Result<pipeline::WindowRecord> record =
+        pipeline::DecodeWindowRecord(payload);
+    if (!record.ok()) {
+      EXPECT_EQ(record.status().code(), StatusCode::kDataLoss)
+          << record.status();
       return false;
     }
-    const std::string encoded = pipeline::EncodeWindowManifest(*m);
-    Result<pipeline::WindowManifest> again =
-        pipeline::DecodeWindowManifest(encoded);
+    const std::string encoded = pipeline::EncodeWindowRecord(*record);
+    Result<pipeline::WindowRecord> again =
+        pipeline::DecodeWindowRecord(encoded);
     EXPECT_TRUE(again.ok()) << again.status();
     if (again.ok()) {
-      EXPECT_EQ(pipeline::EncodeWindowManifest(*again), encoded);
+      EXPECT_EQ(pipeline::EncodeWindowRecord(*again), encoded);
     }
     return true;
   }
 
   std::string good_;
-  std::string path_;
   std::vector<size_t> token_starts_;
 };
 
-TEST_F(ManifestFuzzTest, TruncationsAreRejectedUntilTheLastField) {
-  // Any cut before the last field's first digit drops a field.
-  for (size_t cut = 0; cut <= good_.size(); ++cut) {
-    const bool accepted = Decode(good_.substr(0, cut));
-    if (cut <= token_starts_.back()) {
-      EXPECT_FALSE(accepted) << "cut " << cut;
-    }
+TEST_F(ManifestFuzzTest, EveryTruncationIsRejected) {
+  // The payload ends with the last carry record's last byte: any cut drops
+  // part of a field or of a record.
+  for (size_t cut = 0; cut < good_.size(); ++cut) {
+    EXPECT_FALSE(Decode(good_.substr(0, cut))) << "cut " << cut;
   }
 }
 
 TEST_F(ManifestFuzzTest, SeededMutationsAreRejectedOrRoundTrip) {
   Rng rng(606);
   const std::vector<std::string> tokens = {
-      "", "0", "-1", "+7", "-0", "1.5", "12abc", "0x10", "nan", "-nan",
-      "inf", "-inf", "1e309", "-1e309", "1e-320", "4294967296",
-      "9223372036854775807", "9223372036854775808", "-9223372036854775809",
-      "18446744073709551615", "18446744073709551616",
-      "99999999999999999999999999999999999999", "wcop-window-manifest"};
+      "", "0", "1", "2", "3", "-1", "+7", "-0", "1.5", "12abc", "0x10",
+      "nan", "-nan", "inf", "-inf", "1e309", "-1e309", "1e-320",
+      "4294967296", "9223372036854775807", "9223372036854775808",
+      "-9223372036854775809", "18446744073709551615", "18446744073709551616",
+      "99999999999999999999999999999999999999", "wcop-window-manifest",
+      "carry"};
   size_t rejected = 0;
   size_t accepted = 0;
   for (int round = 0; round < 1500; ++round) {
@@ -428,7 +438,8 @@ TEST_F(ManifestFuzzTest, SeededMutationsAreRejectedOrRoundTrip) {
       const size_t at =
           std::min(token_starts_[rng.UniformIndex(token_starts_.size())],
                    payload.size());
-      const size_t end = std::min(payload.find(' ', at), payload.size());
+      const size_t end = std::min(payload.find_first_of(" \n", at),
+                                  payload.size());
       switch (rng.UniformIndex(5)) {
         case 0:  // replace a field with an edge-case token
           payload.replace(at, end - at,
@@ -440,7 +451,7 @@ TEST_F(ManifestFuzzTest, SeededMutationsAreRejectedOrRoundTrip) {
         case 2:  // duplicate a field
           payload.insert(at, payload.substr(at, end - at + 1));
           break;
-        case 3:  // overwrite any byte with any value
+        case 3:  // overwrite any byte, binary records included
           payload[rng.UniformIndex(payload.size())] =
               static_cast<char>(rng.UniformInt(0, 255));
           break;
@@ -464,27 +475,305 @@ TEST_F(ManifestFuzzTest, SeededMutationsAreRejectedOrRoundTrip) {
 }
 
 // The encoder never writes a sign on an unsigned field nor '+' on the
-// signed one, and nothing after the last field: such records are corrupt,
-// not values to wrap ("-1" as 2^64 - 1) or bytes to ignore.
-TEST_F(ManifestFuzzTest, SignedUnsignedFieldsAndTrailingBytesAreRejected) {
+// signed one, a carry count other than carried_out, nor anything after the
+// last carry record: such records are corrupt, not values to wrap ("-1" as
+// 2^64 - 1) or bytes to ignore.
+TEST_F(ManifestFuzzTest, SignsCountsAndTrailingBytesAreRejected) {
   constexpr size_t kNextFragmentId = 14;  // token 0 is the marker
+  const auto replaced = [this](size_t token, const std::string& value) {
+    std::string payload = good_;
+    const size_t at = token_starts_[token];
+    payload.replace(at, payload.find_first_of(" \n", at) - at, value);
+    return payload;
+  };
   for (size_t field = 1; field < token_starts_.size(); ++field) {
-    if (field == 3 || field == 4 || field == 11) {
-      continue;  // window_start, window_end and ttd are doubles
+    if (field == 3 || field == 4 || field == 11 || field == 19) {
+      continue;  // window_start, window_end, ttd; the "carry" keyword
     }
     for (const std::string tok : {"+7", "-1", "-0"}) {
-      std::string payload = good_;
-      const size_t at = token_starts_[field];
-      payload.replace(at, payload.find(' ', at) - at, tok);
-      EXPECT_EQ(Decode(payload), field == kNextFragmentId && tok[0] == '-')
+      EXPECT_EQ(Decode(replaced(field, tok)),
+                field == kNextFragmentId && tok[0] == '-')
           << "field " << field << " = " << tok;
     }
   }
+  EXPECT_FALSE(Decode(replaced(9, "3")));   // carried_out != carry count
+  EXPECT_FALSE(Decode(replaced(20, "1")));  // carry count != carried_out
+  EXPECT_FALSE(Decode(replaced(19, "cargo")));
   EXPECT_FALSE(Decode(good_ + "7"));
-  EXPECT_FALSE(Decode(good_ + "x\n"));
   EXPECT_FALSE(Decode(good_ + std::string(1, '\0')));
-  EXPECT_FALSE(Decode(good_ + "wcop-window-manifest"));
-  EXPECT_TRUE(Decode(good_ + " \t\n"));
+  EXPECT_FALSE(Decode(good_ + " \t\n"));
+}
+
+// ---------------------------------------------------------------------------
+// Window journal scan (pipeline/manifest.h): envelope records end to end.
+// Whatever the bytes, Read adopts a prefix of the records that were
+// written — every record wholly before the first damaged byte, and none
+// that differs from what was written — and never fails on them.
+// ---------------------------------------------------------------------------
+
+class JournalFuzzTest : public FuzzRobustnessTest {
+ protected:
+  void SetUp() override {
+    FuzzRobustnessTest::SetUp();
+    path_ = (dir_ / "fuzz.jnl").string();
+    pipeline::WindowJournal journal(path_);
+    for (uint64_t wi = 0; wi < 3; ++wi) {
+      written_.push_back(pipeline::EncodeWindowRecord(FuzzWindowRecord(wi)));
+      ASSERT_TRUE(journal.Append(FuzzWindowRecord(wi)).ok());
+    }
+    std::ifstream in(path_, std::ios::binary);
+    good_.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+    for (size_t pos = 0; pos < good_.size();) {
+      Result<SnapshotRecord> record = ParseSnapshotRecord(good_, pos);
+      ASSERT_TRUE(record.ok()) << record.status();
+      pos = record->end;
+      ends_.push_back(pos);
+    }
+    ASSERT_EQ(ends_.size(), 3u);
+  }
+
+  /// Writes `bytes` as the journal, opens it, checks that the adopted
+  /// records are the first ones written and at least those that end at or
+  /// before `intact`, and returns how many were adopted.
+  size_t Adopted(const std::string& bytes, size_t intact) {
+    {
+      std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    std::vector<pipeline::WindowRecord> records;
+    const Status read = pipeline::WindowJournal(path_).Read(&records);
+    EXPECT_TRUE(read.ok()) << read;
+    EXPECT_LE(records.size(), written_.size());
+    size_t must_adopt = 0;
+    while (must_adopt < ends_.size() && ends_[must_adopt] <= intact) {
+      ++must_adopt;
+    }
+    EXPECT_GE(records.size(), must_adopt);
+    for (size_t i = 0; i < records.size() && i < written_.size(); ++i) {
+      EXPECT_EQ(pipeline::EncodeWindowRecord(records[i]), written_[i])
+          << "record " << i;
+    }
+    return records.size();
+  }
+
+  std::string path_;
+  std::string good_;
+  std::vector<std::string> written_;
+  std::vector<size_t> ends_;
+};
+
+TEST_F(JournalFuzzTest, EveryTruncationAdoptsTheWholeRecordsBeforeIt) {
+  for (size_t cut = 0; cut <= good_.size(); ++cut) {
+    size_t whole = 0;
+    while (whole < ends_.size() && ends_[whole] <= cut) {
+      ++whole;
+    }
+    EXPECT_EQ(Adopted(good_.substr(0, cut), cut), whole) << "cut " << cut;
+  }
+}
+
+TEST_F(JournalFuzzTest, SeededMutationsAdoptAnUndamagedPrefix) {
+  Rng rng(808);
+  size_t shortened = 0;
+  for (int round = 0; round < 600; ++round) {
+    std::string bytes = good_;
+    size_t first_edit = bytes.size();
+    const size_t edits = 1 + rng.UniformIndex(3);
+    for (size_t n = 0; n < edits; ++n) {
+      const size_t at = rng.UniformIndex(bytes.size() + 1);
+      switch (rng.UniformIndex(4)) {
+        case 0:  // overwrite a byte (a no-op when it keeps its value)
+          if (at < bytes.size()) {
+            bytes[at] = static_cast<char>(rng.UniformInt(0, 255));
+          }
+          break;
+        case 1:  // flip one bit
+          if (at < bytes.size()) {
+            bytes[at] = static_cast<char>(bytes[at] ^
+                                          (1 << rng.UniformIndex(8)));
+          }
+          break;
+        case 2:  // erase a run
+          bytes.erase(at, 1 + rng.UniformIndex(16));
+          break;
+        default:  // insert random bytes
+          bytes.insert(at, RandomBytes(&rng, 1 + rng.UniformIndex(24),
+                                       round % 2 == 0));
+          break;
+      }
+      first_edit = std::min(first_edit, at);
+    }
+    if (Adopted(bytes, first_edit) < written_.size()) {
+      ++shortened;
+    }
+  }
+  // Most rounds must damage a record, or the mutations miss the journal.
+  EXPECT_GT(shortened, 400u);
+}
+
+// ---------------------------------------------------------------------------
+// Job-ledger record decoder (server/job.h): every truncation and seeded
+// field and byte mutations. Contract: kDataLoss (the decoder's error), or a
+// record whose encoding is a fixed point of the codec — it decodes and
+// re-encodes byte-identically. The clean record re-encodes to itself.
+// ---------------------------------------------------------------------------
+
+class JobRecordFuzzTest : public FuzzRobustnessTest {
+ protected:
+  void SetUp() override {
+    FuzzRobustnessTest::SetUp();
+    server::JobRecord r;
+    r.id = 42;
+    r.state = server::JobState::kFailed;
+    r.attempts = 3;
+    r.trace_id = "wcop-job-0123456789abcdef";
+    r.spec.name = "fleet-2016.q1";
+    r.spec.tenant = "acme corp";  // a space, escaped as %20
+    r.spec.input_store = "/data/in 100%.wst";
+    r.spec.output_csv = "";
+    r.spec.kind = "continuous";
+    r.spec.window_seconds = 1800.5;
+    r.spec.output_dir = "out\nwith newline";
+    r.spec.audit_windows_dir = "w";
+    r.spec.audit_original_store = "o.wst";
+    r.spec.audit_adversary = "strong";
+    r.spec.audit_victims = 64;
+    r.spec.assign_k = -4;
+    r.spec.assign_delta = 0.1;
+    r.spec.shards = 4;
+    r.spec.overlap_margin = 250.0;
+    r.spec.deadline_ms = -1;
+    r.spec.max_distance_computations = 18446744073709551615ULL;
+    r.spec.allow_partial = true;
+    r.spec.seed = 7;
+    r.outcome.degraded = true;
+    r.outcome.degraded_reason = "budget: \xff\x01";
+    r.outcome.verified = true;
+    r.outcome.published = 100;
+    r.outcome.suppressed = 3;
+    r.outcome.clusters = 9;
+    r.outcome.total_distortion = 1e-300;
+    r.outcome.resumed_shards = 2;
+    r.outcome.error = "IoError: injected ENOSPC";
+    r.progress.shards_done = 1;
+    r.progress.shards_total = 4;
+    r.progress.distance_calls = 12345;
+    r.progress.eta_seconds = 0.25;
+    good_ = server::EncodeJobRecord(r);
+    for (size_t pos = 0; pos < good_.size(); ++pos) {
+      if (good_[pos] != ' ' && good_[pos] != '\n' &&
+          (pos == 0 || good_[pos - 1] == ' ' || good_[pos - 1] == '\n')) {
+        token_starts_.push_back(pos);
+      }
+    }
+    Result<server::JobRecord> clean = server::DecodeJobRecord(good_);
+    ASSERT_TRUE(clean.ok()) << clean.status();
+    ASSERT_EQ(server::EncodeJobRecord(*clean), good_);
+  }
+
+  /// Decodes `payload` and checks the contract. Returns whether the record
+  /// was accepted.
+  bool Decode(const std::string& payload) {
+    Result<server::JobRecord> record = server::DecodeJobRecord(payload);
+    if (!record.ok()) {
+      EXPECT_EQ(record.status().code(), StatusCode::kDataLoss)
+          << record.status();
+      return false;
+    }
+    const std::string encoded = server::EncodeJobRecord(*record);
+    Result<server::JobRecord> again = server::DecodeJobRecord(encoded);
+    EXPECT_TRUE(again.ok()) << again.status();
+    if (again.ok()) {
+      EXPECT_EQ(server::EncodeJobRecord(*again), encoded);
+    }
+    return true;
+  }
+
+  std::string good_;
+  std::vector<size_t> token_starts_;
+};
+
+TEST_F(JobRecordFuzzTest, EveryTruncationIsRejectedOrRoundTrips) {
+  // "id" is the first line: a cut before its value drops the id. Later
+  // cuts end the record early, or mid-value, which a field may reject.
+  size_t accepted = 0;
+  for (size_t cut = 0; cut <= good_.size(); ++cut) {
+    const bool ok = Decode(good_.substr(0, cut));
+    if (cut <= 3) {
+      EXPECT_FALSE(ok) << "cut " << cut;
+    }
+    accepted += ok ? 1 : 0;
+  }
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(good_.size() + 1 - accepted, 100u);
+}
+
+TEST_F(JobRecordFuzzTest, SeededMutationsAreRejectedOrRoundTrip) {
+  Rng rng(909);
+  const std::vector<std::string> tokens = {
+      "", "0", "1", "-1", "+7", "-0", " -5", "1.5", "12abc", "0x10", "nan",
+      "-nan", "nan(0x1234)", "inf", "1e309", "1e-320", "0x1p3",
+      "2147483648", "9223372036854775808", "-9223372036854775809",
+      "18446744073709551616", "%", "%0", "%zz", "%00", "%2500", "queued",
+      "running", "done", "true", "false", "id", "state"};
+  size_t rejected = 0;
+  size_t accepted = 0;
+  for (int round = 0; round < 3000; ++round) {
+    std::string payload = good_;
+    const size_t edits = 1 + rng.UniformIndex(3);
+    for (size_t n = 0; n < edits; ++n) {
+      const size_t at =
+          std::min(token_starts_[rng.UniformIndex(token_starts_.size())],
+                   payload.size());
+      const size_t end = std::min(payload.find_first_of(" \n", at),
+                                  payload.size());
+      switch (rng.UniformIndex(5)) {
+        case 0:  // replace a key or value with an edge-case token
+          payload.replace(at, end - at,
+                          tokens[rng.UniformIndex(tokens.size())]);
+          break;
+        case 1:  // drop a token (and its separator)
+          payload.erase(at, end - at + 1);
+          break;
+        case 2:  // duplicate a token
+          payload.insert(at, payload.substr(at, end - at + 1));
+          break;
+        case 3:  // overwrite any byte with any value
+          payload[rng.UniformIndex(payload.size())] =
+              static_cast<char>(rng.UniformInt(0, 255));
+          break;
+        default:  // insert random bytes anywhere
+          payload.insert(rng.UniformIndex(payload.size() + 1),
+                         RandomBytes(&rng, 1 + rng.UniformIndex(8),
+                                     round % 2 == 0));
+          break;
+      }
+    }
+    if (Decode(payload)) {
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 500u);
+  EXPECT_GT(accepted, 500u);
+}
+
+// The encoder writes integers in exact decimal: a value the field cannot
+// hold, a sign on an unsigned field, '+' or whitespace is corruption, not a
+// value to wrap ("-5" as 2^64 - 5), clamp or truncate.
+TEST_F(JobRecordFuzzTest, IntegersMustBeExactAndInRange) {
+  for (const char* bad :
+       {"id 1\nattempts  -5\n", "id 1\nattempts -1\n", "id +1\n", "id  1\n",
+        "id 99999999999999999999\n", "id 1\nassign_k 4294967298\n",
+        "id 1\nshards 18446744073709551616\n", "id 1\nseed 0x10\n"}) {
+    EXPECT_FALSE(Decode(bad)) << bad;
+  }
+  for (const char* good : {"id -1\n", "id 1\nassign_k -2147483648\n",
+                           "id 1\nseed 18446744073709551615\n"}) {
+    EXPECT_TRUE(Decode(good)) << good;
+  }
 }
 
 // ---------------------------------------------------------------------------

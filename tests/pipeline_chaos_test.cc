@@ -8,9 +8,9 @@
 //
 // it runs the pipeline over the source store (resume always on, per-window
 // retry armed) and, only on success, writes the concatenated raw bytes of
-// every published window_*.wst and window_*.mfr to <dump_path>. The dump IS
-// the robustness contract: two runs publish identical output iff their
-// dumps are byte-equal.
+// every published window_*.wst store and of the window_journal.jnl journal
+// to <dump_path>. The dump IS the robustness contract: two runs publish
+// identical output iff their dumps are byte-equal.
 //
 // The gtest side fork/execs that child under three fault regimes:
 //   1. kill matrix: WCOP_FAILPOINTS=<site>:abort@N (and sigterm@N) at every
@@ -58,8 +58,9 @@ namespace fs = std::filesystem;
 // ---------------------------------------------------------------------------
 
 // Concatenated raw bytes of every published artifact, in filename order.
-// Includes the manifests, so a run that "recovers" by rewriting different
-// stats (not just different trajectories) also fails the comparison.
+// Includes the journal, so a run that "recovers" by rewriting different
+// stats or carry (not just different trajectories), or by appending a
+// record twice, also fails the comparison.
 int DumpPublished(const std::string& output_dir,
                   const std::string& dump_path) {
   std::vector<std::string> names;
@@ -213,8 +214,9 @@ class PipelineChaosTest : public ::testing::Test {
 
 // kill -9-equivalent (abort leaves no atexit cleanup, like SIGKILL minus
 // the unkillability) at every window lifecycle boundary and inside every
-// layer underneath it: extraction, carry spill, store block writes, the
-// atomic rename and the manifest snapshot.
+// layer underneath it: extraction, store block writes, the atomic rename,
+// and the journal append — before its first byte (snapshot.write), between
+// its first and last byte (snapshot.write_payload) and before its fsync.
 TEST_F(PipelineChaosTest, SurvivesAbortAtEveryLifecyclePoint) {
   const std::vector<std::string> specs = {
       "pipeline.window_start:abort@2",
@@ -226,11 +228,12 @@ TEST_F(PipelineChaosTest, SurvivesAbortAtEveryLifecyclePoint) {
       "pipeline.manifest_saved:abort@2",
       "pipeline.manifest_saved:abort@5",
       "window_io.extract:abort@3",
-      "window_io.carry_saved:abort@1",
-      "window_io.carry_saved:abort@2",
       "store.write_block:abort@4",
       "store.rename:abort@3",
-      "snapshot.rename:abort@2",
+      "snapshot.write:abort@2",
+      "snapshot.write_payload:abort@1",
+      "snapshot.write_payload:abort@3",
+      "snapshot.fsync:abort@4",
   };
   for (size_t i = 0; i < specs.size(); ++i) {
     CrashAndRecover(specs[i], SIGABRT, "abort_" + std::to_string(i));
@@ -238,12 +241,12 @@ TEST_F(PipelineChaosTest, SurvivesAbortAtEveryLifecyclePoint) {
 }
 
 // SIGTERM (graceful-shutdown path of an init system or container runtime)
-// delivered at torn-rename-adjacent points must be just as recoverable.
+// delivered at torn-write-adjacent points must be just as recoverable.
 TEST_F(PipelineChaosTest, SurvivesSigtermMidPublish) {
   const std::vector<std::string> specs = {
       "pipeline.window_published:sigterm@2",
-      "window_io.carry_saved:sigterm@1",
-      "snapshot.rename:sigterm@3",
+      "store.rename:sigterm@1",
+      "snapshot.write_payload:sigterm@3",
   };
   for (size_t i = 0; i < specs.size(); ++i) {
     CrashAndRecover(specs[i], SIGTERM, "term_" + std::to_string(i));
@@ -258,7 +261,9 @@ TEST_F(PipelineChaosTest, RetryAbsorbsInjectedDiskErrors) {
       "store.fsync:errno=ENOSPC@2",
       "store.write_block:errno=EIO@3",
       "snapshot.write:errno=ENOSPC@1",
+      "snapshot.write_payload:errno=EIO@2",
       "snapshot.fsync:errno=EDQUOT@2",
+      "pipeline.manifest_saved:errno=ENOSPC@3",
   };
   for (size_t i = 0; i < specs.size(); ++i) {
     SCOPED_TRACE("errno spec " + specs[i]);
@@ -282,7 +287,7 @@ TEST_F(PipelineChaosTest, ExhaustedRetriesFailCleanThenRecover) {
   const std::string spec =
       "store.fsync:errno=ENOSPC@2,store.write_block:errno=ENOSPC@4,"
       "snapshot.write:errno=ENOSPC@1,snapshot.fsync:errno=ENOSPC@1,"
-      "snapshot.rename:errno=ENOSPC@1";
+      "snapshot.write_payload:errno=ENOSPC@1";
   const std::string out_dir = Path("out");
   const std::string dump = Path("dump");
   const ChildOutcome starved = SpawnChild(source_, out_dir, dump, spec);
@@ -307,9 +312,9 @@ TEST_F(PipelineChaosTest, SeededCrashSchedulesConverge) {
   const std::vector<std::string> sites = {
       "pipeline.window_start",     "pipeline.window_extracted",
       "pipeline.window_anonymized", "pipeline.window_published",
-      "pipeline.manifest_saved",   "window_io.carry_saved",
+      "pipeline.manifest_saved",   "snapshot.write_payload",
       "store.write_block",         "store.rename",
-      "snapshot.rename",
+      "snapshot.fsync",
   };
   for (const uint64_t seed : {1ull, 7ull, 23ull}) {
     SCOPED_TRACE("schedule seed " + std::to_string(seed));

@@ -1,8 +1,8 @@
 // Unit and in-process integration tests of the continuous publication
 // pipeline: the window-iterator core, out-of-core window extraction with
-// carry-over, the manifest codec, and the engine's publish / resume /
-// refuse / retry semantics. Process-kill coverage lives in
-// pipeline_chaos_test.cc.
+// carry-over, the journal record codec and the journal, and the engine's
+// publish / resume / refuse / retry semantics. Process-kill coverage lives
+// in pipeline_chaos_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 
 #include "common/failpoint.h"
 #include "common/retry.h"
+#include "common/snapshot.h"
 #include "pipeline/continuous.h"
 #include "pipeline/manifest.h"
 #include "store/store_file.h"
@@ -88,6 +89,45 @@ void ExpectDigest(const std::string& path, uint64_t crc, uint64_t size) {
   ASSERT_TRUE(digest.ok()) << digest.status();
   EXPECT_EQ(digest->crc, crc) << path;
   EXPECT_EQ(digest->size, size) << path;
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// The valid prefix of the window journal in output directory `dir`.
+std::vector<pipeline::WindowRecord> JournalRecords(const std::string& dir) {
+  std::vector<pipeline::WindowRecord> records;
+  const Status read =
+      pipeline::WindowJournal(dir + "/" +
+                              std::string(pipeline::kWindowJournalName))
+          .Read(&records);
+  EXPECT_TRUE(read.ok()) << read;
+  return records;
+}
+
+/// The binary store records of `trajectories`, concatenated: equal bytes
+/// mean bit-identical ids, requirements and points.
+std::string RecordBytes(const std::vector<Trajectory>& trajectories) {
+  std::string bytes;
+  for (const Trajectory& t : trajectories) {
+    store::AppendTrajectoryRecord(&bytes, t);
+  }
+  return bytes;
+}
+
+Result<std::vector<Trajectory>> ReadStore(const std::string& path) {
+  WCOP_ASSIGN_OR_RETURN(store::TrajectoryStoreReader reader,
+                        store::TrajectoryStoreReader::Open(path));
+  WCOP_ASSIGN_OR_RETURN(Dataset dataset, reader.ReadAll());
+  return dataset.trajectories();
 }
 
 // ---------------------------------------------------------------------------
@@ -203,12 +243,60 @@ TEST_F(PipelineTest, ExtractWindowSuppressesShortFinalFragment) {
   EXPECT_EQ(stats->suppressed, 1u);
 }
 
+// The carry travels in memory (the pipeline's path) exactly as it does
+// through carry stores: the same merged fragments, digests and carry
+// records, window after window.
+TEST_F(PipelineTest, ExtractWindowCarriesInMemoryAsThroughStores) {
+  const std::string source = WriteSource(StaggeredGroupedDataset());
+  Result<store::TrajectoryStoreReader> reader =
+      store::TrajectoryStoreReader::Open(source);
+  ASSERT_TRUE(reader.ok());
+
+  std::vector<Trajectory> carry;
+  std::string carry_path;
+  int64_t next_fragment_id = 0;
+  size_t carried = 0;
+  for (size_t wi = 0; wi < 5; ++wi) {
+    SCOPED_TRACE(wi);
+    store::WindowExtractOptions memory;
+    memory.window_start = 100.0 * static_cast<double>(wi);
+    memory.window_end = memory.window_start + 100.0;
+    memory.next_fragment_id = next_fragment_id;
+    memory.carry_in = carry;
+    store::WindowExtractOptions files = memory;
+    files.carry_in.clear();
+    files.carry_in_path = carry_path;
+    files.carry_out_path = Path(WindowName(wi, ".carry.wst"));
+    Result<store::WindowExtraction> a = ExtractWindow(*reader, memory);
+    Result<store::WindowExtraction> b = ExtractWindow(*reader, files);
+    ASSERT_TRUE(a.ok()) << a.status();
+    ASSERT_TRUE(b.ok()) << b.status();
+    EXPECT_EQ(a->input.crc, b->input.crc);
+    EXPECT_EQ(a->input.size, b->input.size);
+    EXPECT_EQ(RecordBytes(a->trajectories), RecordBytes(b->trajectories));
+    EXPECT_EQ(a->carried_in, b->carried_in);
+    EXPECT_EQ(a->carried_out, a->carry.size());
+    EXPECT_EQ(RecordBytes(a->carry), RecordBytes(b->carry));
+    Result<std::vector<Trajectory>> stored = ReadStore(files.carry_out_path);
+    ASSERT_TRUE(stored.ok()) << stored.status();
+    EXPECT_EQ(RecordBytes(*stored), RecordBytes(a->carry));
+    carried += a->carried_out;
+    carry = std::move(a->carry);
+    carry_path = files.carry_out_path;
+    next_fragment_id = a->next_fragment_id;
+  }
+  EXPECT_GT(carried, 0u);
+  // No path, no file: the in-memory extraction writes nothing.
+  EXPECT_EQ(ListDir(dir_.string()).size(), 6u);  // source + 5 carry stores
+}
+
 // ---------------------------------------------------------------------------
-// Manifest codec.
+// Journal record codec and the journal.
 // ---------------------------------------------------------------------------
 
-TEST_F(PipelineTest, ManifestRoundTripsExactly) {
-  pipeline::WindowManifest m;
+pipeline::WindowRecord SampleRecord() {
+  pipeline::WindowRecord record;
+  pipeline::WindowManifest& m = record.manifest;
   m.config_fingerprint = 0xdeadbeefcafef00dULL;
   m.window_index = 41;
   m.window_start = 0.1;  // not exactly representable: %.17g must round-trip
@@ -217,7 +305,7 @@ TEST_F(PipelineTest, ManifestRoundTripsExactly) {
   m.published_fragments = 5;
   m.suppressed_delta = 2;
   m.carried_in = 1;
-  m.carried_out = 3;
+  m.carried_out = 2;
   m.clusters = 2;
   m.ttd = 12345.6789;
   m.skipped = true;
@@ -227,38 +315,125 @@ TEST_F(PipelineTest, ManifestRoundTripsExactly) {
   m.input_size = 2;
   m.output_crc = 3;
   m.output_size = 4;
-  m.carry_crc = 5;
-  m.carry_size = 6;
-
-  const std::string encoded = pipeline::EncodeWindowManifest(m);
-  Result<pipeline::WindowManifest> decoded =
-      pipeline::DecodeWindowManifest(encoded);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(pipeline::EncodeWindowManifest(*decoded), encoded);
-  EXPECT_EQ(decoded->window_start, m.window_start);
-  EXPECT_EQ(decoded->next_fragment_id, -9);
-  EXPECT_TRUE(decoded->skipped);
+  // A carry record whose first byte is whitespace (id 32 = ' '), and one
+  // with a single point: the decoder must not skip into the binary part.
+  record.carry.push_back(MakeLineWithReq(32, 0.1, 0.2, 1.0, 0.0, 1, 3, 50.0,
+                                         10.0, 90.0));
+  record.carry.push_back(MakeLineWithReq(7, -5.0, 3.0, 1.0, 1.0, 3, 2, 120.0,
+                                         10.0, 170.0));
+  return record;
 }
 
-TEST_F(PipelineTest, ManifestDecodeFailuresAreDataLoss) {
-  EXPECT_EQ(pipeline::DecodeWindowManifest("").status().code(),
+TEST_F(PipelineTest, RecordRoundTripsExactly) {
+  const pipeline::WindowRecord record = SampleRecord();
+  const std::string encoded = pipeline::EncodeWindowRecord(record);
+  Result<pipeline::WindowRecord> decoded =
+      pipeline::DecodeWindowRecord(encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(pipeline::EncodeWindowRecord(*decoded), encoded);
+  EXPECT_EQ(decoded->manifest.window_start, record.manifest.window_start);
+  EXPECT_EQ(decoded->manifest.next_fragment_id, -9);
+  EXPECT_TRUE(decoded->manifest.skipped);
+  EXPECT_EQ(RecordBytes(decoded->carry), RecordBytes(record.carry));
+  EXPECT_EQ(decoded->carry[0].requirement().k, 3);
+}
+
+TEST_F(PipelineTest, RecordDecodeFailuresAreDataLoss) {
+  EXPECT_EQ(pipeline::DecodeWindowRecord("").status().code(),
             StatusCode::kDataLoss);
-  EXPECT_EQ(pipeline::DecodeWindowManifest("not-a-manifest 1 2 3")
+  EXPECT_EQ(pipeline::DecodeWindowRecord("not-a-manifest 1 2 3")
                 .status()
                 .code(),
             StatusCode::kDataLoss);
-  pipeline::WindowManifest m;
-  std::string truncated = pipeline::EncodeWindowManifest(m);
+  std::string truncated = pipeline::EncodeWindowRecord(SampleRecord());
   truncated.resize(truncated.size() / 2);
-  EXPECT_EQ(pipeline::DecodeWindowManifest(truncated).status().code(),
+  EXPECT_EQ(pipeline::DecodeWindowRecord(truncated).status().code(),
             StatusCode::kDataLoss);
+  // carried_out says two, the carry section holds one.
+  pipeline::WindowRecord short_carry = SampleRecord();
+  short_carry.carry.pop_back();
+  EXPECT_EQ(pipeline::DecodeWindowRecord(
+                pipeline::EncodeWindowRecord(short_carry))
+                .status()
+                .code(),
+            StatusCode::kDataLoss);
+}
+
+// Appending a window's record again replaces it and everything after it:
+// a retried window never leaves a duplicate, and the file equals one
+// written once.
+TEST_F(PipelineTest, JournalAppendReplacesTheRecordsFromItsWindowOn) {
+  const std::string path = Path("journal");
+  std::vector<pipeline::WindowRecord> written;
+  for (uint64_t wi = 0; wi < 3; ++wi) {
+    pipeline::WindowRecord record = SampleRecord();
+    record.manifest.window_index = wi;
+    record.manifest.clusters = wi;
+    written.push_back(record);
+  }
+  std::vector<pipeline::WindowRecord> read;
+  {
+    pipeline::WindowJournal once(Path("once"));
+    ASSERT_TRUE(once.Read(&read).ok());
+    EXPECT_TRUE(read.empty());
+    EXPECT_FALSE(fs::exists(Path("once"))) << "reading must not create it";
+    for (const pipeline::WindowRecord& record : written) {
+      ASSERT_TRUE(once.Append(record).ok());
+    }
+  }
+  {
+    pipeline::WindowJournal journal(path);
+    ASSERT_TRUE(journal.Append(written[0]).ok());
+    ASSERT_TRUE(journal.Append(written[1]).ok());
+    ASSERT_TRUE(journal.Append(written[2]).ok());
+    ASSERT_TRUE(journal.Append(written[1]).ok());  // cuts 1 and 2
+    ASSERT_TRUE(pipeline::WindowJournal(path).Read(&read).ok());
+    EXPECT_EQ(read.size(), 2u);
+    ASSERT_TRUE(journal.Append(written[2]).ok());
+    EXPECT_EQ(ReadBytes(path), ReadBytes(Path("once")));
+    // A record may not leave a gap.
+    pipeline::WindowRecord gap = SampleRecord();
+    gap.manifest.window_index = 5;
+    EXPECT_FALSE(journal.Append(gap).ok());
+  }
+
+  ASSERT_TRUE(pipeline::WindowJournal(path).Read(&read).ok());
+  ASSERT_EQ(read.size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(pipeline::EncodeWindowRecord(read[i]),
+              pipeline::EncodeWindowRecord(written[i]));
+  }
+}
+
+// A failed append (here, between a record's header and its payload) cuts
+// the file back, so the journal keeps only whole records.
+TEST_F(PipelineTest, JournalFailedAppendLeavesOnlyWholeRecords) {
+  const std::string path = Path("journal");
+  pipeline::WindowJournal journal(path);
+  pipeline::WindowRecord record = SampleRecord();
+  record.manifest.window_index = 0;
+  ASSERT_TRUE(journal.Append(record).ok());
+  const std::string one = ReadBytes(path);
+  record.manifest.window_index = 1;
+  for (const char* site :
+       {"snapshot.write", "snapshot.write_payload", "snapshot.fsync"}) {
+    SCOPED_TRACE(site);
+    FailpointRegistry::Instance().ArmErrno(site, ENOSPC);
+    EXPECT_EQ(journal.Append(record).code(), StatusCode::kIoError);
+    FailpointRegistry::Instance().DisarmAll();
+    EXPECT_EQ(ReadBytes(path), one);
+  }
+  ASSERT_TRUE(journal.Append(record).ok());
+  std::vector<pipeline::WindowRecord> read;
+  ASSERT_TRUE(pipeline::WindowJournal(path).Read(&read).ok());
+  EXPECT_EQ(read.size(), 2u);
 }
 
 // ---------------------------------------------------------------------------
 // The engine: publish, resume, refuse, retry.
 // ---------------------------------------------------------------------------
 
-TEST_F(PipelineTest, PublishesEveryWindowWithValidManifests) {
+TEST_F(PipelineTest, PublishesEveryWindowWithValidJournalRecords) {
   const std::string source = WriteSource(GroupedDataset());
   pipeline::ContinuousPipelineOptions options = BaseOptions(source, "out");
   Result<pipeline::ContinuousPipelineResult> result =
@@ -269,40 +444,41 @@ TEST_F(PipelineTest, PublishesEveryWindowWithValidManifests) {
   ASSERT_EQ(result->windows.size(), 3u);
   EXPECT_GT(result->published_fragments, 0u);
 
+  const std::vector<pipeline::WindowRecord> records =
+      JournalRecords(Path("out"));
+  ASSERT_EQ(records.size(), 3u);
   for (size_t wi = 0; wi < 3; ++wi) {
     SCOPED_TRACE(wi);
-    char name[32];
-    std::snprintf(name, sizeof(name), "window_%05zu", wi);
-    const std::string store_path = Path("out/" + std::string(name) + ".wst");
-    const std::string manifest_path =
-        Path("out/" + std::string(name) + ".mfr");
-    Result<pipeline::WindowManifest> manifest =
-        pipeline::ReadWindowManifest(manifest_path);
-    ASSERT_TRUE(manifest.ok()) << manifest.status();
-    EXPECT_EQ(manifest->window_index, wi);
-    // The published store's bytes match the digest the manifest committed.
-    Result<pipeline::FileDigest> digest = pipeline::DigestFile(store_path);
-    ASSERT_TRUE(digest.ok());
-    EXPECT_EQ(digest->crc, manifest->output_crc);
-    EXPECT_EQ(digest->size, manifest->output_size);
+    const std::string store_path = Path("out/" + WindowName(wi, ".wst"));
+    const pipeline::WindowManifest& manifest = records[wi].manifest;
+    EXPECT_EQ(manifest.window_index, wi);
+    EXPECT_EQ(pipeline::EncodeWindowRecord(records[wi]),
+              pipeline::EncodeWindowRecord(
+                  {result->windows[wi], records[wi].carry}));
+    // The published store's bytes match the digest the record committed.
+    ExpectDigest(store_path, manifest.output_crc, manifest.output_size);
     // And the store itself opens and holds the published fragments.
     Result<store::TrajectoryStoreReader> window =
         store::TrajectoryStoreReader::Open(store_path);
     ASSERT_TRUE(window.ok());
-    EXPECT_EQ(window->size(), manifest->published_fragments);
+    EXPECT_EQ(window->size(), manifest.published_fragments);
   }
 }
 
-// Every digest a manifest records names real bytes, although the pipeline
-// reads none of them back: the output and carry digests equal DigestFile of
-// those files, and the input digest equals that of the store ExtractWindow
-// writes for the window when given a path.
-TEST_F(PipelineTest, ManifestDigestsMatchTheBytesTheyName) {
+// Every digest a record holds names real bytes, although the pipeline
+// reads none of them back: the output digest equals DigestFile of the
+// window store, the input digest that of the store ExtractWindow writes for
+// the window when given a path, and the committed carry equals the carry
+// store ExtractWindow writes when given one.
+TEST_F(PipelineTest, JournalRecordsMatchTheBytesTheyName) {
   const std::string source = WriteSource(StaggeredGroupedDataset());
   Result<pipeline::ContinuousPipelineResult> result =
       pipeline::RunContinuousPipeline(BaseOptions(source, "out"));
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->windows.size(), 5u);
+  const std::vector<pipeline::WindowRecord> records =
+      JournalRecords(Path("out"));
+  ASSERT_EQ(records.size(), 5u);
   Result<store::TrajectoryStoreReader> reader =
       store::TrajectoryStoreReader::Open(source);
   ASSERT_TRUE(reader.ok()) << reader.status();
@@ -310,9 +486,9 @@ TEST_F(PipelineTest, ManifestDigestsMatchTheBytesTheyName) {
   std::string carry_in;
   int64_t next_fragment_id = 0;
   uint64_t carried = 0;
-  for (size_t wi = 0; wi < result->windows.size(); ++wi) {
+  for (size_t wi = 0; wi < records.size(); ++wi) {
     SCOPED_TRACE(wi);
-    const pipeline::WindowManifest& m = result->windows[wi];
+    const pipeline::WindowManifest& m = records[wi].manifest;
     ExpectDigest(Path("out/" + WindowName(wi, ".wst")), m.output_crc,
                  m.output_size);
 
@@ -330,27 +506,29 @@ TEST_F(PipelineTest, ManifestDigestsMatchTheBytesTheyName) {
     EXPECT_EQ(extraction->input.crc, m.input_crc);
     EXPECT_EQ(extraction->input.size, m.input_size);
     ExpectDigest(extract.window_out_path, m.input_crc, m.input_size);
-    ExpectDigest(extract.carry_out_path, m.carry_crc, m.carry_size);
+    Result<std::vector<Trajectory>> stored =
+        ReadStore(extract.carry_out_path);
+    ASSERT_TRUE(stored.ok()) << stored.status();
+    EXPECT_EQ(stored->size(), m.carried_out);
+    EXPECT_EQ(RecordBytes(*stored), RecordBytes(records[wi].carry));
     carried += m.carried_out;
     carry_in = extract.carry_out_path;
     next_fragment_id = extraction->next_fragment_id;
   }
   EXPECT_GT(carried, 0u) << "the chain must carry records, not only empty "
                             "stores";
-  // The two carry stores the run retains are the last two windows' own.
-  ExpectDigest(Path("out/.work/carry_00004.wst"), result->windows[3].carry_crc,
-               result->windows[3].carry_size);
-  ExpectDigest(Path("out/.work/carry_00005.wst"), result->windows[4].carry_crc,
-               result->windows[4].carry_size);
 }
 
-// A run that commits a window's manifest and dies before that window's
-// garbage collection leaves an extra carry store behind; resuming must not
-// keep it. Afterwards the work dir lists exactly what an uninterrupted run's
-// does, and the published bytes match.
-TEST_F(PipelineTest, ResumeLeavesTheWorkDirOfAnUninterruptedRun) {
+// Each window creates one file, its store; the journal is the only other
+// file. A run that dies after a commit and resumes leaves the directory an
+// uninterrupted run leaves, byte for byte.
+TEST_F(PipelineTest, ResumeLeavesWhatAnUninterruptedRunLeaves) {
   const std::string source = WriteSource(StaggeredGroupedDataset());
   ASSERT_TRUE(pipeline::RunContinuousPipeline(BaseOptions(source, "ref")).ok());
+  EXPECT_EQ(ListDir(Path("ref")),
+            (std::set<std::string>{"window_00000.wst", "window_00001.wst",
+                                   "window_00002.wst", "window_00003.wst",
+                                   "window_00004.wst", "window_journal.jnl"}));
 
   pipeline::ContinuousPipelineOptions options = BaseOptions(source, "out");
   FailpointRegistry::Instance().ArmErrno("pipeline.manifest_saved", EIO,
@@ -358,27 +536,32 @@ TEST_F(PipelineTest, ResumeLeavesTheWorkDirOfAnUninterruptedRun) {
   EXPECT_EQ(pipeline::RunContinuousPipeline(options).status().code(),
             StatusCode::kIoError);
   FailpointRegistry::Instance().DisarmAll();
-  for (const std::string& name : ListDir(Path("out/.work"))) {
-    EXPECT_EQ(name.rfind("carry_", 0), 0u) << name;
-  }
-  EXPECT_EQ(ListDir(Path("out/.work")),
-            (std::set<std::string>{"carry_00001.wst", "carry_00002.wst",
-                                   "carry_00003.wst"}));
+  EXPECT_EQ(ListDir(Path("out")),
+            (std::set<std::string>{"window_00000.wst", "window_00001.wst",
+                                   "window_00002.wst", "window_journal.jnl"}));
 
   options.resume = true;
   Result<pipeline::ContinuousPipelineResult> resumed =
       pipeline::RunContinuousPipeline(options);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_EQ(resumed->resumed_windows, 3u);
-  EXPECT_EQ(ListDir(Path("out/.work")), ListDir(Path("ref/.work")));
+  EXPECT_EQ(ListDir(Path("out")), ListDir(Path("ref")));
   EXPECT_EQ(PublishedWindowBytes(Path("out")), PublishedWindowBytes(Path("ref")));
 }
 
-TEST_F(PipelineTest, RefusesNonEmptyOutputWithoutResume) {
+TEST_F(PipelineTest, RefusesAPublishedDirectoryWithoutResume) {
   const std::string source = WriteSource(GroupedDataset());
   pipeline::ContinuousPipelineOptions options = BaseOptions(source, "out");
   ASSERT_TRUE(pipeline::RunContinuousPipeline(options).ok());
   EXPECT_EQ(pipeline::RunContinuousPipeline(options).status().code(),
+            StatusCode::kFailedPrecondition);
+  // The first manifest of the older per-window layout refuses as well.
+  fs::create_directories(Path("old"));
+  ASSERT_TRUE(
+      WriteSnapshotFile(Path("old/window_00000.mfr"), "manifest", 1).ok());
+  EXPECT_EQ(pipeline::RunContinuousPipeline(BaseOptions(source, "old"))
+                .status()
+                .code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -407,13 +590,8 @@ TEST_F(PipelineTest, ResumeRecomputesTornLastWindowByteIdentically) {
   const std::map<std::string, std::string> published = PublishedWindowBytes(Path("out"));
 
   // Tear the final window's output store (truncate) — the CRC check must
-  // reject it, adopt windows 0-1 (their carry chain is inside the
-  // two-window retention horizon), and recompute only window 2.
-  {
-    std::ofstream tear(Path("out/window_00002.wst"),
-                       std::ios::binary | std::ios::trunc);
-    tear << "torn";
-  }
+  // reject it, adopt windows 0-1 and recompute only window 2.
+  WriteBytes(Path("out/window_00002.wst"), "torn");
   options.resume = true;
   Result<pipeline::ContinuousPipelineResult> resumed =
       pipeline::RunContinuousPipeline(options);
@@ -422,44 +600,105 @@ TEST_F(PipelineTest, ResumeRecomputesTornLastWindowByteIdentically) {
   EXPECT_EQ(PublishedWindowBytes(Path("out")), published);
 }
 
-TEST_F(PipelineTest, ResumeRecomputesTornMiddleWindowByteIdentically) {
-  const std::string source = WriteSource(GroupedDataset());
+TEST_F(PipelineTest, ResumeRecomputesTornMiddleWindowFromItself) {
+  const std::string source = WriteSource(StaggeredGroupedDataset());
+  pipeline::ContinuousPipelineOptions options = BaseOptions(source, "out");
+  ASSERT_TRUE(pipeline::RunContinuousPipeline(options).ok());
+  const std::map<std::string, std::string> published = PublishedWindowBytes(Path("out"));
+  ASSERT_FALSE(JournalRecords(Path("out"))[0].carry.empty())
+      << "the torn window must consume a carry for this test to bite";
+
+  // Tear a middle window. Its carry-in is in the record before it, so the
+  // resume recomputes from the torn window itself, not from window 0.
+  WriteBytes(Path("out/window_00001.wst"), "torn");
+  options.resume = true;
+  Result<pipeline::ContinuousPipelineResult> resumed =
+      pipeline::RunContinuousPipeline(options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->resumed_windows, 1u);
+  EXPECT_EQ(PublishedWindowBytes(Path("out")), published);
+}
+
+// A torn journal tail (a crash mid-append) is cut before the first append:
+// the torn window recomputes and the journal ends up byte-identical.
+TEST_F(PipelineTest, ResumeCutsATornJournalTail) {
+  const std::string source = WriteSource(StaggeredGroupedDataset());
   pipeline::ContinuousPipelineOptions options = BaseOptions(source, "out");
   ASSERT_TRUE(pipeline::RunContinuousPipeline(options).ok());
   const std::map<std::string, std::string> published = PublishedWindowBytes(Path("out"));
 
-  // Tear a middle window. Its carry-in store is already past the two-window
-  // retention horizon (GC'd when the later windows committed), so resume
-  // must walk back to window 0 and recompute everything — trading work,
-  // never bytes.
-  {
-    std::ofstream tear(Path("out/window_00001.wst"),
-                       std::ios::binary | std::ios::trunc);
-    tear << "torn";
+  const std::string journal = Path("out/window_journal.jnl");
+  const std::string bytes = ReadBytes(journal);
+  WriteBytes(journal, bytes.substr(0, bytes.size() - 5));
+  options.resume = true;
+  Result<pipeline::ContinuousPipelineResult> resumed =
+      pipeline::RunContinuousPipeline(options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->resumed_windows, 4u);
+  EXPECT_EQ(PublishedWindowBytes(Path("out")), published);
+
+  // A tail of garbage after whole records is cut the same way.
+  WriteBytes(Path("out/window_00004.wst"), "torn");
+  WriteBytes(journal, ReadBytes(journal) + "garbage");
+  resumed = pipeline::RunContinuousPipeline(options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->resumed_windows, 4u);
+  EXPECT_EQ(PublishedWindowBytes(Path("out")), published);
+}
+
+// A bit flip inside a middle record fails its CRC: the windows before it
+// are adopted and the run recomputes from that window, not from window 0.
+TEST_F(PipelineTest, ResumeRecomputesFromABitFlippedMiddleRecord) {
+  const std::string source = WriteSource(StaggeredGroupedDataset());
+  pipeline::ContinuousPipelineOptions options = BaseOptions(source, "out");
+  ASSERT_TRUE(pipeline::RunContinuousPipeline(options).ok());
+  const std::map<std::string, std::string> published = PublishedWindowBytes(Path("out"));
+
+  const std::string journal = Path("out/window_journal.jnl");
+  std::string bytes = ReadBytes(journal);
+  Result<SnapshotRecord> first = ParseSnapshotRecord(bytes, 0);
+  Result<SnapshotRecord> second = ParseSnapshotRecord(bytes, first->end);
+  ASSERT_TRUE(second.ok()) << second.status();
+  bytes[first->end + kSnapshotHeaderSize + 10] ^= 0x04;  // record 1's payload
+  WriteBytes(journal, bytes);
+
+  options.resume = true;
+  Result<pipeline::ContinuousPipelineResult> resumed =
+      pipeline::RunContinuousPipeline(options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->resumed_windows, 1u);
+  EXPECT_EQ(PublishedWindowBytes(Path("out")), published);
+}
+
+// A directory of the older layout (per-window `.mfr` manifests and a
+// `.work` carry directory, no journal) has nothing to adopt: the run
+// recomputes from window 0 and publishes the same window stores.
+TEST_F(PipelineTest, ResumeOverTheOldLayoutRecomputesFromWindowZero) {
+  const std::string source = WriteSource(StaggeredGroupedDataset());
+  ASSERT_TRUE(pipeline::RunContinuousPipeline(BaseOptions(source, "ref")).ok());
+  fs::create_directories(Path("out/.work"));
+  for (size_t wi = 0; wi < 5; ++wi) {
+    fs::copy_file(Path("ref/" + WindowName(wi, ".wst")),
+                  Path("out/" + WindowName(wi, ".wst")));
+    ASSERT_TRUE(WriteSnapshotFile(Path("out/" + WindowName(wi, ".mfr")),
+                                  "wcop-window-manifest", 1)
+                    .ok());
   }
+  ASSERT_TRUE(
+      store::WriteDatasetStore(Dataset(), Path("out/.work/carry_00001.wst"))
+          .ok());
+
+  pipeline::ContinuousPipelineOptions options = BaseOptions(source, "out");
   options.resume = true;
   Result<pipeline::ContinuousPipelineResult> resumed =
       pipeline::RunContinuousPipeline(options);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_EQ(resumed->resumed_windows, 0u);
-  EXPECT_EQ(PublishedWindowBytes(Path("out")), published);
-}
-
-TEST_F(PipelineTest, ResumeSurvivesDeletedWorkDir) {
-  // Wiping the scratch directory costs recomputation, never correctness:
-  // the carry chain cannot be verified, so the resume walks back to a
-  // window it can recompute from scratch and rewrites identical bytes.
-  const std::string source = WriteSource(GroupedDataset());
-  pipeline::ContinuousPipelineOptions options = BaseOptions(source, "out");
-  ASSERT_TRUE(pipeline::RunContinuousPipeline(options).ok());
-  const std::map<std::string, std::string> published = PublishedWindowBytes(Path("out"));
-
-  fs::remove_all(Path("out/.work"));
-  options.resume = true;
-  Result<pipeline::ContinuousPipelineResult> resumed =
-      pipeline::RunContinuousPipeline(options);
-  ASSERT_TRUE(resumed.ok()) << resumed.status();
-  EXPECT_EQ(PublishedWindowBytes(Path("out")), published);
+  std::map<std::string, std::string> bytes = PublishedWindowBytes(Path("out"));
+  for (size_t wi = 0; wi < 5; ++wi) {
+    bytes.erase(WindowName(wi, ".mfr"));  // left as the older run wrote them
+  }
+  EXPECT_EQ(bytes, PublishedWindowBytes(Path("ref")));
 }
 
 TEST_F(PipelineTest, ResumeRejectsConfigMismatch) {
@@ -520,6 +759,33 @@ TEST_F(PipelineTest, RetryPolicyAbsorbsInjectedEnospc) {
       pipeline::RunContinuousPipeline(faulted);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(PublishedWindowBytes(Path("out")), expected);
+}
+
+// A window whose commit fails after its record landed (manifest_saved), or
+// midway through the record (write_payload), is retried whole; the retry
+// replaces the record instead of appending a second one.
+TEST_F(PipelineTest, RetriedCommitsLeaveNoDuplicateRecord) {
+  const std::string source = WriteSource(StaggeredGroupedDataset());
+  ASSERT_TRUE(pipeline::RunContinuousPipeline(BaseOptions(source, "ref")).ok());
+  const std::map<std::string, std::string> expected =
+      PublishedWindowBytes(Path("ref"));
+  RetryPolicy retry;
+  retry.max_attempts = 3;
+  retry.initial_backoff = std::chrono::milliseconds(1);
+  for (const char* site : {"pipeline.manifest_saved",
+                           "snapshot.write_payload", "snapshot.fsync"}) {
+    SCOPED_TRACE(site);
+    const std::string out = std::string("out_") + site;
+    pipeline::ContinuousPipelineOptions options = BaseOptions(source, out);
+    options.publish_retry = &retry;
+    FailpointRegistry::Instance().ArmErrno(site, ENOSPC, /*on_hit=*/2);
+    Result<pipeline::ContinuousPipelineResult> result =
+        pipeline::RunContinuousPipeline(options);
+    FailpointRegistry::Instance().DisarmAll();
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(JournalRecords(Path(out)).size(), 5u);
+    EXPECT_EQ(PublishedWindowBytes(Path(out)), expected);
+  }
 }
 
 }  // namespace

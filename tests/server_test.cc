@@ -2,11 +2,12 @@
 // deadlines/budgets, tenant policy, drain vs. immediate shutdown, in-process
 // ledger recovery, and the HTTP endpoint + client over a real unix socket.
 //
-// Deterministic jamming: several tests need the single worker to be busy
-// while the test probes the queue. They submit a "slow" job (a dataset big
-// enough that its pairwise-distance phase dominates), wait until the health
-// endpoint reports it running, and then interact with a queue that is
-// guaranteed not to drain for the duration of the probe.
+// Jamming: several tests need the single worker to be busy while the test
+// probes the queue. They submit a "slow" job (a dataset big enough that its
+// pairwise-distance phase dominates), wait until the health endpoint
+// reports it running, and then interact with the queue behind it. A test
+// whose assertions need the jam still running at a later point holds it at
+// a failpoint instead (FailpointHold), which no input size can race.
 
 #include <gtest/gtest.h>
 
@@ -14,12 +15,15 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iterator>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "data/synthetic.h"
@@ -34,6 +38,35 @@ namespace server {
 namespace {
 
 using testing_util::SmallSynthetic;
+
+// Holds every thread that reaches failpoint `site` until Release() or the
+// end of its scope.
+class FailpointHold {
+ public:
+  explicit FailpointHold(std::string site) : site_(std::move(site)) {
+    std::shared_future<void> released = release_.get_future().share();
+    FailpointRegistry::Instance().ArmCallback(
+        site_, [released] { released.wait(); });
+  }
+  ~FailpointHold() {
+    Release();
+    FailpointRegistry::Instance().Disarm(site_);
+  }
+  FailpointHold(const FailpointHold&) = delete;
+  FailpointHold& operator=(const FailpointHold&) = delete;
+
+  void Release() {
+    if (!released_) {
+      released_ = true;
+      release_.set_value();
+    }
+  }
+
+ private:
+  std::string site_;
+  std::promise<void> release_;
+  bool released_ = false;
+};
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -506,7 +539,6 @@ TEST_F(ServerTest, DrainShutdownFinishesQueuedJobs) {
 }
 
 TEST_F(ServerTest, ImmediateShutdownRequeuesAndRestartRecovers) {
-  const std::string slow = SlowStore();
   const std::string small = SmallStore();
   ServiceOptions options = BaseOptions();
   int64_t jam_id = 0;
@@ -514,7 +546,12 @@ TEST_F(ServerTest, ImmediateShutdownRequeuesAndRestartRecovers) {
     Result<std::unique_ptr<AnonymizationService>> service =
         AnonymizationService::Start(options);
     ASSERT_TRUE(service.ok()) << service.status();
-    Result<int64_t> jam = (*service)->Submit(Spec("jam", slow));
+    // The jam job waits at its preparation until the shutdown has begun, so
+    // it cannot finish first however fast its input runs. Declared after
+    // the service: an early return releases it before the service joins
+    // its worker.
+    FailpointHold hold("server.job_prepare");
+    Result<int64_t> jam = (*service)->Submit(Spec("jam", small));
     ASSERT_TRUE(jam.ok());
     jam_id = *jam;
     AwaitRunning(service->get());
@@ -523,6 +560,7 @@ TEST_F(ServerTest, ImmediateShutdownRequeuesAndRestartRecovers) {
     // Immediate shutdown: the running job trips on the cancellation token,
     // flushes its shard checkpoints, and is requeued; q1/q2 never start.
     (*service)->BeginShutdown(/*drain=*/false);
+    hold.Release();
     (*service)->AwaitTermination();
     // Nothing may have been published during teardown.
     EXPECT_FALSE(

@@ -128,7 +128,11 @@ TEST_F(SignalShutdownTest, SigtermCancelsPipelineAndResumeIsByteIdentical) {
       << interrupted.status();
   EXPECT_TRUE(ShutdownSignalReceived());
   EXPECT_EQ(LastShutdownSignal(), SIGTERM);
-  EXPECT_TRUE(std::filesystem::exists(Path("out/window_00000.mfr")))
+  std::vector<pipeline::WindowRecord> committed;
+  ASSERT_TRUE(pipeline::WindowJournal(Path("out/window_journal.jnl"))
+                  .Read(&committed)
+                  .ok());
+  EXPECT_EQ(committed.size(), 1u)
       << "windows finished before the signal must stay committed";
 
   // New life: no signal, no token. The run resumes past the committed

@@ -218,7 +218,7 @@ TEST_F(StreamingTest, ExpiredDeadlineCommitsNoWindowAndResumeConverges) {
         pipeline::RunContinuousPipeline(options);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded) << r.status();
-    EXPECT_FALSE(fs::exists(Path("out/window_00000.mfr")));
+    EXPECT_FALSE(fs::exists(Path("out/window_journal.jnl")));
   }
 
   pipeline::ContinuousPipelineOptions options = Options(source, "out");

@@ -92,7 +92,8 @@ inline Dataset StaggeredGroupedDataset() {
 }
 
 /// Bytes of every published continuous-pipeline artifact in `dir` (the
-/// `window_NNNNN.wst` stores and `.mfr` manifests), keyed by file name.
+/// `window_NNNNN.wst` stores and the `window_journal.jnl` journal), keyed
+/// by file name.
 inline std::map<std::string, std::string> PublishedWindowBytes(
     const std::string& dir) {
   std::map<std::string, std::string> bytes;
