@@ -6,8 +6,9 @@
 //   * generalization:  AWO-style regions (Nergiz et al. 2008)
 //   * clustering:      NWA (spatial), W4M / WCOP-NV (universal),
 //                      WCOP-CT (personalized), Mahdavifar et al. 2012
-// Instruments: linkage-attack success, effective anonymity (independent
-// audit), range-query utility, density divergence.
+// Instruments: linkage-attack success, tracking time-on-target, effective
+// anonymity k^{tau,eps} (independent audit: tau = 30 min, eps = 250 m),
+// range-query utility, density divergence.
 //
 // The dataset is co-temporalized (all departures at t=0) so the families
 // that require temporal overlap (NWA, AWO, path perturbation) apply; the
@@ -21,6 +22,10 @@
 #include <vector>
 
 #include "anon/wcop.h"
+#include "attack/candidate_source.h"
+#include "attack/effective_k.h"
+#include "attack/reident.h"
+#include "attack/tracking.h"
 #include "bench_util.h"
 #include "common/table_printer.h"
 #include "related/awo.h"
@@ -58,12 +63,17 @@ int main(int argc, char** argv) {
   Rng query_rng(scale.seed + 7);
   const std::vector<RangeQuery> queries =
       GenerateRangeQueries(dataset, 50, 0.05, 0.02, &query_rng);
-  AttackOptions attack;
-  attack.seed = scale.seed + 8;
+  const attack::DatasetCandidateSource original(dataset);
+  attack::ReidentOptions reident;
+  reident.adversary.seed = scale.seed + 8;
 
-  TrackingAttackOptions tracking;
+  attack::TrackingAttackOptions tracking;
   tracking.step_seconds = 60.0;
   tracking.seed = scale.seed + 9;
+
+  attack::EffectiveKOptions effective_k;
+  effective_k.adversary.tau_seconds = 1800.0;
+  effective_k.adversary.epsilon = 250.0;
 
   PrintHeader("Extension: all related-work families on one dataset (kmax=" +
               std::to_string(k_max) + ")");
@@ -73,22 +83,23 @@ int main(int argc, char** argv) {
 
   auto evaluate = [&](const std::string& name, const Dataset& published,
                       size_t trashed) {
-    Result<AttackResult> linkage =
-        SimulateLinkageAttack(dataset, published, attack);
-    Result<TrackingAttackResult> tracked =
-        SimulateTrackingAttack(dataset, published, tracking);
-    const EffectiveAnonymityReport anonymity = MeasureEffectiveAnonymity(
-        published, 0.0, /*use_personal_delta=*/true);
+    const attack::DatasetCandidateSource published_source(published);
+    Result<attack::ReidentResult> linkage =
+        attack::RunReidentAttack(original, published_source, reident);
+    Result<attack::TrackingAttackResult> tracked =
+        attack::RunTrackingAttack(dataset, published, tracking);
+    Result<attack::EffectiveKResult> anonymity =
+        attack::MeasureEffectiveK(published_source, effective_k);
     const RangeQueryDistortionResult rq =
         RangeQueryDistortion(dataset, published, queries);
     const double density = SpatialDensityDivergence(dataset, published);
     table.AddRow(
         {name,
-         linkage.ok() ? FormatSignificant(linkage->top1_success_rate, 3)
-                      : "n/a",
+         linkage.ok() ? FormatSignificant(linkage->top1_success, 3) : "n/a",
          tracked.ok() ? FormatSignificant(tracked->mean_time_on_target, 3)
                       : "n/a",
-         FormatSignificant(anonymity.mean_anonymity, 3),
+         anonymity.ok() ? FormatSignificant(anonymity->mean_effective_k, 3)
+                        : "n/a",
          FormatSignificant(rq.mean_relative_error, 3),
          FormatSignificant(density, 3), std::to_string(published.size()),
          std::to_string(trashed)});
@@ -164,13 +175,14 @@ int main(int argc, char** argv) {
       "\nreading guide: each family defends against the adversary it was\n"
       "designed for. Perturbation targets the *tracking* adversary; in this\n"
       "dense co-temporal crowd even the raw data confuses a positional\n"
-      "tracker (time-on-target ~0.1 everywhere) — the natural path\n"
-      "confusion Hoh-Gruteser exploit; see the controlled two-lane case in\n"
-      "tests/attack_test.cc for the isolated crossing effect. Under *point\n"
-      "linkage*, perturbation and suppression leave users fully exposed\n"
-      "(top-1 = 1.0, effective anonymity ~1); generalization unlinks\n"
-      "identities at coarse spatial resolution; only the (k,delta)\n"
-      "clustering family shows measured effective anonymity >= k, and\n"
-      "personalization (WCOP-CT) provides it at the lowest utility cost.\n");
+      "tracker (time-on-target <= 0.25 at the default 120 trajectories, raw\n"
+      "data included) — the natural path confusion Hoh-Gruteser exploit; see\n"
+      "the controlled two-lane case in tests/attack_test.cc for the isolated\n"
+      "crossing effect. Under *point linkage*, perturbation and suppression\n"
+      "leave users fully exposed (top-1 = 1.0, effective anonymity ~1.2);\n"
+      "generalization unlinks identities at coarse spatial resolution; only\n"
+      "the (k,delta) clustering family shows measured effective anonymity\n"
+      ">= k, and personalization (WCOP-CT) provides it at the lowest utility\n"
+      "cost.\n");
   return 0;
 }

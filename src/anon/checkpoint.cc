@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/text_codec.h"
+
 namespace wcop {
 
 namespace {
@@ -52,30 +54,14 @@ void HashWcopOptions(uint64_t* h, const WcopOptions& o) {
 }
 
 // ---------------------------------------------------------------------------
-// Text encoding helpers. Doubles print at %.17g, which strtod round-trips
-// exactly, so resumed arithmetic matches the uninterrupted run bit-for-bit.
+// Text encoding helpers. Doubles print at %.17g (common/text_codec.h), which
+// strtod round-trips exactly, so resumed arithmetic matches the
+// uninterrupted run bit-for-bit.
 // ---------------------------------------------------------------------------
 
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf);
-  out->push_back(' ');
-}
-
-void AppendI64(std::string* out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out->append(buf);
-  out->push_back(' ');
-}
-
-void AppendDouble(std::string* out, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-  out->push_back(' ');
-}
+using text::AppendF64;
+using text::AppendI64;
+using text::AppendU64;
 
 void AppendWord(std::string* out, std::string_view word) {
   out->append(word);
@@ -233,12 +219,12 @@ void AppendTrajectory(std::string* out, const Trajectory& t) {
   AppendI64(out, t.object_id());
   AppendI64(out, t.parent_id());
   AppendI64(out, t.requirement().k);
-  AppendDouble(out, t.requirement().delta);
+  AppendF64(out, t.requirement().delta);
   AppendU64(out, t.size());
   for (const Point& p : t.points()) {
-    AppendDouble(out, p.x);
-    AppendDouble(out, p.y);
-    AppendDouble(out, p.t);
+    AppendF64(out, p.x);
+    AppendF64(out, p.y);
+    AppendF64(out, p.t);
   }
   EndLine(out);
 }
@@ -306,20 +292,20 @@ void AppendReport(std::string* out, const AnonymizationReport& r) {
   AppendU64(out, r.num_clusters);
   AppendU64(out, r.trashed_trajectories);
   AppendU64(out, r.trashed_points);
-  AppendDouble(out, r.discernibility);
+  AppendF64(out, r.discernibility);
   AppendU64(out, r.created_points);
   AppendU64(out, r.deleted_points);
-  AppendDouble(out, r.total_spatial_translation);
-  AppendDouble(out, r.total_temporal_translation);
-  AppendDouble(out, r.avg_spatial_translation);
-  AppendDouble(out, r.avg_temporal_translation);
-  AppendDouble(out, r.omega);
-  AppendDouble(out, r.ttd);
-  AppendDouble(out, r.editing_distortion);
-  AppendDouble(out, r.total_distortion);
-  AppendDouble(out, r.runtime_seconds);
+  AppendF64(out, r.total_spatial_translation);
+  AppendF64(out, r.total_temporal_translation);
+  AppendF64(out, r.avg_spatial_translation);
+  AppendF64(out, r.avg_temporal_translation);
+  AppendF64(out, r.omega);
+  AppendF64(out, r.ttd);
+  AppendF64(out, r.editing_distortion);
+  AppendF64(out, r.total_distortion);
+  AppendF64(out, r.runtime_seconds);
   AppendU64(out, r.clustering_rounds);
-  AppendDouble(out, r.final_radius);
+  AppendF64(out, r.final_radius);
   AppendU64(out, r.degraded ? 1 : 0);
   AppendBlob(out, r.degraded_reason);
   EndLine(out);
@@ -361,7 +347,7 @@ void AppendAnonymizationResult(std::string* out,
     AppendWord(out, "cluster");
     AppendU64(out, c.pivot);
     AppendI64(out, c.k);
-    AppendDouble(out, c.delta);
+    AppendF64(out, c.delta);
     AppendU64(out, c.members.size());
     for (const size_t m : c.members) {
       AppendU64(out, m);
@@ -486,9 +472,9 @@ std::string EncodeWcopBCheckpoint(const WcopBCheckpoint& checkpoint) {
   for (const WcopBRound& r : checkpoint.rounds) {
     AppendWord(&out, "round");
     AppendU64(&out, r.edit_size);
-    AppendDouble(&out, r.ttd);
-    AppendDouble(&out, r.editing_distortion);
-    AppendDouble(&out, r.total_distortion);
+    AppendF64(&out, r.ttd);
+    AppendF64(&out, r.editing_distortion);
+    AppendF64(&out, r.total_distortion);
     AppendU64(&out, r.num_clusters);
     AppendU64(&out, r.trashed);
     EndLine(&out);

@@ -6,10 +6,8 @@
 /// metrics, and the independent anonymity verifier.
 
 #include "anon/colocalization.h"
-#include "anon/effective_anonymity.h"
 #include "anon/greedy_clustering.h"
 #include "anon/agglomerative.h"
-#include "anon/attack.h"
 #include "anon/mahdavifar.h"
 #include "anon/metrics.h"
 #include "anon/nwa.h"

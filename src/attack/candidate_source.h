@@ -26,8 +26,8 @@ namespace attack {
 /// Uniform candidate universe for the attacks: an indexed set of published
 /// (or original) trajectories with per-entry metadata cheap enough to walk
 /// without touching trajectory bytes, plus on-demand block reads. One
-/// abstraction serves both the legacy in-memory Dataset entry points and
-/// the out-of-core 500k-store audits — the index rows carry the spatial
+/// abstraction serves both in-memory Datasets (the benches, examples and
+/// tests) and the out-of-core 500k-store audits — the index rows carry the spatial
 /// MBR and lifetime that power the certified lower-bound pruning of the
 /// re-identification scan (see reident.h). Both scans walk a source through
 /// JoinCandidates below, which descends the rows' box tree and reads each
@@ -90,8 +90,8 @@ class CandidateSource {
   std::unique_ptr<Packed> packed_ = std::make_unique<Packed>();
 };
 
-/// In-memory adapter over a Dataset (the legacy attack entry points and
-/// unit tests). Entries are synthesized from the trajectories; the truth
+/// In-memory adapter over a Dataset (the benches, examples and unit
+/// tests). Entries are synthesized from the trajectories; the truth
 /// key is the trajectory id. The dataset must outlive the source.
 class DatasetCandidateSource : public CandidateSource {
  public:

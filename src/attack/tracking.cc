@@ -1,60 +1,15 @@
-/// Implementation of the legacy anon/attack.h entry points, routed through
-/// the wcop::attack subsystem so the repo carries exactly one attack
-/// engine: SimulateLinkageAttack is the in-memory face of the
-/// re-identification audit (src/attack/reident.h), now honoring
-/// RunContext deadlines/budgets and counting candidate evaluations on the
-/// shared `attack.*` telemetry names; the tracking adversary stays a
-/// dataset-level simulation but gains the same RunContext/Telemetry
-/// wiring.
+#include "attack/tracking.h"
 
-#include "anon/attack.h"
-
-#include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <vector>
 
-#include "attack/candidate_source.h"
-#include "attack/reident.h"
-#include "common/rng.h"
+#include "attack/adversary.h"
 
 namespace wcop {
+namespace attack {
 
-Result<AttackResult> SimulateLinkageAttack(const Dataset& original,
-                                           const Dataset& published,
-                                           const AttackOptions& options) {
-  if (original.empty() || published.empty()) {
-    return Status::InvalidArgument("attack needs non-empty datasets");
-  }
-  attack::DatasetCandidateSource original_source(original);
-  attack::DatasetCandidateSource published_source(published);
-
-  attack::ReidentOptions reident;
-  reident.adversary.observations = options.observations_per_victim;
-  reident.adversary.noise = options.observation_noise;
-  reident.adversary.pmc_delta = options.pmc_delta;
-  reident.adversary.seed = options.seed;
-  reident.num_victims = options.num_victims;
-  reident.threads = options.threads;
-  reident.run_context = options.run_context;
-  reident.telemetry = options.telemetry;
-
-  WCOP_ASSIGN_OR_RETURN(
-      attack::ReidentResult r,
-      attack::RunReidentAttack(original_source, published_source, reident));
-
-  AttackResult result;
-  result.victims_attacked = r.victims_attacked;
-  result.top1_hits = static_cast<size_t>(std::llround(
-      r.top1_success * static_cast<double>(r.victims_attacked)));
-  result.top1_success_rate = r.top1_success;
-  result.mean_true_rank = r.mean_true_rank;
-  result.mean_reciprocal_rank = r.mean_reciprocal_rank;
-  return result;
-}
-
-Result<TrackingAttackResult> SimulateTrackingAttack(
+Result<TrackingAttackResult> RunTrackingAttack(
     const Dataset& original, const Dataset& published,
     const TrackingAttackOptions& options) {
   if (original.empty() || published.empty()) {
@@ -74,19 +29,12 @@ Result<TrackingAttackResult> SimulateTrackingAttack(
     steps_counter = metrics.GetCounter("attack.tracking.steps");
     switches_counter = metrics.GetCounter("attack.tracking.switches");
   }
-  Rng rng(options.seed);
-
-  std::vector<size_t> victims(original.size());
-  std::iota(victims.begin(), victims.end(), 0);
-  if (options.num_victims > 0 && options.num_victims < victims.size()) {
-    std::shuffle(victims.begin(), victims.end(), rng.engine());
-    victims.resize(options.num_victims);
-  }
 
   TrackingAttackResult result;
   double switch_sum = 0.0;
   double on_target_sum = 0.0;
-  for (size_t victim : victims) {
+  for (size_t victim :
+       DrawSubset(original.size(), options.num_victims, options.seed)) {
     WCOP_RETURN_IF_ERROR(CheckRunContext(options.run_context));
     const Trajectory& truth = original[victim];
     if (published.FindById(truth.id()) == nullptr) {
@@ -140,10 +88,8 @@ Result<TrackingAttackResult> SimulateTrackingAttack(
         first_acquisition = false;
       }
       const Point next = best->PositionAt(t);
-      if (!first_acquisition && options.step_seconds > 0.0) {
-        vel_x = (next.x - tracked.x) / options.step_seconds;
-        vel_y = (next.y - tracked.y) / options.step_seconds;
-      }
+      vel_x = (next.x - tracked.x) / options.step_seconds;
+      vel_y = (next.y - tracked.y) / options.step_seconds;
       tracked = next;
       ++steps;
       if (current_id == truth.id()) {
@@ -172,4 +118,5 @@ Result<TrackingAttackResult> SimulateTrackingAttack(
   return result;
 }
 
+}  // namespace attack
 }  // namespace wcop

@@ -1,0 +1,73 @@
+#ifndef WCOP_COMMON_TEXT_CODEC_H_
+#define WCOP_COMMON_TEXT_CODEC_H_
+
+#include <charconv>
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <system_error>
+
+#include "common/result.h"
+
+namespace wcop {
+namespace text {
+
+/// The text convention of the shard checkpoint and the window journal
+/// record: each field is one token followed by one space; integers print in
+/// decimal, doubles at %.17g, which strtod reads back bit-exactly
+/// (subnormals, -0 and ±inf included).
+void AppendU64(std::string* out, uint64_t v);
+void AppendI64(std::string* out, int64_t v);
+void AppendF64(std::string* out, double v);
+
+/// Whitespace tokenizer over such text. Every failure is kDataLoss with a
+/// message that starts with `what` (e.g. "shard checkpoint"), so a damaged
+/// payload reads as corrupt and its owner falls back to recompute.
+class TokenScanner {
+ public:
+  TokenScanner(std::string_view text, std::string_view what)
+      : text_(text), what_(what) {}
+
+  /// The next whitespace-delimited token; never empty.
+  Result<std::string_view> Next();
+
+  /// An unsigned field rejects a sign (strtoull wrapped "-1" to 2^64 - 1),
+  /// a signed one rejects '+': the encoders write neither.
+  template <typename Int>
+  Result<Int> NextInt() {
+    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
+    Int v = 0;
+    const char* end = tok.data() + tok.size();
+    const std::from_chars_result r = std::from_chars(tok.data(), end, v);
+    if (r.ec != std::errc() || r.ptr != end) {
+      return Error("bad integer");
+    }
+    return v;
+  }
+
+  Result<uint64_t> NextU64() { return NextInt<uint64_t>(); }
+  Result<int64_t> NextI64() { return NextInt<int64_t>(); }
+
+  /// Any token strtod consumes whole. errno is not consulted: glibc sets
+  /// ERANGE for subnormals that round-trip exactly.
+  Result<double> NextF64();
+
+  /// The next token must be `want`.
+  Status Expect(std::string_view want);
+
+  /// Offset just past the last token returned.
+  size_t pos() const { return pos_; }
+
+ private:
+  Status Error(std::string_view message) const;
+
+  std::string_view text_;
+  std::string_view what_;
+  size_t pos_ = 0;
+};
+
+}  // namespace text
+}  // namespace wcop
+
+#endif  // WCOP_COMMON_TEXT_CODEC_H_

@@ -49,22 +49,4 @@ double SynchronizedEuclideanDistance(const Trajectory& a,
   return total / static_cast<double>(times.size());
 }
 
-double MaxSynchronizedDistance(const Trajectory& a, const Trajectory& b) {
-  if (a.empty() || b.empty()) {
-    return std::numeric_limits<double>::infinity();
-  }
-  const double t_lo = std::max(a.StartTime(), b.StartTime());
-  const double t_hi = std::min(a.EndTime(), b.EndTime());
-  if (t_lo > t_hi) {
-    return std::numeric_limits<double>::infinity();
-  }
-  const std::vector<double> times = OverlapTimestamps(a, b, t_lo, t_hi);
-  double max_dist = 0.0;
-  for (double t : times) {
-    max_dist =
-        std::max(max_dist, SpatialDistance(a.PositionAt(t), b.PositionAt(t)));
-  }
-  return max_dist;
-}
-
 }  // namespace wcop

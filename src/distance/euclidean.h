@@ -14,11 +14,6 @@ namespace wcop {
 /// never put them in the same equivalence class).
 double SynchronizedEuclideanDistance(const Trajectory& a, const Trajectory& b);
 
-/// Maximum (instead of mean) synchronized spatial distance over the common
-/// interval; this is the quantity that must be <= delta for two co-localized
-/// trajectories (Definition 2), evaluated at the sample timestamps.
-double MaxSynchronizedDistance(const Trajectory& a, const Trajectory& b);
-
 }  // namespace wcop
 
 #endif  // WCOP_DISTANCE_EUCLIDEAN_H_

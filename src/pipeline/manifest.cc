@@ -3,114 +3,27 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
-#include <charconv>
-#include <cinttypes>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <system_error>
 
 #include "common/log.h"
 #include "common/snapshot.h"
+#include "common/text_codec.h"
 
 namespace wcop {
 namespace pipeline {
 
 namespace {
 
-// Same text conventions as the shard checkpoint codec: space-separated
-// tokens, %.17g doubles (strtod round-trips them exactly).
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf);
-  out->push_back(' ');
-}
-
-void AppendI64(std::string* out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out->append(buf);
-  out->push_back(' ');
-}
-
-void AppendF64(std::string* out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-  out->push_back(' ');
-}
-
-class ManifestScanner {
- public:
-  explicit ManifestScanner(std::string_view text) : text_(text) {}
-
-  Result<std::string_view> Next() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) {
-      return Status::DataLoss("window manifest: truncated payload");
-    }
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) == 0) {
-      ++pos_;
-    }
-    return text_.substr(start, pos_ - start);
-  }
-
-  /// An unsigned field rejects a sign (strtoull wrapped "-1" to 2^64 - 1),
-  /// a signed one rejects '+': the encoder writes neither.
-  template <typename Int>
-  Result<Int> NextInt() {
-    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    Int v = 0;
-    const char* end = tok.data() + tok.size();
-    const std::from_chars_result r = std::from_chars(tok.data(), end, v);
-    if (r.ec != std::errc() || r.ptr != end) {
-      return Status::DataLoss("window manifest: bad integer");
-    }
-    return v;
-  }
-
-  Result<uint64_t> NextU64() { return NextInt<uint64_t>(); }
-  Result<int64_t> NextI64() { return NextInt<int64_t>(); }
-
-  Result<double> NextF64() {
-    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    char buf[64];
-    if (tok.size() >= sizeof(buf)) {
-      return Status::DataLoss("window manifest: oversized token");
-    }
-    std::memcpy(buf, tok.data(), tok.size());
-    buf[tok.size()] = '\0';
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(buf, &end);
-    if (errno != 0 || end != buf + tok.size()) {
-      return Status::DataLoss("window manifest: bad double");
-    }
-    return v;
-  }
-
-  /// Offset just past the last token returned.
-  size_t pos() const { return pos_; }
-
- private:
-  std::string_view text_;
-  size_t pos_ = 0;
-};
-
 constexpr std::string_view kMarker = "wcop-window-manifest";
 
 }  // namespace
 
 std::string EncodeWindowRecord(const WindowRecord& record) {
+  using text::AppendF64;
+  using text::AppendI64;
+  using text::AppendU64;
   const WindowManifest& m = record.manifest;
   std::string out;
   out.append(kMarker);
@@ -143,7 +56,7 @@ std::string EncodeWindowRecord(const WindowRecord& record) {
 }
 
 Result<WindowRecord> DecodeWindowRecord(std::string_view payload) {
-  ManifestScanner scan(payload);
+  text::TokenScanner scan(payload, "window manifest");
   WCOP_ASSIGN_OR_RETURN(std::string_view marker, scan.Next());
   if (marker != kMarker) {
     return Status::DataLoss("window manifest: bad marker");

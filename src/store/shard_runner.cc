@@ -3,14 +3,10 @@
 #include <sys/stat.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
-#include <charconv>
-#include <cinttypes>
-#include <cstdlib>
+#include <cstdio>
 #include <cstring>
 #include <memory>
-#include <system_error>
 #include <utility>
 
 #include "anon/checkpoint.h"
@@ -19,6 +15,7 @@
 #include "common/parallel.h"
 #include "common/snapshot.h"
 #include "common/stopwatch.h"
+#include "common/text_codec.h"
 
 namespace wcop {
 namespace store {
@@ -82,103 +79,20 @@ uint64_t ShardConfigFingerprint(const Dataset& shard_dataset,
 }
 
 // ---- checkpoint text codec (snapshot-envelope payload) -----------------
+//
+// The text sections go through common/text_codec.h; the published
+// trajectories are binary store records (ParseTrajectoryRecord). Every
+// decode failure is kDataLoss, so a damaged checkpoint falls back to
+// recompute.
 
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf);
-  out->push_back(' ');
-}
+using text::AppendF64;
+using text::AppendI64;
+using text::AppendU64;
 
-void AppendI64(std::string* out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out->append(buf);
-  out->push_back(' ');
-}
-
-void AppendF64(std::string* out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-  out->push_back(' ');
-}
-
-/// Minimal whitespace tokenizer for the checkpoint's text sections (the
-/// published trajectories are binary store records, decoded by
-/// ParseTrajectoryRecord); every failure is kDataLoss so a damaged
-/// checkpoint falls back to recompute.
-class CkptScanner {
- public:
-  explicit CkptScanner(std::string_view text) : text_(text) {}
-
-  Result<std::string_view> Next() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) {
-      return Status::DataLoss("shard checkpoint: truncated payload");
-    }
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) == 0) {
-      ++pos_;
-    }
-    return text_.substr(start, pos_ - start);
-  }
-
-  /// An unsigned field rejects a sign (strtoull wrapped "-1" to 2^64 - 1),
-  /// a signed one rejects '+': the encoder writes neither.
-  template <typename Int>
-  Result<Int> NextInt() {
-    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    Int v = 0;
-    const char* end = tok.data() + tok.size();
-    const std::from_chars_result r = std::from_chars(tok.data(), end, v);
-    if (r.ec != std::errc() || r.ptr != end) {
-      return Status::DataLoss("shard checkpoint: bad integer");
-    }
-    return v;
-  }
-
-  Result<uint64_t> NextU64() { return NextInt<uint64_t>(); }
-  Result<int64_t> NextI64() { return NextInt<int64_t>(); }
-
-  Result<double> NextF64() {
-    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    char buf[64];
-    if (tok.size() >= sizeof(buf)) {
-      return Status::DataLoss("shard checkpoint: oversized token");
-    }
-    std::memcpy(buf, tok.data(), tok.size());
-    buf[tok.size()] = '\0';
-    char* end = nullptr;
-    const double v = std::strtod(buf, &end);
-    if (end != buf + tok.size()) {
-      return Status::DataLoss("shard checkpoint: bad double");
-    }
-    return v;
-  }
-
-  Status Expect(std::string_view want) {
-    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    if (tok != want) {
-      return Status::DataLoss("shard checkpoint: expected '" +
-                              std::string(want) + "'");
-    }
-    return Status::OK();
-  }
-
-  size_t pos() const { return pos_; }
-
- private:
-  std::string_view text_;
-  size_t pos_ = 0;
-};
+constexpr std::string_view kCheckpointWhat = "shard checkpoint";
 
 /// 0 or 1, the only values the encoder writes for a flag.
-Result<bool> NextFlag(CkptScanner* scan) {
+Result<bool> NextFlag(text::TokenScanner* scan) {
   WCOP_ASSIGN_OR_RETURN(uint64_t v, scan->NextU64());
   if (v > 1) {
     return Status::DataLoss("shard checkpoint: bad flag");
@@ -266,7 +180,7 @@ std::string EncodeShardCheckpoint(uint64_t fingerprint,
 
 Result<ShardCheckpoint> DecodeShardCheckpoint(std::string_view payload,
                                               uint64_t expected_fingerprint) {
-  CkptScanner scan(payload);
+  text::TokenScanner scan(payload, kCheckpointWhat);
   WCOP_RETURN_IF_ERROR(scan.Expect("wcop-shard-checkpoint"));
   WCOP_ASSIGN_OR_RETURN(uint64_t codec_version, scan.NextU64());
   if (codec_version != kShardCheckpointVersion) {
@@ -382,7 +296,7 @@ Result<ShardCheckpoint> DecodeShardCheckpoint(std::string_view payload,
                           ParseTrajectoryRecord(payload, &pos));
     state.result.sanitized.Add(std::move(t));
   }
-  CkptScanner tail(payload.substr(pos));
+  text::TokenScanner tail(payload.substr(pos), kCheckpointWhat);
   WCOP_RETURN_IF_ERROR(tail.Expect("end"));
   if (tail.Next().ok()) {
     return Status::DataLoss("shard checkpoint: trailing bytes");

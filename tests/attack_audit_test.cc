@@ -6,8 +6,9 @@
 // streaming audit kept here as its oracle byte for byte and read each
 // window block once, the audit JSON must be byte-identical across thread
 // counts, the effective-k quantifier must flag a deliberately weakened
-// publication (and must not cry wolf on a genuinely collapsed one), and
-// the linkage attack must recover hand-built ground truth.
+// publication and raw data (and must not cry wolf on a genuinely collapsed
+// one or on WCOP-CT output), and the linkage attack must recover
+// hand-built ground truth.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +23,6 @@
 #include <utility>
 #include <vector>
 
-#include "anon/attack.h"
 #include "anon/wcop.h"
 #include "attack/audit.h"
 #include "attack/candidate_source.h"
@@ -940,6 +940,29 @@ TEST(EffectiveK, PassesCollapsedKGroups) {
   EXPECT_DOUBLE_EQ(result->mean_effective_k, 5.0);
 }
 
+TEST(EffectiveK, WcopCtOutputHonoursDeclaredKWhereRawDataLeaks) {
+  // The headline guarantee, measured from the outside at epsilon = the
+  // largest requested delta: every WCOP-CT output trajectory hides among at
+  // least its declared k, while the raw data leaves most users short.
+  const Dataset d = SmallSynthetic(40, 45, /*k_max=*/4);
+  Result<AnonymizationResult> anonymized = RunWcopCt(d);
+  ASSERT_TRUE(anonymized.ok()) << anonymized.status();
+  EffectiveKOptions options;
+  options.adversary.epsilon = 250.0;
+
+  const DatasetCandidateSource published(anonymized->sanitized);
+  Result<EffectiveKResult> wcop = MeasureEffectiveK(published, options);
+  ASSERT_TRUE(wcop.ok()) << wcop.status();
+  EXPECT_EQ(wcop->users_measured, anonymized->sanitized.size());
+  EXPECT_DOUBLE_EQ(wcop->violation_fraction, 0.0)
+      << "some published trajectory has fewer companions than its k";
+
+  const DatasetCandidateSource raw(d);
+  Result<EffectiveKResult> leaked = MeasureEffectiveK(raw, options);
+  ASSERT_TRUE(leaked.ok()) << leaked.status();
+  EXPECT_GT(leaked->violation_fraction, 0.5);
+}
+
 // ---------------------------------------------------------------------------
 // Linkage attack against hand-built ground truth.
 // ---------------------------------------------------------------------------
@@ -1302,41 +1325,24 @@ TEST(AttackRunContext, CancellationStopsTheAudit) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy anon/attack.h entry points route through the new engine: they now
-// honour RunContext and emit attack.* telemetry.
+// Telemetry: the in-memory re-identification run counts its victims and
+// candidate evaluations on the shared attack.* names.
 // ---------------------------------------------------------------------------
 
-TEST(LegacyWiring, SimulateLinkageAttackEmitsTelemetryAndHonoursBudget) {
+TEST(AttackTelemetry, ReidentCountsVictimsAndCandidates) {
   const Dataset d = SmallSynthetic(24, 30, 3, 200.0, 13);
+  const DatasetCandidateSource source(d);
   telemetry::Telemetry telemetry;
-  AttackOptions options;
+  ReidentOptions options;
   options.telemetry = &telemetry;
-  Result<AttackResult> result = SimulateLinkageAttack(d, d, options);
+  Result<ReidentResult> result = RunReidentAttack(source, source, options);
   ASSERT_TRUE(result.ok()) << result.status();
   const telemetry::MetricsSnapshot snapshot =
       telemetry.metrics().Snapshot();
-  auto counter = [&](const std::string& name) -> uint64_t {
-    for (const auto& [key, value] : snapshot.counters) {
-      if (key == name) {
-        return value;
-      }
-    }
-    return 0;
-  };
-  EXPECT_GT(counter("attack.victims"), 0u);
-  EXPECT_GT(counter("attack.candidates") +
-                counter("attack.candidates.pruned"),
+  EXPECT_GT(snapshot.CounterValue("attack.victims"), 0u);
+  EXPECT_GT(snapshot.CounterValue("attack.candidates") +
+                snapshot.CounterValue("attack.candidates.pruned"),
             0u);
-
-  RunContext context;
-  ResourceBudget budget;
-  budget.max_distance_computations = 2;
-  context.set_budget(budget);
-  AttackOptions limited;
-  limited.run_context = &context;
-  Result<AttackResult> tripped = SimulateLinkageAttack(d, d, limited);
-  ASSERT_FALSE(tripped.ok());
-  EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@
 //   crash_recovery_test --child=wcopb <checkpoint_path> <out_path>
 //
 // it runs one deterministic WCOP-B sweep to completion, audits the
-// published output from the outside (effective anonymity >= declared k),
+// published output from the outside (effective k >= declared k),
 // and writes an exact (%.17g) dump of the result to <out_path>.
 //
 // The gtest side fork/execs that child three ways per armed site:
@@ -34,8 +34,9 @@
 #include <string>
 #include <vector>
 
-#include "anon/effective_anonymity.h"
 #include "anon/wcop_b.h"
+#include "attack/candidate_source.h"
+#include "attack/effective_k.h"
 #include "test_util.h"
 
 namespace wcop {
@@ -75,16 +76,22 @@ int WriteDump(const std::string& path, const std::string& dump) {
   return 0;
 }
 
-// Outside audit of the published output: every trajectory must enjoy at
-// least its declared k co-localized companions at its own delta.
+// Outside audit of the published output: an adversary who knows any
+// trajectory's sub-trajectory up to 250 m (the workload's largest delta)
+// must find at least its declared k consistent candidates.
 int AuditOrFail(const Dataset& published) {
-  const EffectiveAnonymityReport audit =
-      MeasureEffectiveAnonymity(published, 0.0, /*use_personal_delta=*/true);
-  if (audit.violation_fraction != 0.0) {
+  attack::EffectiveKOptions options;
+  options.adversary.epsilon = 250.0;
+  const attack::DatasetCandidateSource source(published);
+  Result<attack::EffectiveKResult> audit =
+      attack::MeasureEffectiveK(source, options);
+  if (!audit.ok() || audit->violation_fraction != 0.0) {
     std::fprintf(stderr,
-                 "child: effective-anonymity audit failed "
-                 "(violation_fraction=%g, min=%zu)\n",
-                 audit.violation_fraction, audit.min_anonymity);
+                 "child: effective-k audit failed (%s, violation_fraction=%g, "
+                 "mean=%g)\n",
+                 audit.status().ToString().c_str(),
+                 audit.ok() ? audit->violation_fraction : 1.0,
+                 audit.ok() ? audit->mean_effective_k : 0.0);
     return 3;
   }
   return 0;

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "distance/euclidean.h"
-#include "distance/lcss.h"
 #include "test_util.h"
 
 namespace wcop {
@@ -11,19 +10,10 @@ namespace {
 
 using testing_util::MakeLine;
 
-EdrTolerance Tol(double dx, double dy, double dt) {
-  EdrTolerance t;
-  t.dx = dx;
-  t.dy = dy;
-  t.dt = dt;
-  return t;
-}
-
 TEST(SynchronizedEuclideanTest, ParallelLinesAtConstantOffset) {
   const Trajectory a = MakeLine(1, 0, 0, 1, 0, 10);
   const Trajectory b = MakeLine(2, 0, 3, 1, 0, 10);  // 3 m north, same times
   EXPECT_NEAR(SynchronizedEuclideanDistance(a, b), 3.0, 1e-9);
-  EXPECT_NEAR(MaxSynchronizedDistance(a, b), 3.0, 1e-9);
 }
 
 TEST(SynchronizedEuclideanTest, IdenticalIsZero) {
@@ -35,7 +25,6 @@ TEST(SynchronizedEuclideanTest, NoTemporalOverlapIsInfinite) {
   const Trajectory a = MakeLine(1, 0, 0, 1, 0, 5, 1.0, 0.0);    // [0, 4]
   const Trajectory b = MakeLine(2, 0, 0, 1, 0, 5, 1.0, 100.0);  // [100, 104]
   EXPECT_TRUE(std::isinf(SynchronizedEuclideanDistance(a, b)));
-  EXPECT_TRUE(std::isinf(MaxSynchronizedDistance(a, b)));
 }
 
 TEST(SynchronizedEuclideanTest, PartialOverlapUsesOverlapOnly) {
@@ -45,7 +34,7 @@ TEST(SynchronizedEuclideanTest, PartialOverlapUsesOverlapOnly) {
   EXPECT_NEAR(SynchronizedEuclideanDistance(a, b), 4.0, 1e-9);
 }
 
-TEST(SynchronizedEuclideanTest, DivergingLinesMaxAtEndpoint) {
+TEST(SynchronizedEuclideanTest, DivergingLinesAverageOverTheOverlap) {
   // a fixed at origin over [0,10]; b walks away along x.
   std::vector<Point> stay;
   for (int i = 0; i <= 10; ++i) {
@@ -53,54 +42,12 @@ TEST(SynchronizedEuclideanTest, DivergingLinesMaxAtEndpoint) {
   }
   const Trajectory a(1, stay);
   const Trajectory b = MakeLine(2, 0, 0, 2, 0, 11);
-  EXPECT_NEAR(MaxSynchronizedDistance(a, b), 20.0, 1e-9);
   EXPECT_NEAR(SynchronizedEuclideanDistance(a, b), 10.0, 1e-9);
 }
 
 TEST(SynchronizedEuclideanTest, EmptyIsInfinite) {
   const Trajectory a = MakeLine(1, 0, 0, 1, 0, 5);
   EXPECT_TRUE(std::isinf(SynchronizedEuclideanDistance(a, Trajectory())));
-}
-
-TEST(LcssTest, IdenticalHasFullLength) {
-  const Trajectory t = MakeLine(1, 0, 0, 1, 0, 12);
-  EXPECT_EQ(LcssLength(t, t, Tol(0.5, 0.5, 0.5)), 12u);
-  EXPECT_DOUBLE_EQ(LcssDistance(t, t, Tol(0.5, 0.5, 0.5)), 0.0);
-}
-
-TEST(LcssTest, DisjointHasZeroLength) {
-  const Trajectory a = MakeLine(1, 0, 0, 1, 0, 6);
-  const Trajectory b = MakeLine(2, 1000, 1000, 1, 0, 6);
-  EXPECT_EQ(LcssLength(a, b, Tol(1, 1, 1)), 0u);
-  EXPECT_DOUBLE_EQ(LcssDistance(a, b, Tol(1, 1, 1)), 1.0);
-}
-
-TEST(LcssTest, SubsequenceDetected) {
-  // b is a copy of a with two far-away points spliced in: LCSS = |a|.
-  const Trajectory a = MakeLine(1, 0, 0, 1, 0, 5);
-  std::vector<Point> pb = a.points();
-  pb.insert(pb.begin() + 2, Point(500, 500, 1.5));
-  pb.push_back(Point(600, 600, 10.0));
-  const Trajectory b(2, pb);
-  EXPECT_EQ(LcssLength(a, b, Tol(0.5, 0.5, 0.6)), 5u);
-}
-
-TEST(LcssTest, EmptyEdgeCases) {
-  const Trajectory a = MakeLine(1, 0, 0, 1, 0, 4);
-  EXPECT_DOUBLE_EQ(LcssDistance(Trajectory(), Trajectory(), Tol(1, 1, 1)),
-                   0.0);
-  EXPECT_DOUBLE_EQ(LcssDistance(a, Trajectory(), Tol(1, 1, 1)), 1.0);
-}
-
-TEST(LcssTest, NeverExceedsShorterLength) {
-  Rng rng(8);
-  for (int round = 0; round < 30; ++round) {
-    const Trajectory a = MakeLine(1, rng.UniformReal(0, 10), 0, 1, 0,
-                                  1 + rng.UniformIndex(12));
-    const Trajectory b = MakeLine(2, rng.UniformReal(0, 10), 0, 1, 0,
-                                  1 + rng.UniformIndex(12));
-    EXPECT_LE(LcssLength(a, b, Tol(3, 3, 4)), std::min(a.size(), b.size()));
-  }
 }
 
 }  // namespace

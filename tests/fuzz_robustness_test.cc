@@ -1,5 +1,6 @@
 // Robustness: the file parsers and the store, window journal, shard
-// checkpoint and job-ledger decoders must never crash or loop on malformed
+// checkpoint, WCOP-B checkpoint and job-ledger decoders must never crash or
+// loop on malformed
 // input — they fail with a Status or skip garbage records gracefully —
 // and the anonymization pipeline must survive adversarial datasets
 // (non-finite coordinates, broken timelines, degenerate trajectories)
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "anon/checkpoint.h"
 #include "anon/verifier.h"
 #include "anon/wcop_ct.h"
 #include "common/rng.h"
@@ -999,6 +1001,136 @@ TEST_F(ShardCheckpointFuzzTest, SignsFlagsRangesAndTrailingBytesAreRejected) {
   EXPECT_FALSE(Decode(good_ + "end\n"));
   EXPECT_FALSE(Decode(good_ + std::string(1, '\0')));
   EXPECT_TRUE(Decode(good_ + " \t\n"));
+}
+
+// ---------------------------------------------------------------------------
+// WCOP-B checkpoint codec (anon/checkpoint.h): seeded field and byte
+// mutations must be rejected — kDataLoss, or kFailedPrecondition for a
+// codec version the decoder does not know — or decode to a checkpoint whose
+// re-encoding decodes back to the same bytes.
+// ---------------------------------------------------------------------------
+
+class WcopBCheckpointFuzzTest : public FuzzRobustnessTest {
+ protected:
+  void SetUp() override {
+    FuzzRobustnessTest::SetUp();
+    // Three pairs of co-travellers and one traveller asking for k = 8 of
+    // 7, who is trashed: a result with clusters and trash.
+    Dataset d;
+    for (int64_t i = 0; i < 7; ++i) {
+      d.Add(testing_util::MakeLineWithReq(
+          i, 3000.0 * static_cast<double>(i / 2),
+          20.0 * static_cast<double>(i % 2), 5.0, 0.0, 5, i < 6 ? 2 : 8,
+          300.0, 10.0));
+    }
+    WcopOptions options;
+    options.seed = 3;
+    options.trash_fraction = 0.2;
+    Result<AnonymizationResult> result = RunWcopCt(d, options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    WcopBCheckpoint checkpoint;
+    checkpoint.fingerprint = 0x13198a2e03707344ULL;
+    checkpoint.next_edit_size = 3;
+    checkpoint.final_edit_size = 2;
+    checkpoint.rounds.push_back({1, 0.1, 12.25, 12.35, 3, 1});
+    checkpoint.rounds.push_back({2, 1e-3, 7.0, 7.001, 3, 1});
+    checkpoint.anonymization = *std::move(result);
+    checkpoint.counters = {{"wcop_b.rounds", 2},
+                           {"a counter name with spaces", 12345}};
+    ASSERT_FALSE(checkpoint.anonymization.trashed_ids.empty());
+    ASSERT_FALSE(checkpoint.anonymization.clusters.empty());
+    good_ = EncodeWcopBCheckpoint(checkpoint);
+    for (size_t pos = 0; pos < good_.size(); ++pos) {
+      if (!IsSpace(good_[pos]) && (pos == 0 || IsSpace(good_[pos - 1]))) {
+        token_starts_.push_back(pos);
+      }
+    }
+    // A clean payload re-encodes to itself.
+    Result<WcopBCheckpoint> clean = DecodeWcopBCheckpoint(good_);
+    ASSERT_TRUE(clean.ok()) << clean.status();
+    ASSERT_EQ(EncodeWcopBCheckpoint(*clean), good_);
+  }
+
+  static bool IsSpace(char c) { return c == ' ' || c == '\n'; }
+
+  /// Decodes `payload` and checks the contract. Returns whether the
+  /// checkpoint was accepted.
+  bool Decode(const std::string& payload) {
+    Result<WcopBCheckpoint> c = DecodeWcopBCheckpoint(payload);
+    if (!c.ok()) {
+      EXPECT_TRUE(c.status().code() == StatusCode::kDataLoss ||
+                  c.status().code() == StatusCode::kFailedPrecondition)
+          << c.status();
+      return false;
+    }
+    const std::string encoded = EncodeWcopBCheckpoint(*c);
+    Result<WcopBCheckpoint> again = DecodeWcopBCheckpoint(encoded);
+    EXPECT_TRUE(again.ok()) << again.status();
+    if (again.ok()) {
+      EXPECT_EQ(EncodeWcopBCheckpoint(*again), encoded);
+    }
+    return true;
+  }
+
+  std::string good_;
+  std::vector<size_t> token_starts_;
+};
+
+TEST_F(WcopBCheckpointFuzzTest, SeededMutationsAreRejectedOrRoundTrip) {
+  Rng rng(808);
+  const std::vector<std::string> tokens = {
+      "", "0", "1", "2", "-1", "+7", "-0", "1.5", "12abc", "0x10", "nan",
+      "-nan", "inf", "-inf", "1e309", "-1e309", "1e-320", "2147483647",
+      "2147483648", "-2147483649", "9223372036854775807",
+      "9223372036854775808", "-9223372036854775809", "18446744073709551615",
+      "18446744073709551616", "round", "traj", "cluster", "counter", "end"};
+  size_t rejected = 0;
+  size_t accepted = 0;
+  for (int round = 0; round < 3000; ++round) {
+    std::string payload = good_;
+    const size_t edits = 1 + rng.UniformIndex(3);
+    for (size_t n = 0; n < edits; ++n) {
+      // Token positions are those of the clean payload; after an edit they
+      // may land mid-token, which is a mutation too.
+      const size_t at =
+          std::min(token_starts_[rng.UniformIndex(token_starts_.size())],
+                   payload.size());
+      const size_t end = std::min(payload.find_first_of(" \n", at),
+                                  payload.size());
+      switch (rng.UniformIndex(5)) {
+        case 0:  // replace a field with an edge-case token
+          payload.replace(at, end - at,
+                          tokens[rng.UniformIndex(tokens.size())]);
+          break;
+        case 1:  // drop a field (and its separator)
+          payload.erase(at, end - at + 1);
+          break;
+        case 2:  // duplicate a field
+          payload.insert(at, payload.substr(at, end - at + 1));
+          break;
+        case 3:  // overwrite any byte
+          payload[rng.UniformIndex(payload.size())] =
+              static_cast<char>(rng.UniformInt(0, 255));
+          break;
+        default:  // insert random bytes anywhere
+          payload.insert(rng.UniformIndex(payload.size() + 1),
+                         RandomBytes(&rng, 1 + rng.UniformIndex(8),
+                                     round % 2 == 0));
+          break;
+      }
+    }
+    if (Decode(payload)) {
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+  }
+  // Both outcomes must occur, or the mutations are not reaching the
+  // decoder's checks (or never produce a still-valid checkpoint). The
+  // end marker records the payload size, so only size-preserving edits
+  // can be accepted.
+  EXPECT_GT(rejected, 2000u);
+  EXPECT_GT(accepted, 10u);
 }
 
 // ---------------------------------------------------------------------------

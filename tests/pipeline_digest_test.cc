@@ -156,8 +156,8 @@ TEST_F(PipelineDigestTest, ThreadsAndShardsPublishThePinnedBytes) {
     Digests expected;
     for (const int threads : {1, 4}) {
       SCOPED_TRACE(ShardsKey(shards) + " threads=" + std::to_string(threads));
-      const std::string out =
-          "s" + std::to_string(shards) + "_t" + std::to_string(threads);
+      std::string out = "s";
+      out += std::to_string(shards) + "_t" + std::to_string(threads);
       Result<pipeline::ContinuousPipelineResult> result =
           pipeline::RunContinuousPipeline(Options(out, shards, threads));
       ASSERT_TRUE(result.ok()) << result.status();

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -336,6 +339,38 @@ TEST_F(PipelineTest, RecordRoundTripsExactly) {
   EXPECT_TRUE(decoded->manifest.skipped);
   EXPECT_EQ(RecordBytes(decoded->carry), RecordBytes(record.carry));
   EXPECT_EQ(decoded->carry[0].requirement().k, 3);
+}
+
+// %.17g prints every double so that strtod reads back the same bits, but
+// glibc's strtod flags subnormals with ERANGE: a decoder that rejects on
+// errno would read such a committed record as torn and recompute its window.
+TEST_F(PipelineTest, RecordRoundTripsSubnormalSignedZeroAndInfiniteDoubles) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm_min = std::numeric_limits<double>::denorm_min();
+  const double cases[][3] = {
+      {denorm_min, 1e-310, -0.0},
+      {-inf, inf, -denorm_min},
+      {-0.0, denorm_min, inf},
+  };
+  const auto bits = [](double v) {
+    uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  for (const auto& values : cases) {
+    pipeline::WindowRecord record = SampleRecord();
+    record.manifest.window_start = values[0];
+    record.manifest.window_end = values[1];
+    record.manifest.ttd = values[2];
+    const std::string encoded = pipeline::EncodeWindowRecord(record);
+    Result<pipeline::WindowRecord> decoded =
+        pipeline::DecodeWindowRecord(encoded);
+    ASSERT_TRUE(decoded.ok()) << decoded.status() << "\n" << encoded;
+    EXPECT_EQ(bits(decoded->manifest.window_start), bits(values[0]));
+    EXPECT_EQ(bits(decoded->manifest.window_end), bits(values[1]));
+    EXPECT_EQ(bits(decoded->manifest.ttd), bits(values[2]));
+    EXPECT_EQ(pipeline::EncodeWindowRecord(*decoded), encoded);
+  }
 }
 
 TEST_F(PipelineTest, RecordDecodeFailuresAreDataLoss) {

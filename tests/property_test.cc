@@ -7,8 +7,7 @@
 #include <tuple>
 
 #include "anon/wcop.h"
-#include "distance/dtw.h"
-#include "distance/lcss.h"
+#include "attack/reident.h"
 #include "related/path_perturbation.h"
 #include "related/suppression.h"
 #include "segment/convoy.h"
@@ -116,13 +115,10 @@ TEST_P(DistanceProperty, MetricLikeInvariants) {
   for (size_t i = 0; i < d.size(); ++i) {
     // Identity of indiscernibles (one direction).
     EXPECT_DOUBLE_EQ(EdrDistance(d[i], d[i], tol), 0.0);
-    EXPECT_DOUBLE_EQ(DtwDistance(d[i], d[i]), 0.0);
-    EXPECT_EQ(LcssLength(d[i], d[i], tol), d[i].size());
     for (size_t j = i + 1; j < d.size(); ++j) {
       // Symmetry.
       EXPECT_DOUBLE_EQ(EdrDistance(d[i], d[j], tol),
                        EdrDistance(d[j], d[i], tol));
-      EXPECT_DOUBLE_EQ(DtwDistance(d[i], d[j]), DtwDistance(d[j], d[i]));
       // Non-negativity and bounds.
       EXPECT_GE(EdrDistance(d[i], d[j], tol), 0.0);
       const double nedr = NormalizedEdrDistance(d[i], d[j], tol);
@@ -244,8 +240,8 @@ class AttackProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(AttackProperty, StricterKDoesNotIncreaseLinkage) {
   const uint64_t seed = GetParam();
-  AttackOptions attack;
-  attack.seed = seed + 100;
+  attack::ReidentOptions reident;
+  reident.adversary.seed = seed + 100;
 
   auto success_for = [&](int k) {
     Dataset d = SmallSynthetic(36, 40, /*k_max=*/2, /*delta_max=*/300.0,
@@ -257,9 +253,12 @@ TEST_P(AttackProperty, StricterKDoesNotIncreaseLinkage) {
     options.seed = seed + 1;
     Result<AnonymizationResult> r = RunWcopCt(d, options);
     EXPECT_TRUE(r.ok()) << r.status();
-    Result<AttackResult> a = SimulateLinkageAttack(d, r->sanitized, attack);
+    const attack::DatasetCandidateSource original(d);
+    const attack::DatasetCandidateSource published(r->sanitized);
+    Result<attack::ReidentResult> a =
+        attack::RunReidentAttack(original, published, reident);
     EXPECT_TRUE(a.ok());
-    return a.ok() ? a->top1_success_rate : 1.0;
+    return a.ok() ? a->top1_success : 1.0;
   };
 
   const double at_k2 = success_for(2);
