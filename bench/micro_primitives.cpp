@@ -1,8 +1,8 @@
 // Micro-benchmarks of the computational primitives behind the WCOP suite:
-// EDR distance / op reconstruction, synchronized Euclidean distance, DBSCAN,
-// grid-index range queries, TRACLUS MDL partitioning, greedy clustering, the
-// translation phase and CSV ingest. google-benchmark binary — runs
-// standalone.
+// EDR distance / op reconstruction, CRC-32, synchronized Euclidean
+// distance, DBSCAN, grid-index range queries, TRACLUS MDL partitioning,
+// greedy clustering, the translation phase and CSV ingest. google-benchmark
+// binary — runs standalone.
 //
 // `--json-out=FILE` (the shared bench_util flag) additionally captures every
 // run as a machine-readable record; all other flags pass through to
@@ -21,6 +21,7 @@
 #include "anon/wcop_ct.h"
 #include "bench_util.h"
 #include "cluster/dbscan.h"
+#include "common/snapshot.h"
 #include "data/store_convert.h"
 #include "distance/edr.h"
 #include "distance/edr_bounds.h"
@@ -56,43 +57,62 @@ void BM_EdrDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_EdrDistance)->Range(32, 512)->Complexity(benchmark::oNSquared);
 
+// A trip and a copy of it 60 s later with every fix moved up to 200 m: a
+// pair whose EDR time windows hold many columns and most of them match, as
+// a cluster member and its pivot in translation. (The two trips of
+// SmallDataset(2, N) are days apart for N >= 32, so every window of that
+// pair is empty.)
+std::pair<Trajectory, Trajectory> NearbyPair(size_t points) {
+  const Dataset d = SmallDataset(1, points);
+  Rng rng(21);
+  std::vector<Point> moved;
+  for (const Point& p : d[0].points()) {
+    moved.emplace_back(p.x + rng.UniformReal(-200, 200),
+                       p.y + rng.UniformReal(-200, 200), p.t + 60.0);
+  }
+  return {d[0], Trajectory(2, std::move(moved))};
+}
+
 void BM_EdrOpSequence(benchmark::State& state) {
-  const size_t points = static_cast<size_t>(state.range(0));
-  const Dataset d = SmallDataset(2, points);
+  const auto [traj, pivot] = NearbyPair(static_cast<size_t>(state.range(0)));
   const EdrTolerance tol = EdrTolerance::FromDeltaMax(250.0, 6.36);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EdrOpSequence(d[0], d[1], tol));
+    benchmark::DoNotOptimize(EdrOpSequence(traj, pivot, tol));
   }
 }
-BENCHMARK(BM_EdrOpSequence)->Range(32, 256);
+BENCHMARK(BM_EdrOpSequence)->Arg(32)->Arg(512);
 
-// The two EDR kernels head-to-head on the same pair: classic two-row
-// scalar DP and the Hyyrö bit-parallel formulation (both produce the exact
-// distance). Divergence between the per-iteration times here is what the
-// dispatch heuristic in EdrOps trades on.
-void BM_EdrScalarKernel(benchmark::State& state) {
+// The bit-parallel kernel alone (EdrDistance adds only the conversion).
+void BM_EdrOps(benchmark::State& state) {
   const size_t points = static_cast<size_t>(state.range(0));
-  const Dataset d = SmallDataset(2, points);
+  const auto [a, b] = NearbyPair(points);
   const EdrTolerance tol = EdrTolerance::FromDeltaMax(250.0, 6.36);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EdrOpsScalar(d[0], d[1], tol));
+    benchmark::DoNotOptimize(EdrOps(a, b, tol));
   }
   state.SetComplexityN(static_cast<int64_t>(points));
 }
-BENCHMARK(BM_EdrScalarKernel)->Range(32, 512)
-    ->Complexity(benchmark::oNSquared);
+BENCHMARK(BM_EdrOps)->Range(8, 512)->Complexity(benchmark::oNSquared);
 
-void BM_EdrBitParallelKernel(benchmark::State& state) {
-  const size_t points = static_cast<size_t>(state.range(0));
-  const Dataset d = SmallDataset(2, points);
-  const EdrTolerance tol = EdrTolerance::FromDeltaMax(250.0, 6.36);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EdrOpsBitParallel(d[0], d[1], tol));
+// CRC-32 of a buffer of range(1) bytes by kernel range(0): 0 slice-by-8,
+// 1 carry-less multiply (skipped on a CPU without PCLMULQDQ).
+void BM_Crc32(benchmark::State& state) {
+  const bool clmul = state.range(0) == 1;
+  if (clmul && !Crc32ClmulSupported()) {
+    state.SkipWithError("no PCLMULQDQ on this CPU");
+    return;
   }
-  state.SetComplexityN(static_cast<int64_t>(points));
+  Rng rng(17);
+  std::string buf(static_cast<size_t>(state.range(1)), '\0');
+  for (char& c : buf) {
+    c = static_cast<char>(rng.UniformInt(0, 255));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(clmul ? Crc32Clmul(buf) : Crc32SliceBy8(buf));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(1));
 }
-BENCHMARK(BM_EdrBitParallelKernel)->Range(32, 512)
-    ->Complexity(benchmark::oNSquared);
+BENCHMARK(BM_Crc32)->ArgsProduct({{0, 1}, {48, 1024, 65536}});
 
 // Per-pair cost of each cascade rung, for comparison against the kernels
 // they shortcut. Profiles are built once (the cache amortizes them the

@@ -106,41 +106,19 @@ class TokenReader {
     return Word(&word) && word == expect;
   }
 
-  bool U64(uint64_t* out) {
+  /// An integer field under text::ParseInt's rules: no sign on unsigned
+  /// fields, no '+' anywhere, and the value must fit the field.
+  template <typename IntT>
+  bool Integer(IntT* out) {
     std::string word;
-    if (!Word(&word)) return false;
-    char* end = nullptr;
-    *out = std::strtoull(word.c_str(), &end, 10);
-    return end != word.c_str() && *end == '\0';
-  }
-
-  bool I64(int64_t* out) {
-    std::string word;
-    if (!Word(&word)) return false;
-    char* end = nullptr;
-    *out = std::strtoll(word.c_str(), &end, 10);
-    return end != word.c_str() && *end == '\0';
-  }
-
-  bool SizeT(size_t* out) {
-    uint64_t v = 0;
-    if (!U64(&v)) return false;
-    *out = static_cast<size_t>(v);
-    return true;
+    return Word(&word) && text::ParseInt(word, out);
   }
 
   /// An element count: every element takes at least one payload byte, so a
   /// count larger than the bytes still unread is corrupt. Rejecting it here
   /// keeps a torn or hostile count away from vector::reserve.
   bool Count(size_t* out) {
-    return SizeT(out) && *out <= data_.size() - pos_;
-  }
-
-  bool Int(int* out) {
-    int64_t v = 0;
-    if (!I64(&v)) return false;
-    *out = static_cast<int>(v);
-    return true;
+    return Integer(out) && *out <= data_.size() - pos_;
   }
 
   bool Double(double* out) {
@@ -153,14 +131,14 @@ class TokenReader {
 
   bool Bool(bool* out) {
     uint64_t v = 0;
-    if (!U64(&v) || v > 1) return false;
+    if (!Integer(&v) || v > 1) return false;
     *out = v == 1;
     return true;
   }
 
   bool Blob(std::string* out) {
     uint64_t len = 0;
-    if (!U64(&len)) return false;
+    if (!Integer(&len)) return false;
     // Exactly one separator between the length and the bytes.
     if (pos_ >= data_.size() || !IsSpace(data_[pos_])) return false;
     ++pos_;
@@ -205,7 +183,7 @@ void AppendEndMarker(std::string* out) {
 bool CheckEndMarker(TokenReader* in, size_t payload_size) {
   std::string word;
   uint64_t total = 0;
-  return in->Word(&word) && word == "end" && in->U64(&total) &&
+  return in->Word(&word) && word == "end" && in->Integer(&total) &&
          total == payload_size;
 }
 
@@ -234,8 +212,8 @@ bool ReadTrajectory(TokenReader* in, Trajectory* out) {
   int k = 0;
   double delta = 0.0;
   size_t npoints = 0;
-  if (!in->Literal("traj") || !in->I64(&id) || !in->I64(&object_id) ||
-      !in->I64(&parent_id) || !in->Int(&k) || !in->Double(&delta) ||
+  if (!in->Literal("traj") || !in->Integer(&id) || !in->Integer(&object_id) ||
+      !in->Integer(&parent_id) || !in->Integer(&k) || !in->Double(&delta) ||
       !in->Count(&npoints)) {
     return false;
   }
@@ -278,7 +256,7 @@ bool ReadCounters(TokenReader* in,
   for (size_t i = 0; i < n; ++i) {
     std::string name;
     uint64_t value = 0;
-    if (!in->Literal("counter") || !in->Blob(&name) || !in->U64(&value)) {
+    if (!in->Literal("counter") || !in->Blob(&name) || !in->Integer(&value)) {
       return false;
     }
     out->emplace_back(std::move(name), value);
@@ -312,17 +290,18 @@ void AppendReport(std::string* out, const AnonymizationReport& r) {
 }
 
 bool ReadReport(TokenReader* in, AnonymizationReport* r) {
-  return in->Literal("report") && in->SizeT(&r->input_trajectories) &&
-         in->SizeT(&r->num_clusters) && in->SizeT(&r->trashed_trajectories) &&
-         in->SizeT(&r->trashed_points) && in->Double(&r->discernibility) &&
-         in->SizeT(&r->created_points) && in->SizeT(&r->deleted_points) &&
+  return in->Literal("report") && in->Integer(&r->input_trajectories) &&
+         in->Integer(&r->num_clusters) &&
+         in->Integer(&r->trashed_trajectories) &&
+         in->Integer(&r->trashed_points) && in->Double(&r->discernibility) &&
+         in->Integer(&r->created_points) && in->Integer(&r->deleted_points) &&
          in->Double(&r->total_spatial_translation) &&
          in->Double(&r->total_temporal_translation) &&
          in->Double(&r->avg_spatial_translation) &&
          in->Double(&r->avg_temporal_translation) && in->Double(&r->omega) &&
          in->Double(&r->ttd) && in->Double(&r->editing_distortion) &&
          in->Double(&r->total_distortion) && in->Double(&r->runtime_seconds) &&
-         in->SizeT(&r->clustering_rounds) && in->Double(&r->final_radius) &&
+         in->Integer(&r->clustering_rounds) && in->Double(&r->final_radius) &&
          in->Bool(&r->degraded) && in->Blob(&r->degraded_reason);
 }
 
@@ -379,7 +358,7 @@ bool ReadAnonymizationResult(TokenReader* in, AnonymizationResult* result) {
   result->trashed_ids.reserve(ntrashed);
   for (size_t i = 0; i < ntrashed; ++i) {
     int64_t id = 0;
-    if (!in->I64(&id)) {
+    if (!in->Integer(&id)) {
       return false;
     }
     result->trashed_ids.push_back(id);
@@ -392,14 +371,15 @@ bool ReadAnonymizationResult(TokenReader* in, AnonymizationResult* result) {
   for (size_t i = 0; i < nclusters; ++i) {
     AnonymityCluster c;
     size_t nmembers = 0;
-    if (!in->Literal("cluster") || !in->SizeT(&c.pivot) || !in->Int(&c.k) ||
-        !in->Double(&c.delta) || !in->Count(&nmembers)) {
+    if (!in->Literal("cluster") || !in->Integer(&c.pivot) ||
+        !in->Integer(&c.k) || !in->Double(&c.delta) ||
+        !in->Count(&nmembers)) {
       return false;
     }
     c.members.reserve(nmembers);
     for (size_t m = 0; m < nmembers; ++m) {
       size_t member = 0;
-      if (!in->SizeT(&member)) {
+      if (!in->Integer(&member)) {
         return false;
       }
       c.members.push_back(member);
@@ -488,7 +468,7 @@ std::string EncodeWcopBCheckpoint(const WcopBCheckpoint& checkpoint) {
 Result<WcopBCheckpoint> DecodeWcopBCheckpoint(std::string_view payload) {
   TokenReader in(payload);
   uint64_t version = 0;
-  if (!in.Literal("wcop-b-checkpoint") || !in.U64(&version)) {
+  if (!in.Literal("wcop-b-checkpoint") || !in.Integer(&version)) {
     return Corrupt("missing wcop-b preamble");
   }
   if (version != kWcopBCheckpointVersion) {
@@ -498,12 +478,12 @@ Result<WcopBCheckpoint> DecodeWcopBCheckpoint(std::string_view payload) {
         ")");
   }
   WcopBCheckpoint checkpoint;
-  if (!in.Literal("fingerprint") || !in.U64(&checkpoint.fingerprint)) {
+  if (!in.Literal("fingerprint") || !in.Integer(&checkpoint.fingerprint)) {
     return Corrupt("missing fingerprint");
   }
-  if (!in.Literal("state") || !in.SizeT(&checkpoint.next_edit_size) ||
+  if (!in.Literal("state") || !in.Integer(&checkpoint.next_edit_size) ||
       !in.Bool(&checkpoint.terminal) || !in.Bool(&checkpoint.bound_satisfied) ||
-      !in.SizeT(&checkpoint.final_edit_size)) {
+      !in.Integer(&checkpoint.final_edit_size)) {
     return Corrupt("bad wcop-b state line");
   }
   size_t nrounds = 0;
@@ -513,9 +493,10 @@ Result<WcopBCheckpoint> DecodeWcopBCheckpoint(std::string_view payload) {
   checkpoint.rounds.reserve(nrounds);
   for (size_t i = 0; i < nrounds; ++i) {
     WcopBRound r;
-    if (!in.Literal("round") || !in.SizeT(&r.edit_size) || !in.Double(&r.ttd) ||
-        !in.Double(&r.editing_distortion) || !in.Double(&r.total_distortion) ||
-        !in.SizeT(&r.num_clusters) || !in.SizeT(&r.trashed)) {
+    if (!in.Literal("round") || !in.Integer(&r.edit_size) ||
+        !in.Double(&r.ttd) || !in.Double(&r.editing_distortion) ||
+        !in.Double(&r.total_distortion) ||
+        !in.Integer(&r.num_clusters) || !in.Integer(&r.trashed)) {
       return Corrupt("bad round");
     }
     checkpoint.rounds.push_back(r);

@@ -44,7 +44,18 @@ namespace wcop {
 /// CRC-32 (ISO-HDLC polynomial, the zlib/PNG one) of `data`. Continuable:
 /// passing the CRC of a prefix as `crc` yields the CRC of the prefix
 /// followed by `data`, so Crc32(b, Crc32(a)) == Crc32(a + b).
+/// Buffers of 64 bytes or more fold with carry-less multiplies where the
+/// CPU has them (decided once per process), all others run slice-by-8.
 uint32_t Crc32(std::string_view data, uint32_t crc = 0);
+
+/// The two kernels behind Crc32, for its oracle test and the micro bench;
+/// each returns what Crc32 returns. Crc32SliceBy8 runs on any CPU.
+/// Crc32Clmul folds 64 bytes or more with PCLMULQDQ: on x86-64 it may be
+/// called only where Crc32ClmulSupported() is true; on other CPUs it runs
+/// slice-by-8.
+uint32_t Crc32SliceBy8(std::string_view data, uint32_t crc = 0);
+bool Crc32ClmulSupported();
+uint32_t Crc32Clmul(std::string_view data, uint32_t crc = 0);
 
 struct Snapshot {
   uint32_t format_version = 0;

@@ -21,6 +21,22 @@ void AppendU64(std::string* out, uint64_t v);
 void AppendI64(std::string* out, int64_t v);
 void AppendF64(std::string* out, double v);
 
+/// Parses all of `tok` as a decimal `Int`. An unsigned field rejects a
+/// sign (strtoull wrapped "-1" to 2^64 - 1), a signed one rejects '+' (the
+/// encoders write neither), and a value that does not fit `Int` is
+/// rejected, not truncated. `*out` is unchanged on failure.
+template <typename Int>
+bool ParseInt(std::string_view tok, Int* out) {
+  const char* end = tok.data() + tok.size();
+  Int v = 0;
+  const std::from_chars_result r = std::from_chars(tok.data(), end, v);
+  if (r.ec != std::errc() || r.ptr != end) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 /// Whitespace tokenizer over such text. Every failure is kDataLoss with a
 /// message that starts with `what` (e.g. "shard checkpoint"), so a damaged
 /// payload reads as corrupt and its owner falls back to recompute.
@@ -32,15 +48,12 @@ class TokenScanner {
   /// The next whitespace-delimited token; never empty.
   Result<std::string_view> Next();
 
-  /// An unsigned field rejects a sign (strtoull wrapped "-1" to 2^64 - 1),
-  /// a signed one rejects '+': the encoders write neither.
+  /// The next token as an integer, under ParseInt's rules.
   template <typename Int>
   Result<Int> NextInt() {
     WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
     Int v = 0;
-    const char* end = tok.data() + tok.size();
-    const std::from_chars_result r = std::from_chars(tok.data(), end, v);
-    if (r.ec != std::errc() || r.ptr != end) {
+    if (!ParseInt(tok, &v)) {
       return Error("bad integer");
     }
     return v;

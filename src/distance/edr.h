@@ -41,7 +41,8 @@ struct EdrOp {
 };
 
 /// EDR distance (number of edit operations: unmatched-pair substitutions cost
-/// 1, insertions/deletions cost 1). Runs in O(|a|*|b|) time and O(min) space.
+/// 1, insertions/deletions cost 1). Runs the bit-parallel kernel of
+/// distance/edr_kernel.h: O(|a|*ceil(|b|/64)) word steps, O(|b|) space.
 double EdrDistance(const Trajectory& a, const Trajectory& b,
                    const EdrTolerance& tolerance);
 
@@ -69,7 +70,13 @@ double NormalizedEdrDistance(const Trajectory& a, const Trajectory& b,
 
 /// Reconstructs one optimal EDR edit script transforming `traj` so that it
 /// aligns with `pivot` (ops are emitted in order of increasing indices).
-/// O(|traj|*|pivot|) time and space.
+/// Runs the kernel of distance/edr_kernel.h with traj as rows, keeping each
+/// row's PV/MV words (2*(|traj|+1)*ceil(|pivot|/64) words in one
+/// thread-local buffer), and backtracks from them with
+/// D(i, j) = i + popcount(PV_i & low_j) - popcount(MV_i & low_j) in the
+/// tie-break order match > substitution > delete-from-traj >
+/// delete-from-pivot. O(|traj|*ceil(|pivot|/64)) time; the script is the
+/// one the full DP table's backtrack would give.
 std::vector<EdrOp> EdrOpSequence(const Trajectory& traj,
                                  const Trajectory& pivot,
                                  const EdrTolerance& tolerance);

@@ -42,15 +42,19 @@ bool EdrSeparated(const EdrBoundsProfile& a, const EdrBoundsProfile& b,
 bool EdrBoxesSeparated(const XytBox& a, const XytBox& b,
                        const EdrTolerance& tolerance) {
   // An axis separates when even the closest pair of coordinates is farther
-  // apart than the tolerance. Infinite dt never separates (inf < x is
-  // false), so no special case is needed.
-  if (a.max_x + tolerance.dx < b.min_x || b.max_x + tolerance.dx < a.min_x) {
+  // apart than the tolerance. The test takes the rounded difference that
+  // EdrTolerance::Matches takes: for p in a and q in b, q - p >= b.min -
+  // a.max, and rounding is monotone, so fl(q - p) > tol whenever
+  // fl(b.min - a.max) > tol. (Comparing a.max + tol < b.min rounds the
+  // other side and can separate a pair Matches accepts.) Infinite dt never
+  // separates (x > inf is false), so no special case is needed.
+  if (b.min_x - a.max_x > tolerance.dx || a.min_x - b.max_x > tolerance.dx) {
     return true;
   }
-  if (a.max_y + tolerance.dy < b.min_y || b.max_y + tolerance.dy < a.min_y) {
+  if (b.min_y - a.max_y > tolerance.dy || a.min_y - b.max_y > tolerance.dy) {
     return true;
   }
-  if (a.max_t + tolerance.dt < b.min_t || b.max_t + tolerance.dt < a.min_t) {
+  if (b.min_t - a.max_t > tolerance.dt || a.min_t - b.max_t > tolerance.dt) {
     return true;
   }
   return false;
@@ -172,7 +176,9 @@ class MinMaxWindow {
 /// Number of points of `a` whose time window over `b` is non-empty and
 /// whose coordinates fall inside the window's dilated bounding box — an
 /// upper bound on how many points of `a` can participate in a match.
-/// Requires both point sequences sorted by time.
+/// Requires both point sequences sorted by time. Window and box compare
+/// the rounded differences EdrTolerance::Matches takes (b.t - a.t <= dt,
+/// min - a.x <= dx, ...), so a pair Matches accepts is always counted.
 uint32_t CountMatchable(const Trajectory& a, const Trajectory& b,
                         const EdrTolerance& tolerance) {
   const size_t n = a.size();
@@ -186,20 +192,20 @@ uint32_t CountMatchable(const Trajectory& a, const Trajectory& b,
   size_t hi = 0;
   for (size_t i = 0; i < n; ++i) {
     const Point& pa = a[i];
-    while (hi < m && b[hi].t <= pa.t + tolerance.dt) {
+    while (hi < m && b[hi].t - pa.t <= tolerance.dt) {
       win_x.Push(hi, b[hi].x);
       win_y.Push(hi, b[hi].y);
       ++hi;
     }
-    while (lo < hi && b[lo].t < pa.t - tolerance.dt) {
+    while (lo < hi && pa.t - b[lo].t > tolerance.dt) {
       ++lo;
     }
     win_x.EvictBelow(lo);
     win_y.EvictBelow(lo);
-    if (lo < hi && pa.x >= win_x.Min() - tolerance.dx &&
-        pa.x <= win_x.Max() + tolerance.dx &&
-        pa.y >= win_y.Min() - tolerance.dy &&
-        pa.y <= win_y.Max() + tolerance.dy) {
+    if (lo < hi && win_x.Min() - pa.x <= tolerance.dx &&
+        pa.x - win_x.Max() <= tolerance.dx &&
+        win_y.Min() - pa.y <= tolerance.dy &&
+        pa.y - win_y.Max() <= tolerance.dy) {
       ++count;
     }
   }

@@ -23,9 +23,10 @@ struct EdrBoundsProfile : XytBox {
   static EdrBoundsProfile Of(const Trajectory& t);
 };
 
-/// Separation certificate: when the two MBRs, dilated by the matching
-/// tolerance on the corresponding axis (dx for x, dy for y, dt for t), are
-/// disjoint on *any* axis, no point of `a` can match any point of `b`.
+/// Separation certificate: when the two MBRs are farther apart than the
+/// matching tolerance on *any* axis (dx for x, dy for y, dt for t; tested
+/// as b.min - a.max > tol, the rounded difference EdrTolerance::Matches
+/// takes), no point of `a` can match any point of `b`.
 /// Every alignment then costs exactly max(|a|,|b|) operations (substitute
 /// min(|a|,|b|) pairs, delete the rest), so the EDR is not merely bounded —
 /// it is known: EDR(a, b) = max(|a|, |b|). Degenerate profiles (length 0)
@@ -46,10 +47,10 @@ bool EdrBoxesSeparated(const XytBox& a, const XytBox& b,
 /// packing, fanout kFanout); length-0 profiles are not indexed (they are
 /// separated from everything). Node boxes are the plain union of their
 /// children's boxes, and a node is pruned by EdrBoxesSeparated, the axis
-/// test of EdrSeparated itself, so the tolerance dilates only the
-/// arithmetic of the test, never a stored box. Floating-point addition is
-/// monotone, so a node holding a non-separated member is never pruned, and
-/// dt = infinity needs no special case.
+/// test of EdrSeparated itself, so the tolerance enters only the
+/// arithmetic of the test, never a stored box. Floating-point subtraction
+/// is monotone, so a node holding a non-separated member is never pruned,
+/// and dt = infinity needs no special case.
 class EdrReachIndex {
  public:
   static constexpr size_t kFanout = BoxTree::kFanout;

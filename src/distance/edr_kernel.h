@@ -8,24 +8,17 @@
 
 namespace wcop {
 
-/// Reference kernel: the classic two-row scalar DP. O(n*m) time, O(m)
-/// scratch (thread-local, reused across calls). Always exact.
-uint32_t EdrOpsScalar(const Trajectory& a, const Trajectory& b,
-                      const EdrTolerance& tolerance);
-
-/// Bit-parallel kernel (Myers 1999 / Hyyrö 2003): EDR is unit-cost edit
-/// distance under the tolerance match predicate, so each DP row collapses
-/// to O(ceil(m/64)) word operations on vertical-delta bit vectors. Match
-/// masks are rebuilt per row from the row point's time window over `b`
-/// (two-pointer sweep; sorted timestamps) — or over all of `b` when a
-/// sequence is unsorted or dt covers everything. Always exact and
-/// bit-identical to the scalar DP.
-uint32_t EdrOpsBitParallel(const Trajectory& a, const Trajectory& b,
-                           const EdrTolerance& tolerance);
-
-/// Dispatch: picks the cheaper kernel for the shapes involved (scalar DP
-/// for small shapes, bit-parallel for long ones). Both kernels agree
-/// bit-for-bit, so the result is always the exact EDR op count.
+/// The EDR kernel (Myers 1999 / Hyyrö 2003): EDR is unit-cost edit distance
+/// under the tolerance match predicate, so each DP row collapses to
+/// O(ceil(|b|/64)) word operations on vertical-delta bit vectors. Each row's
+/// match word is built branchlessly over a structure-of-arrays copy of `b`
+/// (SSE2 on x86-64, the same expression as a scalar loop elsewhere), only
+/// over the columns inside the row point's time window when both sequences
+/// are sorted by time. The window is advanced by the same rounded
+/// difference EdrTolerance::Matches takes, so every bit is exactly
+/// Matches' verdict and the result is bit-identical to the classic scalar
+/// DP (its oracle in the tests). O(|a|*ceil(|b|/64) + window) time, O(|b|)
+/// thread-local buffers.
 uint32_t EdrOps(const Trajectory& a, const Trajectory& b,
                 const EdrTolerance& tolerance);
 

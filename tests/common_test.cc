@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <random>
 #include <sstream>
@@ -9,6 +10,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/table_printer.h"
+#include "common/text_codec.h"
 
 namespace wcop {
 namespace {
@@ -222,6 +224,26 @@ TEST(ArgParserTest, BoolParsing) {
   EXPECT_FALSE(args.GetBool("b", true));
   EXPECT_TRUE(args.GetBool("c", false));
   EXPECT_TRUE(args.GetBool("d", true));  // unparsable -> fallback
+}
+
+TEST(TextCodecTest, ParseIntTakesWholeInRangeTokensOnly) {
+  uint64_t u = 7;
+  EXPECT_TRUE(text::ParseInt("18446744073709551615", &u));
+  EXPECT_EQ(u, UINT64_MAX);
+  int k = 7;
+  EXPECT_TRUE(text::ParseInt("-2147483648", &k));
+  EXPECT_EQ(k, INT32_MIN);
+  // Rejected tokens leave the field as it was, including a valid prefix.
+  u = 7;
+  k = 7;
+  for (const char* tok : {"12x", "-3", "+3", "18446744073709551616", ""}) {
+    EXPECT_FALSE(text::ParseInt(tok, &u)) << tok;
+    EXPECT_EQ(u, 7u) << tok;
+  }
+  for (const char* tok : {"12x", "+3", "4294967298", "2147483648", " 1"}) {
+    EXPECT_FALSE(text::ParseInt(tok, &k)) << tok;
+    EXPECT_EQ(k, 7) << tok;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
-// Property tests for the EDR lower-bound cascade and the vectorized DP
-// kernels. The filter-and-refine distance engine is only sound if every
-// bound really is a lower bound and every kernel agrees bit-for-bit with
-// the reference scalar DP — both are checked here over seeded random
-// trajectories (including multi-word lengths for the bit-parallel kernel)
-// and over the degenerate corners: empty, single-point, identical, fully
-// separated, infinite dt, and zero tolerance.
+// Property tests for the EDR lower-bound cascade and the bit-parallel
+// kernel. The filter-and-refine distance engine is only sound if every
+// bound really is a lower bound and the kernel agrees bit-for-bit with the
+// reference scalar DP (tests/edr_oracle.h) — both are checked here over
+// seeded random trajectories, over tolerances on the rounding boundary of
+// a point pair's difference, and over the degenerate corners: empty,
+// single-point, identical, fully separated, infinite dt, and zero
+// tolerance. edr_test checks every length pair against the oracles.
 
 #include <gtest/gtest.h>
 
@@ -17,12 +18,14 @@
 #include "distance/edr.h"
 #include "distance/edr_bounds.h"
 #include "distance/edr_kernel.h"
+#include "edr_oracle.h"
 #include "index/box_tree.h"
 #include "test_util.h"
 
 namespace wcop {
 namespace {
 
+using testing_util::EdrOpsScalar;
 using testing_util::MakeLine;
 
 EdrTolerance Tol(double dx, double dy, double dt) {
@@ -86,6 +89,90 @@ TEST(EdrBoundsTest, EveryBoundIsALowerBoundOnRandomPairs) {
     EXPECT_LE(env.bound, exact) << "round " << round;
     if (env.exact) {
       EXPECT_EQ(env.bound, exact) << "round " << round;
+    }
+  }
+}
+
+TEST(EdrBoundsTest, BoundsRoundLikeMatches) {
+  // fl(400.8692 - 75.982) <= dt, so Matches accepts the pair, while
+  // 75.982 + dt rounds below 400.8692: a bound that compared sums instead
+  // of differences called the pair separated and bounded the distance at 1.
+  const Trajectory a(1, std::vector<Point>{Point(0, 0, 75.981999999999999)});
+  const Trajectory b(2, std::vector<Point>{Point(0, 0, 400.86920000000003)});
+  const EdrTolerance tol = Tol(1, 1, 324.88720000000001);
+  ASSERT_TRUE(tol.Matches(a[0], b[0]));
+  EXPECT_EQ(EdrOpsScalar(a, b, tol), 0u);
+  EXPECT_EQ(EdrOps(a, b, tol), 0u);
+  const EdrBoundsProfile pa = EdrBoundsProfile::Of(a);
+  const EdrBoundsProfile pb = EdrBoundsProfile::Of(b);
+  EXPECT_FALSE(EdrSeparated(pa, pb, tol));
+  EXPECT_FALSE(EdrSeparated(pb, pa, tol));
+  EXPECT_EQ(EdrEnvelopeLowerBound(a, pa, b, pb, tol).bound, 0u);
+  EXPECT_EQ(EdrEnvelopeLowerBound(b, pb, a, pa, tol).bound, 0u);
+}
+
+/// A coordinate at millisecond (millimetre) resolution.
+double Milli(Rng* rng, double lo, double hi) {
+  return std::round(rng->UniformReal(lo, hi) * 1000.0) / 1000.0;
+}
+
+/// A tolerance on the boundary of |p - q|: the rounded difference or the
+/// difference rounded to a millisecond, moved by up to two ulps.
+double BoundaryTolerance(Rng* rng, double p, double q) {
+  double tol = std::abs(q - p);
+  if (rng->UniformIndex(2) == 0) {
+    tol = std::round(tol * 1000.0) / 1000.0;
+  }
+  const int ulps = static_cast<int>(rng->UniformIndex(5)) - 2;
+  for (int i = 0; i < std::abs(ulps); ++i) {
+    tol = std::nextafter(tol, ulps > 0 ? 1e300 : 0.0);
+  }
+  return tol;
+}
+
+TEST(EdrBoundsTest, BoundaryTolerancesKeepEveryBoundSound) {
+  // Short sorted trajectories at millisecond resolution, with tolerances
+  // within two ulps of a point pair's difference on each axis: the cases
+  // where comparing a.max + tol < b.min and |a - b| <= tol disagree.
+  Rng rng(1173);
+  for (int round = 0; round < 20000; ++round) {
+    std::vector<Point> pa_pts, pb_pts;
+    double ta = Milli(&rng, 0, 500);
+    double tb = Milli(&rng, 0, 500);
+    const size_t na = 1 + rng.UniformIndex(4);
+    const size_t nb = 1 + rng.UniformIndex(4);
+    for (size_t i = 0; i < na; ++i) {
+      pa_pts.emplace_back(Milli(&rng, 0, 300), Milli(&rng, 0, 300), ta);
+      ta += Milli(&rng, 0, 200);
+    }
+    for (size_t i = 0; i < nb; ++i) {
+      pb_pts.emplace_back(Milli(&rng, 0, 300), Milli(&rng, 0, 300), tb);
+      tb += Milli(&rng, 0, 200);
+    }
+    const Trajectory a(1, pa_pts), b(2, pb_pts);
+    const Point& p = a[rng.UniformIndex(na)];
+    const Point& q = b[rng.UniformIndex(nb)];
+    const EdrTolerance tol =
+        Tol(BoundaryTolerance(&rng, p.x, q.x),
+            BoundaryTolerance(&rng, p.y, q.y),
+            BoundaryTolerance(&rng, p.t, q.t));
+    const uint32_t exact = EdrOpsScalar(a, b, tol);
+    ASSERT_EQ(EdrOps(a, b, tol), exact) << "round " << round;
+    const EdrBoundsProfile prof_a = EdrBoundsProfile::Of(a);
+    const EdrBoundsProfile prof_b = EdrBoundsProfile::Of(b);
+    if (EdrSeparated(prof_a, prof_b, tol)) {
+      for (size_t i = 0; i < na; ++i) {
+        for (size_t j = 0; j < nb; ++j) {
+          ASSERT_FALSE(tol.Matches(a[i], b[j]))
+              << "separated pair matches, round " << round;
+        }
+      }
+    }
+    const EdrEnvelopeBound env =
+        EdrEnvelopeLowerBound(a, prof_a, b, prof_b, tol);
+    ASSERT_LE(env.bound, exact) << "round " << round;
+    if (env.exact) {
+      ASSERT_EQ(env.bound, exact) << "round " << round;
     }
   }
 }
@@ -361,63 +448,16 @@ TEST(BoxTreeTest, NaNBoundReachesTheRoot) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel agreement: bit-parallel and the dispatch are bit-identical to scalar.
+// Kernel agreement: the bit-parallel kernel is bit-identical to the scalar DP.
 // ---------------------------------------------------------------------------
 
-TEST(EdrKernelTest, BitParallelMatchesScalarAcrossWordBoundaries) {
-  Rng rng(7);
-  // Lengths straddling 64 and 128 exercise the multi-block carry chain.
-  const size_t lengths[] = {0, 1, 5, 31, 63, 64, 65, 100, 127, 128, 130, 200};
-  for (size_t la : lengths) {
-    for (size_t lb : lengths) {
-      std::vector<Point> pa, pb;
-      double t = 0;
-      for (size_t i = 0; i < la; ++i) {
-        pa.emplace_back(rng.UniformReal(0, 20), rng.UniformReal(0, 20), t);
-        t += rng.UniformReal(0.5, 3.0);
-      }
-      t = rng.UniformReal(0, 30);
-      for (size_t i = 0; i < lb; ++i) {
-        pb.emplace_back(rng.UniformReal(0, 20), rng.UniformReal(0, 20), t);
-        t += rng.UniformReal(0.5, 3.0);
-      }
-      const Trajectory a(1, pa), b(2, pb);
-      const EdrTolerance tol = Tol(4, 4, 10);
-      EXPECT_EQ(EdrOpsBitParallel(a, b, tol), EdrOpsScalar(a, b, tol))
-          << la << "x" << lb;
-    }
-  }
-}
-
-TEST(EdrKernelTest, BitParallelMatchesScalarOnRandomPairs) {
+TEST(EdrKernelTest, MatchesScalarOnRandomPairs) {
   Rng rng(99);
   for (int round = 0; round < 300; ++round) {
     const Trajectory a = RandomTrajectory(&rng, 1, 150, 40.0);
     const Trajectory b = RandomTrajectory(&rng, 2, 150, 40.0);
     const EdrTolerance tol = RandomTolerance(&rng);
-    EXPECT_EQ(EdrOpsBitParallel(a, b, tol), EdrOpsScalar(a, b, tol))
-        << "round " << round;
-  }
-}
-
-TEST(EdrKernelTest, DispatchAgreesWithScalar) {
-  Rng rng(55);
-  for (int round = 0; round < 300; ++round) {
-    const Trajectory a = RandomTrajectory(&rng, 1, 120, 50.0);
-    const Trajectory b = RandomTrajectory(&rng, 2, 120, 50.0);
-    const EdrTolerance tol = RandomTolerance(&rng);
     EXPECT_EQ(EdrOps(a, b, tol), EdrOpsScalar(a, b, tol)) << "round " << round;
-  }
-}
-
-TEST(EdrKernelTest, LegacyEntryPointStillExact) {
-  // EdrDistance routes through the kernel dispatch; spot-check it against
-  // the scalar kernel on shapes around the dispatch thresholds.
-  Rng rng(13);
-  for (int round = 0; round < 100; ++round) {
-    const Trajectory a = RandomTrajectory(&rng, 1, 90, 40.0);
-    const Trajectory b = RandomTrajectory(&rng, 2, 90, 40.0);
-    const EdrTolerance tol = RandomTolerance(&rng);
     EXPECT_DOUBLE_EQ(EdrDistance(a, b, tol),
                      static_cast<double>(EdrOpsScalar(a, b, tol)))
         << "round " << round;
@@ -430,12 +470,12 @@ TEST(EdrKernelTest, ZeroToleranceAndInfiniteDt) {
   const Trajectory b = MakeLine(2, 0, 0, 1, 0, 70);
   const EdrTolerance zero = Tol(0, 0, 0);
   EXPECT_EQ(EdrOpsScalar(a, b, zero), 0u);
-  EXPECT_EQ(EdrOpsBitParallel(a, b, zero), 0u);
+  EXPECT_EQ(EdrOps(a, b, zero), 0u);
 
-  // Infinite dt disables the windowed mask build; results must not change.
+  // Infinite dt: the time window covers every column.
   const EdrTolerance inf_dt =
       Tol(2, 2, std::numeric_limits<double>::infinity());
-  EXPECT_EQ(EdrOpsBitParallel(a, b, inf_dt), EdrOpsScalar(a, b, inf_dt));
+  EXPECT_EQ(EdrOps(a, b, inf_dt), EdrOpsScalar(a, b, inf_dt));
 }
 
 }  // namespace

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "distance/edr.h"
+#include "distance/edr_kernel.h"
+#include "edr_oracle.h"
 #include "test_util.h"
 
 namespace wcop {
@@ -183,6 +189,64 @@ TEST(EdrOpSequenceTest, PivotSideAlwaysFullyCovered) {
   }
   for (int c : pivot_seen) {
     EXPECT_EQ(c, 1);
+  }
+}
+
+/// `n` points in a 20 x 20 square. Timestamps: kind 0 strictly
+/// increasing, 1 non-decreasing with runs of duplicates, 2 in random order
+/// (with a few duplicates).
+Trajectory OracleTrajectory(Rng* rng, int64_t id, size_t n, int kind) {
+  std::vector<Point> pts;
+  pts.reserve(n);
+  double t = rng->UniformReal(0, 30);
+  for (size_t i = 0; i < n; ++i) {
+    double at = t;
+    if (kind == 2) {
+      at = std::floor(rng->UniformReal(0, 1.5 * static_cast<double>(n)));
+    } else if (kind == 0 || rng->UniformIndex(5) < 3) {
+      t += rng->UniformReal(0.5, 3.0);
+    }
+    pts.emplace_back(rng->UniformReal(0, 20), rng->UniformReal(0, 20), at);
+  }
+  return Trajectory(id, std::move(pts));
+}
+
+TEST(EdrOracleTest, EveryLengthPairMatchesTheOracles) {
+  // Every length pair from 0 to 130 (one to three 64-bit words, each side
+  // of every word boundary) plus 200 and 500, each pair under one drawn
+  // mix of timestamp kinds and dt (finite, zero or infinite). The script
+  // must be the table backtrack's, op for op, and the distance the scalar
+  // DP's.
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 130; ++n) {
+    lengths.push_back(n);
+  }
+  lengths.push_back(200);
+  lengths.push_back(500);
+  const double dts[] = {6.0, 0.0, std::numeric_limits<double>::infinity()};
+  Rng rng(2026);
+  for (size_t la : lengths) {
+    for (size_t lb : lengths) {
+      const int kind_a = static_cast<int>(rng.UniformIndex(3));
+      const int kind_b = static_cast<int>(rng.UniformIndex(3));
+      const Trajectory a = OracleTrajectory(&rng, 1, la, kind_a);
+      const Trajectory b = OracleTrajectory(&rng, 2, lb, kind_b);
+      const EdrTolerance tol = Tol(4, 4, dts[rng.UniformIndex(3)]);
+      SCOPED_TRACE(std::to_string(la) + "x" + std::to_string(lb) +
+                   " kinds " + std::to_string(kind_a) +
+                   std::to_string(kind_b) + " dt " + std::to_string(tol.dt));
+      const uint32_t exact = testing_util::EdrOpsScalar(a, b, tol);
+      ASSERT_EQ(EdrOps(a, b, tol), exact);
+      const std::vector<EdrOp> ops = EdrOpSequence(a, b, tol);
+      const std::vector<EdrOp> want =
+          testing_util::EdrOpSequenceTable(a, b, tol);
+      ASSERT_EQ(ops.size(), want.size());
+      for (size_t k = 0; k < ops.size(); ++k) {
+        ASSERT_EQ(ops[k].kind, want[k].kind) << "op " << k;
+        ASSERT_EQ(ops[k].traj_index, want[k].traj_index) << "op " << k;
+        ASSERT_EQ(ops[k].pivot_index, want[k].pivot_index) << "op " << k;
+      }
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -1131,6 +1132,52 @@ TEST_F(WcopBCheckpointFuzzTest, SeededMutationsAreRejectedOrRoundTrip) {
   // can be accepted.
   EXPECT_GT(rejected, 2000u);
   EXPECT_GT(accepted, 10u);
+}
+
+/// `payload` with its end marker ("end <020-digit total>\n") rewritten to
+/// its current size, so an edit that changes the length reaches the field
+/// parsers instead of the size check.
+std::string WithEndMarker(std::string payload) {
+  payload.erase(payload.rfind("end "));
+  char marker[32];
+  std::snprintf(marker, sizeof(marker), "end %020zu\n", payload.size() + 25);
+  return payload + marker;
+}
+
+/// `payload` with field `field` (0 = the keyword) of the first line that
+/// starts with `keyword` replaced by `token`.
+std::string ReplaceField(const std::string& payload, const std::string& keyword,
+                         size_t field, const std::string& token) {
+  size_t at = payload.find("\n" + keyword + " ") + 1;
+  for (size_t f = 0; f < field; ++f) {
+    at = payload.find(' ', at) + 1;
+  }
+  const size_t end = payload.find_first_of(" \n", at);
+  return payload.substr(0, at) + token + payload.substr(end);
+}
+
+TEST_F(WcopBCheckpointFuzzTest, IntegerFieldsRejectSignsAndOverflow) {
+  // The rewritten end marker alone keeps the checkpoint valid.
+  EXPECT_TRUE(Decode(WithEndMarker(good_)));
+  ASSERT_TRUE(Decode(WithEndMarker(ReplaceField(good_, "state", 1, "4"))));
+  ASSERT_TRUE(Decode(WithEndMarker(ReplaceField(good_, "traj", 4, "3"))));
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      // next_edit_size, a size_t: strtoull read "-3" as 2^64 - 3.
+      {"state", "-3"}, {"state", "+3"}, {"state", "-0"},
+      {"state", "18446744073709551616"}};
+  for (const auto& [keyword, token] : bad) {
+    EXPECT_FALSE(Decode(WithEndMarker(ReplaceField(good_, keyword, 1, token))))
+        << keyword << " " << token;
+  }
+  // A trajectory's k, an int: 4294967298 was cast to 2.
+  for (const std::string token :
+       {"4294967298", "2147483648", "-2147483649", "+3"}) {
+    EXPECT_FALSE(Decode(WithEndMarker(ReplaceField(good_, "traj", 4, token))))
+        << "k " << token;
+  }
+  // A trajectory id, an int64: '+' is not written by the encoder.
+  EXPECT_FALSE(Decode(WithEndMarker(ReplaceField(good_, "traj", 1, "+1"))));
+  EXPECT_TRUE(Decode(WithEndMarker(ReplaceField(good_, "traj", 1, "-1"))));
 }
 
 // ---------------------------------------------------------------------------

@@ -3,30 +3,19 @@
 // published through RunContinuousPipeline at threads 1 and 4, at
 // partition.num_shards 1 and 2, and once failed by an injected I/O error
 // and then resumed. The CRC32 and size of every `window_NNNNN.wst` must
-// equal the list checked in next to this file (pipeline_digests.txt).
-//
-// A change that means to move published bytes regenerates the list with
-//
-//   WCOP_WRITE_PIPELINE_DIGESTS=$PWD/tests/pipeline_digests.txt
-//   ./build/tests/pipeline_digest_test
-//
-// (one command line) and says why in CHANGES.md. Every other change must
-// pass unchanged.
+// equal the list checked in next to this file (pipeline_digests.txt; see
+// digest_list.h for its format and how to regenerate it).
 
 #include <gtest/gtest.h>
 
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "data/synthetic.h"
+#include "digest_list.h"
 #include "pipeline/continuous.h"
 #include "store/store_file.h"
 
@@ -39,8 +28,16 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Window store name -> "<crc> <size>".
-using Digests = std::map<std::string, std::string>;
+/// The checked-in list; its configurations are "shards=<n>".
+DigestList& Pinned() {
+  static DigestList list(
+      WCOP_PIPELINE_DIGESTS,
+      "# CRC32 and size of every window store that\n"
+      "# tests/pipeline_digest_test.cc publishes, per shard count.\n"
+      "# Regenerate only for a change that means to move published\n"
+      "# bytes, and say why in CHANGES.md.\n");
+  return list;
+}
 
 class PipelineDigestTest : public ::testing::Test {
  protected:
@@ -91,69 +88,23 @@ class PipelineDigestTest : public ::testing::Test {
   std::string source_;
 };
 
-Digests WindowDigests(const std::string& dir) {
-  Digests digests;
+FileDigests WindowDigests(const std::string& dir) {
+  FileDigests digests;
   for (const auto& entry : fs::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
-    if (name.rfind("window_", 0) != 0 || entry.path().extension() != ".wst") {
-      continue;
-    }
-    Result<store::FileDigest> digest = store::DigestFile(entry.path());
-    EXPECT_TRUE(digest.ok()) << digest.status();
-    if (digest.ok()) {
-      digests[name] = std::to_string(digest->crc) + " " +
-                      std::to_string(digest->size);
+    if (name.rfind("window_", 0) == 0 && entry.path().extension() == ".wst") {
+      digests[name] = DigestOf(entry.path().string());
     }
   }
   return digests;
-}
-
-/// The checked-in list: one "shards=<n> <window store> <crc> <size>" line
-/// per published window; '#' starts a comment line.
-std::map<std::string, Digests> ReadDigestList(const std::string& path) {
-  std::map<std::string, Digests> list;
-  std::ifstream in(path);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    std::istringstream fields(line);
-    std::string config, name, crc, size;
-    fields >> config >> name >> crc >> size;
-    list[config][name] = crc + " " + size;
-  }
-  return list;
 }
 
 std::string ShardsKey(size_t shards) {
   return "shards=" + std::to_string(shards);
 }
 
-/// The expected digests of `shards`: the checked-in list, or, when
-/// WCOP_WRITE_PIPELINE_DIGESTS names a file, the digests of `fresh`,
-/// which are appended to that file first.
-Digests Expected(size_t shards, const Digests& fresh) {
-  if (const char* out = std::getenv("WCOP_WRITE_PIPELINE_DIGESTS")) {
-    std::ofstream list(out, std::ios::app);
-    for (const auto& [name, digest] : fresh) {
-      list << ShardsKey(shards) << " " << name << " " << digest << "\n";
-    }
-    return fresh;
-  }
-  return ReadDigestList(WCOP_PIPELINE_DIGESTS)[ShardsKey(shards)];
-}
-
 TEST_F(PipelineDigestTest, ThreadsAndShardsPublishThePinnedBytes) {
-  if (const char* out = std::getenv("WCOP_WRITE_PIPELINE_DIGESTS")) {
-    std::ofstream list(out, std::ios::trunc);
-    list << "# CRC32 and size of every window store that\n"
-            "# tests/pipeline_digest_test.cc publishes, per shard count.\n"
-            "# Regenerate only for a change that means to move published\n"
-            "# bytes, and say why in CHANGES.md.\n";
-  }
   for (const size_t shards : {1, 2}) {
-    Digests expected;
     for (const int threads : {1, 4}) {
       SCOPED_TRACE(ShardsKey(shards) + " threads=" + std::to_string(threads));
       std::string out = "s";
@@ -167,23 +118,14 @@ TEST_F(PipelineDigestTest, ThreadsAndShardsPublishThePinnedBytes) {
       }
       EXPECT_GT(carried, 0u) << "the feed must exercise the carry chain";
       EXPECT_GT(result->published_fragments, 0u);
-      const Digests published = WindowDigests((dir_ / out).string());
+      const FileDigests published = WindowDigests((dir_ / out).string());
       EXPECT_EQ(published.size(), result->windows_total);
-      if (threads == 1) {
-        expected = Expected(shards, published);
-        ASSERT_FALSE(expected.empty())
-            << "no " << ShardsKey(shards) << " lines in "
-            << WCOP_PIPELINE_DIGESTS;
-      }
-      EXPECT_EQ(published, expected);
+      Pinned().Expect(ShardsKey(shards), published);
     }
   }
 }
 
 TEST_F(PipelineDigestTest, ResumeAfterInjectedFailurePublishesThePinnedBytes) {
-  if (std::getenv("WCOP_WRITE_PIPELINE_DIGESTS") != nullptr) {
-    GTEST_SKIP() << "writing the digest list";
-  }
   // The first window that merges a carry is the one to fail: its store is
   // published, then its commit fails, and the resumed run must recompute it
   // from the carry committed in the record before it.
@@ -209,8 +151,7 @@ TEST_F(PipelineDigestTest, ResumeAfterInjectedFailurePublishesThePinnedBytes) {
       pipeline::RunContinuousPipeline(options);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_EQ(resumed->resumed_windows, failed);
-  EXPECT_EQ(WindowDigests(options.output_dir),
-            ReadDigestList(WCOP_PIPELINE_DIGESTS)[ShardsKey(1)]);
+  Pinned().Expect(ShardsKey(1), WindowDigests(options.output_dir));
 }
 
 }  // namespace

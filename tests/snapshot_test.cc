@@ -104,6 +104,36 @@ TEST_F(SnapshotTest, Crc32MatchesBytewiseReference) {
   EXPECT_EQ(Crc32(big), BytewiseCrc32(big));
 }
 
+// The carry-less-multiply kernel against slice-by-8, its oracle: every
+// length from 0 to 4096 (below, at and past the 64-byte cut and every
+// 16-byte tail) at every start offset 0-15, and continuation from a prefix
+// CRC across the cut.
+TEST_F(SnapshotTest, Crc32KernelsAgree) {
+  EXPECT_EQ(Crc32SliceBy8("123456789"), 0xCBF43926u);
+  if (!Crc32ClmulSupported()) {
+    GTEST_SKIP() << "this CPU has no PCLMULQDQ";
+  }
+  EXPECT_EQ(Crc32Clmul("123456789"), 0xCBF43926u);
+  const std::string buf = RandomBuffer(4096 + 16, 9);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      const std::string_view view(buf.data() + offset, len);
+      ASSERT_EQ(Crc32Clmul(view), Crc32SliceBy8(view))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  const std::string_view all(buf.data(), 300);
+  for (size_t split = 0; split <= all.size(); ++split) {
+    for (size_t end = split; end <= all.size(); end += 7) {
+      const std::string_view whole = all.substr(0, end);
+      ASSERT_EQ(Crc32Clmul(whole.substr(split),
+                           Crc32Clmul(whole.substr(0, split))),
+                Crc32SliceBy8(whole))
+          << "split " << split << " end " << end;
+    }
+  }
+}
+
 // Passing a prefix's CRC continues it: Crc32(b, Crc32(a)) == Crc32(a + b),
 // the running digest the store writer keeps while it streams a file.
 TEST_F(SnapshotTest, Crc32ContinuesAcrossEverySplit) {
