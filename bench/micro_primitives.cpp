@@ -46,17 +46,6 @@ Dataset SmallDataset(size_t n, size_t points) {
   return d;
 }
 
-void BM_EdrDistance(benchmark::State& state) {
-  const size_t points = static_cast<size_t>(state.range(0));
-  const Dataset d = SmallDataset(2, points);
-  const EdrTolerance tol = EdrTolerance::FromDeltaMax(250.0, 6.36);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EdrDistance(d[0], d[1], tol));
-  }
-  state.SetComplexityN(static_cast<int64_t>(points));
-}
-BENCHMARK(BM_EdrDistance)->Range(32, 512)->Complexity(benchmark::oNSquared);
-
 // A trip and a copy of it 60 s later with every fix moved up to 200 m: a
 // pair whose EDR time windows hold many columns and most of them match, as
 // a cluster member and its pivot in translation. (The two trips of
@@ -72,6 +61,17 @@ std::pair<Trajectory, Trajectory> NearbyPair(size_t points) {
   }
   return {d[0], Trajectory(2, std::move(moved))};
 }
+
+void BM_EdrDistance(benchmark::State& state) {
+  const size_t points = static_cast<size_t>(state.range(0));
+  const auto [a, b] = NearbyPair(points);
+  const EdrTolerance tol = EdrTolerance::FromDeltaMax(250.0, 6.36);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EdrDistance(a, b, tol));
+  }
+  state.SetComplexityN(static_cast<int64_t>(points));
+}
+BENCHMARK(BM_EdrDistance)->Range(32, 512)->Complexity(benchmark::oNSquared);
 
 void BM_EdrOpSequence(benchmark::State& state) {
   const auto [traj, pivot] = NearbyPair(static_cast<size_t>(state.range(0)));
@@ -114,15 +114,16 @@ void BM_Crc32(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32)->ArgsProduct({{0, 1}, {48, 1024, 65536}});
 
-// Per-pair cost of each cascade rung, for comparison against the kernels
-// they shortcut. Profiles are built once (the cache amortizes them the
-// same way), so these measure the incremental bound evaluation.
+// Per-pair cost of each cascade rung on a pair it cannot separate, for
+// comparison against the kernels they shortcut. Profiles are built once
+// (the memo amortizes them the same way), so these measure the
+// incremental bound evaluation.
 void BM_EdrSeparationCheck(benchmark::State& state) {
   const size_t points = static_cast<size_t>(state.range(0));
-  const Dataset d = SmallDataset(2, points);
+  const auto [a, b] = NearbyPair(points);
   const EdrTolerance tol = EdrTolerance::FromDeltaMax(250.0, 6.36);
-  const EdrBoundsProfile pa = EdrBoundsProfile::Of(d[0]);
-  const EdrBoundsProfile pb = EdrBoundsProfile::Of(d[1]);
+  const EdrBoundsProfile pa = EdrBoundsProfile::Of(a);
+  const EdrBoundsProfile pb = EdrBoundsProfile::Of(b);
   for (auto _ : state) {
     benchmark::DoNotOptimize(EdrSeparated(pa, pb, tol));
     benchmark::DoNotOptimize(EdrLengthLowerBound(pa, pb));
@@ -132,13 +133,12 @@ BENCHMARK(BM_EdrSeparationCheck)->Range(32, 512);
 
 void BM_EdrEnvelopeBound(benchmark::State& state) {
   const size_t points = static_cast<size_t>(state.range(0));
-  const Dataset d = SmallDataset(2, points);
+  const auto [a, b] = NearbyPair(points);
   const EdrTolerance tol = EdrTolerance::FromDeltaMax(250.0, 6.36);
-  const EdrBoundsProfile pa = EdrBoundsProfile::Of(d[0]);
-  const EdrBoundsProfile pb = EdrBoundsProfile::Of(d[1]);
+  const EdrBoundsProfile pa = EdrBoundsProfile::Of(a);
+  const EdrBoundsProfile pb = EdrBoundsProfile::Of(b);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        EdrEnvelopeLowerBound(d[0], pa, d[1], pb, tol));
+    benchmark::DoNotOptimize(EdrEnvelopeLowerBound(a, pa, b, pb, tol));
   }
   state.SetComplexityN(static_cast<int64_t>(points));
 }
@@ -220,13 +220,13 @@ BENCHMARK(BM_GreedyClustering)->Range(32, 256)
 
 void BM_Translation(benchmark::State& state) {
   const size_t points = static_cast<size_t>(state.range(0));
-  const Dataset d = SmallDataset(2, points);
+  const auto [traj, pivot] = NearbyPair(points);
   const EdrTolerance tol = EdrTolerance::FromDeltaMax(250.0, 6.36);
   Rng rng(9);
   for (auto _ : state) {
     TranslationStats stats;
     benchmark::DoNotOptimize(
-        TranslateToPivot(d[0], d[1], 100.0, tol, &rng, &stats));
+        TranslateToPivot(traj, pivot, 100.0, tol, &rng, &stats));
   }
 }
 BENCHMARK(BM_Translation)->Range(32, 256);

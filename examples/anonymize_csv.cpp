@@ -55,14 +55,10 @@ Result<Dataset> LoadInput(const ArgParser& args) {
         static_cast<size_t>(args.GetInt("max-trajectories", 238));
     return LoadGeoLifeDirectory(args.GetString("geolife", ""), options);
   }
-  SyntheticOptions gen;
-  gen.seed = static_cast<uint64_t>(args.GetInt("seed", 7));
-  gen.num_trajectories =
-      static_cast<size_t>(args.GetInt("trajectories", 100));
-  gen.num_users = gen.num_trajectories / 3 + 1;
-  gen.points_per_trajectory = static_cast<size_t>(args.GetInt("points", 100));
-  gen.region_half_diagonal = 20000.0;
-  gen.dataset_duration_days = 60.0;
+  const SyntheticOptions gen = SyntheticOptions::CommandLine(
+      static_cast<uint64_t>(args.GetInt("seed", 7)),
+      static_cast<size_t>(args.GetInt("trajectories", 100)),
+      static_cast<size_t>(args.GetInt("points", 100)));
   // --synthetic-tiles=N lays out N independent cities far apart — the input
   // shape that gives a multi-shard run genuinely separable components.
   const size_t tiles =
@@ -111,13 +107,7 @@ int main(int argc, char** argv) {
         "                checkpoint is flushed so re-running resumes\n"
         "              [--synthetic-tiles=T --tile-spacing=200000]  "
         "(synthetic input\n"
-        "                as T independent far-apart cities)\n"
-        "              [--distance-cascade=true|false]  (filter-and-refine "
-        "EDR\n"
-        "                lower-bound cascade; false = legacy exhaustive "
-        "scan,\n"
-        "                byte-identical output; WCOP_DISTANCE_CASCADE env "
-        "too)");
+        "                as T independent far-apart cities)");
     return 0;
   }
   if (!log::ConfigureFromArgs(args, "anonymize_csv")) {
@@ -204,7 +194,6 @@ int main(int argc, char** argv) {
   }
   options.run_context = &run_context;
   options.allow_partial_results = args.GetBool("allow-partial", false);
-  options.distance.cascade = args.GetBool("distance-cascade", true);
 
   const int shards = static_cast<int>(args.GetInt("shards", 0));
   bool per_shard_audit = false;

@@ -26,7 +26,7 @@ struct WorkingCluster {
 };
 
 size_t ElectMedoid(const std::vector<size_t>& members,
-                   ShardedPairDistanceCache* distances) {
+                   PairDistanceMemo* distances) {
   if (members.size() <= 2) {
     return members.front();
   }
@@ -35,7 +35,10 @@ size_t ElectMedoid(const std::vector<size_t>& members,
   for (size_t candidate : members) {
     double sum = 0.0;
     for (size_t other : members) {
-      sum += distances->Get(candidate, other);
+      sum += distances
+                 ->Lookup(candidate, other,
+                          std::numeric_limits<double>::infinity())
+                 .value;
     }
     if (sum < best_sum) {
       best_sum = sum;
@@ -60,6 +63,11 @@ Result<ClusteringOutcome> AgglomerativeClustering(const Dataset& dataset,
   if (options.radius_growth <= 1.0) {
     return Status::InvalidArgument("radius_growth must exceed 1");
   }
+  if (options.distance.kind == DistanceConfig::Kind::kEdr &&
+      !(options.distance.edr_scale > 0.0)) {
+    return Status::InvalidArgument(
+        "edr_scale must be positive (ResolveOptions sets radius(D))");
+  }
 
   const RunContext* context = options.run_context;
   telemetry::Telemetry* tel = options.telemetry;
@@ -75,13 +83,9 @@ Result<ClusteringOutcome> AgglomerativeClustering(const Dataset& dataset,
     cluster_size = tel->metrics().GetHistogram("cluster.size");
   }
   // Agglomerative merging eventually touches most pairs; reserving the
-  // full triangle up front keeps the hot loop free of rehashes. The sharded
-  // cache replaces the old private memo, bringing the same lower-bound
-  // cascade (analytic separation/envelope exacts, cutoff-certified bounds)
-  // to the medoid partner search.
-  ShardedPairDistanceCache distances(dataset, options.distance, context, tel,
-                                     n * (n - 1) / 2);
-  const bool cascade = distances.cascade_active();
+  // full triangle up front keeps the hot loop free of rehashes.
+  PairDistanceMemo distances(dataset, options.distance, context, tel,
+                             n * (n - 1) / 2);
   double radius_max = options.radius_max;
 
   for (size_t round = 0; round < options.max_clustering_rounds; ++round) {
@@ -129,33 +133,21 @@ Result<ClusteringOutcome> AgglomerativeClustering(const Dataset& dataset,
       if (worst == n) {
         break;  // all requirements met
       }
-      // Nearest live partner within radius_max (medoid distance). Under
-      // the cascade the running best tightens a cutoff: a certified bound
-      // above it proves the cluster cannot win (selection takes strictly
-      // smaller distances, so ties keep the first cluster either way).
+      // Nearest live partner within radius_max (medoid distance). The
+      // running best tightens the cutoff: a certified bound above it proves
+      // the cluster cannot win (selection takes strictly smaller distances,
+      // so ties keep the first cluster, as on exact distances).
       size_t partner = n;
       double partner_dist = std::numeric_limits<double>::infinity();
       for (size_t c = 0; c < clusters.size(); ++c) {
         if (c == worst || !clusters[c].alive) {
           continue;
         }
-        double d;
-        if (cascade) {
-          const double cutoff = std::min(radius_max, partner_dist);
-          const auto probe =
-              distances.CheapProbe(clusters[worst].medoid, clusters[c].medoid);
-          if (probe.exact) {
-            d = probe.value;
-          } else if (probe.value > cutoff) {
-            distances.CountBoundPrune(probe.rung);
-            continue;
-          } else {
-            d = distances.GetWithCutoff(clusters[worst].medoid,
-                                        clusters[c].medoid, cutoff);
-          }
-        } else {
-          d = distances.Get(clusters[worst].medoid, clusters[c].medoid);
-        }
+        const double d =
+            distances
+                .Lookup(clusters[worst].medoid, clusters[c].medoid,
+                        std::min(radius_max, partner_dist))
+                .value;
         if (d <= radius_max && d < partner_dist) {
           partner_dist = d;
           partner = c;

@@ -2,7 +2,6 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/text_codec.h"
@@ -84,87 +83,43 @@ void EndLine(std::string* out) {
   }
 }
 
-class TokenReader {
- public:
-  explicit TokenReader(std::string_view data) : data_(data) {}
+using text::TokenScanner;
 
-  bool Word(std::string* out) {
-    SkipSpace();
-    const size_t start = pos_;
-    while (pos_ < data_.size() && !IsSpace(data_[pos_])) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      return false;
-    }
-    out->assign(data_.substr(start, pos_ - start));
-    return true;
+/// Reads one field of the type of `*out`: an integer under ParseInt's
+/// rules, a %.17g double, a 0/1 flag or a blob.
+template <typename Int>
+Status ReadField(TokenScanner* in, Int* out) {
+  WCOP_ASSIGN_OR_RETURN(*out, in->NextInt<Int>());
+  return Status::OK();
+}
+
+Status ReadField(TokenScanner* in, double* out) {
+  WCOP_ASSIGN_OR_RETURN(*out, in->NextF64());
+  return Status::OK();
+}
+
+Status ReadField(TokenScanner* in, bool* out) {
+  WCOP_ASSIGN_OR_RETURN(const uint64_t v, in->NextU64());
+  if (v > 1) {
+    return Status::DataLoss("wcop-b checkpoint: bad flag");
   }
+  *out = v == 1;
+  return Status::OK();
+}
 
-  bool Literal(std::string_view expect) {
-    std::string word;
-    return Word(&word) && word == expect;
-  }
+Status ReadField(TokenScanner* in, std::string* out) {
+  WCOP_ASSIGN_OR_RETURN(const std::string_view blob, in->NextBlob());
+  out->assign(blob);
+  return Status::OK();
+}
 
-  /// An integer field under text::ParseInt's rules: no sign on unsigned
-  /// fields, no '+' anywhere, and the value must fit the field.
-  template <typename IntT>
-  bool Integer(IntT* out) {
-    std::string word;
-    return Word(&word) && text::ParseInt(word, out);
-  }
-
-  /// An element count: every element takes at least one payload byte, so a
-  /// count larger than the bytes still unread is corrupt. Rejecting it here
-  /// keeps a torn or hostile count away from vector::reserve.
-  bool Count(size_t* out) {
-    return Integer(out) && *out <= data_.size() - pos_;
-  }
-
-  bool Double(double* out) {
-    std::string word;
-    if (!Word(&word)) return false;
-    char* end = nullptr;
-    *out = std::strtod(word.c_str(), &end);
-    return end != word.c_str() && *end == '\0';
-  }
-
-  bool Bool(bool* out) {
-    uint64_t v = 0;
-    if (!Integer(&v) || v > 1) return false;
-    *out = v == 1;
-    return true;
-  }
-
-  bool Blob(std::string* out) {
-    uint64_t len = 0;
-    if (!Integer(&len)) return false;
-    // Exactly one separator between the length and the bytes.
-    if (pos_ >= data_.size() || !IsSpace(data_[pos_])) return false;
-    ++pos_;
-    if (data_.size() - pos_ < len) return false;
-    out->assign(data_.substr(pos_, len));
-    pos_ += len;
-    return true;
-  }
-
- private:
-  static bool IsSpace(char c) {
-    return c == ' ' || c == '\n' || c == '\t' || c == '\r';
-  }
-
-  void SkipSpace() {
-    while (pos_ < data_.size() && IsSpace(data_[pos_])) {
-      ++pos_;
-    }
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-Status Corrupt(std::string_view what) {
-  return Status::DataLoss("checkpoint payload corrupt: " + std::string(what));
+/// The line keyword `keyword`, then each field in order.
+template <typename... Fields>
+Status ReadLine(TokenScanner* in, std::string_view keyword,
+                Fields*... fields) {
+  Status s = in->Expect(keyword);
+  ((s = s.ok() ? ReadField(in, fields) : s), ...);
+  return s;
 }
 
 // Fixed-width trailer "end <020-digit total>\n" carrying the payload's final
@@ -180,11 +135,14 @@ void AppendEndMarker(std::string* out) {
   out->append(buf);
 }
 
-bool CheckEndMarker(TokenReader* in, size_t payload_size) {
-  std::string word;
+Status CheckEndMarker(TokenScanner* in, size_t payload_size) {
   uint64_t total = 0;
-  return in->Word(&word) && word == "end" && in->Integer(&total) &&
-         total == payload_size;
+  WCOP_RETURN_IF_ERROR(ReadLine(in, "end", &total));
+  if (total != payload_size) {
+    return Status::DataLoss(
+        "wcop-b checkpoint: bad end marker (truncated or trailing bytes)");
+  }
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -207,29 +165,25 @@ void AppendTrajectory(std::string* out, const Trajectory& t) {
   EndLine(out);
 }
 
-bool ReadTrajectory(TokenReader* in, Trajectory* out) {
+Status ReadTrajectory(TokenScanner* in, Trajectory* out) {
   int64_t id = 0, object_id = 0, parent_id = 0;
   int k = 0;
   double delta = 0.0;
-  size_t npoints = 0;
-  if (!in->Literal("traj") || !in->Integer(&id) || !in->Integer(&object_id) ||
-      !in->Integer(&parent_id) || !in->Integer(&k) || !in->Double(&delta) ||
-      !in->Count(&npoints)) {
-    return false;
-  }
+  WCOP_RETURN_IF_ERROR(
+      ReadLine(in, "traj", &id, &object_id, &parent_id, &k, &delta));
+  WCOP_ASSIGN_OR_RETURN(const size_t npoints, in->NextCount());
   std::vector<Point> points;
   points.reserve(npoints);
   for (size_t i = 0; i < npoints; ++i) {
-    double x = 0.0, y = 0.0, t = 0.0;
-    if (!in->Double(&x) || !in->Double(&y) || !in->Double(&t)) {
-      return false;
-    }
+    WCOP_ASSIGN_OR_RETURN(const double x, in->NextF64());
+    WCOP_ASSIGN_OR_RETURN(const double y, in->NextF64());
+    WCOP_ASSIGN_OR_RETURN(const double t, in->NextF64());
     points.emplace_back(x, y, t);
   }
   *out = Trajectory(id, std::move(points), Requirement{k, delta});
   out->set_object_id(object_id);
   out->set_parent_id(parent_id);
-  return true;
+  return Status::OK();
 }
 
 void AppendCounters(
@@ -246,22 +200,18 @@ void AppendCounters(
   }
 }
 
-bool ReadCounters(TokenReader* in,
-                  std::vector<std::pair<std::string, uint64_t>>* out) {
-  size_t n = 0;
-  if (!in->Literal("ncounters") || !in->Count(&n)) {
-    return false;
-  }
+Status ReadCounters(TokenScanner* in,
+                    std::vector<std::pair<std::string, uint64_t>>* out) {
+  WCOP_RETURN_IF_ERROR(in->Expect("ncounters"));
+  WCOP_ASSIGN_OR_RETURN(const size_t n, in->NextCount());
   out->reserve(n);
   for (size_t i = 0; i < n; ++i) {
     std::string name;
     uint64_t value = 0;
-    if (!in->Literal("counter") || !in->Blob(&name) || !in->Integer(&value)) {
-      return false;
-    }
+    WCOP_RETURN_IF_ERROR(ReadLine(in, "counter", &name, &value));
     out->emplace_back(std::move(name), value);
   }
-  return true;
+  return Status::OK();
 }
 
 void AppendReport(std::string* out, const AnonymizationReport& r) {
@@ -289,20 +239,16 @@ void AppendReport(std::string* out, const AnonymizationReport& r) {
   EndLine(out);
 }
 
-bool ReadReport(TokenReader* in, AnonymizationReport* r) {
-  return in->Literal("report") && in->Integer(&r->input_trajectories) &&
-         in->Integer(&r->num_clusters) &&
-         in->Integer(&r->trashed_trajectories) &&
-         in->Integer(&r->trashed_points) && in->Double(&r->discernibility) &&
-         in->Integer(&r->created_points) && in->Integer(&r->deleted_points) &&
-         in->Double(&r->total_spatial_translation) &&
-         in->Double(&r->total_temporal_translation) &&
-         in->Double(&r->avg_spatial_translation) &&
-         in->Double(&r->avg_temporal_translation) && in->Double(&r->omega) &&
-         in->Double(&r->ttd) && in->Double(&r->editing_distortion) &&
-         in->Double(&r->total_distortion) && in->Double(&r->runtime_seconds) &&
-         in->Integer(&r->clustering_rounds) && in->Double(&r->final_radius) &&
-         in->Bool(&r->degraded) && in->Blob(&r->degraded_reason);
+Status ReadReport(TokenScanner* in, AnonymizationReport* r) {
+  return ReadLine(in, "report", &r->input_trajectories, &r->num_clusters,
+                  &r->trashed_trajectories, &r->trashed_points,
+                  &r->discernibility, &r->created_points, &r->deleted_points,
+                  &r->total_spatial_translation,
+                  &r->total_temporal_translation, &r->avg_spatial_translation,
+                  &r->avg_temporal_translation, &r->omega, &r->ttd,
+                  &r->editing_distortion, &r->total_distortion,
+                  &r->runtime_seconds, &r->clustering_rounds,
+                  &r->final_radius, &r->degraded, &r->degraded_reason);
 }
 
 void AppendAnonymizationResult(std::string* out,
@@ -336,55 +282,31 @@ void AppendAnonymizationResult(std::string* out,
   AppendReport(out, result.report);
 }
 
-bool ReadAnonymizationResult(TokenReader* in, AnonymizationResult* result) {
-  size_t ntraj = 0;
-  if (!in->Literal("ntraj") || !in->Count(&ntraj)) {
-    return false;
-  }
-  std::vector<Trajectory> sanitized;
-  sanitized.reserve(ntraj);
-  for (size_t i = 0; i < ntraj; ++i) {
-    Trajectory t;
-    if (!ReadTrajectory(in, &t)) {
-      return false;
-    }
-    sanitized.push_back(std::move(t));
+Status ReadAnonymizationResult(TokenScanner* in,
+                               AnonymizationResult* result) {
+  WCOP_RETURN_IF_ERROR(in->Expect("ntraj"));
+  WCOP_ASSIGN_OR_RETURN(const size_t ntraj, in->NextCount());
+  std::vector<Trajectory> sanitized(ntraj);
+  for (Trajectory& t : sanitized) {
+    WCOP_RETURN_IF_ERROR(ReadTrajectory(in, &t));
   }
   result->sanitized = Dataset(std::move(sanitized));
-  size_t ntrashed = 0;
-  if (!in->Literal("ntrashed") || !in->Count(&ntrashed)) {
-    return false;
+  WCOP_RETURN_IF_ERROR(in->Expect("ntrashed"));
+  WCOP_ASSIGN_OR_RETURN(const size_t ntrashed, in->NextCount());
+  result->trashed_ids.resize(ntrashed);
+  for (int64_t& id : result->trashed_ids) {
+    WCOP_RETURN_IF_ERROR(ReadField(in, &id));
   }
-  result->trashed_ids.reserve(ntrashed);
-  for (size_t i = 0; i < ntrashed; ++i) {
-    int64_t id = 0;
-    if (!in->Integer(&id)) {
-      return false;
+  WCOP_RETURN_IF_ERROR(in->Expect("nclusters"));
+  WCOP_ASSIGN_OR_RETURN(const size_t nclusters, in->NextCount());
+  result->clusters.resize(nclusters);
+  for (AnonymityCluster& c : result->clusters) {
+    WCOP_RETURN_IF_ERROR(ReadLine(in, "cluster", &c.pivot, &c.k, &c.delta));
+    WCOP_ASSIGN_OR_RETURN(const size_t nmembers, in->NextCount());
+    c.members.resize(nmembers);
+    for (size_t& member : c.members) {
+      WCOP_RETURN_IF_ERROR(ReadField(in, &member));
     }
-    result->trashed_ids.push_back(id);
-  }
-  size_t nclusters = 0;
-  if (!in->Literal("nclusters") || !in->Count(&nclusters)) {
-    return false;
-  }
-  result->clusters.reserve(nclusters);
-  for (size_t i = 0; i < nclusters; ++i) {
-    AnonymityCluster c;
-    size_t nmembers = 0;
-    if (!in->Literal("cluster") || !in->Integer(&c.pivot) ||
-        !in->Integer(&c.k) || !in->Double(&c.delta) ||
-        !in->Count(&nmembers)) {
-      return false;
-    }
-    c.members.reserve(nmembers);
-    for (size_t m = 0; m < nmembers; ++m) {
-      size_t member = 0;
-      if (!in->Integer(&member)) {
-        return false;
-      }
-      c.members.push_back(member);
-    }
-    result->clusters.push_back(std::move(c));
   }
   return ReadReport(in, &result->report);
 }
@@ -466,11 +388,9 @@ std::string EncodeWcopBCheckpoint(const WcopBCheckpoint& checkpoint) {
 }
 
 Result<WcopBCheckpoint> DecodeWcopBCheckpoint(std::string_view payload) {
-  TokenReader in(payload);
+  TokenScanner in(payload, "wcop-b checkpoint");
   uint64_t version = 0;
-  if (!in.Literal("wcop-b-checkpoint") || !in.Integer(&version)) {
-    return Corrupt("missing wcop-b preamble");
-  }
+  WCOP_RETURN_IF_ERROR(ReadLine(&in, "wcop-b-checkpoint", &version));
   if (version != kWcopBCheckpointVersion) {
     return Status::FailedPrecondition(
         "wcop-b checkpoint version " + std::to_string(version) +
@@ -478,38 +398,23 @@ Result<WcopBCheckpoint> DecodeWcopBCheckpoint(std::string_view payload) {
         ")");
   }
   WcopBCheckpoint checkpoint;
-  if (!in.Literal("fingerprint") || !in.Integer(&checkpoint.fingerprint)) {
-    return Corrupt("missing fingerprint");
+  WCOP_RETURN_IF_ERROR(
+      ReadLine(&in, "fingerprint", &checkpoint.fingerprint));
+  WCOP_RETURN_IF_ERROR(ReadLine(&in, "state", &checkpoint.next_edit_size,
+                                &checkpoint.terminal,
+                                &checkpoint.bound_satisfied,
+                                &checkpoint.final_edit_size));
+  WCOP_RETURN_IF_ERROR(in.Expect("nrounds"));
+  WCOP_ASSIGN_OR_RETURN(const size_t nrounds, in.NextCount());
+  checkpoint.rounds.resize(nrounds);
+  for (WcopBRound& r : checkpoint.rounds) {
+    WCOP_RETURN_IF_ERROR(ReadLine(&in, "round", &r.edit_size, &r.ttd,
+                                  &r.editing_distortion, &r.total_distortion,
+                                  &r.num_clusters, &r.trashed));
   }
-  if (!in.Literal("state") || !in.Integer(&checkpoint.next_edit_size) ||
-      !in.Bool(&checkpoint.terminal) || !in.Bool(&checkpoint.bound_satisfied) ||
-      !in.Integer(&checkpoint.final_edit_size)) {
-    return Corrupt("bad wcop-b state line");
-  }
-  size_t nrounds = 0;
-  if (!in.Literal("nrounds") || !in.Count(&nrounds)) {
-    return Corrupt("bad round count");
-  }
-  checkpoint.rounds.reserve(nrounds);
-  for (size_t i = 0; i < nrounds; ++i) {
-    WcopBRound r;
-    if (!in.Literal("round") || !in.Integer(&r.edit_size) ||
-        !in.Double(&r.ttd) || !in.Double(&r.editing_distortion) ||
-        !in.Double(&r.total_distortion) ||
-        !in.Integer(&r.num_clusters) || !in.Integer(&r.trashed)) {
-      return Corrupt("bad round");
-    }
-    checkpoint.rounds.push_back(r);
-  }
-  if (!ReadAnonymizationResult(&in, &checkpoint.anonymization)) {
-    return Corrupt("bad anonymization result");
-  }
-  if (!ReadCounters(&in, &checkpoint.counters)) {
-    return Corrupt("bad counters");
-  }
-  if (!CheckEndMarker(&in, payload.size())) {
-    return Corrupt("bad end marker (truncated or trailing bytes)");
-  }
+  WCOP_RETURN_IF_ERROR(ReadAnonymizationResult(&in, &checkpoint.anonymization));
+  WCOP_RETURN_IF_ERROR(ReadCounters(&in, &checkpoint.counters));
+  WCOP_RETURN_IF_ERROR(CheckEndMarker(&in, payload.size()));
   return checkpoint;
 }
 

@@ -1,8 +1,7 @@
 #include "anon/distance_cache.h"
 
 #include <algorithm>
-
-#include "distance/edr_kernel.h"
+#include <limits>
 
 namespace wcop {
 
@@ -14,16 +13,14 @@ constexpr uint32_t kEnvelopeMinLen = 4;
 
 }  // namespace
 
-ShardedPairDistanceCache::ShardedPairDistanceCache(
-    const Dataset& dataset, const DistanceConfig& config,
-    const RunContext* context, telemetry::Telemetry* telemetry,
-    size_t expected_pairs)
+PairDistanceMemo::PairDistanceMemo(const Dataset& dataset,
+                                   const DistanceConfig& config,
+                                   const RunContext* context,
+                                   telemetry::Telemetry* telemetry,
+                                   size_t expected_pairs)
     : dataset_(dataset), config_(config), context_(context),
       n_(dataset.size()) {
   if (telemetry != nullptr) {
-    // Resolve the counters once; the per-lookup path then pays one atomic
-    // add per event — cache hits touch nothing budget-related, matching
-    // the RunContext accounting exactly.
     distance_calls_ =
         telemetry->metrics().GetCounter(DistanceCallCounterName(config));
     cache_hits_ = telemetry->metrics().GetCounter("distance.cache_hits");
@@ -35,291 +32,117 @@ ShardedPairDistanceCache::ShardedPairDistanceCache(
     lb_envelope_ =
         telemetry->metrics().GetCounter("distance.lb.envelope_pruned");
   }
-  cascade_ = config.cascade && config.kind == DistanceConfig::Kind::kEdr &&
-             config.edr_scale > 0.0;
-  if (cascade_) {
+  if (config.kind == DistanceConfig::Kind::kEdr) {
     profiles_.reserve(n_);
     for (const Trajectory& t : dataset.trajectories()) {
       profiles_.push_back(EdrBoundsProfile::Of(t));
     }
   }
-  const size_t per_shard = expected_pairs / kShards + 1;
-  for (Shard& shard : shards_) {
-    shard.map.reserve(per_shard);
-  }
+  memo_.reserve(expected_pairs);
 }
 
-double ShardedPairDistanceCache::StoreExact(Shard& shard, uint64_t key,
-                                            double value) {
-  bool winner = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] = shard.map.try_emplace(key, Entry{value, false});
-    if (inserted) {
-      winner = true;
-    } else if (it->second.is_bound) {
-      it->second = Entry{value, false};  // upgrade a lower bound
-      winner = true;
-    } else {
-      value = it->second.value;  // lost the race to an exact value
-    }
-  }
-  if (winner) {
-    if (context_ != nullptr) {
-      context_->ChargeDistance();
-    }
-    telemetry::CounterAdd(distance_calls_);
-    computed_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    // Under serial execution this call would have been the cache hit.
-    telemetry::CounterAdd(cache_hits_);
-  }
-  return value;
-}
-
-double ShardedPairDistanceCache::StoreAnalyticExact(
-    Shard& shard, uint64_t key, double value,
-    telemetry::Counter* rung_counter) {
-  bool winner = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] = shard.map.try_emplace(key, Entry{value, false});
-    if (inserted) {
-      winner = true;
-    } else if (it->second.is_bound) {
-      it->second = Entry{value, false};
-      winner = true;
-    } else {
-      value = it->second.value;
-    }
-  }
-  if (winner) {
-    // The certificate *is* the distance; no DP ran, so neither the budget
-    // nor distance.calls.* moves. The lookup still counts as an early
-    // abandon of the exact DP — distance.early_abandoned totals every
-    // cascade resolution, with distance.lb.* as the per-rung breakdown.
-    telemetry::CounterAdd(early_abandoned_);
-    telemetry::CounterAdd(rung_counter);
-    abandoned_.fetch_add(1, std::memory_order_relaxed);
-    analytic_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    telemetry::CounterAdd(cache_hits_);
-  }
-  return value;
-}
-
-double ShardedPairDistanceCache::StoreBound(Shard& shard, uint64_t key,
-                                            double value,
-                                            telemetry::Counter* rung_counter) {
+PairDistanceMemo::Distance PairDistanceMemo::Abandoned(
+    telemetry::Counter* rung, Distance answer) const {
   telemetry::CounterAdd(early_abandoned_);
-  telemetry::CounterAdd(rung_counter);
-  abandoned_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto [it, inserted] = shard.map.try_emplace(key, Entry{value, true});
-  if (!inserted) {
-    if (!it->second.is_bound) {
-      return it->second.value;  // a racing exact insert wins over our bound
-    }
-    // Keep the tighter of two certified bounds (within one scan all racers
-    // share a cutoff, so the stored value stays schedule-independent).
-    it->second.value = std::max(it->second.value, value);
-  }
-  return value;
+  telemetry::CounterAdd(rung);
+  return answer;
 }
 
-void ShardedPairDistanceCache::CountBoundPrune(BoundRung rung) {
-  if (rung == BoundRung::kCached) {
-    // The decision was made by a previously stored (and already counted)
-    // bound — the same event a cutoff lookup served from the cache counts.
-    telemetry::CounterAdd(cache_hits_);
-    return;
+void PairDistanceMemo::Memoize(uint64_t key, double value) {
+  memo_.emplace(key, value);
+  if (context_ != nullptr) {
+    context_->ChargeDistance();
   }
-  telemetry::CounterAdd(early_abandoned_);
-  abandoned_.fetch_add(1, std::memory_order_relaxed);
-  switch (rung) {
-    case BoundRung::kLength:
-      telemetry::CounterAdd(lb_length_);
-      break;
-    case BoundRung::kSeparation:
-      telemetry::CounterAdd(lb_separation_);
-      break;
-    case BoundRung::kEnvelope:
-      telemetry::CounterAdd(lb_envelope_);
-      break;
-    case BoundRung::kCached:
-      break;
-  }
+  telemetry::CounterAdd(distance_calls_);
 }
 
-double ShardedPairDistanceCache::Get(size_t i, size_t j) {
+PairDistanceMemo::Distance PairDistanceMemo::Lookup(size_t i, size_t j,
+                                                    double cutoff) {
   if (i == j) {
-    return 0.0;
+    return Distance{0.0, true};
   }
   const uint64_t key = KeyOf(i, j);
-  Shard& shard = ShardOf(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end() && !it->second.is_bound) {
-      telemetry::CounterAdd(cache_hits_);
-      return it->second.value;
-    }
+  if (const auto it = memo_.find(key); it != memo_.end()) {
+    telemetry::CounterAdd(cache_hits_);
+    return Distance{it->second, true};
   }
-  if (cascade_) {
+  const Trajectory& a = dataset_[i];
+  const Trajectory& b = dataset_[j];
+  if (config_.kind == DistanceConfig::Kind::kEdr) {
     const EdrBoundsProfile& pa = profiles_[i];
     const EdrBoundsProfile& pb = profiles_[j];
     const uint32_t maxlen = std::max(pa.length, pb.length);
-    if (maxlen > 0) {
-      // Analytic certificates short-circuit even an exact request: when no
-      // point pair can match, the distance is max length — exactly what
-      // the DP would return.
-      if (EdrSeparated(pa, pb, config_.tolerance)) {
-        return StoreAnalyticExact(shard, key, ToScaled(maxlen, maxlen),
-                                  lb_separation_);
+    if (maxlen == 0) {
+      // Two empty trajectories: the length rung's zero is the distance.
+      return Abandoned(lb_length_, Distance{0.0, true});
+    }
+    // When no point pair can match, every alignment costs max length.
+    if (EdrSeparated(pa, pb, config_.tolerance)) {
+      return Abandoned(lb_separation_,
+                       Distance{ToScaled(maxlen, maxlen), true});
+    }
+    double bound = ToScaled(EdrLengthLowerBound(pa, pb), maxlen);
+    telemetry::Counter* rung = lb_length_;
+    if (maxlen >= kEnvelopeMinLen) {
+      const EdrEnvelopeBound env =
+          EdrEnvelopeLowerBound(a, pa, b, pb, config_.tolerance);
+      const double envelope = ToScaled(env.bound, maxlen);
+      if (env.exact) {
+        return Abandoned(lb_envelope_, Distance{envelope, true});
       }
-      if (maxlen >= kEnvelopeMinLen) {
-        const EdrEnvelopeBound env = EdrEnvelopeLowerBound(
-            dataset_[i], pa, dataset_[j], pb, config_.tolerance);
-        if (env.exact) {
-          return StoreAnalyticExact(shard, key, ToScaled(env.bound, maxlen),
-                                    lb_envelope_);
-        }
+      if (envelope > bound) {
+        bound = envelope;
+        rung = lb_envelope_;
       }
     }
+    if (bound > cutoff) {
+      // The probe at -infinity only reports the bound: it decides nothing.
+      return cutoff == -std::numeric_limits<double>::infinity()
+                 ? Distance{bound, false}
+                 : Abandoned(rung, Distance{bound, false});
+    }
   }
-  const double d = ClusterDistance(dataset_[i], dataset_[j], config_);
-  return StoreExact(shard, key, d);
+  const double d = ClusterDistance(a, b, config_);
+  Memoize(key, d);
+  return Distance{d, true};
 }
 
-double ShardedPairDistanceCache::GetWithCutoff(size_t i, size_t j,
-                                               double cutoff) {
-  if (i == j) {
-    return 0.0;
-  }
-  const uint64_t key = KeyOf(i, j);
-  Shard& shard = ShardOf(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end() &&
-        (!it->second.is_bound || it->second.value > cutoff)) {
+Status PairDistanceMemo::LookupBatch(
+    const std::vector<std::pair<size_t, size_t>>& pairs,
+    const parallel::ParallelOptions& par, std::vector<double>* values) {
+  values->assign(pairs.size(), 0.0);
+  std::vector<size_t> misses;
+  for (size_t t = 0; t < pairs.size(); ++t) {
+    const auto [i, j] = pairs[t];
+    if (i == j) {
+      continue;
+    }
+    if (const auto it = memo_.find(KeyOf(i, j)); it != memo_.end()) {
       telemetry::CounterAdd(cache_hits_);
-      return it->second.value;
+      (*values)[t] = it->second;
+    } else {
+      misses.push_back(t);
     }
   }
-  if (!cascade_) {
-    // Legacy path (also kSynchronizedEuclidean): length bound only.
-    bool was_abandoned = false;
-    const double d = ClusterDistanceWithCutoff(
-        dataset_[i], dataset_[j], config_, cutoff, &was_abandoned);
-    if (!was_abandoned) {
-      return StoreExact(shard, key, d);
-    }
-    return StoreBound(shard, key, d, lb_length_);
-  }
-  const EdrBoundsProfile& pa = profiles_[i];
-  const EdrBoundsProfile& pb = profiles_[j];
-  const uint32_t maxlen = std::max(pa.length, pb.length);
-  if (maxlen == 0) {
-    return StoreExact(shard, key, 0.0);  // two empty trajectories
-  }
-  // Rung 1: length bound, O(1).
-  const double length_bound = ToScaled(EdrLengthLowerBound(pa, pb), maxlen);
-  if (length_bound > cutoff) {
-    return StoreBound(shard, key, length_bound, lb_length_);
-  }
-  // Rung 2: separation certificate, O(1) — an analytic *exact*.
-  if (EdrSeparated(pa, pb, config_.tolerance)) {
-    return StoreAnalyticExact(shard, key, ToScaled(maxlen, maxlen),
-                              lb_separation_);
-  }
-  // Rung 3: envelope bound, O(n+m).
-  if (maxlen >= kEnvelopeMinLen) {
-    const EdrEnvelopeBound env = EdrEnvelopeLowerBound(
-        dataset_[i], pa, dataset_[j], pb, config_.tolerance);
-    if (env.exact) {
-      return StoreAnalyticExact(shard, key, ToScaled(env.bound, maxlen),
-                                lb_envelope_);
-    }
-    const double envelope_bound = ToScaled(env.bound, maxlen);
-    if (envelope_bound > cutoff) {
-      return StoreBound(shard, key, envelope_bound, lb_envelope_);
+  WCOP_RETURN_IF_ERROR(parallel::ParallelFor(
+      misses.size(),
+      [&](size_t m) {
+        const auto [i, j] = pairs[misses[m]];
+        (*values)[misses[m]] =
+            ClusterDistance(dataset_[i], dataset_[j], config_);
+      },
+      par));
+  for (const size_t t : misses) {
+    const auto [i, j] = pairs[t];
+    const uint64_t key = KeyOf(i, j);
+    if (const auto it = memo_.find(key); it != memo_.end()) {
+      // The same pair in an earlier slot: the hit a serial lookup makes.
+      telemetry::CounterAdd(cache_hits_);
+    } else {
+      Memoize(key, (*values)[t]);
     }
   }
-  // Refine: exact DP kernel.
-  return StoreExact(
-      shard, key,
-      ToScaled(EdrOps(dataset_[i], dataset_[j], config_.tolerance), maxlen));
-}
-
-ShardedPairDistanceCache::ProbeResult ShardedPairDistanceCache::CheapProbe(
-    size_t i, size_t j) {
-  ProbeResult result;
-  if (i == j) {
-    result.value = 0.0;
-    result.exact = true;
-    result.rung = BoundRung::kCached;
-    return result;
-  }
-  const uint64_t key = KeyOf(i, j);
-  Shard& shard = ShardOf(key);
-  double floor = 0.0;
-  bool have_cached_bound = false;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      if (!it->second.is_bound) {
-        telemetry::CounterAdd(cache_hits_);
-        result.value = it->second.value;
-        result.exact = true;
-        result.rung = BoundRung::kCached;
-        return result;
-      }
-      floor = it->second.value;
-      have_cached_bound = true;
-    }
-  }
-  const EdrBoundsProfile& pa = profiles_[i];
-  const EdrBoundsProfile& pb = profiles_[j];
-  const uint32_t maxlen = std::max(pa.length, pb.length);
-  if (maxlen == 0) {
-    result.value = 0.0;
-    result.exact = true;
-    result.rung = BoundRung::kCached;
-    return result;
-  }
-  result.rung = have_cached_bound ? BoundRung::kCached : BoundRung::kLength;
-  result.value = floor;
-  const double length_bound = ToScaled(EdrLengthLowerBound(pa, pb), maxlen);
-  if (length_bound > result.value) {
-    result.value = length_bound;
-    result.rung = BoundRung::kLength;
-  }
-  if (EdrSeparated(pa, pb, config_.tolerance)) {
-    result.value = StoreAnalyticExact(shard, key, ToScaled(maxlen, maxlen),
-                                      lb_separation_);
-    result.exact = true;
-    result.rung = BoundRung::kSeparation;
-    return result;
-  }
-  if (maxlen >= kEnvelopeMinLen) {
-    const EdrEnvelopeBound env = EdrEnvelopeLowerBound(
-        dataset_[i], pa, dataset_[j], pb, config_.tolerance);
-    if (env.exact) {
-      result.value = StoreAnalyticExact(shard, key, ToScaled(env.bound, maxlen),
-                                        lb_envelope_);
-      result.exact = true;
-      result.rung = BoundRung::kEnvelope;
-      return result;
-    }
-    const double envelope_bound = ToScaled(env.bound, maxlen);
-    if (envelope_bound > result.value) {
-      result.value = envelope_bound;
-      result.rung = BoundRung::kEnvelope;
-    }
-  }
-  return result;
+  return Status::OK();
 }
 
 }  // namespace wcop

@@ -139,6 +139,11 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
   if (options.radius_growth <= 1.0) {
     return Status::InvalidArgument("radius_growth must exceed 1");
   }
+  const bool edr = options.distance.kind == DistanceConfig::Kind::kEdr;
+  if (edr && !(options.distance.edr_scale > 0.0)) {
+    return Status::InvalidArgument(
+        "edr_scale must be positive (ResolveOptions sets radius(D))");
+  }
 
   const RunContext* context = options.run_context;
   telemetry::Telemetry* tel = options.telemetry;
@@ -163,16 +168,15 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
     rounds_counter = tel->metrics().GetCounter("cluster.rounds");
     cluster_size = tel->metrics().GetHistogram("cluster.size");
   }
-  // Memoizes symmetric pairwise distances across radius-relaxation rounds
-  // (the distance function is deterministic, so recomputation is pure
-  // waste). Sized for the pools the first round will scan; the cache only
-  // ever holds distinct pairs, so cap at the full pair count.
+  // Memoizes the computed distances across radius-relaxation rounds. Sized
+  // for the pools the first round will scan; the memo only ever holds
+  // distinct pairs, so cap at the full pair count.
   const size_t expected_pairs =
       std::min(n * (n - 1) / 2, n * size_t{64});
-  ShardedPairDistanceCache distances(dataset, options.distance, context, tel,
-                                     expected_pairs);
-  // Filter-and-refine scaffolding (EDR cascade only — see DESIGN.md
-  // "Distance engine: filter-and-refine"). A pivot can match a point only
+  PairDistanceMemo distances(dataset, options.distance, context, tel,
+                             expected_pairs);
+  // Filter-and-refine scaffolding (EDR only — see DESIGN.md "Distance
+  // engine: filter-and-refine"). A pivot can match a point only
   // with the candidates whose profile it is not EdrSeparated from; the
   // reach index returns exactly those. Every other candidate's normalized
   // EDR is exactly 1.0 (the all-substitution alignment), so it is priced
@@ -181,15 +185,15 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
   // cluster can ever take (cluster.k is the max member k), so the
   // (K_global - 1) smallest exact distances of a scan bound everything a
   // pivot can still accept.
-  const bool cascade = distances.cascade_active();
   const double edr_scale = options.distance.edr_scale;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   telemetry::Counter* prefiltered_counter = nullptr;
   telemetry::Counter* range_queries = nullptr;
   telemetry::Counter* boxes_tested = nullptr;
   if (tel != nullptr) {
     prefiltered_counter =
         tel->metrics().GetCounter("distance.candidates.prefiltered");
-    if (cascade) {
+    if (edr) {
       // One reach query per pivot; "candidates scanned" counts the
       // trajectory boxes it tests.
       range_queries = tel->metrics().GetCounter("grid.range_queries");
@@ -201,7 +205,7 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
   // The reach set of an empty pivot: two empty trajectories are at
   // distance 0, while a non-empty one is at edr_scale.
   std::vector<size_t> empty_trajectories;
-  if (cascade) {
+  if (edr) {
     int k_global = 2;
     for (const Trajectory& t : dataset.trajectories()) {
       k_global = std::max(k_global, t.requirement().k);
@@ -215,29 +219,24 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
     }
   }
   // Scratch reused across pivot scans.
-  std::vector<size_t> candidates;   // exhaustive path only
-  std::vector<size_t> reach;        // cascade path only
-  std::vector<size_t> active_list;  // farthest-first only
+  std::vector<size_t> reach;          // EDR only
+  std::vector<double> nearest_pivot;  // farthest-first: score per trajectory
   std::vector<std::pair<double, size_t>> pool;
-  struct RefineEntry {
-    double bound;
-    size_t index;
-    ShardedPairDistanceCache::BoundRung rung;
-  };
-  std::vector<RefineEntry> refine;
-  std::vector<double> scratch_values;
+  std::vector<std::pair<double, size_t>> refine;  // (bound, index), EDR only
+  std::vector<std::pair<size_t, size_t>> scan;    // synchronized Euclidean
+  std::vector<double> scan_values;
   TopKThreshold threshold;
   ActiveRank active_rank;
   NextUnclustered next_unclustered;
-  // Pure distance evaluations of the exhaustive scan, farthest-first and
-  // the leftover phase fan out over the pool; every ordering and
-  // tie-breaking decision below stays on this thread, so the outcome is
-  // identical for any thread count (see DESIGN.md "Parallel execution").
-  // Budget charges happen inside the cache; trips are observed at the same
-  // per-cluster-attempt checks as the serial path, never mid-batch.
+  // The synchronized-Euclidean scan fans its exact distances out over the
+  // pool through LookupBatch; every ordering and tie-breaking decision
+  // stays on this thread, so the outcome is identical for any thread count
+  // (see DESIGN.md "Parallel execution"). The memo charges the budget on
+  // this thread; trips are observed at the same per-cluster-attempt checks
+  // as the serial path, never mid-batch.
   parallel::ParallelOptions par;
   par.threads = options.threads;
-  par.grain = 1;  // one EDR evaluation is orders of magnitude above overhead
+  par.grain = 1;  // one distance is far above a hand-off's overhead
   par.telemetry = tel;
   Rng rng(options.seed);
   double radius_max = options.radius_max;
@@ -263,7 +262,8 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
     std::string degraded_reason;
 
     // --- Phase 1: pivot selection and cluster growth (lines 3-19). ---
-    std::vector<size_t> chosen_pivots;
+    size_t last_pivot = n;  // none yet
+    nearest_pivot.assign(n, kInf);
     while (active_rank.count() > 0) {
       // Cooperative yield point: one check per cluster attempt.
       if (Status s = CheckRunContext(context); !s.ok()) {
@@ -278,43 +278,29 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
       // heuristic, exposed as an ablation).
       size_t pivot;
       if (options.pivot_policy == WcopOptions::PivotPolicy::kFarthestFirst &&
-          !chosen_pivots.empty()) {
-        // Batch the candidate scores (pure, exact distances); the argmax
-        // with its first-wins tie-break runs serially below.
-        active_list.clear();
-        for (size_t i = 0; i < n; ++i) {
-          if (active[i]) {
-            active_list.push_back(i);
-          }
-        }
-        scratch_values.assign(active_list.size(), 0.0);
+          last_pivot < n) {
+        // A trajectory's score is its exact distance to the nearest chosen
+        // pivot. Active trajectories stay active until they leave for good,
+        // so each score only takes the newest pivot into account (min is
+        // exact); the argmax keeps the first of equal scores.
         WCOP_TRACE_SPAN(tel, "cluster/farthest_scan");
-        Status batch = parallel::ParallelFor(
-            active_list.size(),
-            [&](size_t t) {
-              double nearest_pivot = std::numeric_limits<double>::infinity();
-              for (size_t p : chosen_pivots) {
-                nearest_pivot =
-                    std::min(nearest_pivot, distances.Get(p, active_list[t]));
-              }
-              scratch_values[t] = nearest_pivot;
-            },
-            par);
-        if (!batch.ok()) {
-          return batch;
-        }
-        pivot = active_list[0];
+        pivot = n;
         double best_score = -1.0;
-        for (size_t t = 0; t < active_list.size(); ++t) {
-          if (scratch_values[t] > best_score) {
-            best_score = scratch_values[t];
-            pivot = active_list[t];
+        for (size_t i = 0; i < n; ++i) {
+          if (!active[i]) {
+            continue;
+          }
+          double& score = nearest_pivot[i];
+          score = std::min(score, distances.Lookup(last_pivot, i, kInf).value);
+          if (score > best_score) {
+            best_score = score;
+            pivot = i;
           }
         }
       } else {
         pivot = active_rank.Kth(rng.UniformIndex(active_rank.count()));
       }
-      chosen_pivots.push_back(pivot);
+      last_pivot = pivot;
       WCOP_TRACE_SPAN(tel, "cluster/grow");
       telemetry::CounterAdd(attempts);
 
@@ -325,38 +311,27 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
       cluster.delta = dataset[pivot].requirement().delta;
 
       // Distances from the pivot to every unclustered candidate, nearest
-      // first (the pivot's NN pool of line 8 is D - Clustered). The batch
-      // computes pure distances into per-candidate slots; candidates whose
-      // length lower bound already exceeds radius_max keep the bound — they
-      // sort after every in-radius candidate and can only appear in
-      // clusters the radius test rejects anyway, so the accepted clusters
-      // are exactly those of a full computation.
+      // first (the pivot's NN pool of line 8 is D - Clustered). Under EDR a
+      // candidate whose certified bound exceeds the scan's cutoff keeps the
+      // bound: it sorts after every candidate a cluster can take, or only
+      // into clusters the radius test rejects anyway, so the accepted
+      // clusters are exactly those of a full computation.
       pool.clear();
-      // Cascade only: the number of candidates outside the reach set, all
-      // at exactly edr_scale and left out of the pool.
+      // EDR only: the number of candidates outside the reach set, all at
+      // exactly edr_scale and left out of the pool.
       size_t implicit = 0;
-      if (!cascade) {
-        candidates.clear();
+      if (!edr) {
+        // Synchronized Euclidean: the exhaustive scan.
+        scan.clear();
         for (size_t cand = 0; cand < n; ++cand) {
-          if (cand == pivot || clustered[cand]) {
-            continue;
+          if (cand != pivot && !clustered[cand]) {
+            scan.emplace_back(pivot, cand);
           }
-          candidates.push_back(cand);
         }
-        scratch_values.assign(candidates.size(), 0.0);
         WCOP_TRACE_SPAN(tel, "cluster/pivot_scan");
-        Status batch = parallel::ParallelFor(
-            candidates.size(),
-            [&](size_t t) {
-              scratch_values[t] =
-                  distances.GetWithCutoff(pivot, candidates[t], radius_max);
-            },
-            par);
-        if (!batch.ok()) {
-          return batch;
-        }
-        for (size_t t = 0; t < candidates.size(); ++t) {
-          pool.emplace_back(scratch_values[t], candidates[t]);
+        WCOP_RETURN_IF_ERROR(distances.LookupBatch(scan, par, &scan_values));
+        for (size_t t = 0; t < scan.size(); ++t) {
+          pool.emplace_back(scan_values[t], scan[t].second);
         }
       } else {
         WCOP_TRACE_SPAN(tel, "cluster/pivot_scan");
@@ -384,59 +359,46 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
         for (size_t t = 0; t < std::min(implicit, top_needed); ++t) {
           threshold.Push(edr_scale);
         }
-        // Cheap bound probes (cache / length / separation / envelope) on
-        // the reach set, inline: each costs far less than a pool hand-off.
+        // Bound probes on the reach set, inline: each costs far less than a
+        // pool hand-off. A lookup at cutoff -infinity never runs the DP and
+        // counts only the analytic exacts it finds.
         refine.clear();
         for (size_t cand : reach) {
-          const auto probe = distances.CheapProbe(pivot, cand);
+          const PairDistanceMemo::Distance probe =
+              distances.Lookup(pivot, cand, -kInf);
           if (probe.exact) {
             pool.emplace_back(probe.value, cand);
             threshold.Push(probe.value);
           } else {
-            refine.push_back(RefineEntry{probe.value, cand, probe.rung});
+            refine.emplace_back(probe.value, cand);
           }
         }
-        std::sort(refine.begin(), refine.end(),
-                  [](const RefineEntry& a, const RefineEntry& b) {
-                    return a.bound != b.bound ? a.bound < b.bound
-                                              : a.index < b.index;
-                  });
+        std::sort(refine.begin(), refine.end());
         // Cheapest-first refinement, inline, in growing blocks: the cutoff
         // (best-so-far top-K threshold, capped by radius_max) is frozen per
         // block and tightened only between blocks, which fixes the set of
         // pairs that reach the DP and every counter event. The reach set is
-        // small, so no block is worth a pool hand-off. A candidate pruned
-        // here has top_needed exactly-known candidates strictly ahead of it
-        // (or is outside the acceptance radius), so the exact distance could
-        // not have changed any decision; its certified bound enters the pool
-        // instead.
-        size_t pos = 0;
+        // small, so no block is worth a pool hand-off. The lookup prunes a
+        // candidate whose bound exceeds the cutoff: it has top_needed
+        // exactly-known candidates strictly ahead of it (or is outside the
+        // acceptance radius), so the exact distance could not have changed
+        // any decision, and its certified bound enters the pool instead.
+        // Bounds ascend and cutoffs only tighten, so once one candidate is
+        // pruned every later one is.
         size_t block = 32;
-        while (pos < refine.size()) {
+        for (size_t pos = 0; pos < refine.size();) {
           const double cutoff =
               threshold.Full() ? std::min(radius_max, threshold.Top())
                                : radius_max;
-          if (refine[pos].bound > cutoff) {
-            for (size_t t = pos; t < refine.size(); ++t) {
-              pool.emplace_back(refine[t].bound, refine[t].index);
-              distances.CountBoundPrune(refine[t].rung);
-            }
-            break;
-          }
-          const size_t end = std::min(pos + block, refine.size());
-          size_t split = end;
-          while (split > pos && refine[split - 1].bound > cutoff) {
-            --split;
-          }
-          for (size_t t = pos; t < split; ++t) {
-            const double d =
-                distances.GetWithCutoff(pivot, refine[t].index, cutoff);
-            pool.emplace_back(d, refine[t].index);
+          for (const size_t end = std::min(pos + block, refine.size());
+               pos < end; ++pos) {
+            const size_t cand = refine[pos].second;
+            const double d = distances.Lookup(pivot, cand, cutoff).value;
+            pool.emplace_back(d, cand);
             if (d <= cutoff) {
               threshold.Push(d);
             }
           }
-          pos = split;
           block = std::min(block * 2, size_t{1024});
         }
       }
@@ -445,7 +407,7 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
         context->ChargeCandidatePairs(unclustered - 1);
       }
 
-      // Growth, nearest first. In the cascade the sorted pool is merged by
+      // Growth, nearest first. Under EDR the sorted pool is merged by
       // (value, index) with the implicit run: every unclustered candidate
       // outside the reach set, all at exactly edr_scale, enumerated in
       // ascending index order — the order a fully materialized pool sorts
@@ -495,8 +457,8 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
       // exceeds radius_max, in which case the true radius does too.
       double radius = 0.0;
       for (size_t m : cluster.members) {
-        radius = std::max(radius,
-                          distances.GetWithCutoff(pivot, m, radius_max));
+        radius =
+            std::max(radius, distances.Lookup(pivot, m, radius_max).value);
       }
       if (grown && radius <= radius_max) {
         telemetry::CounterAdd(accepted);
@@ -523,7 +485,6 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
 
     // --- Phase 2: leftover assignment (lines 20-26). ---
     std::vector<size_t> trash;
-    std::vector<size_t> eligible;
     for (size_t idx = 0; idx < n; ++idx) {
       if (clustered[idx]) {
         continue;
@@ -545,65 +506,27 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
         continue;
       }
       const Requirement& req = dataset[idx].requirement();
-      // Eligibility (cheap, metadata-only) on the coordinator; the eligible
-      // pivot distances are batched. The nearest-compatible selection keeps
-      // the serial first-wins tie-break over the cluster order.
-      eligible.clear();
-      for (size_t c = 0; c < clusters.size(); ++c) {
-        const AnonymityCluster& cluster = clusters[c];
+      // The nearest eligible cluster, by a best-so-far scan in cluster
+      // order. The running best tightens the cutoff, and a bound above it
+      // certifies the cluster cannot win (the selection takes strictly
+      // smaller distances, so ties keep the first cluster, as on exact
+      // distances).
+      double best_dist = kInf;
+      AnonymityCluster* best_cluster = nullptr;
+      for (AnonymityCluster& cluster : clusters) {
         // Eligibility: the cluster (including tau itself) satisfies tau's k,
         // and tau's delta tolerance is no stricter than the cluster's delta.
-        if (cluster.members.size() + 1 < static_cast<size_t>(req.k)) {
+        if (cluster.members.size() + 1 < static_cast<size_t>(req.k) ||
+            cluster.delta > req.delta) {
           continue;
         }
-        if (cluster.delta > req.delta) {
-          continue;
-        }
-        eligible.push_back(c);
-      }
-      double best_dist = std::numeric_limits<double>::infinity();
-      AnonymityCluster* best_cluster = nullptr;
-      if (!cascade) {
-        scratch_values.assign(eligible.size(), 0.0);
-        Status batch = parallel::ParallelFor(
-            eligible.size(),
-            [&](size_t t) {
-              scratch_values[t] = distances.GetWithCutoff(
-                  clusters[eligible[t]].pivot, idx, radius_max);
-            },
-            par);
-        if (!batch.ok()) {
-          return batch;
-        }
-        for (size_t t = 0; t < eligible.size(); ++t) {
-          const double d = scratch_values[t];
-          if (d <= radius_max && d < best_dist) {
-            best_dist = d;
-            best_cluster = &clusters[eligible[t]];
-          }
-        }
-      } else {
-        // Serial best-so-far scan in cluster order: the running best
-        // tightens the cutoff, and a probe bound above it certifies the
-        // cluster cannot win (the selection takes strictly smaller
-        // distances, so ties keep the first cluster exactly as the
-        // exhaustive scan does).
-        for (size_t c : eligible) {
-          const double cutoff = std::min(radius_max, best_dist);
-          const auto probe = distances.CheapProbe(clusters[c].pivot, idx);
-          double d;
-          if (probe.exact) {
-            d = probe.value;
-          } else if (probe.value > cutoff) {
-            distances.CountBoundPrune(probe.rung);
-            continue;
-          } else {
-            d = distances.GetWithCutoff(clusters[c].pivot, idx, cutoff);
-          }
-          if (d <= radius_max && d < best_dist) {
-            best_dist = d;
-            best_cluster = &clusters[c];
-          }
+        const double d = distances
+                             .Lookup(cluster.pivot, idx,
+                                     std::min(radius_max, best_dist))
+                             .value;
+        if (d <= radius_max && d < best_dist) {
+          best_dist = d;
+          best_cluster = &cluster;
         }
       }
       if (best_cluster != nullptr) {

@@ -29,33 +29,12 @@ struct DistanceConfig {
   EdrTolerance tolerance;   ///< EDR matching tolerance (kEdr only)
   double edr_scale = 0.0;   ///< multiplies normalized EDR (kEdr only);
                             ///< <= 0 means "auto": drivers use radius(D)
-
-  /// Filter-and-refine kill-switch (kEdr only). When true (the default)
-  /// the clustering hot path runs the lower-bound cascade (length,
-  /// MBR/tolerance separation, envelope), the separation-index
-  /// pre-filter, and DP evaluation under best-so-far cutoffs. Published
-  /// output is byte-identical either way — a bound only ever skips a pair
-  /// whose exact distance could not have changed any decision (see
-  /// DESIGN.md "Distance engine: filter-and-refine"); `false` forces the
-  /// legacy exhaustive scan. Drivers also honour the WCOP_DISTANCE_CASCADE
-  /// environment variable (0/off/false disables).
-  bool cascade = true;
+                            ///< (the clustering rejects an unresolved one)
 };
 
 /// Distance between two trajectories under `config` (see DistanceConfig).
 double ClusterDistance(const Trajectory& a, const Trajectory& b,
                        const DistanceConfig& config);
-
-/// ClusterDistance with an early-abandon cutoff (in the same scaled units
-/// as the return value): for EDR, when the length lower bound alone exceeds
-/// `cutoff`, returns that bound — a value > cutoff and <= the true distance
-/// — without running the DP, and sets *abandoned. Synchronized Euclidean
-/// has no cheap lower bound and always computes fully (*abandoned = false).
-/// Callers that only compare against `cutoff` get the same decision as a
-/// full computation.
-double ClusterDistanceWithCutoff(const Trajectory& a, const Trajectory& b,
-                                 const DistanceConfig& config, double cutoff,
-                                 bool* abandoned);
 
 /// Telemetry counter name for distance calls of the configured kind
 /// ("distance.calls.edr" / "distance.calls.sync_euclidean") — the

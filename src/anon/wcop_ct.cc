@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "anon/agglomerative.h"
 #include "anon/metrics.h"
@@ -15,16 +13,6 @@
 namespace wcop {
 
 WcopOptions ResolveOptions(const Dataset& dataset, WcopOptions options) {
-  // Operational kill-switch for the filter-and-refine distance engine:
-  // WCOP_DISTANCE_CASCADE=0|off|false forces the legacy exhaustive scan
-  // (published bytes are identical either way; the switch exists so a
-  // cascade regression can be ruled out in production without a rebuild).
-  if (const char* env = std::getenv("WCOP_DISTANCE_CASCADE");
-      env != nullptr) {
-    options.distance.cascade = !(std::strcmp(env, "0") == 0 ||
-                                 std::strcmp(env, "off") == 0 ||
-                                 std::strcmp(env, "false") == 0);
-  }
   const double radius = dataset.Bounds().HalfDiagonal();
   if (options.radius_max <= 0.0) {
     options.radius_max = radius > 0.0 ? radius : 1.0;

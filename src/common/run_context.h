@@ -32,6 +32,10 @@ class CancellationToken {
   }
 
  private:
+  friend class RunContext;
+  explicit CancellationToken(std::shared_ptr<std::atomic<bool>> cancelled)
+      : cancelled_(std::move(cancelled)) {}
+
   std::shared_ptr<std::atomic<bool>> cancelled_;
 };
 
@@ -86,17 +90,21 @@ class RunContext {
   /// Attaches a cancellation token (a copy; the caller keeps the original
   /// to request cancellation from another thread).
   void set_cancellation_token(CancellationToken token) {
-    token_ = std::move(token);
+    cancelled_ = std::move(token.cancelled_);
   }
 
   bool cancelled() const {
-    return token_.has_value() && token_->cancellation_requested();
+    return cancelled_ != nullptr &&
+           cancelled_->load(std::memory_order_relaxed);
   }
 
   /// The attached token, if any (a copy shares the underlying flag) — lets
   /// a coordinator propagate one cancellation signal to child contexts.
-  const std::optional<CancellationToken>& cancellation_token() const {
-    return token_;
+  std::optional<CancellationToken> cancellation_token() const {
+    if (cancelled_ == nullptr) {
+      return std::nullopt;
+    }
+    return CancellationToken(cancelled_);
   }
 
   void set_budget(ResourceBudget budget) { budget_ = budget; }
@@ -142,7 +150,10 @@ class RunContext {
  private:
   std::string trace_id_;
   std::optional<Clock::time_point> deadline_;
-  std::optional<CancellationToken> token_;
+  /// The attached token's shared flag; null when none is attached. Held
+  /// bare rather than as an optional token: GCC 12 misreads the optional's
+  /// move-assignment as a read of an uninitialized shared_ptr.
+  std::shared_ptr<std::atomic<bool>> cancelled_;
   ResourceBudget budget_;
   mutable std::atomic<uint64_t> distance_computations_{0};
   mutable std::atomic<uint64_t> candidate_pairs_{0};

@@ -62,6 +62,26 @@ Result<double> TokenScanner::NextF64() {
   return v;
 }
 
+Result<size_t> TokenScanner::NextCount() {
+  WCOP_ASSIGN_OR_RETURN(const size_t count, NextInt<size_t>());
+  if (count > text_.size() - pos_) {
+    return Error("count exceeds the payload");
+  }
+  return count;
+}
+
+Result<std::string_view> TokenScanner::NextBlob() {
+  WCOP_ASSIGN_OR_RETURN(const uint64_t len, NextU64());
+  if (pos_ >= text_.size() ||
+      std::isspace(static_cast<unsigned char>(text_[pos_])) == 0 ||
+      text_.size() - pos_ - 1 < len) {
+    return Error("bad blob");
+  }
+  const std::string_view blob = text_.substr(pos_ + 1, len);
+  pos_ += 1 + len;
+  return blob;
+}
+
 Status TokenScanner::Expect(std::string_view want) {
   WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
   if (tok != want) {

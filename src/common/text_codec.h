@@ -62,6 +62,15 @@ class TokenScanner {
   Result<uint64_t> NextU64() { return NextInt<uint64_t>(); }
   Result<int64_t> NextI64() { return NextInt<int64_t>(); }
 
+  /// The next token as an element count: every element takes at least one
+  /// byte, so a count above the bytes still unread is corrupt. Rejecting it
+  /// here keeps a torn or hostile count away from vector::reserve.
+  Result<size_t> NextCount();
+
+  /// A length-prefixed blob, "<len> <bytes>": the length token, exactly one
+  /// whitespace byte, then `len` raw bytes, whitespace included.
+  Result<std::string_view> NextBlob();
+
   /// Any token strtod consumes whole. errno is not consulted: glibc sets
   /// ERANGE for subnormals that round-trip exactly.
   Result<double> NextF64();

@@ -56,6 +56,21 @@ struct SyntheticOptions {
     out.points_per_trajectory = points;
     return out;
   }
+
+  /// The city of `anonymize_csv --synthetic --seed=S --trajectories=N
+  /// --points=P`: N trajectories of P points by N / 3 + 1 users in a
+  /// 20 km region over 60 days, the other fields at their defaults.
+  static SyntheticOptions CommandLine(uint64_t seed, size_t trajectories,
+                                      size_t points) {
+    SyntheticOptions out;
+    out.seed = seed;
+    out.num_trajectories = trajectories;
+    out.num_users = trajectories / 3 + 1;
+    out.points_per_trajectory = points;
+    out.region_half_diagonal = 20000.0;
+    out.dataset_duration_days = 60.0;
+    return out;
+  }
 };
 
 /// Generates the synthetic dataset. Fails on inconsistent options (zero

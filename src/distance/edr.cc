@@ -53,31 +53,6 @@ double NormalizedEdrDistance(const Trajectory& a, const Trajectory& b,
   return EdrDistance(a, b, tolerance) / static_cast<double>(longest);
 }
 
-double NormalizedEdrDistance(const Trajectory& a, const Trajectory& b,
-                             const EdrTolerance& tolerance, double cutoff,
-                             bool* abandoned) {
-  const size_t longest = std::max(a.size(), b.size());
-  if (longest == 0) {
-    if (abandoned != nullptr) {
-      *abandoned = false;
-    }
-    return 0.0;
-  }
-  const size_t shortest = std::min(a.size(), b.size());
-  const double bound = static_cast<double>(longest - shortest) /
-                       static_cast<double>(longest);
-  if (bound > cutoff) {
-    if (abandoned != nullptr) {
-      *abandoned = true;
-    }
-    return bound;
-  }
-  if (abandoned != nullptr) {
-    *abandoned = false;
-  }
-  return NormalizedEdrDistance(a, b, tolerance);
-}
-
 bool IsValidOpSequence(const std::vector<EdrOp>& ops, size_t traj_size,
                        size_t pivot_size) {
   size_t next_traj = 0;

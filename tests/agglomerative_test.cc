@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "anon/agglomerative.h"
 #include "anon/verifier.h"
 #include "anon/wcop_ct.h"
+#include "greedy_oracle.h"
 #include "test_util.h"
 
 namespace wcop {
@@ -97,25 +99,36 @@ TEST(AgglomerativeTest, SingletonsSurviveWhenAlreadySatisfied) {
   EXPECT_TRUE(out->trash.empty());
 }
 
-TEST(AgglomerativeTest, CascadeMatchesExhaustiveBaseline) {
-  // The medoid partner search now runs through the sharded cache's
-  // lower-bound cascade; with the kill-switch off it must reproduce the
-  // exhaustive merge sequence exactly.
+TEST(AgglomerativeTest, CascadeMatchesOracle) {
+  // The medoid partner search runs through the memo's lower-bound cascade;
+  // it must reproduce the merge sequence of the plain loop on exact
+  // distances. The merge loop reads neither the thread count nor the pivot
+  // policy; both are varied to pin that.
   const Dataset d = SmallSynthetic(40, 45, /*k_max=*/5);
-  WcopOptions on = ResolveOptions(d, WcopOptions{});
-  WcopOptions off = on;
-  off.distance.cascade = false;
-  const auto ra = AgglomerativeClustering(d, 4, on);
-  const auto rb = AgglomerativeClustering(d, 4, off);
-  ASSERT_TRUE(ra.ok()) << ra.status();
-  ASSERT_TRUE(rb.ok()) << rb.status();
-  ASSERT_EQ(ra->clusters.size(), rb->clusters.size());
-  for (size_t i = 0; i < ra->clusters.size(); ++i) {
-    EXPECT_EQ(ra->clusters[i].pivot, rb->clusters[i].pivot) << i;
-    EXPECT_EQ(ra->clusters[i].members, rb->clusters[i].members) << i;
+  WcopOptions options = ResolveOptions(d, WcopOptions{});
+  const testing_util::DistanceMatrix dist(d, options.distance);
+  const testing_util::ClusteringRun oracle = testing_util::RunUnderContext(
+      [&](const WcopOptions& o) {
+        return testing_util::OracleAgglomerativeClustering(d, dist, 4, o);
+      },
+      options);
+  ASSERT_TRUE(oracle.outcome.ok()) << oracle.outcome.status();
+  EXPECT_FALSE(oracle.outcome->clusters.empty());
+  for (const auto policy : {WcopOptions::PivotPolicy::kRandom,
+                            WcopOptions::PivotPolicy::kFarthestFirst}) {
+    options.pivot_policy = policy;
+    for (const int threads : {1, 4}) {
+      options.threads = threads;
+      testing_util::ExpectSameRun(
+          oracle,
+          testing_util::RunUnderContext(
+              [&](const WcopOptions& o) {
+                return AgglomerativeClustering(d, 4, o);
+              },
+              options),
+          "threads=" + std::to_string(threads));
+    }
   }
-  EXPECT_EQ(ra->trash, rb->trash);
-  EXPECT_EQ(ra->rounds, rb->rounds);
 }
 
 TEST(AgglomerativeTest, RejectsBadArguments) {
@@ -124,6 +137,10 @@ TEST(AgglomerativeTest, RejectsBadArguments) {
   EXPECT_FALSE(AgglomerativeClustering(Dataset(), 0, options).ok());
   options.radius_max = 0.0;
   EXPECT_FALSE(AgglomerativeClustering(d, 0, options).ok());
+  options = ResolveOptions(d, WcopOptions{});
+  options.distance.edr_scale = 0.0;  // unresolved
+  EXPECT_EQ(AgglomerativeClustering(d, 0, options).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <set>
 #include <string>
@@ -11,11 +12,14 @@
 #include "common/run_context.h"
 #include "common/telemetry.h"
 #include "data/synthetic.h"
+#include "greedy_oracle.h"
 #include "test_util.h"
 
 namespace wcop {
 namespace {
 
+using testing_util::ClusteringRun;
+using testing_util::ExpectGreedyMatchesOracle;
 using testing_util::MakeLine;
 using testing_util::MakeLineWithReq;
 using testing_util::SmallSynthetic;
@@ -117,6 +121,17 @@ TEST(GreedyClusteringTest, RejectsBadArguments) {
   options = ResolvedFor(d);
   options.radius_growth = 1.0;
   EXPECT_FALSE(GreedyClustering(d, 0, options).ok());
+  // An unresolved EDR scale (ResolveOptions sets radius(D)).
+  for (const double scale : {0.0, -1.0, std::nan("")}) {
+    options = ResolvedFor(d);
+    options.distance.edr_scale = scale;
+    EXPECT_EQ(GreedyClustering(d, 0, options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // Synchronized Euclidean does not read the scale.
+  options.distance.kind = DistanceConfig::Kind::kSynchronizedEuclidean;
+  EXPECT_NE(GreedyClustering(d, 0, options).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(GreedyClusteringTest, LeftoverJoinsOnlyCompatibleCluster) {
@@ -148,99 +163,109 @@ TEST(GreedyClusteringTest, LeftoverJoinsOnlyCompatibleCluster) {
   }
 }
 
-void ExpectSameOutcome(const ClusteringOutcome& a,
-                       const ClusteringOutcome& b) {
-  ASSERT_EQ(a.clusters.size(), b.clusters.size());
-  for (size_t i = 0; i < a.clusters.size(); ++i) {
-    EXPECT_EQ(a.clusters[i].pivot, b.clusters[i].pivot) << "cluster " << i;
-    EXPECT_EQ(a.clusters[i].members, b.clusters[i].members) << "cluster " << i;
-    EXPECT_EQ(a.clusters[i].k, b.clusters[i].k) << "cluster " << i;
-    EXPECT_DOUBLE_EQ(a.clusters[i].delta, b.clusters[i].delta)
-        << "cluster " << i;
-  }
-  EXPECT_EQ(a.trash, b.trash);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_DOUBLE_EQ(a.final_radius, b.final_radius);
-  EXPECT_EQ(a.degraded, b.degraded);
-  EXPECT_EQ(a.degraded_reason, b.degraded_reason);
-}
-
-TEST(GreedyClusteringTest, CascadeMatchesExhaustiveBaseline) {
-  // The lower-bound cascade must be a pure accelerator: cascade-on and
-  // cascade-off runs produce identical clusters, trash, and relaxation
-  // history (this mirrors the CI byte-identity gate on published output).
+TEST(GreedyClusteringTest, CascadeMatchesOracle) {
+  // The lower-bound cascade is a pure accelerator: the clusters, trash and
+  // relaxation history are those of Algorithm 3 on exact distances.
   const Dataset d = SmallSynthetic(40, 50, /*k_max=*/5);
-  WcopOptions on = ResolvedFor(d);
-  on.distance.cascade = true;
-  WcopOptions off = ResolvedFor(d);
-  off.distance.cascade = false;
-  const auto with_cascade = GreedyClustering(d, 4, on);
-  const auto without = GreedyClustering(d, 4, off);
-  ASSERT_TRUE(with_cascade.ok()) << with_cascade.status();
-  ASSERT_TRUE(without.ok()) << without.status();
-  ExpectSameOutcome(*with_cascade, *without);
+  ExpectGreedyMatchesOracle(d, 4, ResolvedFor(d));
 }
 
-TEST(GreedyClusteringTest, CascadeMatchesBaselineAcrossDistantTiles) {
+TEST(GreedyClusteringTest, CascadeMatchesOracleAcrossDistantTiles) {
   // Two bundles 200 km apart exercise the reach index (out-of-reach
-  // candidates form the implicit run at edr_scale, with no probe) plus the
-  // separation rung; the outcome must still match the exhaustive run.
+  // candidates form the implicit run at edr_scale, with no lookup) plus
+  // the separation rung; the outcome must still match the oracle.
   Dataset d;
   for (int i = 0; i < 6; ++i) {
     d.Add(MakeLineWithReq(i, 0, i * 5.0, 1, 0, 20, /*k=*/3, /*delta=*/100));
     d.Add(MakeLineWithReq(10 + i, 2.0e5, i * 5.0, 1, 0, 20, /*k=*/3,
                           /*delta=*/100));
   }
-  WcopOptions on = ResolvedFor(d);
-  WcopOptions off = ResolvedFor(d);
-  off.distance.cascade = false;
-  const auto with_cascade = GreedyClustering(d, 2, on);
-  const auto without = GreedyClustering(d, 2, off);
-  ASSERT_TRUE(with_cascade.ok()) << with_cascade.status();
-  ASSERT_TRUE(without.ok()) << without.status();
-  ExpectSameOutcome(*with_cascade, *without);
+  ExpectGreedyMatchesOracle(d, 2, ResolvedFor(d));
 }
 
 TEST(GreedyClusteringTest, CascadePrunesAndAbandonsOnStockConfig) {
-  // Regression guard for the (previously dead) early-abandon path and the
-  // cascade counters: on a stock synthetic workload the cutoff-certified
-  // bounds must actually fire, and the number of exact DP computations must
-  // drop strictly below the exhaustive baseline.
+  // Regression guard for the cascade and its counters: on a stock
+  // synthetic workload the cheap rungs must answer lookups, and the exact
+  // DP must run on strictly fewer pairs than Algorithm 3 reads.
   const Dataset d = SmallSynthetic(40, 50, /*k_max=*/5);
+  const WcopOptions resolved = ResolvedFor(d);
+  ExpectGreedyMatchesOracle(d, 4, resolved);
+  for (const auto policy : {WcopOptions::PivotPolicy::kRandom,
+                            WcopOptions::PivotPolicy::kFarthestFirst}) {
+    WcopOptions options = resolved;
+    options.pivot_policy = policy;
+    const testing_util::DistanceMatrix dist(d, options.distance);
+    ASSERT_TRUE(testing_util::OracleGreedyClustering(d, dist, 4, options).ok());
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      options.threads = threads;
+      telemetry::Telemetry tel;
+      options.telemetry = &tel;
+      ASSERT_TRUE(GreedyClustering(d, 4, options).ok());
+      const telemetry::MetricsSnapshot snap = tel.metrics().Snapshot();
+      EXPECT_GT(snap.CounterValue("distance.early_abandoned"), 0u);
+      const uint64_t lb_pruned =
+          snap.CounterValue("distance.lb.length_pruned") +
+          snap.CounterValue("distance.lb.separation_pruned") +
+          snap.CounterValue("distance.lb.envelope_pruned");
+      EXPECT_EQ(lb_pruned, snap.CounterValue("distance.early_abandoned"));
+      EXPECT_LT(snap.CounterValue("distance.calls.edr"), dist.pairs_read());
+    }
+  }
+}
 
-  WcopOptions on = ResolvedFor(d);
-  telemetry::Telemetry tel_on;
-  on.telemetry = &tel_on;
-  ASSERT_TRUE(GreedyClustering(d, 4, on).ok());
-  const telemetry::MetricsSnapshot snap_on = tel_on.metrics().Snapshot();
-
-  WcopOptions off = ResolvedFor(d);
-  off.distance.cascade = false;
-  telemetry::Telemetry tel_off;
-  off.telemetry = &tel_off;
-  ASSERT_TRUE(GreedyClustering(d, 4, off).ok());
-  const telemetry::MetricsSnapshot snap_off = tel_off.metrics().Snapshot();
-
-  EXPECT_GT(snap_on.CounterValue("distance.early_abandoned"), 0u);
-  const uint64_t lb_pruned =
-      snap_on.CounterValue("distance.lb.length_pruned") +
-      snap_on.CounterValue("distance.lb.separation_pruned") +
-      snap_on.CounterValue("distance.lb.envelope_pruned");
-  EXPECT_GT(lb_pruned, 0u);
-  EXPECT_LT(snap_on.CounterValue("distance.calls.edr"),
-            snap_off.CounterValue("distance.calls.edr"));
+TEST(GreedyClusteringTest, EveryPrunedCandidateCountsOneAbandon) {
+  // Two k=2 trips of equal length whose last five fixes lie 1 km apart: the
+  // envelope bound proves half the scale, above radius_max. Each of the
+  // round's two pivot scans probes the other trip (a bound: no event),
+  // drops it in refinement at the radius cutoff (one abandon), grows to
+  // it, and fails the radius test on the same bound (one abandon). No DP
+  // runs and no cluster forms.
+  std::vector<Point> pa, pb;
+  for (int i = 0; i < 10; ++i) {
+    pa.emplace_back(10.0 * i, 0.0, 10.0 * i);
+    pb.emplace_back(10.0 * i, i < 5 ? 0.0 : 1000.0, 10.0 * i);
+  }
+  Dataset d;
+  d.Add(Trajectory(1, pa));
+  d.Add(Trajectory(2, pb));
+  for (Trajectory& t : d.mutable_trajectories()) {
+    t.set_requirement(Requirement{2, 100.0});
+  }
+  WcopOptions options;
+  options.distance.tolerance = EdrTolerance{5.0, 5.0, 5.0};
+  options.distance.edr_scale = 1000.0;
+  options.radius_max = 300.0;
+  options.max_clustering_rounds = 1;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    options.threads = threads;
+    telemetry::Telemetry tel;
+    options.telemetry = &tel;
+    Result<ClusteringOutcome> out = GreedyClustering(d, 2, options);
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_TRUE(out->clusters.empty());
+    EXPECT_EQ(out->trash.size(), 2u);
+    const telemetry::MetricsSnapshot snap = tel.metrics().Snapshot();
+    EXPECT_EQ(snap.CounterValue("cluster.rejected.radius"), 2u);
+    EXPECT_EQ(snap.CounterValue("distance.calls.edr"), 0u);
+    EXPECT_EQ(snap.CounterValue("distance.cache_hits"), 0u);
+    EXPECT_EQ(snap.CounterValue("distance.early_abandoned"), 4u);
+    EXPECT_EQ(snap.CounterValue("distance.lb.envelope_pruned"), 4u);
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Differential oracle: the cascade scan (reach index, implicit out-of-reach
-// run, rank-tree active set) against the exhaustive scan, over adversarial
-// corpora, at 1 and 4 threads and under both pivot policies.
+// run, rank-tree active set) against the plain Algorithm 3 of
+// greedy_oracle.h, over adversarial corpora, at 1 and 4 threads and under
+// both pivot policies.
 // ---------------------------------------------------------------------------
 
 struct Corpus {
   std::string name;
   Dataset dataset;
-  WcopOptions options;  ///< resolved; cascade/threads/policy set per run
+  WcopOptions options;  ///< resolved; threads/policy set per run
   size_t trash_max = 0;
 };
 
@@ -382,69 +407,21 @@ std::vector<Corpus> AdversarialCorpora() {
   return corpora;
 }
 
-/// One GreedyClustering run under a fresh RunContext.
-struct GreedyRun {
-  Result<ClusteringOutcome> outcome;
-  uint64_t candidate_pairs = 0;
-};
-
-GreedyRun RunGreedy(const Dataset& d, size_t trash_max, WcopOptions options,
-              bool cascade, int threads, ResourceBudget budget = {}) {
-  RunContext context;
-  context.set_budget(budget);
-  options.distance.cascade = cascade;
-  options.threads = threads;
-  options.run_context = &context;
-  GreedyRun run{GreedyClustering(d, trash_max, options), 0};
-  run.candidate_pairs = context.candidate_pairs();
-  return run;
-}
-
-void ExpectSameRun(const GreedyRun& expected, const GreedyRun& got,
-                   const std::string& label) {
-  SCOPED_TRACE(label);
-  ASSERT_EQ(expected.outcome.ok(), got.outcome.ok())
-      << got.outcome.status();
-  if (expected.outcome.ok()) {
-    ExpectSameOutcome(*expected.outcome, *got.outcome);
-  } else {
-    EXPECT_EQ(expected.outcome.status(), got.outcome.status());
-  }
-  EXPECT_EQ(expected.candidate_pairs, got.candidate_pairs);
-}
-
-TEST(GreedyClusteringTest, CascadeMatchesExhaustiveOnAdversarialCorpora) {
+TEST(GreedyClusteringTest, CascadeMatchesOracleOnAdversarialCorpora) {
   for (const Corpus& c : AdversarialCorpora()) {
-    for (auto policy : {WcopOptions::PivotPolicy::kRandom,
-                        WcopOptions::PivotPolicy::kFarthestFirst}) {
-      WcopOptions options = c.options;
-      options.pivot_policy = policy;
-      const std::string base =
-          c.name + (policy == WcopOptions::PivotPolicy::kRandom
-                        ? "/random"
-                        : "/farthest");
-      const GreedyRun oracle = RunGreedy(c.dataset, c.trash_max, options,
-                                   /*cascade=*/false, /*threads=*/1);
-      for (int threads : {1, 4}) {
-        for (bool cascade : {true, false}) {
-          ExpectSameRun(oracle,
-                        RunGreedy(c.dataset, c.trash_max, options, cascade,
-                                  threads),
-                        base + (cascade ? "/cascade" : "/exhaustive") +
-                            "/threads=" + std::to_string(threads));
-        }
-      }
+    SCOPED_TRACE(c.name);
+    for (const ClusteringRun& oracle :
+         ExpectGreedyMatchesOracle(c.dataset, c.trash_max, c.options)) {
       if (c.name == "k_over_n_unsat") {
         EXPECT_EQ(oracle.outcome.status().code(), StatusCode::kUnsatisfiable);
-      } else {
-        ASSERT_TRUE(oracle.outcome.ok()) << base << ": "
-                                         << oracle.outcome.status();
+        continue;
       }
+      ASSERT_TRUE(oracle.outcome.ok()) << oracle.outcome.status();
       if (c.name == "tight_radius") {
-        EXPECT_GE(oracle.outcome->rounds, 3u) << base;
+        EXPECT_GE(oracle.outcome->rounds, 3u);
       }
       if (c.name == "k_over_n_trash") {
-        EXPECT_GE(oracle.outcome->trash.size(), 3u) << base;
+        EXPECT_GE(oracle.outcome->trash.size(), 3u);
       }
     }
   }
@@ -490,16 +467,18 @@ TEST(GreedyClusteringTest, RandomPivotsFollowTheAscendingActiveList) {
       active.erase(std::find(active.begin(), active.end(), twin[pivot]));
     }
   }
-  for (bool cascade : {true, false}) {
-    const GreedyRun run = RunGreedy(d, lone_count, options, cascade, 1);
-    ASSERT_TRUE(run.outcome.ok()) << run.outcome.status();
+  for (const int threads : {1, 4}) {
+    options.threads = threads;
+    Result<ClusteringOutcome> out = GreedyClustering(d, lone_count, options);
+    ASSERT_TRUE(out.ok()) << out.status();
     std::vector<size_t> pivots;
-    for (const AnonymityCluster& c : run.outcome->clusters) {
+    for (const AnonymityCluster& c : out->clusters) {
       pivots.push_back(c.pivot);
     }
-    EXPECT_EQ(pivots, expected_pivots) << "cascade " << cascade;
-    EXPECT_EQ(run.outcome->trash.size(), lone_count);
+    EXPECT_EQ(pivots, expected_pivots) << "threads " << threads;
+    EXPECT_EQ(out->trash.size(), lone_count);
   }
+  ExpectGreedyMatchesOracle(d, lone_count, options);
 }
 
 TEST(GreedyClusteringTest, TwoEmptyTrajectoriesClusterAtDistanceZero) {
@@ -517,35 +496,34 @@ TEST(GreedyClusteringTest, TwoEmptyTrajectoriesClusterAtDistanceZero) {
   options.distance.tolerance.dx = 10.0;
   options.distance.tolerance.dy = 10.0;
   options.distance.tolerance.dt = 10.0;
-  const GreedyRun oracle = RunGreedy(d, 0, options, /*cascade=*/false, 1);
-  ASSERT_TRUE(oracle.outcome.ok()) << oracle.outcome.status();
-  ASSERT_EQ(oracle.outcome->clusters.size(), 1u);
-  EXPECT_EQ(oracle.outcome->clusters[0].members.size(), 2u);
-  for (int threads : {1, 4}) {
-    ExpectSameRun(oracle, RunGreedy(d, 0, options, /*cascade=*/true, threads),
-                  "threads=" + std::to_string(threads));
+  for (const ClusteringRun& oracle : ExpectGreedyMatchesOracle(d, 0, options)) {
+    ASSERT_TRUE(oracle.outcome.ok()) << oracle.outcome.status();
+    ASSERT_EQ(oracle.outcome->clusters.size(), 1u);
+    EXPECT_EQ(oracle.outcome->clusters[0].members.size(), 2u);
   }
 }
 
 TEST(GreedyClusteringTest, CandidatePairBudgetDegradesAtTheSameCluster) {
-  // The cascade charges the same candidate pairs per pivot as the
-  // exhaustive scan, so a pair budget trips at the same cluster attempt and
-  // both modes publish the same partial outcome.
+  // The cascade charges the same candidate pairs per pivot as Algorithm 3,
+  // so a pair budget trips at the same cluster attempt and both publish the
+  // same partial outcome.
   const Dataset d = SmallSynthetic(60, 20, /*k_max=*/4);
   WcopOptions options = ResolvedFor(d);
   options.allow_partial_results = true;
-  const GreedyRun full = RunGreedy(d, 6, options, /*cascade=*/false, 1);
+  const testing_util::DistanceMatrix dist(d, options.distance);
+  const ClusteringRun full = testing_util::RunUnderContext(
+      [&](const WcopOptions& o) {
+        return testing_util::OracleGreedyClustering(d, dist, 6, o);
+      },
+      options);
   ASSERT_TRUE(full.outcome.ok()) << full.outcome.status();
   ResourceBudget budget;
   budget.max_candidate_pairs = full.candidate_pairs / 3;
-  const GreedyRun oracle = RunGreedy(d, 6, options, /*cascade=*/false, 1, budget);
-  ASSERT_TRUE(oracle.outcome.ok()) << oracle.outcome.status();
-  ASSERT_TRUE(oracle.outcome->degraded);
-  EXPECT_FALSE(oracle.outcome->clusters.empty());
-  for (int threads : {1, 4}) {
-    ExpectSameRun(oracle,
-                  RunGreedy(d, 6, options, /*cascade=*/true, threads, budget),
-                  "threads=" + std::to_string(threads));
+  for (const ClusteringRun& oracle :
+       ExpectGreedyMatchesOracle(d, 6, options, budget)) {
+    ASSERT_TRUE(oracle.outcome.ok()) << oracle.outcome.status();
+    ASSERT_TRUE(oracle.outcome->degraded);
+    EXPECT_FALSE(oracle.outcome->clusters.empty());
   }
 }
 

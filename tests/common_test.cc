@@ -246,5 +246,29 @@ TEST(TextCodecTest, ParseIntTakesWholeInRangeTokensOnly) {
   }
 }
 
+TEST(TextCodecTest, CountsAndBlobsStayInsideThePayload) {
+  text::TokenScanner scan("2 5 a b\nc 9", "test");
+  Result<size_t> count = scan.NextCount();
+  ASSERT_TRUE(count.ok()) << count.status();
+  EXPECT_EQ(*count, 2u);
+  Result<std::string_view> blob = scan.NextBlob();  // "5 a b\nc"
+  ASSERT_TRUE(blob.ok()) << blob.status();
+  EXPECT_EQ(*blob, "a b\nc");
+  // Two unread bytes (" 9") cannot hold nine elements.
+  EXPECT_EQ(scan.NextCount().status().code(), StatusCode::kDataLoss);
+
+  // A blob needs exactly one separator byte and all of its bytes.
+  for (const char* payload : {"3 ab", "3", "2xab", "18446744073709551615 a"}) {
+    text::TokenScanner bad(payload, "test");
+    EXPECT_EQ(bad.NextBlob().status().code(), StatusCode::kDataLoss)
+        << payload;
+  }
+  text::TokenScanner empty("0  next", "test");
+  blob = empty.NextBlob();
+  ASSERT_TRUE(blob.ok()) << blob.status();
+  EXPECT_TRUE(blob->empty());
+  EXPECT_TRUE(empty.Expect("next").ok());
+}
+
 }  // namespace
 }  // namespace wcop

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "anon/nwa.h"
 #include "anon/verifier.h"
 #include "anon/wcop_ct.h"
 #include "anon/wcop_sa.h"
@@ -71,13 +72,17 @@ void ExpectReportsEqual(const AnonymizationReport& a,
   EXPECT_EQ(a.degraded, b.degraded);
 }
 
-// The schedule-independent accounting counters (hits/calls/abandons); the
-// queue/thread gauges and span timings are exempt by design.
+// The schedule-independent accounting counters (every distance.* counter,
+// clustering and translation); the queue/thread gauges and span timings
+// are exempt by design.
 void ExpectAccountingEqual(const telemetry::MetricsSnapshot& a,
                            const telemetry::MetricsSnapshot& b) {
   for (const char* counter :
-       {"distance.calls.edr", "distance.cache_hits",
-        "distance.early_abandoned", "cluster.attempts", "cluster.accepted",
+       {"distance.calls.edr", "distance.calls.sync_euclidean",
+        "distance.cache_hits", "distance.early_abandoned",
+        "distance.lb.length_pruned", "distance.lb.separation_pruned",
+        "distance.lb.envelope_pruned", "distance.candidates.prefiltered",
+        "cluster.attempts", "cluster.accepted",
         "cluster.leftover.assigned", "cluster.leftover.trashed",
         "translate.created_points", "translate.deleted_points",
         "translate.matched_points", "trash.trajectories"}) {
@@ -109,8 +114,8 @@ TEST(ParallelDeterminismTest, WcopCtSerialVsEightThreadsSynthetic) {
 }
 
 TEST(ParallelDeterminismTest, WcopCtFarthestFirstPivotPolicy) {
-  // The farthest-first scan exercises the exact-distance batch (Get) on top
-  // of the cutoff batches.
+  // The farthest-first scores are exact lookups on the coordinating thread;
+  // the translation still fans out.
   const Dataset d = SmallSynthetic(40, 30);
   WcopOptions options;
   options.pivot_policy = WcopOptions::PivotPolicy::kFarthestFirst;
@@ -120,6 +125,33 @@ TEST(ParallelDeterminismTest, WcopCtFarthestFirstPivotPolicy) {
   ExpectDatasetsBitIdentical(serial.sanitized, parallel.sanitized);
   ExpectReportsEqual(serial.report, parallel.report);
   ExpectAccountingEqual(serial.report.metrics, parallel.report.metrics);
+}
+
+TEST(ParallelDeterminismTest, NwaSerialVsEightThreads) {
+  // NWA clusters by synchronized Euclidean distance: its pivot scan is the
+  // LookupBatch fan-out.
+  Dataset d = SmallSynthetic(40, 30);
+  for (Trajectory& t : d.mutable_trajectories()) {
+    const double t0 = t.StartTime();
+    for (Point& p : t.mutable_points()) {
+      p.t -= t0;  // NWA clusters co-temporal trajectories
+    }
+  }
+  telemetry::Telemetry tel1, tel8;
+  WcopOptions options;
+  options.seed = 1234;
+  options.threads = 1;
+  options.telemetry = &tel1;
+  Result<AnonymizationResult> serial = RunNwa(d, 3, 200.0, options);
+  options.threads = 8;
+  options.telemetry = &tel8;
+  Result<AnonymizationResult> parallel = RunNwa(d, 3, 200.0, options);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  ASSERT_TRUE(parallel.ok()) << parallel.status();
+  ExpectDatasetsBitIdentical(serial->sanitized, parallel->sanitized);
+  const telemetry::MetricsSnapshot snap1 = tel1.metrics().Snapshot();
+  EXPECT_GT(snap1.CounterValue("distance.calls.sync_euclidean"), 0u);
+  ExpectAccountingEqual(snap1, tel8.metrics().Snapshot());
 }
 
 TEST(ParallelDeterminismTest, RepeatedParallelRunsAreIdentical) {

@@ -144,25 +144,35 @@ TEST(RunContextTest, WcopCtDeadlineWithPartialResultsDegrades) {
   EXPECT_EQ(verification.violations, 0u);
 }
 
+/// Half the exact DP computations of an unbounded WCOP-CT run on `d`: the
+/// cascade leaves only a few pairs to the DP, so a budget sized for every
+/// pair would never trip.
+uint64_t HalfTheDistanceComputations(const Dataset& d) {
+  RunContext context;
+  WcopOptions options;
+  options.run_context = &context;
+  EXPECT_TRUE(RunWcopCt(d, options).ok());
+  return context.distance_computations() / 2;
+}
+
 TEST(RunContextTest, WcopCtDistanceBudgetDegradesDeterministically) {
   // A distance budget (unlike a wall-clock deadline) trips at the exact same
   // point on every run, giving a deterministic partial result with some
   // clusters already formed.
   const Dataset d = SmallSynthetic(60, 30);
+  const uint64_t cap = HalfTheDistanceComputations(d);
+  ASSERT_GT(cap, 0u);
   RunContext context;
   ResourceBudget budget;
-  budget.max_distance_computations = 200;
+  budget.max_distance_computations = cap;
   context.set_budget(budget);
   WcopOptions options;
-  // The exhaustive (cascade-off) path: this test is about budget-trip
-  // determinism and needs every pair to actually run the DP.
-  options.distance.cascade = false;
   options.run_context = &context;
   options.allow_partial_results = true;
   Result<AnonymizationResult> result = RunWcopCt(d, options);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->report.degraded);
-  EXPECT_GT(context.distance_computations(), 200u);
+  EXPECT_GT(context.distance_computations(), cap);
   EXPECT_EQ(result->sanitized.size() + result->trashed_ids.size(), d.size());
   // The budget admits a few full cluster pools before tripping, and the
   // tripped context must not re-suppress them during translation: a partial
@@ -178,10 +188,9 @@ TEST(RunContextTest, WcopCtBudgetWithoutPartialResultsFails) {
   const Dataset d = SmallSynthetic(60, 30);
   RunContext context;
   ResourceBudget budget;
-  budget.max_distance_computations = 200;
+  budget.max_distance_computations = HalfTheDistanceComputations(d);
   context.set_budget(budget);
   WcopOptions options;
-  options.distance.cascade = false;  // see budget test above
   options.run_context = &context;
   Result<AnonymizationResult> result = RunWcopCt(d, options);
   ASSERT_FALSE(result.ok());
@@ -203,13 +212,12 @@ TEST(RunContextTest, WcopCtCancellationFails) {
 }
 
 TEST(RunContextTest, AgglomerativeDeadlineDegrades) {
-  const Dataset d = SmallSynthetic(80, 30);
+  // 600 trips: with the lower-bound cascade a smaller run can finish inside
+  // the 1 ms deadline, leaving nothing to degrade.
+  const Dataset d = SmallSynthetic(600, 30);
   RunContext context;
   context.set_deadline_after(std::chrono::milliseconds(1));
   WcopOptions options;
-  // Cascade off: with the lower-bound cascade the whole run can finish
-  // inside the 1 ms deadline, leaving nothing to degrade.
-  options.distance.cascade = false;
   options.clustering_algo = WcopOptions::ClusteringAlgo::kAgglomerative;
   options.run_context = &context;
   options.allow_partial_results = true;
