@@ -45,10 +45,11 @@ std::vector<Point> SampleObservations(const Trajectory& truth,
   Rng rng(MixSeed(model.seed, stream));
   // The uncertainty-aware adversary (Definition 1) observes a possible
   // motion curve of the victim, not the recorded polyline itself.
-  Trajectory source = truth;
+  Trajectory curve;
   if (model.pmc_delta > 0.0) {
-    source = SamplePossibleMotionCurve(truth, model.pmc_delta, &rng);
+    curve = SamplePossibleMotionCurve(truth, model.pmc_delta, &rng);
   }
+  const Trajectory& source = model.pmc_delta > 0.0 ? curve : truth;
   std::vector<Point> observations;
   observations.reserve(model.observations);
   for (size_t o = 0; o < model.observations; ++o) {

@@ -44,12 +44,16 @@ UserSetup SetUpUser(const CandidateSource& published, size_t user,
 
   // Deterministic choice of *which* τ-interval the adversary knows: a
   // per-user stream draws the interval start, so the measurement depends
-  // only on (seed, user key), never on scheduling.
-  Rng rng(MixSeed(options.adversary.seed, static_cast<uint64_t>(
-                                              published.KeyOf(user))));
+  // only on (seed, user key), never on scheduling. A lifetime no longer
+  // than τ leaves one choice and draws nothing, so seeds no stream.
   const double slack = duration - tau;
-  setup.start =
-      traj->StartTime() + (slack > 0.0 ? rng.UniformReal(0.0, slack) : 0.0);
+  double offset = 0.0;
+  if (slack > 0.0) {
+    Rng rng(MixSeed(options.adversary.seed,
+                    static_cast<uint64_t>(published.KeyOf(user))));
+    offset = rng.UniformReal(0.0, slack);
+  }
+  setup.start = traj->StartTime() + offset;
   setup.end = setup.start + tau;
 
   const size_t samples = std::max<size_t>(options.samples, 1);

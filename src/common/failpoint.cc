@@ -8,6 +8,8 @@
 #include <cstring>
 #include <utility>
 
+#include "common/text_codec.h"
+
 namespace wcop {
 
 namespace {
@@ -95,16 +97,13 @@ Status FailpointRegistry::ArmFromSpec(std::string_view spec) {
     std::string_view mode = Trim(segment.substr(colon + 1));
     int on_hit = 1;
     if (const size_t at = mode.find('@'); at != std::string_view::npos) {
-      const std::string count(Trim(mode.substr(at + 1)));
+      const std::string_view count = Trim(mode.substr(at + 1));
       mode = Trim(mode.substr(0, at));
-      char* end = nullptr;
-      const long parsed = std::strtol(count.c_str(), &end, 10);
-      if (end == count.c_str() || *end != '\0' || parsed < 1) {
+      if (!text::ParseInt(count, &on_hit) || on_hit < 1) {
         return Status::InvalidArgument("failpoint segment '" +
                                        std::string(segment) +
                                        "' has a bad hit count");
       }
-      on_hit = static_cast<int>(parsed);
     }
     if (mode == "abort") {
       ArmAbort(site, on_hit);

@@ -41,6 +41,9 @@ namespace wcop {
 ///                   (ENOSPC, EIO, EDQUOT, EACCES, EMFILE) on its first hit
 ///   site:errno=E@N  same, on its N-th hit
 ///
+/// N is a plain decimal count from 1 to INT_MAX; any other count (a sign,
+/// junk, a value past INT_MAX) makes the segment malformed.
+///
 /// errno mode is one-shot: it lets the N-1 preceding hits through, injects
 /// `Status::IoError("... <E> (<strerror>) ...")` exactly once — the way a
 /// full disk fails one write and then "recovers" after the retry backoff or

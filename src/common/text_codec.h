@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -88,6 +89,51 @@ class TokenScanner {
   std::string_view what_;
   size_t pos_ = 0;
 };
+
+/// Reads the plain decimal `[-]digits[.digits]` at the start of [p, end)
+/// on Clinger's exact fast path ("How to Read Floating Point Numbers
+/// Accurately", PLDI 1990). Its digits, read as one integer w with f of them
+/// after the point, give w / 10^f. It takes at most 19 digits, leading zeros
+/// included, so w < 10^19 does not wrap and f <= 18 makes 10^f an exact
+/// double; with w <= 2^53, w is exact too, and one correctly rounded
+/// division yields strtod's value bit for bit. Returns where the decimal
+/// ends, which a caller checks is where its token ends; or nullptr, with
+/// `*out` unchanged, when [p, end) does not start with such a decimal and
+/// must go to strtod.
+inline const char* ParseExactDecimal(const char* p, const char* end,
+                                     double* out) {
+  static constexpr double kPow10[] = {1e0,  1e1,  1e2,  1e3,  1e4,
+                                      1e5,  1e6,  1e7,  1e8,  1e9,
+                                      1e10, 1e11, 1e12, 1e13, 1e14,
+                                      1e15, 1e16, 1e17, 1e18};
+  const bool negative = p != end && *p == '-';
+  p += negative;
+  uint64_t w = 0;
+  const auto read_digits = [&](const char* q) {
+    for (; q != end && *q >= '0' && *q <= '9'; ++q) {
+      w = w * 10 + static_cast<uint64_t>(*q - '0');
+    }
+    return q;
+  };
+  const char* q = read_digits(p);
+  const size_t whole = static_cast<size_t>(q - p);
+  size_t fraction = 0;
+  if (whole != 0 && q != end && *q == '.') {
+    const char* const digits = q + 1;
+    q = read_digits(digits);
+    fraction = static_cast<size_t>(q - digits);
+    if (fraction == 0) {
+      return nullptr;
+    }
+  }
+  if (whole == 0 || whole + fraction > std::size(kPow10) ||
+      w > (uint64_t{1} << 53)) {
+    return nullptr;
+  }
+  const double v = static_cast<double>(w) / kPow10[fraction];
+  *out = negative ? -v : v;
+  return q;
+}
 
 }  // namespace text
 }  // namespace wcop

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/text_codec.h"
 
 namespace wcop {
 
@@ -36,19 +37,29 @@ bool ParseCell(std::string_view cell, double* value) {
 }
 
 // Splits `line` into its first 8 cells the way std::getline(',') does (a
-// trailing comma ends the row one cell short) and parses each.
+// trailing comma ends the row one cell short) and parses each. A plain
+// decimal within text::ParseExactDecimal's bounds that ends at a comma or
+// at the end of the line, such as WriteCsvRows' %lld and %.6f cells, is
+// read and split in one pass; any other cell is cut at its comma and goes
+// through ParseCell.
 Status ParseCsvRow(std::string_view line, const std::string& path,
                    size_t line_no, double fields[8]) {
+  const char* const end = line.data() + line.size();
   int n = 0;
   for (size_t pos = 0; n < 8 && pos < line.size(); ++n) {
-    const size_t comma = std::min(line.find(',', pos), line.size());
-    const std::string_view cell = line.substr(pos, comma - pos);
-    if (!ParseCell(cell, &fields[n])) {
-      return Status::ParseError(path + ":" + std::to_string(line_no) +
-                                ": bad numeric cell '" + std::string(cell) +
-                                "'");
+    const char* cell_end =
+        text::ParseExactDecimal(line.data() + pos, end, &fields[n]);
+    if (cell_end == nullptr || (cell_end != end && *cell_end != ',')) {
+      const size_t comma = std::min(line.find(',', pos), line.size());
+      const std::string_view cell = line.substr(pos, comma - pos);
+      if (!ParseCell(cell, &fields[n])) {
+        return Status::ParseError(path + ":" + std::to_string(line_no) +
+                                  ": bad numeric cell '" + std::string(cell) +
+                                  "'");
+      }
+      cell_end = line.data() + comma;
     }
-    pos = comma + 1;
+    pos = static_cast<size_t>(cell_end - line.data()) + 1;
   }
   if (n != 8) {
     return Status::ParseError(path + ":" + std::to_string(line_no) +
@@ -114,8 +125,15 @@ Status CsvTrajectoryReader::ForEach(
   size_t begin = 0;  // [begin, end) of `buf` is read but not yet consumed
   size_t end = 0;
   bool eof = false;
-  Trajectory current;
+  Trajectory current;  // ids and requirement of the trajectory being read
+  std::vector<Point> points;  // its points, in one buffer reused by all
   bool have_current = false;
+  // Hands `current` to the sink with a vector of exactly its points.
+  const auto flush = [&]() {
+    current.mutable_points().assign(points.begin(), points.end());
+    points.clear();
+    return sink(std::move(current));
+  };
   size_t line_no = 0;
   for (;;) {
     const char* line = buf.data() + begin;
@@ -162,7 +180,7 @@ Status CsvTrajectoryReader::ForEach(
     const int64_t traj_id = TruncateCell<int64_t>(fields[0]);
     if (!have_current || current.id() != traj_id) {
       if (have_current) {
-        WCOP_RETURN_IF_ERROR(sink(std::move(current)));
+        WCOP_RETURN_IF_ERROR(flush());
       }
       current = Trajectory(traj_id, {});
       current.set_object_id(TruncateCell<int64_t>(fields[1]));
@@ -171,10 +189,10 @@ Status CsvTrajectoryReader::ForEach(
           Requirement{TruncateCell<int>(fields[3]), fields[4]});
       have_current = true;
     }
-    current.AppendPoint(Point(fields[5], fields[6], fields[7]));
+    points.emplace_back(fields[5], fields[6], fields[7]);
   }
   if (have_current) {
-    WCOP_RETURN_IF_ERROR(sink(std::move(current)));
+    WCOP_RETURN_IF_ERROR(flush());
   }
   return Status::OK();
 }

@@ -3,7 +3,8 @@
 // the oracle. Over seeded adversarial corpora both must accept the same
 // trajectories with every double equal bit for bit, or fail with the same
 // Status; ConvertCsvToStore must write the bytes WriteDatasetStore writes
-// for the oracle's dataset.
+// for the oracle's dataset. The reader's exact fast path for plain decimals
+// (text::ParseExactDecimal) is also pinned at each of its bounds.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 
 #include "common/rng.h"
 #include "common/run_context.h"
+#include "common/text_codec.h"
 #include "data/store_convert.h"
 #include "store/store_file.h"
 #include "traj/io.h"
@@ -167,25 +169,98 @@ std::string ReadBytes(const std::string& path) {
   return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
+// Cells at each edge of text::ParseExactDecimal's form, and whether it
+// takes them whole: the 2^53 significand bound, also with the point inside
+// the digits, where rounding w to a double before dividing would round
+// twice; 19 and 20 digits, leading zeros included; cells whose 20 digits a
+// 64-bit accumulator would wrap to 1 (2^64 + 1) or to 0 (m * 2^64), with the
+// point anywhere, signs and leading or trailing zeros; 18 and 19 digits
+// after the point, and 22 and 23 on a small significand (10^23 is not a
+// double); signed and leading zeros; and cells just outside the form.
+struct EdgeCell {
+  std::string text;
+  bool exact;
+};
+
+const std::vector<EdgeCell>& EdgeCells() {
+  static const std::vector<EdgeCell> cells = {
+      {"9007199254740992", true},
+      {"9007199254740993", false},
+      {"900719925474099.2", true},
+      {"9007199254740992.0", false},
+      {"90071992547409.93", false},
+      {"900719925474099.5", false},
+      {"-9007199254740993.0", false},
+      {"0.009007199254740992", true},
+      {"0.0009007199254740992", false},
+      {"1234567890123456789", false},
+      {"12345678901234567890", false},
+      {"000000000000000001.5", true},
+      {"0000000000000000001.5", false},
+      {"18446744073709551617", false},
+      {"1844674407370955161.7", false},
+      {"36893488147419103233", false},
+      {"18446744073709551616", false},
+      {"1844674407370955161.6", false},
+      {"9223372036854775808.000000", false},
+      {"-92233720368547758080", false},
+      {"0.36893488147419103232", false},
+      {"-5534023222112865484.8", false},
+      {"73786976294838206464000", false},
+      {"0.000000000000000001", true},
+      {"0.0000000000000000001", false},
+      {"0.000000000012345678", true},
+      {"0.0000000000000000000001", false},
+      {"0.00000000000000000000001", false},
+      {"0.00000000000000000000007", false},
+      {"-0.000000", true},
+      {"-0", true},
+      {"0", true},
+      {"007.250000", true},
+      {"-000.5", true},
+      {"123.456789", true},
+      {"-87654.321000", true},
+      {"1.", false},
+      {"-.5", false},
+      {"1e3", false},
+      {"1E3", false},
+      {"0x10", false},
+      {"--1", false},
+      {"1.2.3", false},
+      {"1-", false},
+      {"1 ", false},
+      {"1\t", false},
+      {"-1\r", false},
+  };
+  return cells;
+}
+
 // Cells strtod reads differently from from_chars (or not at all): signs,
 // blanks, hex, inf and NaN with payloads, range errors, subnormals, a
-// trailing '\r', trailing junk, embedded NULs, empty and sign-only cells.
+// trailing '\r', trailing junk, embedded NULs, empty and sign-only cells;
+// then every edge cell of the exact fast path.
 const std::vector<std::string>& Tokens() {
-  static const std::vector<std::string> tokens = {
-      "+4", " 7", "\t3", "+", "-", "", " ", "0x1p3", "0X1.8P1", "-0x10",
-      "nan(123)", "NAN(abc)", "-nan", "nan", "-nan(0x7)", "inf", "-inf",
-      "infinity", "INF", "1e400", "-1e400", "1e-400", "4e-320",
-      "2.4703282292062327e-324", "2.2250738585072011e-308", "-0", "1\r",
-      "12\r", "12abc", ".5", "5.", "1e", "1e+", "e5", "x", "0x",
-      "9007199254740993", "1.7976931348623157e308", "1.7976931348623159e308",
-      "0.1000000000000000055511151231257827021181583404541015625",
-      "123456789012345678901234567890", std::string("\0" "5", 2),
-      std::string("5\0" "9", 3), "3 4", "7;8",
-      // Integer-cell bounds: 2^63 and past it, the largest double below it,
-      // -2^63, and the edges of int for k.
-      "9223372036854775807", "9223372036854774784", "-9223372036854775808",
-      "-9223372036854777856", "1e19", "2147483647.9", "2147483648",
-      "-2147483648.9", "-2147483649"};
+  static const std::vector<std::string> tokens = [] {
+    std::vector<std::string> t = {
+        "+4", " 7", "\t3", "+", "-", "", " ", "0x1p3", "0X1.8P1", "-0x10",
+        "nan(123)", "NAN(abc)", "-nan", "nan", "-nan(0x7)", "inf", "-inf",
+        "infinity", "INF", "1e400", "-1e400", "1e-400", "4e-320",
+        "2.4703282292062327e-324", "2.2250738585072011e-308", "-0", "1\r",
+        "12\r", "12abc", ".5", "5.", "1e", "1e+", "e5", "x", "0x",
+        "9007199254740993", "1.7976931348623157e308", "1.7976931348623159e308",
+        "0.1000000000000000055511151231257827021181583404541015625",
+        "123456789012345678901234567890", std::string("\0" "5", 2),
+        std::string("5\0" "9", 3), "3 4", "7;8",
+        // Integer-cell bounds: 2^63 and past it, the largest double below it,
+        // -2^63, and the edges of int for k.
+        "9223372036854775807", "9223372036854774784", "-9223372036854775808",
+        "-9223372036854777856", "1e19", "2147483647.9", "2147483648",
+        "-2147483648.9", "-2147483649"};
+    for (const EdgeCell& edge : EdgeCells()) {
+      t.push_back(edge.text);
+    }
+    return t;
+  }();
   return tokens;
 }
 
@@ -463,6 +538,32 @@ TEST_F(CsvReaderTest, BufferEdges) {
   };
   for (const auto& [label, corpus] : cases) {
     Check(corpus, nullptr, label);
+  }
+}
+
+// text::ParseExactDecimal takes whole exactly the edge cells marked exact.
+// Whatever prefix of a token it reads, among those and every other token,
+// it reads to strtod's bits for that prefix; a token it declines leaves the
+// output alone.
+TEST(ParseExactDecimalTest, ReadsPlainDecimalsInItsBoundsToStrtodsBits) {
+  for (const EdgeCell& edge : EdgeCells()) {
+    const char* end = edge.text.data() + edge.text.size();
+    double v = 0.0;
+    EXPECT_EQ(text::ParseExactDecimal(edge.text.data(), end, &v) == end,
+              edge.exact)
+        << edge.text;
+  }
+  const double kUntouched = -1234.5;
+  for (const std::string& token : Tokens()) {
+    double v = kUntouched;
+    const char* stop = text::ParseExactDecimal(
+        token.data(), token.data() + token.size(), &v);
+    if (stop == nullptr) {
+      EXPECT_EQ(Bits(v), Bits(kUntouched)) << token;
+      continue;
+    }
+    const std::string read(token.data(), stop);
+    EXPECT_EQ(Bits(v), Bits(std::strtod(read.c_str(), nullptr))) << token;
   }
 }
 

@@ -4,7 +4,9 @@
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "common/snapshot.h"
 #include "anon/wcop_b.h"
 #include "anon/wcop_ct.h"
@@ -156,6 +158,80 @@ TEST_F(FailpointTest, ArmFromSpecRejectsMalformedSegments) {
   EXPECT_FALSE(registry.ArmFromSpec("test.good,test.bad:explode").ok());
   EXPECT_EQ(registry.ArmedSites().size(), 1u);
   EXPECT_EQ(registry.ArmedSites().front(), "test.good");
+}
+
+// A hit count is read whole and in range: one that does not fit an int is
+// rejected, not wrapped (2^32 + 2 would fire on hit 2, 2^31 on hit 1).
+TEST_F(FailpointTest, ArmFromSpecRejectsHitCountsPastIntMax) {
+  FailpointRegistry& registry = FailpointRegistry::Instance();
+  for (const char* spec :
+       {"x.site:errno=EIO@4294967298", "x.site:errno=EIO@2147483648",
+        "x.site:abort@2147483648", "x.site:abort@99999999999999999999",
+        "x.site:abort@-1", "x.site:abort@+2", "x.site:abort@3.0",
+        "x.site:abort@0x10", "x.site:abort@"}) {
+    EXPECT_EQ(registry.ArmFromSpec(spec).code(), StatusCode::kInvalidArgument)
+        << spec;
+    EXPECT_FALSE(registry.any_armed()) << spec;
+  }
+  ASSERT_TRUE(registry.ArmFromSpec("x.site:errno=EIO@ 2 ").ok());
+  EXPECT_TRUE(registry.Fire("x.site").ok());
+  EXPECT_EQ(registry.Fire("x.site").code(), StatusCode::kIoError);
+  ASSERT_TRUE(registry.ArmFromSpec("x.site:abort@2147483647").ok());
+  EXPECT_TRUE(registry.Fire("x.site").ok());
+}
+
+// Seeded spec fuzzing: specs spliced from the grammar's pieces, and valid
+// specs with bytes flipped, inserted or cut, each return OK or
+// kInvalidArgument and never crash; whatever one arms is disarmed before
+// the next.
+TEST_F(FailpointTest, ArmFromSpecFuzz) {
+  FailpointRegistry& registry = FailpointRegistry::Instance();
+  const std::vector<std::string> pieces = {
+      "x.site", "store.fsync", "csv.read_line", ":", "@", ",", " ", "\t",
+      "abort", "sigint", "sigterm", "errno=", "ENOSPC", "EIO", "EMFILE",
+      "EBOGUS", "bogus", "0", "1", "7", "-1", "+2", "2147483647",
+      "2147483648", "4294967298", "18446744073709551617", "0x10", "=",
+      std::string("\0", 1), "\xff"};
+  const std::vector<std::string> valid = {
+      "x.site", "x.site:abort", "x.site:abort@3", "a.b:sigterm@2,c.d:sigint",
+      "x.site:errno=ENOSPC@4", " x.site : errno=EIO @ 2 ,,y.site"};
+  Rng rng(4242);
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (int round = 0; round < 20000; ++round) {
+    std::string spec;
+    if (rng.Bernoulli(0.5)) {
+      for (size_t n = rng.UniformIndex(12); n > 0; --n) {
+        spec += pieces[rng.UniformIndex(pieces.size())];
+      }
+    } else {
+      spec = valid[rng.UniformIndex(valid.size())];
+      for (size_t n = 1 + rng.UniformIndex(3); n > 0 && !spec.empty(); --n) {
+        const size_t at = rng.UniformIndex(spec.size());
+        switch (rng.UniformIndex(3)) {
+          case 0:
+            spec[at] = static_cast<char>(rng.UniformInt(0, 255));
+            break;
+          case 1:
+            spec.insert(at, pieces[rng.UniformIndex(pieces.size())]);
+            break;
+          default:
+            spec.erase(at, 1 + rng.UniformIndex(4));
+            break;
+        }
+      }
+    }
+    const Status s = registry.ArmFromSpec(spec);
+    if (s.ok()) {
+      ++accepted;
+    } else {
+      ++rejected;
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << spec;
+    }
+    registry.DisarmAll();
+  }
+  EXPECT_GT(accepted, 2000u);
+  EXPECT_GT(rejected, 2000u);
 }
 
 // abort-mode countdown semantics are observable without dying: earlier hits
