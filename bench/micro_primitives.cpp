@@ -114,10 +114,10 @@ void BM_Crc32(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32)->ArgsProduct({{0, 1}, {48, 1024, 65536}});
 
-// Per-pair cost of each cascade rung on a pair it cannot separate, for
-// comparison against the kernels they shortcut. Profiles are built once
-// (the memo amortizes them the same way), so these measure the
-// incremental bound evaluation.
+// Per-pair cost of the cascade's two rungs (separation test and length
+// bound) on a pair they cannot separate, for comparison against the kernel
+// they shortcut. Profiles are built once (the memo amortizes them the same
+// way), so this measures the incremental bound evaluation.
 void BM_EdrSeparationCheck(benchmark::State& state) {
   const size_t points = static_cast<size_t>(state.range(0));
   const auto [a, b] = NearbyPair(points);
@@ -130,19 +130,6 @@ void BM_EdrSeparationCheck(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EdrSeparationCheck)->Range(32, 512);
-
-void BM_EdrEnvelopeBound(benchmark::State& state) {
-  const size_t points = static_cast<size_t>(state.range(0));
-  const auto [a, b] = NearbyPair(points);
-  const EdrTolerance tol = EdrTolerance::FromDeltaMax(250.0, 6.36);
-  const EdrBoundsProfile pa = EdrBoundsProfile::Of(a);
-  const EdrBoundsProfile pb = EdrBoundsProfile::Of(b);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EdrEnvelopeLowerBound(a, pa, b, pb, tol));
-  }
-  state.SetComplexityN(static_cast<int64_t>(points));
-}
-BENCHMARK(BM_EdrEnvelopeBound)->Range(32, 512)->Complexity(benchmark::oN);
 
 void BM_EdrProfileBuild(benchmark::State& state) {
   const size_t points = static_cast<size_t>(state.range(0));

@@ -5,14 +5,6 @@
 
 namespace wcop {
 
-namespace {
-
-/// Below this length the envelope sweep costs about as much as the DP it
-/// tries to avoid; shorter pairs go straight to the kernel.
-constexpr uint32_t kEnvelopeMinLen = 4;
-
-}  // namespace
-
 PairDistanceMemo::PairDistanceMemo(const Dataset& dataset,
                                    const DistanceConfig& config,
                                    const RunContext* context,
@@ -29,8 +21,6 @@ PairDistanceMemo::PairDistanceMemo(const Dataset& dataset,
     lb_length_ = telemetry->metrics().GetCounter("distance.lb.length_pruned");
     lb_separation_ =
         telemetry->metrics().GetCounter("distance.lb.separation_pruned");
-    lb_envelope_ =
-        telemetry->metrics().GetCounter("distance.lb.envelope_pruned");
   }
   if (config.kind == DistanceConfig::Kind::kEdr) {
     profiles_.reserve(n_);
@@ -66,8 +56,6 @@ PairDistanceMemo::Distance PairDistanceMemo::Lookup(size_t i, size_t j,
     telemetry::CounterAdd(cache_hits_);
     return Distance{it->second, true};
   }
-  const Trajectory& a = dataset_[i];
-  const Trajectory& b = dataset_[j];
   if (config_.kind == DistanceConfig::Kind::kEdr) {
     const EdrBoundsProfile& pa = profiles_[i];
     const EdrBoundsProfile& pb = profiles_[j];
@@ -81,28 +69,15 @@ PairDistanceMemo::Distance PairDistanceMemo::Lookup(size_t i, size_t j,
       return Abandoned(lb_separation_,
                        Distance{ToScaled(maxlen, maxlen), true});
     }
-    double bound = ToScaled(EdrLengthLowerBound(pa, pb), maxlen);
-    telemetry::Counter* rung = lb_length_;
-    if (maxlen >= kEnvelopeMinLen) {
-      const EdrEnvelopeBound env =
-          EdrEnvelopeLowerBound(a, pa, b, pb, config_.tolerance);
-      const double envelope = ToScaled(env.bound, maxlen);
-      if (env.exact) {
-        return Abandoned(lb_envelope_, Distance{envelope, true});
-      }
-      if (envelope > bound) {
-        bound = envelope;
-        rung = lb_envelope_;
-      }
-    }
+    const double bound = ToScaled(EdrLengthLowerBound(pa, pb), maxlen);
     if (bound > cutoff) {
       // The probe at -infinity only reports the bound: it decides nothing.
       return cutoff == -std::numeric_limits<double>::infinity()
                  ? Distance{bound, false}
-                 : Abandoned(rung, Distance{bound, false});
+                 : Abandoned(lb_length_, Distance{bound, false});
     }
   }
-  const double d = ClusterDistance(a, b, config_);
+  const double d = ClusterDistance(dataset_[i], dataset_[j], config_);
   Memoize(key, d);
   return Distance{d, true};
 }

@@ -24,13 +24,13 @@ namespace wcop {
 ///
 /// ## The EDR cascade
 ///
-/// For EDR, a lookup runs cheap certified rungs before the DP: the
-/// MBR/tolerance separation certificate (O(1); when it fires the distance
-/// is known, edr_scale), the length bound (O(1)) and the envelope bound
-/// (O(n+m); zero matchable points on a side again gives the exact value).
-/// A rung that gives the exact value answers the lookup (an analytic
-/// exact); otherwise, when the largest bound exceeds the cutoff, the bound
-/// answers it; only the rest run the DP kernel. So a returned value is
+/// For EDR, a lookup runs two O(1) certified rungs before the DP: the
+/// MBR/tolerance separation certificate (when it fires the distance is
+/// known, edr_scale, and answers the lookup as an analytic exact) and the
+/// length bound (when it exceeds the cutoff, the bound answers the lookup);
+/// only the rest run the DP kernel. No O(n+m) bound sits between them:
+/// up to 64 points a sweep over both trajectories costs more than the
+/// bit-parallel DP itself (DESIGN.md §9). So a returned value is
 /// either the exact distance or a lower bound above the cutoff, and a
 /// caller that only compares against the cutoff decides as on the exact
 /// distance. A cutoff of -infinity never runs the DP (the bounds-only
@@ -45,11 +45,11 @@ namespace wcop {
 /// when the distance was computed (at most once per pair and run),
 /// `distance.cache_hits` when the memo answered, and
 /// `distance.early_abandoned` when a rung answered with an analytic exact
-/// or with a bound above a finite cutoff, `distance.lb.{length,separation,
-/// envelope}_pruned` naming that rung. A probe at -infinity that returns
-/// only a bound decides nothing and counts nothing: the caller that drops
-/// the pair on it does so through a lookup at its own cutoff, which counts
-/// the abandon. i == j is 0 and counts nothing.
+/// or with a bound above a finite cutoff, `distance.lb.length_pruned` or
+/// `distance.lb.separation_pruned` naming that rung. A probe at -infinity
+/// that returns only a bound decides nothing and counts nothing: the
+/// caller that drops the pair on it does so through a lookup at its own
+/// cutoff, which counts the abandon. i == j is 0 and counts nothing.
 class PairDistanceMemo {
  public:
   /// A lookup's answer: the exact distance (`exact`), or a certified lower
@@ -115,7 +115,6 @@ class PairDistanceMemo {
   telemetry::Counter* early_abandoned_ = nullptr;
   telemetry::Counter* lb_length_ = nullptr;
   telemetry::Counter* lb_separation_ = nullptr;
-  telemetry::Counter* lb_envelope_ = nullptr;
   uint64_t n_;
   std::vector<EdrBoundsProfile> profiles_;  ///< EDR only; indexed as dataset
   std::unordered_map<uint64_t, double> memo_;

@@ -168,13 +168,11 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
     rounds_counter = tel->metrics().GetCounter("cluster.rounds");
     cluster_size = tel->metrics().GetHistogram("cluster.size");
   }
-  // Memoizes the computed distances across radius-relaxation rounds. Sized
-  // for the pools the first round will scan; the memo only ever holds
-  // distinct pairs, so cap at the full pair count.
-  const size_t expected_pairs =
-      std::min(n * (n - 1) / 2, n * size_t{64});
+  // Memoizes the computed distances across radius-relaxation rounds. No
+  // reservation: the cascade leaves a few DP results per pivot, far below
+  // any bucket count a reservation could guess, and the map grows to fit.
   PairDistanceMemo distances(dataset, options.distance, context, tel,
-                             expected_pairs);
+                             /*expected_pairs=*/0);
   // Filter-and-refine scaffolding (EDR only — see DESIGN.md "Distance
   // engine: filter-and-refine"). A pivot can match a point only
   // with the candidates whose profile it is not EdrSeparated from; the

@@ -100,98 +100,86 @@ Result<AnonymizationResult> AnonymizeClusters(
   sanitized_storage.reserve(max_published);
   result.clusters.reserve(outcome.clusters.size());
 
-  // Serial pre-pass: failpoints, cooperative context checks, the delta
-  // policy, and the suppression decision all stay on the coordinating
-  // thread (in cluster order), so degradation behaviour is identical to the
-  // serial path. Only clusters that survive become translation jobs.
-  //
-  // Once the context trips mid-translation (with allow_partial_results),
-  // every remaining cluster is suppressed instead of translated, so the
-  // published part still passes the independent verifier. A clustering
-  // outcome that already degraded skips the context checks here: its
-  // context is permanently tripped, and translating the few clusters it
-  // did form is exactly the bounded remainder of the partial result.
-  struct ClusterJob {
-    size_t cluster_index;  ///< index into outcome.clusters (and RNG stream)
-    double delta_c;
-  };
-  std::vector<ClusterJob> jobs;
-  jobs.reserve(outcome.clusters.size());
-  bool suppress_remaining = false;
-  for (size_t c = 0; c < outcome.clusters.size(); ++c) {
+  // Serial pre-pass: failpoints and the delta policy stay on the
+  // coordinating thread, in cluster order.
+  const size_t count = outcome.clusters.size();
+  for (size_t c = 0; c < count; ++c) {
     const AnonymityCluster& cluster = outcome.clusters[c];
-    if (!suppress_remaining) {
-      WCOP_FAILPOINT("anon.translate_cluster");
-      // Cooperative yield point: one check per cluster.
-      if (Status s = CheckRunContext(context);
-          !s.ok() && !outcome.degraded) {
-        if (!resolved_options.allow_partial_results) {
-          return s;
-        }
-        suppress_remaining = true;
-        result.report.degraded = true;
-        result.report.degraded_reason = s.ToString();
-      }
-    }
-    if (suppress_remaining) {
-      trashed_indices.insert(trashed_indices.end(), cluster.members.begin(),
-                             cluster.members.end());
-      continue;
-    }
+    WCOP_FAILPOINT("anon.translate_cluster");
     // Algorithm 2 line 5: delta_c = min member delta (the clustering phase
     // maintains that); the kMean ablation replaces it with the member mean.
-    double delta_c = cluster.delta;
     AnonymityCluster published_cluster = cluster;
     if (resolved_options.delta_policy == WcopOptions::DeltaPolicy::kMean) {
       double sum = 0.0;
       for (size_t member : cluster.members) {
         sum += dataset[member].requirement().delta;
       }
-      delta_c = sum / static_cast<double>(cluster.members.size());
-      published_cluster.delta = delta_c;
+      published_cluster.delta =
+          sum / static_cast<double>(cluster.members.size());
     }
-    jobs.push_back(ClusterJob{c, delta_c});
     result.clusters.push_back(std::move(published_cluster));
   }
 
-  // Parallel translation: each job is pure given its own RNG stream and
-  // writes only its own slots. Batches never observe the run context (the
-  // pre-pass already made every suppression decision for this phase).
-  std::vector<std::vector<Trajectory>> translated(jobs.size());
-  std::vector<TranslationStats> job_stats(jobs.size());
+  // Parallel translation: each cluster is pure given its own RNG stream and
+  // writes only its own slots. The fan-out checks the run context before
+  // every cluster (one cluster per chunk), so a deadline or cancellation
+  // that comes while clusters are translated is observed there. A
+  // clustering outcome that already degraded is translated without checks:
+  // its context is permanently tripped, and translating the few clusters it
+  // did form is exactly the bounded remainder of the partial result.
+  std::vector<std::vector<Trajectory>> translated(count);
+  std::vector<TranslationStats> job_stats(count);
+  std::vector<char> done(count, 0);
   parallel::ParallelOptions par;
   par.threads = resolved_options.threads;
   par.grain = 1;
+  par.context = outcome.degraded ? nullptr : context;
   par.telemetry = tel;
-  Status batch = parallel::ParallelFor(
-      jobs.size(),
-      [&](size_t t) {
+  const Status batch = parallel::ParallelFor(
+      count,
+      [&](size_t c) {
         WCOP_TRACE_SPAN(tel, "translate/cluster");
-        const AnonymityCluster& cluster =
-            outcome.clusters[jobs[t].cluster_index];
+        const AnonymityCluster& cluster = result.clusters[c];
         const Trajectory& pivot = dataset[cluster.pivot];
-        Rng rng(MixSeed(resolved_options.seed ^ 0x5DEECE66Dull,
-                        jobs[t].cluster_index));
-        translated[t].reserve(cluster.members.size());
+        Rng rng(MixSeed(resolved_options.seed ^ 0x5DEECE66Dull, c));
+        translated[c].reserve(cluster.members.size());
         for (size_t member : cluster.members) {
-          translated[t].push_back(TranslateToPivot(
-              dataset[member], pivot, jobs[t].delta_c,
-              resolved_options.distance.tolerance, &rng, &job_stats[t]));
+          translated[c].push_back(TranslateToPivot(
+              dataset[member], pivot, cluster.delta,
+              resolved_options.distance.tolerance, &rng, &job_stats[c]));
         }
+        done[c] = 1;
       },
       par);
+  size_t kept = count;
   if (!batch.ok()) {
-    return batch;
+    // Only a context trip stops the fan-out. With allow_partial_results the
+    // clusters before the first one it skipped are published, in cluster
+    // order, and every later one is suppressed (even one another thread
+    // finished), so the published part passes the independent verifier.
+    if (!resolved_options.allow_partial_results) {
+      return batch;
+    }
+    kept = static_cast<size_t>(std::find(done.begin(), done.end(), 0) -
+                               done.begin());
+    result.report.degraded = true;
+    result.report.degraded_reason = batch.ToString();
+    for (size_t c = kept; c < count; ++c) {
+      trashed_indices.insert(trashed_indices.end(),
+                             result.clusters[c].members.begin(),
+                             result.clusters[c].members.end());
+    }
+    result.clusters.resize(kept);
   }
   // Serial merge in cluster order: storage layout, sanitized_of pointers,
   // and stats accumulation are all order-sensitive and stay deterministic.
-  for (size_t t = 0; t < jobs.size(); ++t) {
-    const AnonymityCluster& cluster = outcome.clusters[jobs[t].cluster_index];
+  for (size_t c = 0; c < kept; ++c) {
+    const AnonymityCluster& cluster = result.clusters[c];
     for (size_t m = 0; m < cluster.members.size(); ++m) {
-      sanitized_storage.push_back(std::move(translated[t][m]));
+      sanitized_storage.push_back(std::move(translated[c][m]));
       sanitized_of[cluster.members[m]] = &sanitized_storage.back();
     }
-    stats.Accumulate(job_stats[t]);
+    stats.Accumulate(job_stats[c]);
   }
 
   if (tel != nullptr) {

@@ -12,13 +12,10 @@
 namespace wcop {
 
 /// Precomputed per-trajectory summary powering the EDR lower-bound cascade:
-/// the (x, y, t) box of the points, length, and whether the timestamps are
-/// sorted (Trajectory::Validate guarantees strictly increasing times, but
-/// the bounds never *assume* it — unsorted inputs degrade to the length
-/// bound instead of returning a wrong certificate).
+/// the (x, y, t) box of the points and their number. Neither bound reads
+/// the point order, so unsorted timestamps cannot make either one wrong.
 struct EdrBoundsProfile : XytBox {
   uint32_t length = 0;
-  bool sorted = false;  ///< timestamps non-decreasing (envelope usable)
 
   static EdrBoundsProfile Of(const Trajectory& t);
 };
@@ -76,40 +73,6 @@ class EdrReachIndex {
 /// points, so EDR >= ||a|-|b||. O(1) from the profiles.
 uint32_t EdrLengthLowerBound(const EdrBoundsProfile& a,
                              const EdrBoundsProfile& b);
-
-/// Result of the envelope bound. `bound` is a certified lower bound on the
-/// EDR op count; `exact` is true when the bound is additionally known to be
-/// the exact distance (zero matchable points on one side forces the
-/// all-substitution alignment, cost max(|a|,|b|)).
-struct EdrEnvelopeBound {
-  uint32_t bound = 0;
-  bool exact = false;
-};
-
-/// Keogh-style envelope bound adapted to the EDR tolerance triple.
-///
-/// Let M be the number of matched pairs in an optimal alignment and S the
-/// substitutions. Matches and substitutions each consume one point from
-/// both sides, so M + S <= min(n, m), and the cost n + m - 2M - S can be
-/// rewritten as (n + m - M - (M + S)) >= max(n, m) - M. Any upper bound
-/// M_ub on the achievable matches therefore certifies
-/// EDR >= max(n, m) - M_ub.
-///
-/// M_ub here counts, per side, the points that could match *anything* on
-/// the other side: point p matches only inside its time window
-/// [p.t - dt, p.t + dt], and within that window only if p's coordinates
-/// fall inside the window's bounding box dilated by (dx, dy). Both sides'
-/// counts are computed in O(n + m) with a two-pointer sweep and monotonic
-/// min/max deques over the other trajectory, and
-/// M_ub = min(count_a, count_b, min(n, m)).
-///
-/// Falls back to the plain length bound (never wrong, just weak) when
-/// either profile reports unsorted timestamps.
-EdrEnvelopeBound EdrEnvelopeLowerBound(const Trajectory& a,
-                                       const EdrBoundsProfile& pa,
-                                       const Trajectory& b,
-                                       const EdrBoundsProfile& pb,
-                                       const EdrTolerance& tolerance);
 
 }  // namespace wcop
 

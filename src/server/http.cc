@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -18,7 +19,6 @@ namespace server {
 namespace {
 
 constexpr size_t kMaxHeaderBytes = 16 * 1024;
-constexpr size_t kMaxBodyBytes = 1024 * 1024;
 
 void SetIoTimeouts(int fd, int timeout_ms) {
   struct timeval tv;
@@ -80,39 +80,26 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   return true;
 }
 
-/// Content-Length from the raw header block; 0 when absent or malformed.
-size_t ParseContentLength(std::string_view headers) {
-  size_t pos = 0;
-  while (pos < headers.size()) {
-    size_t eol = headers.find("\r\n", pos);
-    if (eol == std::string_view::npos) {
-      eol = headers.size();
-    }
-    const std::string_view line = headers.substr(pos, eol - pos);
-    pos = eol + 2;
-    const size_t colon = line.find(':');
-    if (colon == std::string_view::npos) {
-      continue;
-    }
-    if (!EqualsIgnoreCase(line.substr(0, colon), "content-length")) {
-      continue;
-    }
-    size_t value = 0;
-    bool any = false;
-    for (size_t i = colon + 1; i < line.size(); ++i) {
-      const char c = line[i];
-      if (c == ' ' && !any) {
-        continue;
-      }
-      if (c < '0' || c > '9') {
-        return any ? value : 0;
-      }
-      value = value * 10 + static_cast<size_t>(c - '0');
-      any = true;
-    }
-    return value;
+/// The value of one Content-Length header: digits between optional blanks,
+/// at most kHttpMaxBodyBytes. The digits are accumulated only up to the
+/// cap, so no value can wrap.
+Result<size_t> ParseContentLengthValue(std::string_view value) {
+  const size_t first = value.find_first_not_of(" \t");
+  const size_t last = value.find_last_not_of(" \t");
+  if (first == std::string_view::npos) {
+    return Status::InvalidArgument("empty Content-Length");
   }
-  return 0;
+  size_t length = 0;
+  for (const char c : value.substr(first, last - first + 1)) {
+    if (c < '0' || c > '9') {
+      return Status::InvalidArgument("Content-Length is not a number");
+    }
+    length = length * 10 + static_cast<size_t>(c - '0');
+    if (length > kHttpMaxBodyBytes) {
+      return Status::InvalidArgument("request body too large");
+    }
+  }
+  return length;
 }
 
 std::string SerializeResponse(const HttpResponse& response) {
@@ -163,6 +150,41 @@ Status BindUnixSocket(const std::string& path, int* out_fd) {
 }
 
 }  // namespace
+
+Result<HttpRequestHead> ParseHttpRequestHead(std::string_view head) {
+  const size_t line_end = std::min(head.find("\r\n"), head.size());
+  const std::string_view request_line = head.substr(0, line_end);
+  const size_t sp1 = request_line.find(' ');
+  const size_t sp2 = sp1 == std::string_view::npos
+                         ? std::string_view::npos
+                         : request_line.find(' ', sp1 + 1);
+  if (sp1 == 0 || sp2 == std::string_view::npos || sp2 == sp1 + 1) {
+    return Status::InvalidArgument("malformed request line");
+  }
+  HttpRequestHead parsed;
+  parsed.method = std::string(request_line.substr(0, sp1));
+  parsed.path = std::string(request_line.substr(sp1 + 1, sp2 - sp1 - 1));
+  bool seen_length = false;
+  for (size_t pos = line_end; pos < head.size();) {
+    pos += 2;  // the CRLF that ends the previous line
+    const size_t eol = std::min(head.find("\r\n", pos), head.size());
+    const std::string_view line = head.substr(pos, eol - pos);
+    pos = eol;
+    const size_t colon = line.find(':');
+    if (colon == std::string_view::npos ||
+        !EqualsIgnoreCase(line.substr(0, colon), "content-length")) {
+      continue;
+    }
+    WCOP_ASSIGN_OR_RETURN(const size_t length,
+                          ParseContentLengthValue(line.substr(colon + 1)));
+    if (seen_length && length != parsed.content_length) {
+      return Status::InvalidArgument("conflicting Content-Length headers");
+    }
+    parsed.content_length = length;
+    seen_length = true;
+  }
+  return parsed;
+}
 
 const char* HttpReasonPhrase(int status) {
   switch (status) {
@@ -249,32 +271,20 @@ void HttpServer::HandleConnection(int fd) {
     // moves on to the next one.
     return;
   }
-  const size_t line_end = raw.find("\r\n");
-  const std::string request_line = raw.substr(0, line_end);
-  const size_t sp1 = request_line.find(' ');
-  const size_t sp2 =
-      sp1 == std::string::npos ? std::string::npos
-                               : request_line.find(' ', sp1 + 1);
-  if (sp1 == std::string::npos || sp2 == std::string::npos) {
+  // The head ends with the blank line's CRLF CRLF, which is not part of it.
+  Result<HttpRequestHead> head =
+      ParseHttpRequestHead(std::string_view(raw).substr(0, header_end - 4));
+  if (!head.ok()) {
     HttpResponse bad;
     bad.status = 400;
-    bad.body = "malformed request line\n";
+    bad.body = head.status().message() + "\n";
     WriteAll(fd, SerializeResponse(bad));
     return;
   }
   HttpRequest request;
-  request.method = request_line.substr(0, sp1);
-  request.path = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
-
-  const size_t content_length = ParseContentLength(
-      std::string_view(raw).substr(line_end + 2, header_end - line_end - 2));
-  if (content_length > kMaxBodyBytes) {
-    HttpResponse bad;
-    bad.status = 400;
-    bad.body = "request body too large\n";
-    WriteAll(fd, SerializeResponse(bad));
-    return;
-  }
+  request.method = std::move(head->method);
+  request.path = std::move(head->path);
+  const size_t content_length = head->content_length;
   request.body = raw.substr(header_end);
   char buf[4096];
   while (request.body.size() < content_length) {
@@ -326,7 +336,7 @@ Result<HttpResponse> UnixHttpCall(const std::string& socket_path,
 
   std::string raw;
   char buf[4096];
-  while (raw.size() < kMaxHeaderBytes + kMaxBodyBytes) {
+  while (raw.size() < kMaxHeaderBytes + kHttpMaxBodyBytes) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n < 0 && errno == EINTR) {
       continue;

@@ -14,9 +14,11 @@
 /// size, and malformed requests answered with 400 rather than crashing.
 
 #include <atomic>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "common/result.h"
@@ -25,11 +27,34 @@
 namespace wcop {
 namespace server {
 
+/// The largest request body the server accepts (a Content-Length above it
+/// is answered with 400).
+inline constexpr size_t kHttpMaxBodyBytes = 1024 * 1024;
+
 struct HttpRequest {
   std::string method;  ///< "GET", "POST"
   std::string path;    ///< "/jobs/42"
   std::string body;
 };
+
+/// What the server reads from a request's head before its body.
+struct HttpRequestHead {
+  std::string method;
+  std::string path;
+  size_t content_length = 0;  ///< 0 when no Content-Length header is sent
+};
+
+/// Parses a request head: the bytes before the blank line that ends it,
+/// that is the request line "METHOD PATH VERSION" and then one CRLF-led
+/// "Name: value" line per header. Pure (no socket), so it is tested and
+/// fuzzed on its own. Header names are case-insensitive; lines without a
+/// colon and headers other than Content-Length are ignored. Returns
+/// kInvalidArgument (the server answers 400 with its message) when the
+/// request line lacks a method or a path, or when a Content-Length value
+/// is not a run of decimal digits between optional blanks, exceeds
+/// kHttpMaxBodyBytes (which any value that would overflow does), or
+/// differs from an earlier Content-Length header.
+Result<HttpRequestHead> ParseHttpRequestHead(std::string_view head);
 
 struct HttpResponse {
   int status = 200;

@@ -105,8 +105,9 @@ int HexDigit(char c) {
 }
 
 /// Shared line-walker for the record and spec codecs: calls `field` with
-/// each (key, raw value) pair. Unknown keys must be tolerated by `field`
-/// (return OK) so the format can grow.
+/// each (key, raw value) pair. `field` decides what an unknown key means:
+/// the record codec skips it so the ledger format can grow, the spec codec
+/// rejects it.
 template <typename Fn>
 Status WalkLines(std::string_view payload, Fn&& field) {
   size_t pos = 0;
@@ -385,7 +386,14 @@ Result<JobSpec> DecodeJobSpec(std::string_view body) {
   WCOP_RETURN_IF_ERROR(WalkLines(
       body, [&](std::string_view key, std::string_view value) -> Status {
         bool known = false;
-        return DecodeSpecField(key, value, &spec, &known);
+        WCOP_RETURN_IF_ERROR(DecodeSpecField(key, value, &spec, &known));
+        if (!known) {
+          // A client's typo ("assign-k") must not run a job that silently
+          // ignores the setting.
+          return Status::InvalidArgument("unknown job spec key '" +
+                                         EscapeToken(key) + "'");
+        }
+        return Status::OK();
       }));
   return spec;
 }

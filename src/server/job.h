@@ -142,7 +142,10 @@ std::string EncodeJobRecord(const JobRecord& record);
 Result<JobRecord> DecodeJobRecord(std::string_view payload);
 
 /// Spec-only codec for the POST /jobs request body (same key/value lines
-/// as the record codec, spec fields only).
+/// as the record codec, spec fields only). Unlike the record codec, which
+/// skips unknown keys so older daemons can read newer ledger files, the
+/// spec decoder answers an unknown key with kInvalidArgument naming it: a
+/// misspelt option must fail the request, not run a job without it.
 std::string EncodeJobSpec(const JobSpec& spec);
 Result<JobSpec> DecodeJobSpec(std::string_view body);
 

@@ -206,8 +206,7 @@ TEST(GreedyClusteringTest, CascadePrunesAndAbandonsOnStockConfig) {
       EXPECT_GT(snap.CounterValue("distance.early_abandoned"), 0u);
       const uint64_t lb_pruned =
           snap.CounterValue("distance.lb.length_pruned") +
-          snap.CounterValue("distance.lb.separation_pruned") +
-          snap.CounterValue("distance.lb.envelope_pruned");
+          snap.CounterValue("distance.lb.separation_pruned");
       EXPECT_EQ(lb_pruned, snap.CounterValue("distance.early_abandoned"));
       EXPECT_LT(snap.CounterValue("distance.calls.edr"), dist.pairs_read());
     }
@@ -215,20 +214,15 @@ TEST(GreedyClusteringTest, CascadePrunesAndAbandonsOnStockConfig) {
 }
 
 TEST(GreedyClusteringTest, EveryPrunedCandidateCountsOneAbandon) {
-  // Two k=2 trips of equal length whose last five fixes lie 1 km apart: the
-  // envelope bound proves half the scale, above radius_max. Each of the
+  // Two k=2 trips on one line, of 10 and 20 fixes: their boxes overlap, and
+  // the length bound proves half the scale, above radius_max. Each of the
   // round's two pivot scans probes the other trip (a bound: no event),
   // drops it in refinement at the radius cutoff (one abandon), grows to
   // it, and fails the radius test on the same bound (one abandon). No DP
   // runs and no cluster forms.
-  std::vector<Point> pa, pb;
-  for (int i = 0; i < 10; ++i) {
-    pa.emplace_back(10.0 * i, 0.0, 10.0 * i);
-    pb.emplace_back(10.0 * i, i < 5 ? 0.0 : 1000.0, 10.0 * i);
-  }
   Dataset d;
-  d.Add(Trajectory(1, pa));
-  d.Add(Trajectory(2, pb));
+  d.Add(MakeLine(1, 0.0, 0.0, 10.0, 0.0, 10, 10.0));
+  d.Add(MakeLine(2, 0.0, 0.0, 10.0, 0.0, 20, 10.0));
   for (Trajectory& t : d.mutable_trajectories()) {
     t.set_requirement(Requirement{2, 100.0});
   }
@@ -251,7 +245,7 @@ TEST(GreedyClusteringTest, EveryPrunedCandidateCountsOneAbandon) {
     EXPECT_EQ(snap.CounterValue("distance.calls.edr"), 0u);
     EXPECT_EQ(snap.CounterValue("distance.cache_hits"), 0u);
     EXPECT_EQ(snap.CounterValue("distance.early_abandoned"), 4u);
-    EXPECT_EQ(snap.CounterValue("distance.lb.envelope_pruned"), 4u);
+    EXPECT_EQ(snap.CounterValue("distance.lb.length_pruned"), 4u);
   }
 }
 

@@ -84,12 +84,6 @@ TEST(EdrBoundsTest, EveryBoundIsALowerBoundOnRandomPairs) {
       // Separation is not merely a bound: it pins the exact distance.
       EXPECT_EQ(exact, maxlen) << "round " << round;
     }
-
-    const EdrEnvelopeBound env = EdrEnvelopeLowerBound(a, pa, b, pb, tol);
-    EXPECT_LE(env.bound, exact) << "round " << round;
-    if (env.exact) {
-      EXPECT_EQ(env.bound, exact) << "round " << round;
-    }
   }
 }
 
@@ -107,8 +101,6 @@ TEST(EdrBoundsTest, BoundsRoundLikeMatches) {
   const EdrBoundsProfile pb = EdrBoundsProfile::Of(b);
   EXPECT_FALSE(EdrSeparated(pa, pb, tol));
   EXPECT_FALSE(EdrSeparated(pb, pa, tol));
-  EXPECT_EQ(EdrEnvelopeLowerBound(a, pa, b, pb, tol).bound, 0u);
-  EXPECT_EQ(EdrEnvelopeLowerBound(b, pb, a, pa, tol).bound, 0u);
 }
 
 /// A coordinate at millisecond (millimetre) resolution.
@@ -168,12 +160,7 @@ TEST(EdrBoundsTest, BoundaryTolerancesKeepEveryBoundSound) {
         }
       }
     }
-    const EdrEnvelopeBound env =
-        EdrEnvelopeLowerBound(a, prof_a, b, prof_b, tol);
-    ASSERT_LE(env.bound, exact) << "round " << round;
-    if (env.exact) {
-      ASSERT_EQ(env.bound, exact) << "round " << round;
-    }
+    ASSERT_LE(EdrLengthLowerBound(prof_a, prof_b), exact) << "round " << round;
   }
 }
 
@@ -196,20 +183,6 @@ TEST(EdrBoundsTest, SeparationFiresOnDisjointGeometry) {
       pc, pe, Tol(1e9, 1e9, std::numeric_limits<double>::infinity())));
 }
 
-TEST(EdrBoundsTest, EnvelopeIsExactWhenNothingMatches) {
-  // Interleaved in time but spatially disjoint: separation fires on the
-  // spatial axis *and* the envelope independently certifies zero matches.
-  const Trajectory a = MakeLine(1, 0, 0, 1, 0, 10);
-  const Trajectory b = MakeLine(2, 5000, 0, 1, 0, 6);
-  const EdrBoundsProfile pa = EdrBoundsProfile::Of(a);
-  const EdrBoundsProfile pb = EdrBoundsProfile::Of(b);
-  const EdrTolerance tol = Tol(2, 2, 3);
-  const EdrEnvelopeBound env = EdrEnvelopeLowerBound(a, pa, b, pb, tol);
-  EXPECT_TRUE(env.exact);
-  EXPECT_EQ(env.bound, 10u);
-  EXPECT_EQ(EdrOpsScalar(a, b, tol), 10u);
-}
-
 TEST(EdrBoundsTest, CornersBehave) {
   const Trajectory empty;
   const Trajectory one(1, std::vector<Point>{Point(1, 2, 3)});
@@ -227,9 +200,6 @@ TEST(EdrBoundsTest, CornersBehave) {
   // Identical trajectories: every bound must be zero-compatible.
   EXPECT_EQ(EdrLengthLowerBound(p_line, p_line), 0u);
   EXPECT_FALSE(EdrSeparated(p_line, p_line, tol));
-  const EdrEnvelopeBound env =
-      EdrEnvelopeLowerBound(line, p_line, line, p_line, tol);
-  EXPECT_LE(env.bound, EdrOpsScalar(line, line, tol));
   EXPECT_EQ(EdrOpsScalar(line, line, tol), 0u);
 
   // Single points, matching and not.
@@ -253,7 +223,6 @@ EdrBoundsProfile RandomBox(Rng* rng, int tiles, double spacing, int kind) {
   p.min_y = spacing * static_cast<double>(rng->UniformIndex(tiles)) +
             rng->UniformReal(0, 1000);
   p.min_t = rng->UniformReal(0, 86400);
-  p.sorted = true;
   if (kind == 1) {
     p.max_x = p.min_x;
     p.max_y = p.min_y;

@@ -1,7 +1,7 @@
 // Robustness: the file parsers and the store, window journal, shard
-// checkpoint, WCOP-B checkpoint and job-ledger decoders must never crash or
-// loop on malformed
-// input — they fail with a Status or skip garbage records gracefully —
+// checkpoint, WCOP-B checkpoint, job-ledger, job-spec and HTTP request-head
+// decoders must never crash or loop on malformed input — they fail with a
+// Status or skip garbage records gracefully —
 // and the anonymization pipeline must survive adversarial datasets
 // (non-finite coordinates, broken timelines, degenerate trajectories)
 // by returning a non-OK Status or a structurally valid result.
@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "common/telemetry.h"
 #include "data/geolife_parser.h"
 #include "pipeline/manifest.h"
+#include "server/http.h"
 #include "server/job.h"
 #include "store/shard_runner.h"
 #include "store/store_file.h"
@@ -777,6 +779,307 @@ TEST_F(JobRecordFuzzTest, IntegersMustBeExactAndInRange) {
                            "id 1\nseed 18446744073709551615\n"}) {
     EXPECT_TRUE(Decode(good)) << good;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Job spec decoder (POST /jobs body): every truncation and seeded field and
+// byte mutations of a full EncodeJobSpec body. Contract: kParseError or
+// kInvalidArgument (both answered with 400), or a spec whose encoding is a
+// fixed point of the codec. Unlike the record decoder it rejects every
+// unknown key.
+// ---------------------------------------------------------------------------
+
+class JobSpecFuzzTest : public FuzzRobustnessTest {
+ protected:
+  void SetUp() override {
+    FuzzRobustnessTest::SetUp();
+    server::JobSpec spec;
+    spec.name = "fleet-2016.q1";
+    spec.tenant = "acme corp";
+    spec.input_store = "/data/in 100%.wst";
+    spec.output_csv = "out.csv";
+    spec.kind = "audit";
+    spec.window_seconds = 1800.5;
+    spec.output_dir = "out\nwith newline";
+    spec.audit_windows_dir = "w";
+    spec.audit_original_store = "o.wst";
+    spec.audit_adversary = "strong";
+    spec.audit_victims = 64;
+    spec.assign_k = 5;
+    spec.assign_delta = 0.1;
+    spec.shards = 4;
+    spec.overlap_margin = 250.0;
+    spec.deadline_ms = 30000;
+    spec.max_distance_computations = 18446744073709551615ULL;
+    spec.allow_partial = true;
+    spec.seed = 7;
+    good_ = server::EncodeJobSpec(spec);
+    for (size_t pos = 0; pos < good_.size(); ++pos) {
+      if (good_[pos] != ' ' && good_[pos] != '\n' &&
+          (pos == 0 || good_[pos - 1] == ' ' || good_[pos - 1] == '\n')) {
+        token_starts_.push_back(pos);
+      }
+    }
+    Result<server::JobSpec> clean = server::DecodeJobSpec(good_);
+    ASSERT_TRUE(clean.ok()) << clean.status();
+    ASSERT_EQ(server::EncodeJobSpec(*clean), good_);
+  }
+
+  /// Decodes `body` and checks the contract. Returns whether the spec was
+  /// accepted.
+  bool Decode(const std::string& body) {
+    Result<server::JobSpec> spec = server::DecodeJobSpec(body);
+    if (!spec.ok()) {
+      EXPECT_TRUE(spec.status().code() == StatusCode::kParseError ||
+                  spec.status().code() == StatusCode::kInvalidArgument)
+          << spec.status();
+      return false;
+    }
+    const std::string encoded = server::EncodeJobSpec(*spec);
+    Result<server::JobSpec> again = server::DecodeJobSpec(encoded);
+    EXPECT_TRUE(again.ok()) << again.status();
+    if (again.ok()) {
+      EXPECT_EQ(server::EncodeJobSpec(*again), encoded);
+    }
+    return true;
+  }
+
+  std::string good_;
+  std::vector<size_t> token_starts_;
+};
+
+TEST_F(JobSpecFuzzTest, EveryTruncationIsRejectedOrRoundTrips) {
+  // A cut inside a key leaves a line without a value or an unknown key;
+  // a cut inside a value may leave a shorter value or a malformed one.
+  size_t accepted = 0;
+  for (size_t cut = 0; cut <= good_.size(); ++cut) {
+    accepted += Decode(good_.substr(0, cut)) ? 1 : 0;
+  }
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(good_.size() + 1 - accepted, 100u);
+}
+
+TEST_F(JobSpecFuzzTest, SeededMutationsAreRejectedOrRoundTrip) {
+  Rng rng(4111);
+  const std::vector<std::string> tokens = {
+      "", "0", "1", "-1", "+7", " -5", "1.5", "12abc", "0x10", "nan", "inf",
+      "1e309", "2147483648", "9223372036854775808", "18446744073709551616",
+      "%", "%zz", "%00", "true", "false", "name", "seed", "assign-k", "id",
+      "state", "batch", "continuous"};
+  size_t rejected = 0;
+  size_t accepted = 0;
+  for (int round = 0; round < 3000; ++round) {
+    std::string body = good_;
+    const size_t edits = 1 + rng.UniformIndex(3);
+    for (size_t n = 0; n < edits; ++n) {
+      const size_t at =
+          std::min(token_starts_[rng.UniformIndex(token_starts_.size())],
+                   body.size());
+      const size_t end =
+          std::min(body.find_first_of(" \n", at), body.size());
+      switch (rng.UniformIndex(5)) {
+        case 0:  // replace a key or value with an edge-case token
+          body.replace(at, end - at, tokens[rng.UniformIndex(tokens.size())]);
+          break;
+        case 1:  // drop a token (and its separator)
+          body.erase(at, end - at + 1);
+          break;
+        case 2:  // duplicate a token
+          body.insert(at, body.substr(at, end - at + 1));
+          break;
+        case 3:  // overwrite any byte with any value
+          body[rng.UniformIndex(body.size())] =
+              static_cast<char>(rng.UniformInt(0, 255));
+          break;
+        default:  // insert random bytes anywhere
+          body.insert(rng.UniformIndex(body.size() + 1),
+                      RandomBytes(&rng, 1 + rng.UniformIndex(8),
+                                  round % 2 == 0));
+          break;
+      }
+    }
+    if (Decode(body)) {
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+  }
+  // Most edits that land on a key make it unknown, so most rounds fail.
+  EXPECT_GT(rejected, 1000u);
+  EXPECT_GT(accepted, 200u);
+}
+
+TEST_F(JobSpecFuzzTest, EveryMisspeltKeyIsRejectedByName) {
+  // Each key of the full body, misspelt: the decoder names it instead of
+  // dropping the line. The record decoder skips the same line.
+  size_t keys = 0;
+  for (size_t pos = 0; pos < good_.size();) {
+    const size_t space = good_.find(' ', pos);
+    ASSERT_NE(space, std::string::npos);
+    const std::string key = good_.substr(pos, space - pos);
+    const std::string typo = key + "_";
+    std::string body = good_;
+    body.replace(pos, key.size(), typo);
+    Result<server::JobSpec> spec = server::DecodeJobSpec(body);
+    ASSERT_FALSE(spec.ok()) << typo;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(spec.status().message().find("'" + typo + "'"),
+              std::string::npos)
+        << spec.status();
+    EXPECT_TRUE(server::DecodeJobRecord("id 1\n" + body).ok()) << typo;
+    pos = good_.find('\n', space) + 1;
+    ++keys;
+  }
+  EXPECT_EQ(keys, 19u);
+}
+
+// ---------------------------------------------------------------------------
+// HTTP request head (server/http.h): every truncation, byte flips and
+// spliced header lines, checked against a plain reference of the rules
+// ParseHttpRequestHead documents.
+// ---------------------------------------------------------------------------
+
+/// The Content-Length ParseHttpRequestHead must return for `head`, or
+/// nullopt when it must reject the head.
+std::optional<size_t> ReferenceContentLength(const std::string& head) {
+  std::vector<std::string> lines;
+  for (size_t pos = 0;;) {
+    const size_t eol = head.find("\r\n", pos);
+    lines.push_back(head.substr(pos, eol - pos));
+    if (eol == std::string::npos) {
+      break;
+    }
+    pos = eol + 2;
+  }
+  const std::string& request_line = lines[0];
+  const size_t sp1 = request_line.find(' ');
+  if (sp1 == std::string::npos || sp1 == 0) {
+    return std::nullopt;
+  }
+  const size_t sp2 = request_line.find(' ', sp1 + 1);
+  if (sp2 == std::string::npos || sp2 == sp1 + 1) {
+    return std::nullopt;
+  }
+  std::optional<size_t> length;
+  for (size_t i = 1; i < lines.size(); ++i) {
+    const size_t colon = lines[i].find(':');
+    if (colon == std::string::npos) {
+      continue;
+    }
+    std::string name = lines[i].substr(0, colon);
+    for (char& c : name) {
+      c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    }
+    if (name != "content-length") {
+      continue;
+    }
+    std::string value = lines[i].substr(colon + 1);
+    while (!value.empty() && (value.front() == ' ' || value.front() == '\t')) {
+      value.erase(0, 1);
+    }
+    while (!value.empty() && (value.back() == ' ' || value.back() == '\t')) {
+      value.pop_back();
+    }
+    if (value.empty() ||
+        value.find_first_not_of("0123456789") != std::string::npos) {
+      return std::nullopt;
+    }
+    value.erase(0, std::min(value.find_first_not_of('0'), value.size() - 1));
+    if (value.size() > 7 || std::stoul(value) > server::kHttpMaxBodyBytes) {
+      return std::nullopt;
+    }
+    const size_t v = std::stoul(value);
+    if (length.has_value() && *length != v) {
+      return std::nullopt;
+    }
+    length = v;
+  }
+  return length.value_or(0);
+}
+
+class HttpHeadFuzzTest : public ::testing::Test {
+ protected:
+  /// Parses `head` and checks it against the reference. Returns whether it
+  /// was accepted.
+  static bool Parse(const std::string& head) {
+    const Result<server::HttpRequestHead> parsed =
+        server::ParseHttpRequestHead(head);
+    const std::optional<size_t> expected = ReferenceContentLength(head);
+    EXPECT_EQ(parsed.ok(), expected.has_value())
+        << testing::PrintToString(head) << ": " << parsed.status();
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+      return false;
+    }
+    if (expected.has_value()) {
+      EXPECT_EQ(parsed->content_length, *expected)
+          << testing::PrintToString(head);
+    }
+    EXPECT_FALSE(parsed->method.empty());
+    EXPECT_FALSE(parsed->path.empty());
+    return true;
+  }
+
+  const std::string good_ =
+      "POST /jobs?x=1 HTTP/1.0\r\nHost: localhost\r\n"
+      "Content-Length: 1234\r\nContent-Type: text/plain\r\n"
+      "Connection: close";
+};
+
+TEST_F(HttpHeadFuzzTest, EveryTruncationMatchesTheReference) {
+  size_t accepted = 0;
+  for (size_t cut = 0; cut <= good_.size(); ++cut) {
+    accepted += Parse(good_.substr(0, cut)) ? 1 : 0;
+  }
+  EXPECT_GT(accepted, 50u);
+}
+
+TEST_F(HttpHeadFuzzTest, FlipsAndSplicedHeadersMatchTheReference) {
+  Rng rng(8080);
+  const std::vector<std::string> lines = {
+      "Content-Length: 18446744073709551617", "Content-Length: 12abc",
+      "Content-Length: 1234", "content-length:1234", "CONTENT-LENGTH:\t7\t",
+      "Content-Length: 0", "Content-Length: -1", "Content-Length: +5",
+      "Content-Length: 0x10", "Content-Length: 1 2", "Content-Length:",
+      "Content-Length:   ", "Content-Length: 1048576",
+      "Content-Length: 1048577", "Content-Length: 00000000000000000001234",
+      "Content-Length: 99999999999999999999999999", "Content-Length : 5",
+      "X-Content-Length: 5", "Host: a:b", ":", "", "no colon", "\r", "\n"};
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (int round = 0; round < 4000; ++round) {
+    std::string head = good_;
+    const size_t edits = 1 + rng.UniformIndex(3);
+    for (size_t n = 0; n < edits; ++n) {
+      switch (rng.UniformIndex(3)) {
+        case 0: {  // splice a header line in after any line
+          size_t at = head.find("\r\n", rng.UniformIndex(head.size() + 1));
+          at = at == std::string::npos ? head.size() : at;
+          head.insert(at, "\r\n" + lines[rng.UniformIndex(lines.size())]);
+          break;
+        }
+        case 1:  // overwrite any byte with any value
+          if (!head.empty()) {
+            head[rng.UniformIndex(head.size())] =
+                static_cast<char>(rng.UniformInt(0, 255));
+          }
+          break;
+        default:  // flip one bit
+          if (!head.empty()) {
+            head[rng.UniformIndex(head.size())] ^=
+                static_cast<char>(1 << rng.UniformIndex(8));
+          }
+          break;
+      }
+    }
+    if (Parse(head)) {
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(accepted, 500u);
+  EXPECT_GT(rejected, 500u);
 }
 
 // ---------------------------------------------------------------------------

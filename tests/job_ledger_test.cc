@@ -154,6 +154,24 @@ TEST(JobCodecTest, SpecRoundTripsThroughRequestBody) {
   EXPECT_EQ(back->allow_partial, spec.allow_partial);
 }
 
+TEST(JobCodecTest, SpecRejectsUnknownKeysButRecordSkipsThem) {
+  // "assign-k" for assign_k: the spec decoder names the key instead of
+  // running a job that keeps the data's own k.
+  const std::string body = EncodeJobSpec(FullRecord().spec) + "assign-k 5\n";
+  Result<JobSpec> spec = DecodeJobSpec(body);
+  ASSERT_FALSE(spec.ok());
+  EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(spec.status().message().find("'assign-k'"), std::string::npos)
+      << spec.status();
+  // A ledger record keeps skipping keys it does not know: a newer daemon's
+  // fields must not make an older one lose the job.
+  const JobRecord record = FullRecord();
+  Result<JobRecord> back =
+      DecodeJobRecord(EncodeJobRecord(record) + "future_field 5\n");
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(EncodeJobRecord(*back), EncodeJobRecord(record));
+}
+
 // ---------------------------------------------------------------------------
 // Spec validation: the admission gate for client-controlled fields.
 // ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ void ExpectAccountingEqual(const telemetry::MetricsSnapshot& a,
        {"distance.calls.edr", "distance.calls.sync_euclidean",
         "distance.cache_hits", "distance.early_abandoned",
         "distance.lb.length_pruned", "distance.lb.separation_pruned",
-        "distance.lb.envelope_pruned", "distance.candidates.prefiltered",
+        "distance.candidates.prefiltered",
         "cluster.attempts", "cluster.accepted",
         "cluster.leftover.assigned", "cluster.leftover.trashed",
         "translate.created_points", "translate.deleted_points",

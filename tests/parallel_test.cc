@@ -267,8 +267,8 @@ DistanceConfig EdrConfig(EdrTolerance tolerance, double scale = 1000.0) {
   return config;
 }
 
-/// A trajectory of 0-70 points (across the envelope's 4-point threshold
-/// and one 64-bit kernel word) with sorted times, near (x0, y0).
+/// A trajectory of 0-70 points (empty and very short trips included, and
+/// across one 64-bit kernel word) with sorted times, near (x0, y0).
 Trajectory RandomTrip(Rng* rng, int64_t id, double x0, double y0) {
   const size_t n = rng->UniformIndex(5) == 0 ? rng->UniformIndex(4)
                                              : rng->UniformIndex(71);
@@ -481,18 +481,19 @@ TEST(PairDistanceMemoTest, OnlyDpResultsAreMemoized) {
   EXPECT_EQ(snap.CounterValue("distance.cache_hits"), 1u);
 }
 
-TEST(PairDistanceMemoTest, TheLargestBoundAnswers) {
-  // Equal lengths (length bound 0) and overlapping boxes, but the last five
-  // fixes of b lie 1 km off a's line at the same times: the envelope bound
-  // proves 5 of 10 edits, so a cutoff below half the scale is answered
-  // without the DP, by the envelope rung.
-  std::vector<Point> pa, pb;
-  for (int i = 0; i < 10; ++i) {
-    pa.emplace_back(10.0 * i, 0.0, 10.0 * i);
-    pb.emplace_back(10.0 * i, i < 5 ? 0.0 : 1000.0, 10.0 * i);
-  }
-  const Dataset d(
-      std::vector<Trajectory>{Trajectory(1, pa), Trajectory(2, pb)});
+/// Two trips on one line, of 10 and 20 fixes: their boxes overlap, so the
+/// separation rung does not fire, and the length bound proves 10 of 20
+/// edits, half the scale (which here is also the exact distance).
+Dataset OneLineTrips() {
+  return Dataset(std::vector<Trajectory>{
+      testing_util::MakeLine(1, 0.0, 0.0, 10.0, 0.0, 10, 10.0),
+      testing_util::MakeLine(2, 0.0, 0.0, 10.0, 0.0, 20, 10.0)});
+}
+
+TEST(PairDistanceMemoTest, TheLengthBoundAnswers) {
+  // A cutoff below half the scale is answered without the DP, by the
+  // length rung, with the bound.
+  const Dataset d = OneLineTrips();
   const DistanceConfig config = EdrConfig(EdrTolerance{5.0, 5.0, 5.0});
   ASSERT_EQ(OracleDistance(d[0], d[1], config), 0.5 * config.edr_scale);
   telemetry::Telemetry tel;
@@ -503,20 +504,15 @@ TEST(PairDistanceMemoTest, TheLargestBoundAnswers) {
   EXPECT_EQ(got.value, 0.5 * config.edr_scale);
   const telemetry::MetricsSnapshot snap = tel.metrics().Snapshot();
   EXPECT_EQ(snap.CounterValue("distance.calls.edr"), 0u);
-  EXPECT_EQ(snap.CounterValue("distance.lb.envelope_pruned"), 1u);
+  EXPECT_EQ(snap.CounterValue("distance.early_abandoned"), 1u);
+  EXPECT_EQ(snap.CounterValue("distance.lb.length_pruned"), 1u);
 }
 
 TEST(PairDistanceMemoTest, AProbeCountsOnlyWhatItDecides) {
-  // The pair of TheLargestBoundAnswers: the probe at -inf returns the
-  // envelope bound and counts nothing; the lookup that drops the pair at a
+  // The pair of TheLengthBoundAnswers: the probe at -inf returns the
+  // length bound and counts nothing; the lookup that drops the pair at a
   // cutoff below the bound counts the abandon; the exact read runs the DP.
-  std::vector<Point> pa, pb;
-  for (int i = 0; i < 10; ++i) {
-    pa.emplace_back(10.0 * i, 0.0, 10.0 * i);
-    pb.emplace_back(10.0 * i, i < 5 ? 0.0 : 1000.0, 10.0 * i);
-  }
-  const Dataset d(
-      std::vector<Trajectory>{Trajectory(1, pa), Trajectory(2, pb)});
+  const Dataset d = OneLineTrips();
   const DistanceConfig config = EdrConfig(EdrTolerance{5.0, 5.0, 5.0});
   constexpr double kInf = std::numeric_limits<double>::infinity();
   telemetry::Telemetry tel;
@@ -528,7 +524,7 @@ TEST(PairDistanceMemoTest, AProbeCountsOnlyWhatItDecides) {
         snap.CounterValue("distance.calls.edr"),
         snap.CounterValue("distance.cache_hits"),
         snap.CounterValue("distance.early_abandoned"),
-        snap.CounterValue("distance.lb.envelope_pruned")};
+        snap.CounterValue("distance.lb.length_pruned")};
   };
 
   const PairDistanceMemo::Distance probe = memo.Lookup(0, 1, -kInf);

@@ -10,9 +10,13 @@
 // a failpoint instead (FailpointHold), which no input size can race.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
@@ -591,6 +595,33 @@ TEST_F(ServerTest, ImmediateShutdownRequeuesAndRestartRecovers) {
 // The HTTP endpoint and client, over a real unix socket.
 // ---------------------------------------------------------------------------
 
+/// Sends `request` as is, closes the sending half, and returns the status
+/// code of the reply (-1 when the server answered nothing).
+int RawHttpStatus(const std::string& socket_path, const std::string& request) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return -1;
+  }
+  struct sockaddr_un addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size());
+  std::string reply;
+  if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                sizeof(addr)) == 0 &&
+      ::send(fd, request.data(), request.size(), MSG_NOSIGNAL) ==
+          static_cast<ssize_t>(request.size())) {
+    ::shutdown(fd, SHUT_WR);
+    char buf[4096];
+    for (ssize_t n; (n = ::recv(fd, buf, sizeof(buf), 0)) > 0;) {
+      reply.append(buf, static_cast<size_t>(n));
+    }
+  }
+  ::close(fd);
+  const size_t sp = reply.find(' ');
+  return sp == std::string::npos ? -1 : std::atoi(reply.c_str() + sp + 1);
+}
+
 TEST_F(ServerTest, EndpointServesJobsHealthAndMetrics) {
   Result<std::unique_ptr<AnonymizationService>> service =
       AnonymizationService::Start(BaseOptions());
@@ -623,6 +654,28 @@ TEST_F(ServerTest, EndpointServesJobsHealthAndMetrics) {
   EXPECT_EQ(client.GetJob(424242).status().code(), StatusCode::kNotFound);
   EXPECT_EQ(client.Submit(Spec("bad name", SmallStore())).status().code(),
             StatusCode::kInvalidArgument);
+  // A misspelt spec key is a 400 that names it, not a job run without it.
+  Result<HttpResponse> typo =
+      UnixHttpCall(http.socket_path, "POST", "/jobs",
+                   EncodeJobSpec(Spec("typo", SmallStore())) + "assign-k 5\n");
+  ASSERT_TRUE(typo.ok()) << typo.status();
+  EXPECT_EQ(typo->status, 400);
+  EXPECT_NE(typo->body.find("'assign-k'"), std::string::npos) << typo->body;
+  // A Content-Length that overflows, is not a number or conflicts with
+  // another one is a 400 too, answered before any body is read.
+  for (const char* length :
+       {"18446744073709551617", "12abc", "1048577", "0\r\nContent-Length: 5"}) {
+    EXPECT_EQ(RawHttpStatus(http.socket_path,
+                            std::string("POST /jobs HTTP/1.0\r\n"
+                                        "Content-Length: ") +
+                                length + "\r\n\r\n"),
+              400)
+        << length;
+  }
+  EXPECT_EQ(RawHttpStatus(http.socket_path,
+                          "GET /healthz HTTP/1.0\r\nContent-Length: 0\r\n"
+                          "content-length: 0\r\n\r\n"),
+            200);
 
   // Default /metrics speaks Prometheus text exposition 0.0.4: typed
   // families, _total counters, cumulative histogram series, and the
@@ -782,6 +835,48 @@ TEST_F(ServerTest, EndpointSurfacesBackpressureAs429) {
 // ---------------------------------------------------------------------------
 // Pure mapping units (no sockets, no service).
 // ---------------------------------------------------------------------------
+
+TEST(HttpRequestHeadTest, ParsesTheRequestLineAndContentLength) {
+  Result<HttpRequestHead> head = ParseHttpRequestHead(
+      "POST /jobs HTTP/1.0\r\nHost: x\r\ncontent-LENGTH:\t12 \r\n"
+      "Connection: close");
+  ASSERT_TRUE(head.ok()) << head.status();
+  EXPECT_EQ(head->method, "POST");
+  EXPECT_EQ(head->path, "/jobs");
+  EXPECT_EQ(head->content_length, 12u);
+  head = ParseHttpRequestHead("GET /health HTTP/1.0");
+  ASSERT_TRUE(head.ok()) << head.status();
+  EXPECT_EQ(head->content_length, 0u);
+  // Equal duplicates agree; the cap itself is allowed.
+  head = ParseHttpRequestHead(
+      "POST /jobs HTTP/1.0\r\nContent-Length: 1048576\r\n"
+      "Content-Length: 0001048576");
+  ASSERT_TRUE(head.ok()) << head.status();
+  EXPECT_EQ(head->content_length, kHttpMaxBodyBytes);
+}
+
+TEST(HttpRequestHeadTest, RejectsBadRequestLinesAndLengths) {
+  for (const char* line : {"", "GET", "GET /x", " /x HTTP/1.0",
+                           "GET  HTTP/1.0"}) {
+    const Result<HttpRequestHead> head = ParseHttpRequestHead(line);
+    ASSERT_FALSE(head.ok()) << line;
+    EXPECT_EQ(head.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(head.status().message(), "malformed request line");
+  }
+  // 2^64 + 1 used to wrap to 1 and pass the cap; "12abc" read as 12.
+  for (const char* value :
+       {"18446744073709551617", "12abc", "1048577", "", " ", "-1", "+5",
+        "0x10", "1 2", "1e3", "\x01"}) {
+    const Result<HttpRequestHead> head = ParseHttpRequestHead(
+        std::string("POST /jobs HTTP/1.0\r\nContent-Length: ") + value);
+    ASSERT_FALSE(head.ok()) << value;
+    EXPECT_EQ(head.status().code(), StatusCode::kInvalidArgument);
+  }
+  const Result<HttpRequestHead> conflict = ParseHttpRequestHead(
+      "POST /jobs HTTP/1.0\r\nContent-Length: 5\r\nContent-Length: 6");
+  ASSERT_FALSE(conflict.ok());
+  EXPECT_EQ(conflict.status().message(), "conflicting Content-Length headers");
+}
 
 TEST(EndpointMappingTest, StatusToHttpAndBack) {
   EXPECT_EQ(HttpStatusForStatus(Status::OK()), 200);
